@@ -39,6 +39,11 @@ from .verify import (
 
 GRID_ENV_VAR = "MEANBOUNDS_GRID"
 
+# Work is bounded before it starts: a sweep runs about 25 rows/s, so the row
+# limit is about 7 minutes, and 1M grid points take about 0.12 s per check.
+_MAX_SWEEP_ROWS = 10_000
+_MAX_GRID = 10_000_000
+
 _CLOSED_FORMS = {
     1.0: ("(1 - sqrt(1 - 4/e^2))/2", "(3 - sqrt(3))/6"),
     2.0: ("(1 - sqrt(1 - 2/e))/2", "(6 - sqrt(6))/12"),
@@ -122,6 +127,9 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
         count = args.grid
     else:
         count = int(os.environ.get(GRID_ENV_VAR, "10000"))
+    if count > _MAX_GRID:
+        raise ValueError(f"grid of {count} points is above the limit of "
+                         f"{_MAX_GRID}")
     spacing = "endpoint_refined" if args.refined else "uniform"
     return GridSpec(count=count, spacing=spacing)
 
@@ -266,10 +274,15 @@ def _parse_range(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must look like START:STOP:STEP, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"bad range {spec!r}: START, STOP and STEP must be "
+                         "finite")
     if step <= 0.0 or stop < start:
         raise ValueError(f"bad range {spec!r}: need step > 0 and stop >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    rows = (stop - start) / step + 1e-9
+    if not rows < _MAX_SWEEP_ROWS:
+        raise ValueError(f"range {spec!r} has more than {_MAX_SWEEP_ROWS} rows")
+    return [start + i * step for i in range(int(math.floor(rows)) + 1)]
 
 
 def _cmd_sweep(args) -> int:

@@ -12,6 +12,9 @@ turn controlled by the sign of a quadratic trinomial in ``X = x^2``.  This
 module evaluates all three stably, finds the trinomial's roots and the
 kernel's interior zero, and provides the exponential-bound margin family
 ``exp_bound_margin`` used for the ``exp(c * x^2)`` comparisons.
+
+The log-ratio is the one evaluation core of the package: ``ln(I/A)`` is its
+``u = 0`` case, negated, so :mod:`meanbounds.means` evaluates it here too.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .means import SERIES_CROSSOVER, _lr_with_error_scale
 
 __all__ = [
     "EVAL_LIMIT",
@@ -42,6 +43,13 @@ __all__ = [
 # have absorbed every significant digit and the x -> 1 behavior is exposed
 # through log_ratio_limit_at_one instead.
 EVAL_LIMIT = 1.0 - 1e-12
+
+# Below this gap the direct formula keeps only absolute (not relative)
+# accuracy: its ~4 ulp error on O(1) summands divided by x^2 swamps
+# quantities like ln(A/I)/x^2 - 1/6 once x^2 is small.  The degree-8 series
+# still truncates below 6e-18 relative at 1e-2, so it owns everything
+# beneath that point.
+SERIES_CROSSOVER = 1e-2
 
 _LN2 = math.log(2.0)
 
@@ -74,8 +82,7 @@ class FamilyParams:
     def from_t(cls, t: float, s: float) -> "FamilyParams":
         t = float(t)
         s = float(s)
-        if not 0.0 <= t <= 0.5:
-            raise ValueError(f"t must lie in [0, 1/2], got {t}")
+        # An out-of-range t fails the range check of __post_init__.
         one_minus_2t = 1.0 - 2.0 * t
         return cls(t=t, s=s, u=one_minus_2t * one_minus_2t,
                    one_minus_u=4.0 * t * (1.0 - t))
@@ -128,6 +135,21 @@ def _validate_x(arr: np.ndarray) -> None:
                          "use log_ratio_limit_at_one for the x -> 1 behavior")
 
 
+def _evaluate(x, fn, validate=_validate_x):
+    """``fn`` applied to the validated ``x``: a float for a scalar, else an array."""
+    arr = np.asarray(x, dtype=float)
+    validate(arr)
+    out = fn(np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def _split(x: np.ndarray):
+    """Series mask and direct-path argument (0.5 under the mask)."""
+    # The dummy keeps the direct forms off the removable singularity at 0.
+    small = x < SERIES_CROSSOVER
+    return small, np.where(small, 0.5, x)
+
+
 def _log_ratio_series(params: FamilyParams, w: np.ndarray) -> np.ndarray:
     # w = x^2.  Coefficients of the even series 1/(2k(2k+1)) - s u^k / (2k).
     u, s = params.u, params.s
@@ -140,27 +162,46 @@ def _log_ratio_series(params: FamilyParams, w: np.ndarray) -> np.ndarray:
 
 def _log_ratio_direct_pieces(params: FamilyParams, x: np.ndarray):
     atanh_over_x = np.arctanh(x) / x
+    # (1-x)(1+x): the subtraction is exact for x >= 1/2 and one rounding
+    # below, so 1 - x^2 keeps a few-ulp relative error up to x = 1 - 1e-9.
     one_minus_sq = (1.0 - x) * (1.0 + x)
     ln_one_minus_sq = np.log(one_minus_sq)
-    if params.u == 0.0:
-        m2 = np.zeros_like(x)
-    else:
+    vals = 1.0 - atanh_over_x - 0.5 * ln_one_minus_sq
+    magnitude = np.abs(atanh_over_x) + 0.5 * np.abs(ln_one_minus_sq)
+    if params.u != 0.0:  # at u = 0 the m2 term vanishes
         m2 = 0.5 * params.s * np.log(one_minus_sq + params.one_minus_u * x * x)
-    vals = 1.0 - atanh_over_x - 0.5 * ln_one_minus_sq + m2
-    scale = 4.0 * (np.abs(atanh_over_x) + 0.5 * np.abs(ln_one_minus_sq)
-                   + np.abs(m2) + 1.0)
-    return vals, scale
+        vals = vals + m2
+        magnitude = magnitude + np.abs(m2)
+    return vals, 4.0 * (magnitude + 1.0)
 
 
-def _log_ratio_with_scale(params: FamilyParams, x: np.ndarray):
-    """Values plus absolute-error scale (error <= scale * eps) on an array."""
+def _log_ratio_with_scale(params: FamilyParams, x: np.ndarray,
+                          series_scale: float | None = None):
+    """Values plus absolute-error scale (error <= scale * eps) on an array.
+
+    In the series region the scale is ``w (1 + 3su) / 3`` with ``w = x^2``,
+    or ``w * series_scale`` when that is given.
+    """
     w = x * x
-    small = x < SERIES_CROSSOVER
-    safe = np.where(small, 0.5, x)
+    small, safe = _split(x)
     direct, scale_direct = _log_ratio_direct_pieces(params, safe)
     vals = np.where(small, _log_ratio_series(params, w), direct)
-    scale_series = w * (1.0 + 3.0 * params.s * params.u) / 3.0
+    if series_scale is None:
+        scale_series = w * (1.0 + 3.0 * params.s * params.u) / 3.0
+    else:
+        scale_series = w * series_scale
     return vals, np.where(small, scale_series, scale_direct)
+
+
+def _log_ratio(params: FamilyParams, x: np.ndarray, method: str) -> np.ndarray:
+    """The log-ratio on an array by the named evaluation path."""
+    if method == "series":
+        return _log_ratio_series(params, x * x)
+    if method == "direct":
+        return _log_ratio_direct_pieces(params, x)[0]
+    if method == "auto":
+        return _log_ratio_with_scale(params, x)[0]
+    raise ValueError(f"unknown method {method!r}")
 
 
 def log_ratio_q_over_i(params: FamilyParams, x, method: str = "auto"):
@@ -170,19 +211,24 @@ def log_ratio_q_over_i(params: FamilyParams, x, method: str = "auto"):
     mean at that gap, positive above.  Tends to 0 as ``x -> 0`` and to
     ``log_ratio_limit_at_one(params)`` as ``x -> 1``.  Scalar or array.
     """
-    arr = np.asarray(x, dtype=float)
-    _validate_x(arr)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if method == "series":
-        out = _log_ratio_series(params, arr * arr)
-    elif method == "direct":
-        out, _ = _log_ratio_direct_pieces(params, arr)
-    elif method == "auto":
-        out, _ = _log_ratio_with_scale(params, arr)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return float(out[0]) if scalar else out
+    return _evaluate(x, lambda arr: _log_ratio(params, arr, method))
+
+
+# At u = 0 (t = 1/2) the family mean is A, so the log-ratio is ln(A/I).
+_IDENTRIC = FamilyParams.from_u(0.0, 1.0)
+
+
+def _lr_with_error_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln(I/A) on an array plus a per-point bound scale for its absolute error.
+
+    The returned ``scale`` is such that the evaluation error is below
+    ``scale * eps``; used by the verification layer to build noise floors.
+    Inputs are assumed validated and strictly inside (0, 1).  In the series
+    region the scale is ``w = x^2``, three times the family's at ``u = 0``:
+    the exp-bound and power-bound floors are set from this one.
+    """
+    vals, scale = _log_ratio_with_scale(_IDENTRIC, x, series_scale=1.0)
+    return -vals, scale
 
 
 def _kernel_series(params: FamilyParams, x: np.ndarray) -> np.ndarray:
@@ -195,6 +241,17 @@ def _kernel_series(params: FamilyParams, x: np.ndarray) -> np.ndarray:
     return x * w * (d1 + w * (d2 + w * (d3 + w * d4)))
 
 
+def _kernel(params: FamilyParams, x: np.ndarray) -> np.ndarray:
+    small, safe = _split(x)
+    if params.u == 0.0:
+        rational = 0.0
+    else:
+        one_minus_usq = (1.0 - safe) * (1.0 + safe) + params.one_minus_u * safe * safe
+        rational = params.s * params.u * safe ** 3 / one_minus_usq
+    direct = -safe + np.arctanh(safe) - rational
+    return np.where(small, _kernel_series(params, x), direct)
+
+
 def derivative_kernel(params: FamilyParams, x):
     """Kernel ``-x + atanh(x) - s u x^3 / (1 - u x^2)``.
 
@@ -202,20 +259,7 @@ def derivative_kernel(params: FamilyParams, x):
     the kernel vanishes at 0 and diverges to +inf as ``x -> 1`` whenever
     ``u < 1``.  Scalar or array, same domain as :func:`log_ratio_q_over_i`.
     """
-    arr = np.asarray(x, dtype=float)
-    _validate_x(arr)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    small = arr < SERIES_CROSSOVER
-    safe = np.where(small, 0.5, arr)
-    one_minus_usq = (1.0 - safe) * (1.0 + safe) + params.one_minus_u * safe * safe
-    if params.u == 0.0:
-        rational = np.zeros_like(safe)
-    else:
-        rational = params.s * params.u * safe ** 3 / one_minus_usq
-    direct = -safe + np.arctanh(safe) - rational
-    out = np.where(small, _kernel_series(params, arr), direct)
-    return float(out[0]) if scalar else out
+    return _evaluate(x, lambda arr: _kernel(params, arr))
 
 
 def derivative_kernel_near_one(params: FamilyParams, eps_from_one: float) -> float:
@@ -403,14 +447,9 @@ def exp_bound_margin(coef: float, x):
     iff ``coef >= 1 - ln 2``.  Scalar or array.
     """
     coef = float(coef)
-    if not coef > 0.0:
-        raise ValueError(f"coefficient must be > 0, got {coef}")
-    arr = np.asarray(x, dtype=float)
-    _validate_x(arr)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    vals, _ = _exp_bound_margin_with_scale(coef, arr)
-    return float(vals[0]) if scalar else vals
+    if not 0.0 < coef < math.inf:
+        raise ValueError(f"coefficient must be finite and > 0, got {coef}")
+    return _evaluate(x, lambda arr: _exp_bound_margin_with_scale(coef, arr)[0])
 
 
 def _exp_bound_margin_with_scale(coef: float, x: np.ndarray):

@@ -40,12 +40,13 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _widen_ulps(x: float, n: int) -> tuple[float, float]:
+def _widen(x: float, n: int) -> "Interval":
+    """The point ``x`` widened outward by ``n`` ulps on each side."""
     lo = hi = x
     for _ in range(n):
         lo = _down(lo)
         hi = _up(hi)
-    return lo, hi
+    return Interval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -93,76 +94,52 @@ class Interval:
         return self.hi - self.lo
 
 
-def _log_point(x: float) -> Interval:
-    """Enclosure of ln(x) at an exact double argument."""
-    if x <= 0.0:
-        raise ValueError(f"log argument must be > 0, got {x}")
-    lo, hi = _widen_ulps(math.log(x), _LIBM_ULPS)
-    return Interval(lo, hi)
+def _one_minus(x: float) -> Interval:
+    """Enclosure of 1 - x: exact for x >= 1/2 (Sterbenz), else one ulp wide."""
+    if x >= 0.5:
+        return Interval.point(1.0 - x)
+    return _widen(1.0 - x, 1)
 
 
-def _log1p_point(x: float) -> Interval:
-    if x <= -1.0:
-        raise ValueError(f"log1p argument must be > -1, got {x}")
-    lo, hi = _widen_ulps(math.log1p(x), _LIBM_ULPS)
-    return Interval(lo, hi)
+def _log_hull(iv: Interval) -> Interval:
+    """Enclosure of ln over a positive interval from its two endpoint logs.
+
+    The min/max over both widened endpoint values keeps the hull rigorous
+    without relying on libm log being monotone.
+    """
+    if iv.lo <= 0.0:
+        raise ValueError(f"log argument must be > 0, got {iv.lo}")
+    ln_lo = _widen(math.log(iv.lo), _LIBM_ULPS)
+    ln_hi = _widen(math.log(iv.hi), _LIBM_ULPS)
+    return Interval(min(ln_lo.lo, ln_hi.lo), max(ln_lo.hi, ln_hi.hi))
 
 
 def _atanh_over_x_point(x: float) -> Interval:
     """Enclosure of atanh(x)/x at a double x in (0, 1).
 
-    atanh(x) = (log1p(x) - log(1-x))/2 with 1-x exact for x >= 1/2 and a
-    one-ulp widening below that.
+    atanh(x) = (log1p(x) - log(1-x))/2.
     """
-    if x >= 0.5:
-        one_minus = Interval.point(1.0 - x)  # exact (Sterbenz)
-    else:
-        lo, hi = _widen_ulps(1.0 - x, 1)
-        one_minus = Interval(lo, hi)
-    ln_lo = _log_point(one_minus.lo)
-    ln_hi = _log_point(one_minus.hi)
-    ln_one_minus = Interval(min(ln_lo.lo, ln_hi.lo), max(ln_lo.hi, ln_hi.hi))
-    atanh = (_log1p_point(x) - ln_one_minus) * Interval.point(0.5)
+    log1p = _widen(math.log1p(x), _LIBM_ULPS)
+    atanh = (log1p - _log_hull(_one_minus(x))) * Interval.point(0.5)
     return atanh / Interval.point(x)
 
 
 def _m1_point(x: float) -> Interval:
     """Enclosure of -ln(1-x^2)/2 at a double x in (0, 1)."""
-    if x >= 0.5:
-        one_minus = Interval.point(1.0 - x)
-    else:
-        lo, hi = _widen_ulps(1.0 - x, 1)
-        one_minus = Interval(lo, hi)
-    prod = one_minus * _one_plus(x)
-    ln_lo = _log_point(prod.lo)
-    ln_hi = _log_point(prod.hi)
-    return Interval(min(ln_lo.lo, ln_hi.lo), max(ln_lo.hi, ln_hi.hi)) \
-        * Interval.point(-0.5)
-
-
-def _one_plus(x: float) -> Interval:
-    lo, hi = _widen_ulps(1.0 + x, 1)
-    return Interval(lo, hi)
+    one_minus_sq = _one_minus(x) * _widen(1.0 + x, 1)
+    return _log_hull(one_minus_sq) * Interval.point(-0.5)
 
 
 def _m2_point(params: FamilyParams, x: float) -> Interval:
     """Enclosure of (s/2) ln(1 - u x^2) at a double x in (0, 1)."""
     if params.u == 0.0:
         return Interval.point(0.0)
-    if x >= 0.5:
-        one_minus = Interval.point(1.0 - x)
-    else:
-        lo, hi = _widen_ulps(1.0 - x, 1)
-        one_minus = Interval(lo, hi)
     xi = Interval.point(x)
-    omu_lo, omu_hi = _widen_ulps(params.one_minus_u, 1)
-    inner = one_minus * _one_plus(x) + Interval(omu_lo, omu_hi) * xi * xi
+    inner = (_one_minus(x) * _widen(1.0 + x, 1)
+             + _widen(params.one_minus_u, 1) * xi * xi)
     if inner.lo <= 0.0:
         raise ValueError("1 - u x^2 enclosure touches 0; x too close to 1")
-    ln_lo = _log_point(inner.lo)
-    ln_hi = _log_point(inner.hi)
-    return Interval(min(ln_lo.lo, ln_hi.lo), max(ln_lo.hi, ln_hi.hi)) \
-        * Interval.point(0.5 * params.s)
+    return _log_hull(inner) * Interval.point(0.5 * params.s)
 
 
 def enclose_log_ratio(params: FamilyParams, lo: float, hi: float) -> Interval:

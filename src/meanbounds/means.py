@@ -6,7 +6,8 @@ a one-variable function of the normalized gap ``v = |a - b| / (a + b)``,
 so the numerically delicate work is concentrated in
 :func:`log_identric_over_arithmetic`, which evaluates ``ln(I/A)`` as a
 function of ``v`` with a series path near the removable singularity at
-``v = 0`` and a cancellation-aware direct path elsewhere.
+``v = 0`` and a cancellation-aware direct path elsewhere.  Both paths are
+the ``u = 0`` case of the family log-ratio in :mod:`meanbounds.family`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .family import (
+    SERIES_CROSSOVER,
+    FamilyParams,
+    _IDENTRIC,
+    _evaluate,
+    _log_ratio,
+)
 
 __all__ = [
     "PositivePair",
@@ -28,13 +37,6 @@ __all__ = [
     "log_identric_over_arithmetic",
     "SERIES_CROSSOVER",
 ]
-
-# Below this gap the direct formula for ln(I/A) keeps only absolute (not
-# relative) accuracy: its ~4 ulp error on O(1) summands divided by v^2
-# swamps quantities like ln(A/I)/v^2 - 1/6 once v^2 is small.  The
-# degree-8 series still truncates below 6e-18 relative at 1e-2, so it owns
-# everything beneath that point.
-SERIES_CROSSOVER = 1e-2
 
 
 @dataclass(frozen=True)
@@ -109,41 +111,18 @@ def q_mean(pair: PositivePair, t: float, s: float) -> float:
     ``ln A + (s/2) ln(1 - u v^2)`` with ``u = (1-2t)^2``, writing
     ``1 - u v^2 = (1-v)(1+v) + 4t(1-t) v^2`` so every summand is positive.
 
-    Raises ValueError for ``t`` outside [0, 1/2] or ``s < 1``.
+    Raises ValueError for ``t`` outside [0, 1/2] or ``s`` not in [1, inf).
     """
-    t = float(t)
-    s = float(s)
-    if not 0.0 <= t <= 0.5:
-        raise ValueError(f"t must lie in [0, 1/2], got {t}")
-    if not s >= 1.0:
-        raise ValueError(f"s must be >= 1, got {s}")
+    params = FamilyParams.from_t(t, s)
     v = gap(pair)
     # (1 - v)(1 + v) + 4t(1-t) v^2 == 1 - (1-2t)^2 v^2, all terms positive.
-    inner = (1.0 - v) * (1.0 + v) + 4.0 * t * (1.0 - t) * v * v
-    return arithmetic_mean(pair) * math.exp(0.5 * s * math.log(inner))
+    inner = (1.0 - v) * (1.0 + v) + params.one_minus_u * v * v
+    return arithmetic_mean(pair) * math.exp(0.5 * params.s * math.log(inner))
 
 
-def _stable_log_pieces(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(atanh(v)/v, ln(1 - v^2))`` elementwise, stable on (0, 1).
-
-    ``1 - v^2`` is formed as ``(1-v)(1+v)``: for ``v >= 1/2`` the
-    subtraction is exact, and below that it costs one rounding, so the
-    relative error stays at a few ulps all the way to ``v = 1 - 1e-9``.
-    """
-    atanh_over_v = np.arctanh(v) / v
-    ln_one_minus_sq = np.log((1.0 - v) * (1.0 + v))
-    return atanh_over_v, ln_one_minus_sq
-
-
-def _lr_series(w: np.ndarray) -> np.ndarray:
-    # w = v^2; even series of ln(I/A) through v^8.  The omitted tail starts
-    # at v^10/110, below the rounding floor throughout the series region.
-    return -w * (1.0 / 6.0 + w * (1.0 / 20.0 + w * (1.0 / 42.0 + w / 72.0)))
-
-
-def _lr_direct(v: np.ndarray) -> np.ndarray:
-    atanh_over_v, ln_one_minus_sq = _stable_log_pieces(v)
-    return -1.0 + atanh_over_v + 0.5 * ln_one_minus_sq
+def _validate_gap(arr: np.ndarray) -> None:
+    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+        raise ValueError("gap values must lie in [0, 1)")
 
 
 def log_identric_over_arithmetic(v, method: str = "auto"):
@@ -159,43 +138,13 @@ def log_identric_over_arithmetic(v, method: str = "auto"):
 
     Accepts a scalar or array; rejects any value outside [0, 1).
     """
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("gap values must lie in [0, 1)")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    w = arr * arr
-    if method == "series":
-        out = _lr_series(w)
-    elif method == "direct":
-        out = np.where(arr > 0.0, _lr_direct(np.where(arr > 0.0, arr, 0.5)), 0.0)
-    elif method == "auto":
-        small = arr < SERIES_CROSSOVER
-        safe = np.where(small, 0.5, arr)  # dummy argument where series is used
-        out = np.where(small, _lr_series(w), _lr_direct(safe))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return float(out[0]) if scalar else out
+    def evaluate(arr):
+        if method != "direct":
+            return -_log_ratio(_IDENTRIC, arr, method)
+        # The direct form is 0/0 at v = 0, where ln(I/A) is 0.  Where it
+        # cancels to zero, 0.0 - direct keeps that zero +0.0.
+        positive = arr > 0.0
+        direct = _log_ratio(_IDENTRIC, np.where(positive, arr, 0.5), method)
+        return np.where(positive, 0.0 - direct, 0.0)
 
-
-def _lr_with_error_scale(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln(I/A) on an array plus a per-point bound scale for its absolute error.
-
-    The returned ``scale`` is such that the evaluation error is below
-    ``scale * eps``; used by the verification layer to build noise floors.
-    Inputs are assumed validated and strictly inside (0, 1).
-    """
-    w = v * v
-    small = v < SERIES_CROSSOVER
-    safe = np.where(small, 0.5, v)
-    atanh_over_v, ln_one_minus_sq = _stable_log_pieces(safe)
-    direct = -1.0 + atanh_over_v + 0.5 * ln_one_minus_sq
-    out = np.where(small, _lr_series(w), direct)
-    # Series region: relative few-ulp error on a value ~ w/6.  Direct
-    # region: absolute error dominated by the O(1)-magnitude summands.
-    scale = np.where(
-        small,
-        w,
-        4.0 * (np.abs(atanh_over_v) + 0.5 * np.abs(ln_one_minus_sq) + 1.0),
-    )
-    return out, scale
+    return _evaluate(v, evaluate, _validate_gap)

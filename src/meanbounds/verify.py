@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -31,9 +30,9 @@ from .family import (
     FamilyParams,
     _exp_bound_margin_with_scale,
     _log_ratio_with_scale,
+    _lr_with_error_scale,
 )
 from .intervals import enclose_log_ratio
-from .means import _lr_with_error_scale
 from .thresholds import sharp_thresholds
 
 __all__ = [
@@ -182,17 +181,12 @@ def _check_side(side: str) -> None:
 # ----------------------------------------------------------------------
 
 def _mp_log_ratio_q_over_i(t: float, s: float, x: float) -> mp.mpf:
-    t, s, x = mp.mpf(t), mp.mpf(s), mp.mpf(x)
-    u = (1 - 2 * t) ** 2
-    val = 1 - mp.atanh(x) / x - mp.log(1 - x * x) / 2
-    if u > 0:
-        val += s / 2 * mp.log(1 - u * x * x)
-    return val
-
-
-def _mp_log_a_over_i(x: float) -> mp.mpf:
     x = mp.mpf(x)
-    return -(mp.atanh(x) / x - 1 + mp.log(1 - x * x) / 2)
+    val = 1 - mp.atanh(x) / x - mp.log(1 - x * x) / 2
+    if t != 0.5:  # u = (1 - 2t)^2 vanishes only at t = 1/2
+        u = (1 - 2 * mp.mpf(t)) ** 2
+        val += mp.mpf(s) / 2 * mp.log(1 - u * x * x)
+    return val
 
 
 def _mp_family_margin(t: float, s: float, side: str, x: float) -> float:
@@ -201,16 +195,17 @@ def _mp_family_margin(t: float, s: float, side: str, x: float) -> float:
         return float(-val if side == "lower" else val)
 
 
+# ln(A/I) is the family log-ratio at t = 1/2 (u = 0), where Q(t, s) = A.
 def _mp_exp_margin(coef: float, side: str, x: float) -> float:
     with mp.workdps(_RECHECK_DPS):
-        g = _mp_log_a_over_i(x) - mp.mpf(coef) * mp.mpf(x) ** 2
+        g = _mp_log_ratio_q_over_i(0.5, 1.0, x) - mp.mpf(coef) * mp.mpf(x) ** 2
         return float(g if side == "lower" else -g)
 
 
 def _mp_power_margin(p: float, alpha: float, side: str, x: float) -> float:
     with mp.workdps(_RECHECK_DPS):
         p, alpha, x = mp.mpf(p), mp.mpf(alpha), mp.mpf(x)
-        i_pow = mp.e ** (-p * _mp_log_a_over_i(float(x)))
+        i_pow = mp.e ** (-p * _mp_log_ratio_q_over_i(0.5, 1.0, x))
         g_pow = (1 - x * x) ** (p / 2)
         lower = i_pow - alpha - (1 - alpha) * g_pow
         return float(lower if side == "lower" else -lower)
@@ -220,22 +215,33 @@ def _mp_power_margin(p: float, alpha: float, side: str, x: float) -> float:
 # Core grid driver.
 # ----------------------------------------------------------------------
 
-def _run_grid_check(
-    xs: np.ndarray,
-    margins: np.ndarray,
-    floors: np.ndarray,
-    recheck: Callable[[float], float],
-    parameters: dict,
-    labels=None,
-) -> VerificationReport:
+def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
+    """Check one or more margin sides on the grid ``xs``.
+
+    Each side is ``(label, margins, scale, recheck)``: the margins on
+    ``xs``, their rounding-error scale, and a one-argument extended-precision
+    recheck of the margin at a grid point.  Negative margins beyond the
+    noise floor ``_NOISE_C * eps * scale`` become candidates, rechecked in
+    order of margin over all sides together (at most ``_MAX_RECHECKS``);
+    the first confirmed one is the witness.  Returns the report and the
+    number of rechecks run.
+    """
+    if len(sides) == 1:  # skips two array copies on the common path
+        margins, scale = sides[0][1], sides[0][2]
+    else:
+        margins = np.concatenate([side[1] for side in sides])
+        scale = np.concatenate([side[2] for side in sides])
+    floors = _NOISE_C * _EPS * scale
     candidates = np.where(margins < -floors)[0]
     witness = None
+    rechecks = 0
     if candidates.size:
         order = candidates[np.argsort(margins[candidates], kind="stable")]
         for idx in order[:_MAX_RECHECKS]:
-            x = float(xs[idx])
-            label = labels[idx] if labels is not None else ""
-            confirmed = recheck(x) if label == "" else recheck(x, label)
+            label, _, _, recheck = sides[idx // xs.size]
+            x = float(xs[idx % xs.size])
+            confirmed = recheck(x)
+            rechecks += 1
             if confirmed < 0.0:
                 witness = Witness(
                     x=x,
@@ -246,25 +252,27 @@ def _run_grid_check(
                 )
                 break
     worst = float(margins.min())
-    if witness is not None:
-        return VerificationReport("violated", worst, witness, int(xs.size),
-                                  parameters)
-    # Any remaining negatives sit below their noise floors (or failed the
-    # extended-precision recheck): indistinguishable from zero.
-    return VerificationReport("holds_on_grid", max(worst, 0.0), None,
-                              int(xs.size), parameters)
+    if witness is None:
+        # Any remaining negatives sit below their noise floors (or failed the
+        # extended-precision recheck): indistinguishable from zero.
+        worst = max(worst, 0.0)
+    verdict = "holds_on_grid" if witness is None else "violated"
+    return (VerificationReport(verdict, worst, witness, int(margins.size),
+                               parameters), rechecks)
 
 
-def _grid_dict(spec: GridSpec) -> dict:
-    return {"count": spec.count, "spacing": spec.spacing,
-            "x_min": spec.x_min, "x_max": spec.x_max}
+def _grid(grid: GridSpec | None) -> tuple[np.ndarray, dict]:
+    """Points of ``grid`` (default ``GridSpec()``) and its report entry."""
+    spec = grid if grid is not None else GridSpec()
+    return grid_points(spec), {"count": spec.count, "spacing": spec.spacing,
+                               "x_min": spec.x_min, "x_max": spec.x_max}
 
 
-def _family_margins(t: float, s: float, side: str, xs: np.ndarray):
+def _family_side(t: float, s: float, side: str, xs: np.ndarray):
     params = FamilyParams.from_t(t, s)
     vals, scale = _log_ratio_with_scale(params, xs)
-    sign = -1.0 if side == "lower" else 1.0
-    return sign * vals, _NOISE_C * _EPS * scale
+    margins = -vals if side == "lower" else vals
+    return ("", margins, scale, lambda x: _mp_family_margin(t, s, side, x))
 
 
 def verify_family_inequality(
@@ -280,16 +288,11 @@ def verify_family_inequality(
     reverse.  The worst margin is the signed minimum slack over the grid.
     """
     _check_side(side)
-    spec = grid if grid is not None else GridSpec()
-    xs = grid_points(spec)
-    margins, floors = _family_margins(float(t), float(s), side, xs)
-    parameters = {"check": "family", "t": float(t), "s": float(s),
-                  "side": side, "grid": _grid_dict(spec)}
-    return _run_grid_check(
-        xs, margins, floors,
-        lambda x: _mp_family_margin(float(t), float(s), side, x),
-        parameters,
-    )
+    t, s = float(t), float(s)
+    xs, grid_entry = _grid(grid)
+    parameters = {"check": "family", "t": t, "s": s,
+                  "side": side, "grid": grid_entry}
+    return _run_grid_check(xs, [_family_side(t, s, side, xs)], parameters)[0]
 
 
 _FALSIFY_LOWER_LADDER = tuple(1.0 - 10.0 ** (-k) for k in range(3, 13))
@@ -316,29 +319,16 @@ def falsify(t: float, s: float, side: str) -> FalsificationResult:
                          f"threshold q = {ts.q}; nothing to falsify")
     ladder = _FALSIFY_LOWER_LADDER if side == "lower" else _FALSIFY_UPPER_LADDER
     xs = np.asarray(ladder)
-    margins, floors = _family_margins(t, s, side, xs)
-    best = None
-    attempts = 0
-    for idx in np.argsort(margins, kind="stable"):
-        if margins[idx] >= -floors[idx]:
-            break
-        attempts += 1
-        confirmed = _mp_family_margin(t, s, side, float(xs[idx]))
-        if confirmed < 0.0:
-            x = float(xs[idx])
-            best = Witness(x=x, pair=(1.0 + x, 1.0 - x),
-                           margin=float(margins[idx]),
-                           margin_recheck=confirmed)
-            break
-    if best is None:
+    report, rechecks = _run_grid_check(xs, [_family_side(t, s, side, xs)], {})
+    if report.witness is None:
         return FalsificationResult(
             found=False, witness=None, attempts=len(ladder),
             note="no grid point on the search ladder crossed its noise floor "
                  "and survived the extended-precision recheck; the margin is "
                  "below the double-precision resolution at these parameters",
         )
-    return FalsificationResult(found=True, witness=best, attempts=attempts,
-                               note="")
+    return FalsificationResult(found=True, witness=report.witness,
+                               attempts=rechecks, note="")
 
 
 def empirical_threshold(
@@ -356,30 +346,19 @@ def empirical_threshold(
     _check_side(side)
     s = float(s)
     tol = float(tol)
-    if tol < 1e-8:
-        raise ValueError(f"tol must be >= 1e-8, got {tol}")
+    if not 1e-8 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 1e-8, got {tol}")
 
-    def holds(t: float) -> bool:
-        report = verify_family_inequality(t, s, side, grid)
-        return report.verdict == "holds_on_grid"
-
+    # The check holds on [0, p] for "lower" and on [q, 1/2] for "upper":
+    # a verdict that agrees with the side puts mid left of the cutoff.
     lo, hi = 0.0, 0.5
-    if side == "lower":
-        # holds on [0, p], fails above
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if holds(mid):
-                lo = mid
-            else:
-                hi = mid
-    else:
-        # fails below q, holds on [q, 1/2]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if holds(mid):
-                hi = mid
-            else:
-                lo = mid
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        report = verify_family_inequality(mid, s, side, grid)
+        if (report.verdict == "holds_on_grid") == (side == "lower"):
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -395,28 +374,20 @@ def verify_exponential_bounds(
     side failed.
     """
     p_coef, q_coef = float(p_coef), float(q_coef)
-    if not (p_coef > 0.0 and q_coef > 0.0):
-        raise ValueError("both coefficients must be > 0")
-    spec = grid if grid is not None else GridSpec()
-    xs = grid_points(spec)
+    if not (0.0 < p_coef < math.inf and 0.0 < q_coef < math.inf):
+        raise ValueError(f"both coefficients must be finite and > 0, got "
+                         f"({p_coef}, {q_coef})")
+    xs, grid_entry = _grid(grid)
     g_p, scale_p = _exp_bound_margin_with_scale(p_coef, xs)
     g_q, scale_q = _exp_bound_margin_with_scale(q_coef, xs)
-    margins = np.concatenate([g_p, -g_q])
-    floors = _NOISE_C * _EPS * np.concatenate([scale_p, scale_q])
-    both_xs = np.concatenate([xs, xs])
-    labels = ["lower"] * xs.size + ["upper"] * xs.size
     parameters = {"check": "exponential_bounds", "p_coef": p_coef,
-                  "q_coef": q_coef, "grid": _grid_dict(spec)}
-
-    def recheck(x: float, label: str) -> float:
-        coef = p_coef if label == "lower" else q_coef
-        return _mp_exp_margin(coef, label, x)
-
-    return _run_grid_check(both_xs, margins, floors, recheck, parameters,
-                           labels=labels)
+                  "q_coef": q_coef, "grid": grid_entry}
+    sides = [("lower", g_p, scale_p, lambda x: _mp_exp_margin(p_coef, "lower", x)),
+             ("upper", -g_q, scale_q, lambda x: _mp_exp_margin(q_coef, "upper", x))]
+    return _run_grid_check(xs, sides, parameters)[0]
 
 
-def _power_margins(p: float, alpha: float, side: str, xs: np.ndarray):
+def _power_side(p: float, alpha: float, side: str, xs: np.ndarray):
     lr, scale_lr = _lr_with_error_scale(xs)
     ln_g = 0.5 * np.log((1.0 - xs) * (1.0 + xs))
     t_i = np.expm1(p * lr)          # I^p/A^p - 1, fully cancellation-free
@@ -427,7 +398,7 @@ def _power_margins(p: float, alpha: float, side: str, xs: np.ndarray):
     scale = (np.abs(t_i) + (1.0 - alpha) * np.abs(t_g)
              + p * scale_lr + p * (1.0 - alpha) * (3.0 * np.abs(ln_g) + 1.0))
     margins = lower if side == "lower" else -lower
-    return margins, _NOISE_C * _EPS * scale
+    return ("", margins, scale, lambda x: _mp_power_margin(p, alpha, side, x))
 
 
 def verify_convex_power_bound(
@@ -445,20 +416,15 @@ def verify_convex_power_bound(
     """
     _check_side(side)
     p_exp, alpha = float(p_exp), float(alpha)
-    if not p_exp >= 1.0:
-        raise ValueError(f"p_exp must be >= 1, got {p_exp}")
+    if not 1.0 <= p_exp < math.inf:
+        raise ValueError(f"p_exp must be finite and >= 1, got {p_exp}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    spec = grid if grid is not None else GridSpec()
-    xs = grid_points(spec)
-    margins, floors = _power_margins(p_exp, alpha, side, xs)
+    xs, grid_entry = _grid(grid)
     parameters = {"check": "convex_power", "p_exp": p_exp, "alpha": alpha,
-                  "side": side, "grid": _grid_dict(spec)}
-    return _run_grid_check(
-        xs, margins, floors,
-        lambda x: _mp_power_margin(p_exp, alpha, side, x),
-        parameters,
-    )
+                  "side": side, "grid": grid_entry}
+    return _run_grid_check(xs, [_power_side(p_exp, alpha, side, xs)],
+                           parameters)[0]
 
 
 def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoThirdsPowerReport:
@@ -469,21 +435,16 @@ def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoTh
     between the two cutoffs both directions fail somewhere.
     """
     p_exp = float(p_exp)
-    if not p_exp > 0.0:
-        raise ValueError(f"p_exp must be > 0, got {p_exp}")
-    spec = grid if grid is not None else GridSpec()
-    xs = grid_points(spec)
+    if not 0.0 < p_exp < math.inf:
+        raise ValueError(f"p_exp must be finite and > 0, got {p_exp}")
+    xs, grid_entry = _grid(grid)
     alpha = 2.0 / 3.0
     reports = {}
     for direction, side in (("forward", "upper"), ("reverse", "lower")):
-        margins, floors = _power_margins(p_exp, alpha, side, xs)
         parameters = {"check": "two_thirds_power", "p_exp": p_exp,
-                      "direction": direction, "grid": _grid_dict(spec)}
+                      "direction": direction, "grid": grid_entry}
         reports[direction] = _run_grid_check(
-            xs, margins, floors,
-            lambda x, side=side: _mp_power_margin(p_exp, alpha, side, x),
-            parameters,
-        )
+            xs, [_power_side(p_exp, alpha, side, xs)], parameters)[0]
     fwd_ok = reports["forward"].verdict == "holds_on_grid"
     rev_ok = reports["reverse"].verdict == "holds_on_grid"
     if fwd_ok and not rev_ok:

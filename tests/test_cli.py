@@ -1,5 +1,6 @@
 import json
 
+import meanbounds.cli as cli
 from meanbounds.cli import main
 
 
@@ -138,6 +139,40 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--s", "1-10")
         assert code == 2
         assert "START:STOP:STEP" in err
+
+    def test_non_finite_range_is_usage_error(self, capsys):
+        for spec in ("1:inf:1", "nan:2:1", "1:2:inf", "-inf:1:1"):
+            code, out, err = run(capsys, "sweep", f"--s={spec}")
+            assert code == 2
+            assert out == ""
+            assert "finite" in err
+
+    def test_oversized_range_is_usage_error(self, capsys):
+        for spec in ("1:1e9:1e-9", "-1e308:1e308:1e-300", "1:10001:1"):
+            code, out, err = run(capsys, "sweep", f"--s={spec}")
+            assert code == 2
+            assert out == ""
+            assert f"more than {cli._MAX_SWEEP_ROWS} rows" in err
+
+    def test_row_limit_is_inclusive(self):
+        limit = cli._MAX_SWEEP_ROWS
+        assert len(cli._parse_range(f"1:{limit}:1")) == limit
+
+
+class TestGridLimit:
+    def test_oversized_grid_flag_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--s", "2", "--t", "0.24",
+                             "--side", "lower", "--grid", "10000001")
+        assert code == 2
+        assert out == ""
+        assert "limit" in err
+
+    def test_oversized_grid_env_var_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEANBOUNDS_GRID", "20000000")
+        code, out, err = run(capsys, "sweep", "--s", "1:2:1")
+        assert code == 2
+        assert out == ""
+        assert "limit" in err
 
 
 class TestOutputFiles:

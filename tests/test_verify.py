@@ -10,6 +10,7 @@ from meanbounds import (
     certificate_succeeded,
     certify_sign,
     empirical_threshold,
+    exp_bound_margin,
     exponential_bound_constants,
     falsify,
     grid_points,
@@ -135,6 +136,15 @@ class TestFalsify:
         assert result.witness is None
         assert "precision" in result.note or "resolution" in result.note
 
+    def test_attempts_count_rechecks_when_found(self):
+        ts = sharp_thresholds(1.0)
+        assert falsify(ts.p + 1e-2, 1.0, "lower").attempts == 1
+        assert falsify(ts.q - 1e-2, 1.0, "upper").attempts == 1
+
+    def test_attempts_is_ladder_length_when_not_found(self):
+        t = math.nextafter(sharp_thresholds(2.0).p, 1.0)
+        assert falsify(t, 2.0, "lower").attempts == 10
+
 
 class TestEmpiricalThreshold:
     def test_recovers_lower_s2(self):
@@ -187,6 +197,16 @@ class TestExponentialBounds:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             verify_exponential_bounds(0.0, 0.3)
+
+    def test_both_sides_violated_reports_worst_candidate(self):
+        const = exponential_bound_constants()
+        report = verify_exponential_bounds(const.lower + 1e-3,
+                                           const.upper - 1e-3)
+        assert report.verdict == "violated"
+        assert report.witness.label == "upper"
+        assert report.witness.x == 0.999999999
+        assert report.worst_margin == pytest.approx(-9.9999e-4, rel=1e-4)
+        assert report.samples == 20_000
 
 
 class TestConvexPowerBounds:
@@ -244,6 +264,22 @@ class TestTwoThirdsPower:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             verify_two_thirds_power(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("check", [
+    lambda v: verify_exponential_bounds(v, 0.4, SMALL_GRID),
+    lambda v: verify_exponential_bounds(0.1, v, SMALL_GRID),
+    lambda v: verify_convex_power_bound(v, 0.5, "lower", SMALL_GRID),
+    lambda v: verify_convex_power_bound(2.0, v, "upper", SMALL_GRID),
+    lambda v: verify_two_thirds_power(v, SMALL_GRID),
+    lambda v: empirical_threshold(2.0, "lower", SMALL_GRID, tol=v),
+    lambda v: exp_bound_margin(v, 0.5),
+], ids=["exp_p_coef", "exp_q_coef", "power_p_exp", "power_alpha",
+        "two_thirds_p_exp", "threshold_tol", "exp_margin_coef"])
+def test_non_finite_parameter_is_rejected(check, bad):
+    with pytest.raises(ValueError):
+        check(bad)
 
 
 class TestRatioBracket:
