@@ -9,9 +9,12 @@ compare with ``diff -r``:
     PYTHONPATH=src python scripts/cli_corpus.py OUT_DIR
 
 The corpus covers every subcommand and every ``--format``, ``verify`` below,
-at and above the sharp cutoffs, ``falsify`` found and not found, and the
+at and above the sharp cutoffs, ``falsify`` found and not found, the csv
+fallback to the human text, an ``s`` without closed forms, and the
 usage-error exits.  ``$MEANBOUNDS_GRID`` is cleared and ``$COLUMNS`` fixed
-first, so the output depends on nothing but the code.
+for each command, so the output depends on nothing but the code.
+``tests/cli_corpus/`` holds a recorded run that ``tests/test_cli.py``
+compares against.
 """
 
 import argparse
@@ -34,15 +37,20 @@ CORPUS = (
     ("eval", "eval 1 2", {}),
     ("eval-family", "eval 1 2 --t 0.3 --s 2", {}),
     ("eval-csv", "eval 1 2 --t 0.3 --s 2 --format csv", {}),
+    ("eval-family-structured",
+     "eval 1 2 --t 0.3 --s 2 --format structured", {}),
     ("eval-equal-structured", "eval 3 3 --format structured", {}),
     ("eval-negative", "eval -1 2", {}),
     ("eval-t-without-s", "eval 1 2 --t 0.3", {}),
     ("thresholds-1", "thresholds 1", {}),
+    ("thresholds-3", "thresholds 3", {}),
     ("thresholds-2-csv", "thresholds 2 --format csv", {}),
     ("thresholds-5-structured", "thresholds 5 --format structured", {}),
     ("thresholds-domain", "thresholds 0.5", {}),
     ("thresholds-out", "thresholds 2 --out {out}/thresholds-2.out", {}),
     ("verify-below-p", "verify --s 2 --t 0.24 --side lower", {}),
+    ("verify-below-p-csv", "verify --s 2 --t 0.24 --side lower --format csv",
+     {}),
     ("verify-at-p", f"verify --s 2 --t {P2} --side lower", {}),
     ("verify-above-p", "verify --s 2 --t 0.25 --side lower", {}),
     ("verify-at-q-structured",
@@ -57,6 +65,8 @@ CORPUS = (
     ("verify-bad-side", "verify --s 2 --t 0.2 --side sideways", {}),
     ("verify-domain", "verify --s 0.5 --t 0.2 --side lower", {}),
     ("falsify-upper", "falsify --s 1 --t 0.20 --side upper", {}),
+    ("falsify-upper-csv", "falsify --s 1 --t 0.20 --side upper --format csv",
+     {}),
     ("falsify-lower-structured",
      "falsify --s 2 --t 0.26 --side lower --format structured", {}),
     ("falsify-not-found", f"falsify --s 2 --t {P2_UP} --side lower", {}),
@@ -73,39 +83,50 @@ CORPUS = (
 
 
 def run(argv: list[str], env: dict) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``main(argv)`` under ``env``."""
+    """Exit code, stdout and stderr of ``main(argv)`` under ``env``.
+
+    A value of None in ``env`` unsets that variable; the environment is
+    restored afterwards.
+    """
     saved = {key: os.environ.get(key) for key in env}
-    os.environ.update(env)
     out, err = io.StringIO(), io.StringIO()
     try:
+        _set_env(env)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors and --version
                 code = exc.code
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        _set_env(saved)
     return code, out.getvalue(), err.getvalue()
+
+
+def _set_env(env: dict) -> None:
+    for key, value in env.items():
+        if value is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = value
+
+
+def record(out_dir: Path) -> None:
+    """Run the corpus and write one ``NN-name.txt`` per command to ``out_dir``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for number, (name, command, env) in enumerate(CORPUS, 1):
+        argv = shlex.split(command.format(out=out_dir))
+        code, out, err = run(argv, {GRID_ENV_VAR: None, "COLUMNS": "80", **env})
+        shown = " ".join(f"{k}={v}" for k, v in env.items())
+        text = (f"argv: {shown + ' ' if shown else ''}meanbounds {command}\n"
+                f"exit: {code}\n--- stdout ---\n{out}--- stderr ---\n{err}")
+        (out_dir / f"{number:02d}-{name}.txt").write_text(text, encoding="utf-8")
 
 
 def main_corpus(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out_dir", type=Path)
     args = ap.parse_args(argv)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    os.environ.pop(GRID_ENV_VAR, None)
-    os.environ["COLUMNS"] = "80"
-    for number, (name, command, env) in enumerate(CORPUS, 1):
-        argv_i = shlex.split(command.format(out=args.out_dir))
-        code, out, err = run(argv_i, env)
-        shown = " ".join(f"{k}={v}" for k, v in env.items())
-        text = (f"argv: {shown + ' ' if shown else ''}meanbounds {command}\n"
-                f"exit: {code}\n--- stdout ---\n{out}--- stderr ---\n{err}")
-        (args.out_dir / f"{number:02d}-{name}.txt").write_text(text, encoding="utf-8")
+    record(args.out_dir)
     print(f"wrote {len(CORPUS)} commands to {args.out_dir}")
     return 0
 

@@ -6,8 +6,10 @@ and ``sweep`` (CSV survey over a range of s).
 
 Exit codes are a stable contract: 0 means the checked inequality holds
 (or the command is informational), 1 means violated / witness search
-exhausted, 2 means usage or domain error.  Output files are written once,
-after all computation, so invalid input never leaves a partial file.
+exhausted, 2 means usage or domain error.  Each command computes its result
+and :func:`_render` alone turns it into text for ``--format``.  Output
+files are written once, after all computation, so invalid input never
+leaves a partial file.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ GRID_ENV_VAR = "MEANBOUNDS_GRID"
 _MAX_SWEEP_ROWS = 10_000
 _MAX_GRID = 10_000_000
 
+_VERIFY_COLUMNS = ("check", "side", "t", "s", "verdict", "worst_margin",
+                   "witness_x", "samples")
+_SWEEP_COLUMNS = ("s", "p_closed", "q_closed", "p_empirical", "q_empirical",
+                  "lower_margin_at_p", "upper_margin_at_q")
+
 _CLOSED_FORMS = {
     1.0: ("(1 - sqrt(1 - 4/e^2))/2", "(3 - sqrt(3))/6"),
     2.0: ("(1 - sqrt(1 - 2/e))/2", "(6 - sqrt(6))/12"),
@@ -52,13 +59,6 @@ _CLOSED_FORMS = {
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _add_output_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("human", "csv", "structured"),
-                        default="human", help="output format")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the output to PATH instead of stdout")
 
 
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:
@@ -89,12 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="weight in [0, 1/2] for the two-parameter mean")
     p_eval.add_argument("--s", type=float,
                         help="exponent >= 1 for the two-parameter mean")
-    _add_output_args(p_eval)
 
     p_thr = sub.add_parser("thresholds",
                            help="closed-form sharp cutoffs for a given s")
     p_thr.add_argument("s", type=float)
-    _add_output_args(p_thr)
 
     p_ver = sub.add_parser("verify",
                            help="grid-check the mean comparison at (t, s)")
@@ -102,14 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--t", type=float, required=True)
     p_ver.add_argument("--side", choices=("lower", "upper"), required=True)
     _add_grid_args(p_ver)
-    _add_output_args(p_ver)
 
     p_fal = sub.add_parser("falsify",
                            help="search for a counterexample gap at (t, s)")
     p_fal.add_argument("--s", type=float, required=True)
     p_fal.add_argument("--t", type=float, required=True)
     p_fal.add_argument("--side", choices=("lower", "upper"), required=True)
-    _add_output_args(p_fal)
 
     p_sw = sub.add_parser("sweep",
                           help="CSV survey of thresholds over a range of s")
@@ -118,7 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--tol", type=float, default=1e-6,
                       help="bisection tolerance for empirical thresholds")
     _add_grid_args(p_sw)
-    _add_output_args(p_sw)
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=("human", "csv", "structured"),
+                             default="human", help="output format")
+        command.add_argument("--out", metavar="PATH",
+                             help="write the output to PATH instead of stdout")
     return parser
 
 
@@ -134,14 +134,31 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
     return GridSpec(count=count, spacing=spacing)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
+    return "" if value is None else str(value)
 
 
-def _cmd_eval(args) -> int:
+def _render(fmt: str, payload: dict, human, table=None) -> str:
+    """One command result as text in the output format ``fmt``.
+
+    ``structured`` is ``payload`` plus the tool version as JSON and refuses
+    non-finite values (ValueError); ``csv`` is ``table``, a header and its
+    rows, or the human text when there is no table; ``human`` is the lines
+    of ``human``, or the csv when ``human`` is None.
+    """
+    if fmt == "structured":
+        return json.dumps({**payload, "tool_version": __version__},
+                          indent=2, sort_keys=True, allow_nan=False)
+    if table is not None and (fmt == "csv" or human is None):
+        header, rows = table
+        return "\n".join([",".join(header)]
+                         + [",".join(_cell(v) for v in row) for row in rows])
+    return "\n".join(human)
+
+
+def _cmd_eval(args):
     if (args.t is None) != (args.s is None):
         raise ValueError("--t and --s must be given together")
     pair = PositivePair(args.a, args.b)
@@ -154,119 +171,74 @@ def _cmd_eval(args) -> int:
         "harmonic": harmonic_mean(pair),
         "identric": identric_mean(pair),
     }
+    human = [f"pair: a = {_fmt(pair.a)}  b = {_fmt(pair.b)}",
+             f"gap v = {_fmt(values['gap'])}",
+             f"arithmetic A = {_fmt(values['arithmetic'])}",
+             f"geometric  G = {_fmt(values['geometric'])}",
+             f"harmonic   H = {_fmt(values['harmonic'])}",
+             f"identric   I = {_fmt(values['identric'])}"]
     if args.t is not None:
         values["t"] = args.t
         values["s"] = args.s
         values["q_mean"] = q_mean(pair, args.t, args.s)
-    if args.format == "structured":
-        text = json.dumps({**values, "tool_version": __version__},
-                          indent=2, sort_keys=True)
-    elif args.format == "csv":
-        keys = list(values)
-        text = ",".join(keys) + "\n" + ",".join(_fmt(values[k]) for k in keys)
-    else:
-        lines = [f"pair: a = {_fmt(pair.a)}  b = {_fmt(pair.b)}",
-                 f"gap v = {_fmt(values['gap'])}",
-                 f"arithmetic A = {_fmt(values['arithmetic'])}",
-                 f"geometric  G = {_fmt(values['geometric'])}",
-                 f"harmonic   H = {_fmt(values['harmonic'])}",
-                 f"identric   I = {_fmt(values['identric'])}"]
-        if "q_mean" in values:
-            lines.append(f"q_mean     Q(t={_fmt(args.t)}, s={_fmt(args.s)}) "
-                         f"= {_fmt(values['q_mean'])}")
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0
+        human.append(f"q_mean     Q(t={_fmt(args.t)}, s={_fmt(args.s)}) "
+                     f"= {_fmt(values['q_mean'])}")
+    return 0, values, human, (list(values), [list(values.values())])
 
 
-def _cmd_thresholds(args) -> int:
+def _cmd_thresholds(args):
     ts = sharp_thresholds(args.s)
     const = exponential_bound_constants()
+    payload = {"s": ts.s, "p": ts.p, "q": ts.q,
+               "exp_bound_lower": const.lower, "exp_bound_upper": const.upper}
+    human = [f"s = {_fmt(ts.s)}",
+             f"p = {_fmt(ts.p)}   (largest t with the mean below identric)",
+             f"q = {_fmt(ts.q)}   (smallest t with the mean above identric)"]
     closed = _CLOSED_FORMS.get(float(args.s))
-    if args.format == "structured":
-        payload = {"s": ts.s, "p": ts.p, "q": ts.q,
-                   "exp_bound_lower": const.lower,
-                   "exp_bound_upper": const.upper,
-                   "tool_version": __version__}
-        if closed:
-            payload["p_closed_form"], payload["q_closed_form"] = closed
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    elif args.format == "csv":
-        text = ("s,p,q\n"
-                f"{_fmt(ts.s)},{_fmt(ts.p)},{_fmt(ts.q)}")
-    else:
-        lines = [f"s = {_fmt(ts.s)}",
-                 f"p = {_fmt(ts.p)}   (largest t with the mean below identric)",
-                 f"q = {_fmt(ts.q)}   (smallest t with the mean above identric)"]
-        if closed:
-            lines.append(f"closed forms: p = {closed[0]},  q = {closed[1]}")
-        lines.append(f"exponential-bound constants: lower = 1/6, "
-                     f"upper = 1 - ln 2 = {_fmt(const.upper)}")
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0
+    if closed:
+        payload["p_closed_form"], payload["q_closed_form"] = closed
+        human.append(f"closed forms: p = {closed[0]},  q = {closed[1]}")
+    human.append(f"exponential-bound constants: lower = 1/6, "
+                 f"upper = 1 - ln 2 = {_fmt(const.upper)}")
+    return 0, payload, human, (["s", "p", "q"], [[ts.s, ts.p, ts.q]])
 
 
-def _report_text(report, fmt: str) -> str:
-    if fmt == "structured":
-        return json.dumps({**report.to_dict(), "tool_version": __version__},
-                          indent=2, sort_keys=True)
-    if fmt == "csv":
-        w = report.witness
-        head = "check,side,t,s,verdict,worst_margin,witness_x,samples"
-        params = report.parameters
-        row = ",".join([
-            params.get("check", ""),
-            str(params.get("side", "")),
-            _fmt(params["t"]) if "t" in params else "",
-            _fmt(params["s"]) if "s" in params else "",
-            report.verdict,
-            _fmt(report.worst_margin),
-            _fmt(w.x) if w else "",
-            str(report.samples),
-        ])
-        return head + "\n" + row
-    lines = [f"verdict: {report.verdict}",
-             f"worst margin: {_fmt(report.worst_margin)}",
-             f"samples: {report.samples}"]
-    if report.witness:
-        w = report.witness
-        lines.append(f"witness: x = {_fmt(w.x)}  pair = ({_fmt(w.pair[0])}, "
-                     f"{_fmt(w.pair[1])})")
-        lines.append(f"witness margin: {_fmt(w.margin)}  "
-                     f"recheck: {_fmt(w.margin_recheck)}")
-    return "\n".join(lines)
+def _witness_line(w) -> str:
+    return (f"witness: x = {_fmt(w.x)}  "
+            f"pair = ({_fmt(w.pair[0])}, {_fmt(w.pair[1])})")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     report = verify_family_inequality(args.t, args.s, args.side,
                                       _grid_from_args(args))
-    _emit(_report_text(report, args.format), args.out)
-    return 0 if report.verdict == "holds_on_grid" else 1
+    w, params = report.witness, report.parameters
+    human = [f"verdict: {report.verdict}",
+             f"worst margin: {_fmt(report.worst_margin)}",
+             f"samples: {report.samples}"]
+    if w:
+        human += [_witness_line(w),
+                  f"witness margin: {_fmt(w.margin)}  "
+                  f"recheck: {_fmt(w.margin_recheck)}"]
+    row = [params["check"], params["side"], params["t"], params["s"],
+           report.verdict, report.worst_margin, w and w.x, report.samples]
+    code = 0 if report.verdict == "holds_on_grid" else 1
+    return code, report.to_dict(), human, (_VERIFY_COLUMNS, [row])
 
 
-def _cmd_falsify(args) -> int:
+def _cmd_falsify(args):
     result = falsify(args.t, args.s, args.side)
-    if args.format == "structured":
-        payload = {"found": result.found, "attempts": result.attempts,
-                   "note": result.note, "tool_version": __version__}
-        if result.witness:
-            w = result.witness
-            payload["witness"] = {"x": w.x, "pair": list(w.pair),
-                                  "margin": w.margin,
-                                  "margin_recheck": w.margin_recheck}
-        text = json.dumps(payload, indent=2, sort_keys=True)
+    payload = {"found": result.found, "attempts": result.attempts,
+               "note": result.note}
+    w = result.witness
+    if w:
+        payload["witness"] = {"x": w.x, "pair": list(w.pair),
+                              "margin": w.margin,
+                              "margin_recheck": w.margin_recheck}
+        human = [_witness_line(w), f"margin: {_fmt(w.margin)}  "
+                                   f"recheck: {_fmt(w.margin_recheck)}"]
     else:
-        if result.found:
-            w = result.witness
-            text = (f"witness: x = {_fmt(w.x)}  pair = ({_fmt(w.pair[0])}, "
-                    f"{_fmt(w.pair[1])})\n"
-                    f"margin: {_fmt(w.margin)}  recheck: "
-                    f"{_fmt(w.margin_recheck)}")
-        else:
-            text = f"not found after {result.attempts} attempts: {result.note}"
-    _emit(text, args.out)
-    return 0 if result.found else 1
+        human = [f"not found after {result.attempts} attempts: {result.note}"]
+    return (0 if result.found else 1), payload, human
 
 
 def _parse_range(spec: str) -> list[float]:
@@ -285,10 +257,8 @@ def _parse_range(spec: str) -> list[float]:
     return [start + i * step for i in range(int(math.floor(rows)) + 1)]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     grid = _grid_from_args(args)
-    header = ("s,p_closed,q_closed,p_empirical,q_empirical,"
-              "lower_margin_at_p,upper_margin_at_q")
     rows = []
     for s in _parse_range(args.s):
         ts = sharp_thresholds(s)
@@ -296,24 +266,14 @@ def _cmd_sweep(args) -> int:
         q_emp = empirical_threshold(s, "upper", grid, args.tol)
         low = verify_family_inequality(ts.p, s, "lower", grid)
         upp = verify_family_inequality(ts.q, s, "upper", grid)
-        rows.append({
-            "s": s, "p_closed": ts.p, "q_closed": ts.q,
-            "p_empirical": p_emp, "q_empirical": q_emp,
-            "lower_margin_at_p": low.worst_margin,
-            "upper_margin_at_q": upp.worst_margin,
-        })
-    if args.format == "structured":
-        text = json.dumps({"rows": rows, "tool_version": __version__},
-                          indent=2, sort_keys=True)
-    else:
-        keys = header.split(",")
-        lines = [header]
-        lines += [",".join(_fmt(row[k]) for k in keys) for row in rows]
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0
+        rows.append([s, ts.p, ts.q, p_emp, q_emp,
+                     low.worst_margin, upp.worst_margin])
+    payload = {"rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]}
+    return 0, payload, None, (_SWEEP_COLUMNS, rows)
 
 
+# Each command returns its exit code followed by the arguments of _render
+# after the format: the payload, the human lines and, if any, the csv table.
 _DISPATCH = {
     "eval": _cmd_eval,
     "thresholds": _cmd_thresholds,
@@ -327,7 +287,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code, *result = _DISPATCH[args.command](args)
+        text = _render(args.format, *result)
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        else:
+            print(text)
+        return code
     except ValueError as exc:
         print(f"meanbounds {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -71,9 +71,6 @@ class Interval:
     def __sub__(self, other: "Interval") -> "Interval":
         return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
 
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def __mul__(self, other: "Interval") -> "Interval":
         products = (self.lo * other.lo, self.lo * other.hi,
                     self.hi * other.lo, self.hi * other.hi)
@@ -85,9 +82,6 @@ class Interval:
         quotients = (self.lo / other.lo, self.lo / other.hi,
                      self.hi / other.lo, self.hi / other.hi)
         return Interval(_down(min(quotients)), _up(max(quotients)))
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
     @property
     def width(self) -> float:
@@ -130,16 +124,23 @@ def _m1_point(x: float) -> Interval:
     return _log_hull(one_minus_sq) * Interval.point(-0.5)
 
 
-def _m2_point(params: FamilyParams, x: float) -> Interval:
+def _one_minus_u(params: FamilyParams) -> Interval:
+    """Enclosure of the exact ``1 - u`` of the double ``t`` or ``u``.
+
+    ``from_u`` rounds once; ``from_t`` rounds ``1 - t`` and ``4t(1-t)``, each
+    to a relative 2^-53 (``4t`` is exact), so it is off by at most 2^-52 +
+    2^-106 relative: just over 2 ulps, which three nextafter steps cover.
+    """
+    return _widen(params.one_minus_u, 3)
+
+
+def _m2_point(s: float, one_minus_u: Interval, x: float) -> Interval:
     """Enclosure of (s/2) ln(1 - u x^2) at a double x in (0, 1)."""
-    if params.u == 0.0:
-        return Interval.point(0.0)
     xi = Interval.point(x)
-    inner = (_one_minus(x) * _widen(1.0 + x, 1)
-             + _widen(params.one_minus_u, 1) * xi * xi)
+    inner = _one_minus(x) * _widen(1.0 + x, 1) + one_minus_u * xi * xi
     if inner.lo <= 0.0:
         raise ValueError("1 - u x^2 enclosure touches 0; x too close to 1")
-    return _log_hull(inner) * Interval.point(0.5 * params.s)
+    return _log_hull(inner) * Interval.point(0.5 * s)
 
 
 def enclose_log_ratio(params: FamilyParams, lo: float, hi: float) -> Interval:
@@ -154,5 +155,10 @@ def enclose_log_ratio(params: FamilyParams, lo: float, hi: float) -> Interval:
     # k increasing, m1 increasing, m2 nonincreasing over [lo, hi].
     k = Interval(_atanh_over_x_point(lo).lo, _atanh_over_x_point(hi).hi)
     m1 = Interval(_m1_point(lo).lo, _m1_point(hi).hi)
-    m2 = Interval(_m2_point(params, hi).lo, _m2_point(params, lo).hi)
+    if params.u == 0.0:
+        m2 = Interval.point(0.0)
+    else:
+        one_minus_u = _one_minus_u(params)
+        m2 = Interval(_m2_point(params.s, one_minus_u, hi).lo,
+                      _m2_point(params.s, one_minus_u, lo).hi)
     return Interval.point(1.0) - k + m1 + m2

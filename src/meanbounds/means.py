@@ -13,6 +13,7 @@ the ``u = 0`` case of the family log-ratio in :mod:`meanbounds.family`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +63,27 @@ class PositivePair:
 
 def arithmetic_mean(pair: PositivePair) -> float:
     """(a + b) / 2."""
-    return 0.5 * (pair.a + pair.b)
+    mean = 0.5 * (pair.a + pair.b)
+    if mean == math.inf:  # a + b overflowed; halving such a and b is exact
+        return 0.5 * pair.a + 0.5 * pair.b
+    return mean
 
 
 def geometric_mean(pair: PositivePair) -> float:
     """sqrt(a * b)."""
-    return math.sqrt(pair.a * pair.b)
+    product = pair.a * pair.b
+    if sys.float_info.min <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(pair.a) * math.sqrt(pair.b)
 
 
 def harmonic_mean(pair: PositivePair) -> float:
     """2ab / (a + b)."""
-    return 2.0 * pair.a * pair.b / (pair.a + pair.b)
+    numerator, denominator = 2.0 * pair.a * pair.b, pair.a + pair.b
+    if sys.float_info.min <= numerator < math.inf and denominator < math.inf:
+        return numerator / denominator
+    # min * (max / A) with max / A in [1, 2): no intermediate leaves the range.
+    return min(pair.a, pair.b) * (max(pair.a, pair.b) / arithmetic_mean(pair))
 
 
 def gap(pair: PositivePair) -> float:
@@ -80,7 +91,10 @@ def gap(pair: PositivePair) -> float:
 
     Scale- and order-invariant; zero exactly when the entries coincide.
     """
-    return abs(pair.a - pair.b) / (pair.a + pair.b)
+    a, b = pair.a, pair.b
+    if a + b == math.inf:  # halving such a and b is exact
+        a, b = 0.5 * a, 0.5 * b
+    return abs(a - b) / (a + b)
 
 
 def pair_from_gap(v: float, scale: float = 1.0) -> PositivePair:

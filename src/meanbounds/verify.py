@@ -387,7 +387,8 @@ def verify_exponential_bounds(
     return _run_grid_check(xs, sides, parameters)[0]
 
 
-def _power_side(p: float, alpha: float, side: str, xs: np.ndarray):
+def _power_sides(p: float, alpha: float, xs: np.ndarray) -> dict:
+    """Both sides of the power comparison from one margin evaluation."""
     lr, scale_lr = _lr_with_error_scale(xs)
     ln_g = 0.5 * np.log((1.0 - xs) * (1.0 + xs))
     t_i = np.expm1(p * lr)          # I^p/A^p - 1, fully cancellation-free
@@ -397,8 +398,10 @@ def _power_side(p: float, alpha: float, side: str, xs: np.ndarray):
     # bounded by p * scale and the expm1 terms contribute their own ulps.
     scale = (np.abs(t_i) + (1.0 - alpha) * np.abs(t_g)
              + p * scale_lr + p * (1.0 - alpha) * (3.0 * np.abs(ln_g) + 1.0))
-    margins = lower if side == "lower" else -lower
-    return ("", margins, scale, lambda x: _mp_power_margin(p, alpha, side, x))
+    return {"lower": ("", lower, scale,
+                      lambda x: _mp_power_margin(p, alpha, "lower", x)),
+            "upper": ("", -lower, scale,
+                      lambda x: _mp_power_margin(p, alpha, "upper", x))}
 
 
 def verify_convex_power_bound(
@@ -423,7 +426,7 @@ def verify_convex_power_bound(
     xs, grid_entry = _grid(grid)
     parameters = {"check": "convex_power", "p_exp": p_exp, "alpha": alpha,
                   "side": side, "grid": grid_entry}
-    return _run_grid_check(xs, [_power_side(p_exp, alpha, side, xs)],
+    return _run_grid_check(xs, [_power_sides(p_exp, alpha, xs)[side]],
                            parameters)[0]
 
 
@@ -438,13 +441,12 @@ def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoTh
     if not 0.0 < p_exp < math.inf:
         raise ValueError(f"p_exp must be finite and > 0, got {p_exp}")
     xs, grid_entry = _grid(grid)
-    alpha = 2.0 / 3.0
+    sides = _power_sides(p_exp, 2.0 / 3.0, xs)
     reports = {}
     for direction, side in (("forward", "upper"), ("reverse", "lower")):
         parameters = {"check": "two_thirds_power", "p_exp": p_exp,
                       "direction": direction, "grid": grid_entry}
-        reports[direction] = _run_grid_check(
-            xs, [_power_side(p_exp, alpha, side, xs)], parameters)[0]
+        reports[direction] = _run_grid_check(xs, [sides[side]], parameters)[0]
     fwd_ok = reports["forward"].verdict == "holds_on_grid"
     rev_ok = reports["reverse"].verdict == "holds_on_grid"
     if fwd_ok and not rev_ok:

@@ -42,6 +42,36 @@ def kernel_u(u, s, x):
         return val
 
 
+def arithmetic_mean(a, b):
+    with mp.workdps(DPS):
+        return (mp.mpf(a) + mp.mpf(b)) / 2
+
+
+def geometric_mean(a, b):
+    with mp.workdps(DPS):
+        return mp.sqrt(mp.mpf(a) * mp.mpf(b))
+
+
+def harmonic_mean(a, b):
+    with mp.workdps(DPS):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return 2 * a * b / (a + b)
+
+
+def gap(a, b):
+    with mp.workdps(DPS):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return abs(a - b) / (a + b)
+
+
+def q_mean(a, b, t, s):
+    """G(ta+(1-t)b, tb+(1-t)a)^s * A(a, b)^(1-s) from the definition."""
+    with mp.workdps(DPS):
+        a, b, t, s = mp.mpf(a), mp.mpf(b), mp.mpf(t), mp.mpf(s)
+        g_mixed = mp.sqrt((t * a + (1 - t) * b) * (t * b + (1 - t) * a))
+        return g_mixed ** s * ((a + b) / 2) ** (1 - s)
+
+
 def identric_raw(a, b):
     """(1/e)(a^a / b^b)^(1/(a-b)) straight from the definition."""
     with mp.workdps(DPS):

@@ -1,7 +1,14 @@
+import importlib.util
 import json
+import math
+from pathlib import Path
 
 import meanbounds.cli as cli
 from meanbounds.cli import main
+
+import oracles
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -44,6 +51,26 @@ class TestEval:
         payload = json.loads(out)
         assert payload["arithmetic"] == 1.5
         assert payload["tool_version"]
+
+    def test_structured_near_overflow_is_finite(self, capsys):
+        code, out, _ = run(capsys, "eval", "1e308", "1.5e308",
+                           "--format", "structured")
+        assert code == 0
+        assert "Infinity" not in out and "NaN" not in out
+        payload = json.loads(out)
+        for key, oracle in (("gap", oracles.gap),
+                            ("arithmetic", oracles.arithmetic_mean),
+                            ("geometric", oracles.geometric_mean),
+                            ("harmonic", oracles.harmonic_mean)):
+            expected = float(oracle(1e308, 1.5e308))
+            assert math.isclose(payload[key], expected, rel_tol=4e-16), key
+
+    def test_non_finite_structured_value_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "identric_mean", lambda pair: math.nan)
+        code, out, err = run(capsys, "eval", "1", "2", "--format", "structured")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
 
 class TestThresholds:
@@ -190,3 +217,19 @@ class TestOutputFiles:
         code, _, _ = run(capsys, "thresholds", "0.5", "--out", str(target))
         assert code == 2
         assert not target.exists()
+
+
+class TestCorpus:
+    def test_matches_recorded_output(self, tmp_path):
+        """The CLI corpus prints byte for byte what tests/cli_corpus holds."""
+        spec = importlib.util.spec_from_file_location(
+            "cli_corpus", ROOT / "scripts" / "cli_corpus.py")
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        corpus.record(tmp_path)
+        golden = ROOT / "tests" / "cli_corpus"
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert ((tmp_path / name).read_bytes()
+                    == (golden / name).read_bytes()), name

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meanbounds import FamilyParams
-from meanbounds.intervals import Interval, enclose_log_ratio
+from meanbounds.intervals import Interval, _one_minus_u, enclose_log_ratio
 
 from oracles import family_log_ratio_u
 
@@ -51,6 +52,26 @@ class TestArithmeticContainment:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
+
+
+class TestOneMinusU:
+    """The enclosure of 1 - u holds the exact value for the double t or u."""
+
+    def test_from_t_against_exact_fraction(self):
+        rng = random.Random(0)
+        # 0.4989659448751263 rounds 4t(1-t) 1.497 ulps away from the exact value.
+        ts = [0.0, 0.5, 0.4989659448751263, 1e-300]
+        ts += [rng.uniform(0.0, 0.5) for _ in range(20_000)]
+        for t in ts:
+            enc = _one_minus_u(FamilyParams.from_t(t, 2.0))
+            exact = 4 * Fraction(t) * (1 - Fraction(t))
+            assert Fraction(enc.lo) <= exact <= Fraction(enc.hi), t
+
+    def test_from_u_against_exact_fraction(self):
+        rng = random.Random(1)
+        for u in [0.0, 1.0, 1e-300] + [rng.random() for _ in range(2_000)]:
+            enc = _one_minus_u(FamilyParams.from_u(u, 2.0))
+            assert Fraction(enc.lo) <= 1 - Fraction(u) <= Fraction(enc.hi), u
 
 
 class TestLogRatioEnclosure:

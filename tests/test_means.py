@@ -17,6 +17,7 @@ from meanbounds import (
     q_mean,
 )
 
+import oracles
 from oracles import identric_raw, lr_gap
 
 EPS = np.finfo(float).eps
@@ -68,6 +69,42 @@ class TestClassicalMeans:
         assert harmonic_mean(PositivePair(1, 1)) == 1.0
         assert harmonic_mean(PositivePair(1, 3)) == 1.5
         assert harmonic_mean(PositivePair(2, 6)) == 3.0
+
+
+class TestScaleSafeMeans:
+    """Finite pairs whose plain forms overflow or underflow in a + b or ab."""
+
+    PAIRS = [(1.7e308, 1.7e308), (1e308, 1.5e308), (1e300, 1e300),
+             (1e300, 3e300), (1e-300, 1e-300), (1e-300, 3e-300),
+             (1e-170, 2e-170)]
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_against_oracles(self, a, b):
+        pair = PositivePair(a, b)
+        # I(a, b) = a I(1, b/a): the raw power form at unit scale.
+        identric = a * identric_raw(1, oracles.mp.mpf(b) / a)
+        cases = [(gap(pair), oracles.gap(a, b)),
+                 (arithmetic_mean(pair), oracles.arithmetic_mean(a, b)),
+                 (geometric_mean(pair), oracles.geometric_mean(a, b)),
+                 (harmonic_mean(pair), oracles.harmonic_mean(a, b)),
+                 (identric_mean(pair), identric),
+                 (q_mean(pair, 0.3, 2.0), oracles.q_mean(a, b, 0.3, 2.0))]
+        for got, expected in cases:
+            assert math.isfinite(got)
+            assert got == pytest.approx(float(expected), rel=8 * EPS, abs=0.0)
+
+    def test_subnormal_harmonic(self):
+        # 2ab is subnormal here; H = 2 * 5e-324 to within a subnormal ulp.
+        assert harmonic_mean(PositivePair(5e-324, 1e10)) == 1e-323
+
+    @given(pairs())
+    @settings(max_examples=100)
+    def test_plain_forms_where_they_stay_normal(self, pair):
+        a, b = pair.a, pair.b
+        assert arithmetic_mean(pair) == 0.5 * (a + b)
+        assert geometric_mean(pair) == math.sqrt(a * b)
+        assert harmonic_mean(pair) == 2.0 * a * b / (a + b)
+        assert gap(pair) == abs(a - b) / (a + b)
 
 
 class TestIdentric:
