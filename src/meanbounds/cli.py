@@ -41,8 +41,9 @@ from .verify import (
 
 GRID_ENV_VAR = "MEANBOUNDS_GRID"
 
-# Work is bounded before it starts: a sweep runs about 25 rows/s, so the row
-# limit is about 7 minutes, and 1M grid points take about 0.12 s per check.
+# Work is bounded before it starts: a sweep runs about 60 rows/s on the
+# default grid (2 cores), so the row limit is about 3 minutes, and 1M grid
+# points take about 0.1 s per check.
 _MAX_SWEEP_ROWS = 10_000
 _MAX_GRID = 10_000_000
 

@@ -160,46 +160,76 @@ def _log_ratio_series(params: FamilyParams, w: np.ndarray) -> np.ndarray:
     return w * (c1 + w * (c2 + w * (c3 + w * c4)))
 
 
-def _log_ratio_direct_pieces(params: FamilyParams, x: np.ndarray):
-    """Direct-form values and terms atanh(x)/x, ln(1-x^2), m2 (None at u = 0)."""
+def _direct_terms(x: np.ndarray):
+    """The t-independent direct-form terms atanh(x)/x, 1 - x^2, ln(1 - x^2)."""
     atanh_over_x = np.arctanh(x) / x
     # (1-x)(1+x): the subtraction is exact for x >= 1/2 and one rounding
     # below, so 1 - x^2 keeps a few-ulp relative error up to x = 1 - 1e-9.
     one_minus_sq = (1.0 - x) * (1.0 + x)
-    ln_one_minus_sq = np.log(one_minus_sq)
+    return atanh_over_x, one_minus_sq, np.log(one_minus_sq)
+
+
+def _m2(params: FamilyParams, x: np.ndarray, one_minus_sq: np.ndarray) -> np.ndarray:
+    """The t-dependent term (s/2) ln(1 - u x^2), as (1 - x^2) + (1 - u) x^2."""
+    return 0.5 * params.s * np.log(one_minus_sq + params.one_minus_u * x * x)
+
+
+def _log_ratio_direct(params: FamilyParams, x: np.ndarray) -> np.ndarray:
+    atanh_over_x, one_minus_sq, ln_one_minus_sq = _direct_terms(x)
     vals = 1.0 - atanh_over_x - 0.5 * ln_one_minus_sq
-    m2 = None
     if params.u != 0.0:
-        m2 = 0.5 * params.s * np.log(one_minus_sq + params.one_minus_u * x * x)
-        vals = vals + m2
-    return vals, (atanh_over_x, ln_one_minus_sq, m2)
+        vals = vals + _m2(params, x, one_minus_sq)
+    return vals
 
 
-def _direct_with_scale(params: FamilyParams, x: np.ndarray):
-    # Terms die here, before the series: kept alive, page faults rose 44%.
-    vals, (atanh_over_x, ln_one_minus_sq, m2) = _log_ratio_direct_pieces(params, x)
-    magnitude = np.abs(atanh_over_x) + 0.5 * np.abs(ln_one_minus_sq)
-    if m2 is not None:
-        magnitude = magnitude + np.abs(m2)
-    return vals, 4.0 * (magnitude + 1.0)
+class _Pieces:
+    """The t-independent pieces of the log-ratio and its error scale on ``x``.
+
+    Built once per array of gaps; :func:`_log_ratio_with_scale` adds the
+    t-dependent ``m2`` term and the series for each parameter pair, so a
+    bisection in ``t`` over one grid builds them once.  ``base`` is the
+    direct form at ``u = 0`` and ``magnitude`` the size of its summands,
+    both on the direct-path argument ``safe``; ``w_small`` is ``x^2`` on
+    the series points.  ``len`` is the point count.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.small, self.safe = _split(x)
+        x_small = x[self.small]
+        self.w_small = x_small * x_small
+        atanh_over_x, self.one_minus_sq, ln_one_minus_sq = _direct_terms(self.safe)
+        self.base = 1.0 - atanh_over_x - 0.5 * ln_one_minus_sq
+        self.magnitude = np.abs(atanh_over_x) + 0.5 * np.abs(ln_one_minus_sq)
+
+    def __len__(self) -> int:
+        return self.safe.size
 
 
-def _log_ratio_with_scale(params: FamilyParams, x: np.ndarray,
+def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces,
                           series_scale: float | None = None):
-    """Values plus absolute-error scale (error <= scale * eps) on an array.
+    """Values plus absolute-error scale (error <= scale * eps) on the
+    points of ``pieces``.
 
     In the series region the scale is ``w (1 + 3su) / 3`` with ``w = x^2``,
     or ``w * series_scale`` when that is given.
     """
-    w = x * x
-    small, safe = _split(x)
-    direct, scale_direct = _direct_with_scale(params, safe)
-    vals = np.where(small, _log_ratio_series(params, w), direct)
-    if series_scale is None:
-        scale_series = w * (1.0 + 3.0 * params.s * params.u) / 3.0
+    # In-place steps keep the temporaries of a bisection step to a few.
+    if params.u != 0.0:
+        m2 = _m2(params, pieces.safe, pieces.one_minus_sq)
+        vals = pieces.base + m2
+        scale = np.abs(m2, out=m2)
+        scale += pieces.magnitude
     else:
-        scale_series = w * series_scale
-    return vals, np.where(small, scale_series, scale_direct)
+        vals, scale = pieces.base.copy(), pieces.magnitude.copy()
+    scale += 1.0
+    scale *= 4.0
+    w = pieces.w_small
+    vals[pieces.small] = _log_ratio_series(params, w)
+    if series_scale is None:
+        scale[pieces.small] = w * (1.0 + 3.0 * params.s * params.u) / 3.0
+    else:
+        scale[pieces.small] = w * series_scale
+    return vals, scale
 
 
 def _log_ratio(params: FamilyParams, x: np.ndarray, method: str) -> np.ndarray:
@@ -207,10 +237,10 @@ def _log_ratio(params: FamilyParams, x: np.ndarray, method: str) -> np.ndarray:
     if method == "series":
         return _log_ratio_series(params, x * x)
     if method == "direct":
-        return _log_ratio_direct_pieces(params, x)[0]
+        return _log_ratio_direct(params, x)
     if method == "auto":
         small, safe = _split(x)
-        direct = _log_ratio_direct_pieces(params, safe)[0]
+        direct = _log_ratio_direct(params, safe)
         return np.where(small, _log_ratio_series(params, x * x), direct)
     raise ValueError(f"unknown method {method!r}")
 
@@ -238,7 +268,7 @@ def _lr_with_error_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     region the scale is ``w = x^2``, three times the family's at ``u = 0``:
     the exp-bound and power-bound floors are set from this one.
     """
-    vals, scale = _log_ratio_with_scale(_IDENTRIC, x, series_scale=1.0)
+    vals, scale = _log_ratio_with_scale(_IDENTRIC, _Pieces(x), series_scale=1.0)
     return -vals, scale
 
 
@@ -460,10 +490,12 @@ def exp_bound_margin(coef: float, x):
     coef = float(coef)
     if not 0.0 < coef < math.inf:
         raise ValueError(f"coefficient must be finite and > 0, got {coef}")
-    return _evaluate(x, lambda arr: _exp_bound_margin_with_scale(coef, arr)[0])
+    return _evaluate(x, lambda arr: _exp_bound_margin_with_scale(
+        coef, *_lr_with_error_scale(arr), arr)[0])
 
 
-def _exp_bound_margin_with_scale(coef: float, x: np.ndarray):
-    lr, scale_lr = _lr_with_error_scale(x)
+def _exp_bound_margin_with_scale(coef: float, lr: np.ndarray,
+                                 scale_lr: np.ndarray, x: np.ndarray):
+    """The margin and its error scale from ``ln(I/A)`` and its scale on ``x``."""
     w = x * x
     return -lr - coef * w, scale_lr + 2.0 * coef * w

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .family import FamilyParams
 
@@ -143,22 +144,40 @@ def _m2_point(s: float, one_minus_u: Interval, x: float) -> Interval:
     return _log_hull(inner) * Interval.point(0.5 * s)
 
 
-def enclose_log_ratio(params: FamilyParams, lo: float, hi: float) -> Interval:
+class _Endpoint(NamedTuple):
+    """Enclosures of the three monotone pieces at one double ``x``."""
+
+    x: float
+    k: Interval
+    m1: Interval
+    m2: Interval
+
+
+def _enclose_endpoint(params: FamilyParams, x: float) -> _Endpoint:
+    """The pieces k, m1 and m2 enclosed at a double x in (0, 1)."""
+    if params.u == 0.0:
+        m2 = Interval.point(0.0)
+    else:
+        m2 = _m2_point(params.s, _one_minus_u(params), x)
+    return _Endpoint(x, _atanh_over_x_point(x), _m1_point(x), m2)
+
+
+def enclose_log_ratio(params: FamilyParams, lo, hi) -> Interval:
     """Rigorous enclosure of the family log-ratio over [lo, hi] in (0, 1).
 
     Uses endpoint evaluations of the three monotone pieces; the enclosure
     width shrinks linearly with the interval width, so adaptive bisection
-    converges wherever the log-ratio is bounded away from zero.
+    converges wherever the log-ratio is bounded away from zero.  A
+    bisection passes both bounds as ``_enclose_endpoint`` results instead
+    of doubles, so that each point is enclosed once; the bounds are the
+    same.
     """
-    if not 0.0 < lo <= hi < 1.0:
-        raise ValueError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
+    if not isinstance(lo, _Endpoint):
+        if not 0.0 < lo <= hi < 1.0:
+            raise ValueError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
+        lo, hi = _enclose_endpoint(params, lo), _enclose_endpoint(params, hi)
     # k increasing, m1 increasing, m2 nonincreasing over [lo, hi].
-    k = Interval(_atanh_over_x_point(lo).lo, _atanh_over_x_point(hi).hi)
-    m1 = Interval(_m1_point(lo).lo, _m1_point(hi).hi)
-    if params.u == 0.0:
-        m2 = Interval.point(0.0)
-    else:
-        one_minus_u = _one_minus_u(params)
-        m2 = Interval(_m2_point(params.s, one_minus_u, hi).lo,
-                      _m2_point(params.s, one_minus_u, lo).hi)
+    k = Interval(lo.k.lo, hi.k.hi)
+    m1 = Interval(lo.m1.lo, hi.m1.hi)
+    m2 = Interval(hi.m2.lo, lo.m2.hi)
     return Interval.point(1.0) - k + m1 + m2

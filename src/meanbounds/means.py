@@ -97,6 +97,16 @@ def gap(pair: PositivePair) -> float:
     return abs(a - b) / (a + b)
 
 
+def _log_one_minus_gap(pair: PositivePair) -> float:
+    """``ln(1 - v)`` from ``1 - v = 2 min(a, b) / (a + b)``, which stays
+    positive where the gap itself rounds to 1."""
+    low, mean = min(pair.a, pair.b), arithmetic_mean(pair)
+    d = low / mean
+    if d >= sys.float_info.min:
+        return math.log(d)
+    return math.log(low) - math.log(mean)  # d is subnormal or zero
+
+
 def pair_from_gap(v: float, scale: float = 1.0) -> PositivePair:
     """The canonical pair ``(scale*(1+v), scale*(1-v))`` realizing gap ``v``."""
     v = float(v)
@@ -114,7 +124,15 @@ def identric_mean(pair: PositivePair) -> float:
     if pair.a == pair.b:
         return pair.a
     v = gap(pair)
-    return arithmetic_mean(pair) * math.exp(float(log_identric_over_arithmetic(v)))
+    if v == 1.0:
+        # atanh(v)/v + ln(1 - v^2)/2 in d = 1 - v: no cancellation, and the
+        # limit ln(2/e) as d -> 0.
+        ln_d = _log_one_minus_gap(pair)
+        d = math.exp(ln_d)
+        lr = -1.0 + ((1.0 + v) * math.log(2.0 - d) - d * ln_d) / (2.0 * v)
+    else:
+        lr = float(log_identric_over_arithmetic(v))
+    return arithmetic_mean(pair) * math.exp(lr)
 
 
 def q_mean(pair: PositivePair, t: float, s: float) -> float:
@@ -129,9 +147,18 @@ def q_mean(pair: PositivePair, t: float, s: float) -> float:
     """
     params = FamilyParams.from_t(t, s)
     v = gap(pair)
-    # (1 - v)(1 + v) + 4t(1-t) v^2 == 1 - (1-2t)^2 v^2, all terms positive.
-    inner = (1.0 - v) * (1.0 + v) + params.one_minus_u * v * v
-    return arithmetic_mean(pair) * math.exp(0.5 * params.s * math.log(inner))
+    if v == 1.0:
+        # In d = 1 - v: 1 - u v^2 = d(2 - d) + (1 - u)(1 - d)^2.
+        ln_d = _log_one_minus_gap(pair)
+        d = math.exp(ln_d)
+        if params.one_minus_u == 0.0:
+            ln_inner = ln_d + math.log(2.0 - d)
+        else:
+            ln_inner = math.log(d * (2.0 - d) + params.one_minus_u * (1.0 - d) ** 2)
+    else:
+        # (1 - v)(1 + v) + 4t(1-t) v^2 == 1 - (1-2t)^2 v^2, all terms positive.
+        ln_inner = math.log((1.0 - v) * (1.0 + v) + params.one_minus_u * v * v)
+    return arithmetic_mean(pair) * math.exp(0.5 * params.s * ln_inner)
 
 
 def _validate_gap(arr: np.ndarray) -> None:

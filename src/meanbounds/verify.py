@@ -28,11 +28,12 @@ import numpy as np
 from .family import (
     EVAL_LIMIT,
     FamilyParams,
+    _Pieces,
     _exp_bound_margin_with_scale,
     _log_ratio_with_scale,
     _lr_with_error_scale,
 )
-from .intervals import enclose_log_ratio
+from .intervals import _enclose_endpoint, enclose_log_ratio
 from .thresholds import sharp_thresholds
 
 __all__ = [
@@ -268,9 +269,9 @@ def _grid(grid: GridSpec | None) -> tuple[np.ndarray, dict]:
                                "x_min": spec.x_min, "x_max": spec.x_max}
 
 
-def _family_side(t: float, s: float, side: str, xs: np.ndarray):
+def _family_side(t: float, s: float, side: str, pieces: _Pieces):
     params = FamilyParams.from_t(t, s)
-    vals, scale = _log_ratio_with_scale(params, xs)
+    vals, scale = _log_ratio_with_scale(params, pieces)
     margins = -vals if side == "lower" else vals
     return ("", margins, scale, lambda x: _mp_family_margin(t, s, side, x))
 
@@ -292,7 +293,8 @@ def verify_family_inequality(
     xs, grid_entry = _grid(grid)
     parameters = {"check": "family", "t": t, "s": s,
                   "side": side, "grid": grid_entry}
-    return _run_grid_check(xs, [_family_side(t, s, side, xs)], parameters)[0]
+    return _run_grid_check(xs, [_family_side(t, s, side, _Pieces(xs))],
+                           parameters)[0]
 
 
 _FALSIFY_LOWER_LADDER = tuple(1.0 - 10.0 ** (-k) for k in range(3, 13))
@@ -319,7 +321,8 @@ def falsify(t: float, s: float, side: str) -> FalsificationResult:
                          f"threshold q = {ts.q}; nothing to falsify")
     ladder = _FALSIFY_LOWER_LADDER if side == "lower" else _FALSIFY_UPPER_LADDER
     xs = np.asarray(ladder)
-    report, rechecks = _run_grid_check(xs, [_family_side(t, s, side, xs)], {})
+    report, rechecks = _run_grid_check(
+        xs, [_family_side(t, s, side, _Pieces(xs))], {})
     if report.witness is None:
         return FalsificationResult(
             found=False, witness=None, attempts=len(ladder),
@@ -339,9 +342,11 @@ def empirical_threshold(
 ) -> float:
     """Recover the sharp cutoff in ``t`` by bisection on the grid verdict.
 
-    Bisects ``t`` over [0, 1/2] with ``verify_family_inequality`` as the
-    predicate.  The result carries a one-sided bias of the order of the
-    grid's endpoint resolution (far below ``tol`` for the default grid).
+    Bisects ``t`` over [0, 1/2] with the verdict of
+    ``verify_family_inequality`` as the predicate.  The grid and the
+    t-independent pieces of the log-ratio are built once for all steps.
+    The result carries a one-sided bias of the order of the grid's
+    endpoint resolution (far below ``tol`` for the default grid).
     """
     _check_side(side)
     s = float(s)
@@ -349,12 +354,14 @@ def empirical_threshold(
     if not 1e-8 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 1e-8, got {tol}")
 
+    xs = _grid(grid)[0]
+    pieces = _Pieces(xs)
     # The check holds on [0, p] for "lower" and on [q, 1/2] for "upper":
     # a verdict that agrees with the side puts mid left of the cutoff.
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        report = verify_family_inequality(mid, s, side, grid)
+        report = _run_grid_check(xs, [_family_side(mid, s, side, pieces)], {})[0]
         if (report.verdict == "holds_on_grid") == (side == "lower"):
             lo = mid
         else:
@@ -378,8 +385,9 @@ def verify_exponential_bounds(
         raise ValueError(f"both coefficients must be finite and > 0, got "
                          f"({p_coef}, {q_coef})")
     xs, grid_entry = _grid(grid)
-    g_p, scale_p = _exp_bound_margin_with_scale(p_coef, xs)
-    g_q, scale_q = _exp_bound_margin_with_scale(q_coef, xs)
+    lr = _lr_with_error_scale(xs)
+    g_p, scale_p = _exp_bound_margin_with_scale(p_coef, *lr, xs)
+    g_q, scale_q = _exp_bound_margin_with_scale(q_coef, *lr, xs)
     parameters = {"check": "exponential_bounds", "p_coef": p_coef,
                   "q_coef": q_coef, "grid": grid_entry}
     sides = [("lower", g_p, scale_p, lambda x: _mp_exp_margin(p_coef, "lower", x)),
@@ -475,6 +483,8 @@ def certify_sign(
     budget runs out remaining intervals are marked ``inconclusive``
     (distinct from a disproof, which shows up as a proved leaf of the
     opposite sign).  Returns the full tree in processing order for audit.
+    Each node's endpoint enclosures come from its parent, so a split
+    encloses only its midpoint.
     """
     if sign not in ("negative", "positive"):
         raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
@@ -484,10 +494,12 @@ def certify_sign(
         raise ValueError("budget must be >= 1")
     params = FamilyParams.from_t(float(t), float(s))
     nodes: list[CertificateNode] = []
-    stack = [(float(x_lo), float(x_hi))]
+    stack = [(_enclose_endpoint(params, float(x_lo)),
+              _enclose_endpoint(params, float(x_hi)))]
     while stack:
-        a, b = stack.pop()
-        enc = enclose_log_ratio(params, a, b)
+        lo, hi = stack.pop()
+        a, b = lo.x, hi.x
+        enc = enclose_log_ratio(params, lo, hi)
         if enc.hi < 0.0:
             status = "proved_negative"
         elif enc.lo > 0.0:
@@ -496,8 +508,9 @@ def certify_sign(
             mid = 0.5 * (a + b)
             if len(nodes) + 1 < budget and a < mid < b:
                 status = "split"
-                stack.append((mid, b))
-                stack.append((a, mid))
+                middle = _enclose_endpoint(params, mid)
+                stack.append((middle, hi))
+                stack.append((lo, middle))
             else:
                 status = "inconclusive"
         nodes.append(CertificateNode(a, b, enc.lo, enc.hi, status))

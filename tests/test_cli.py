@@ -65,6 +65,15 @@ class TestEval:
             expected = float(oracle(1e308, 1.5e308))
             assert math.isclose(payload[key], expected, rel_tol=4e-16), key
 
+    def test_extreme_ratio_pair(self, capsys):
+        # The gap rounds to 1 here; I tends to max/e.
+        code, out, _ = run(capsys, "eval", "1e-17", "1", "--format", "structured")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["gap"] == 1.0
+        expected = float(oracles.identric_raw(1e-17, 1.0))
+        assert math.isclose(payload["identric"], expected, rel_tol=1e-13)
+
     def test_non_finite_structured_value_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "identric_mean", lambda pair: math.nan)
         code, out, err = run(capsys, "eval", "1", "2", "--format", "structured")

@@ -107,6 +107,37 @@ class TestScaleSafeMeans:
         assert gap(pair) == abs(a - b) / (a + b)
 
 
+class TestExtremeRatios:
+    """Pairs whose gap rounds to 1, so only 1 - v = 2 min/(a + b) is left."""
+
+    # Ratios 1e-17, 1e-100, 5e-324; 1 - v is subnormal in the last three
+    # and underflows to 0 in the last.
+    PAIRS = [(1e-17, 1.0), (1e-100, 1.0), (5e-324, 1.0), (5e-324, 3.0),
+             (5e-324, 1e300)]
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_identric_against_oracle(self, a, b):
+        pair = PositivePair(a, b)
+        assert gap(pair) == 1.0
+        # I(a, b) = b I(a/b, 1): the raw power form at unit scale.
+        expected = float(b * identric_raw(oracles.mp.mpf(a) / b, 1))
+        assert identric_mean(pair) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    @pytest.mark.parametrize("s", [1.0, 3.0])
+    def test_q_mean_against_oracle(self, a, b, s):
+        # At t = 0, 1 - u v^2 = 1 - v^2 is all that is left of the pair.
+        expected = float(oracles.q_mean(a, b, 0.0, s))
+        got = q_mean(PositivePair(a, b), 0.0, s)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_q_mean_huge_exponent_underflows_to_zero(self):
+        # (1 - v^2)^(s/2) with 1 - v^2 ~ 2e-323 and s = 1e6 is far below
+        # the smallest double.
+        pair = PositivePair(5e-324, 1.0)
+        assert q_mean(pair, 0.0, 1e6) == float(oracles.q_mean(5e-324, 1.0, 0.0, 1e6))
+
+
 class TestIdentric:
     def test_closed_form_1_2(self):
         got = identric_mean(PositivePair(1, 2))

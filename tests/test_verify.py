@@ -23,6 +23,8 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
+from meanbounds.intervals import enclose_log_ratio
+from meanbounds.verify import CertificateNode
 from oracles import exp_margin, family_log_ratio_t, power_margin
 
 SMALL_GRID = GridSpec(count=2000)
@@ -168,6 +170,31 @@ class TestEmpiricalThreshold:
     def test_tolerance_floor(self):
         with pytest.raises(ValueError):
             empirical_threshold(2.0, "lower", tol=1e-9)
+
+
+def _reference_threshold(s, side, grid, tol):
+    """Bisection in t with the public grid check as the predicate."""
+    lo, hi = 0.0, 0.5
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        holds = verify_family_inequality(mid, s, side, grid).verdict == "holds_on_grid"
+        if holds == (side == "lower"):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestEmpiricalThresholdIdentity:
+    """Grid work shared across steps changes no step of the bisection."""
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 5.0, 50.0])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("grid", [None, GridSpec(count=512),
+                                      GridSpec(count=2000, spacing="uniform")])
+    def test_equals_reference_bisection(self, s, side, grid):
+        assert empirical_threshold(s, side, grid, tol=1e-6) \
+            == _reference_threshold(s, side, grid, 1e-6)
 
 
 class TestExponentialBounds:
@@ -355,3 +382,50 @@ class TestCertification:
             certify_sign(0.2, 2.0, 0.5, 0.4, "negative")
         with pytest.raises(ValueError):
             certify_sign(0.2, 2.0, 0.1, 0.9, "nonzero")
+
+
+def _reference_certificate(t, s, x_lo, x_hi, budget):
+    """Depth-first bisection enclosing every node from its two doubles."""
+    params = FamilyParams.from_t(t, s)
+    nodes = []
+    stack = [(x_lo, x_hi)]
+    while stack:
+        a, b = stack.pop()
+        enc = enclose_log_ratio(params, a, b)
+        if enc.hi < 0.0:
+            status = "proved_negative"
+        elif enc.lo > 0.0:
+            status = "proved_positive"
+        else:
+            mid = 0.5 * (a + b)
+            if len(nodes) + 1 < budget and a < mid < b:
+                status = "split"
+                stack.append((mid, b))
+                stack.append((a, mid))
+            else:
+                status = "inconclusive"
+        nodes.append(CertificateNode(a, b, enc.lo, enc.hi, status))
+    return nodes
+
+
+class TestCertificationIdentity:
+    """Endpoint enclosures carried from parent to child give the same tree."""
+
+    @pytest.mark.parametrize("s, side, delta, x_lo, x_hi, budget", [
+        (2.0, "negative", 0.01, 0.01, 0.99, 100_000),
+        (5.0, "negative", 0.001, 0.01, 0.99, 100_000),
+        (1.0, "positive", 0.01, 0.01, 0.99, 100_000),
+        (20.0, "positive", 0.001, 0.01, 0.99, 100_000),
+        (2.0, "negative", 0.01, 0.01, 0.99, 3),
+        (2.0, "negative", 0.01, 1e-6, 0.5, 3000),
+    ])
+    def test_node_list_equals_reference(self, s, side, delta, x_lo, x_hi, budget):
+        ts = sharp_thresholds(s)
+        t = ts.p - delta if side == "negative" else ts.q + delta
+        nodes = certify_sign(t, s, x_lo, x_hi, side, budget)
+        assert nodes == _reference_certificate(t, s, x_lo, x_hi, budget)
+
+    def test_identric_parameter_equals_reference(self):
+        # u = 0: the m2 piece is the point 0 at every endpoint.
+        nodes = certify_sign(0.5, 1.0, 0.01, 0.99, "positive", 1000)
+        assert nodes == _reference_certificate(0.5, 1.0, 0.01, 0.99, 1000)
