@@ -128,7 +128,7 @@ class CriticalPoint:
 
 
 def _validate_x(arr: np.ndarray) -> None:
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both tests
         raise ValueError("x must lie strictly inside (0, 1)")
     if np.any(arr > EVAL_LIMIT):
         raise ValueError(f"x is only evaluated up to {EVAL_LIMIT!r}; "

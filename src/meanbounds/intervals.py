@@ -8,15 +8,17 @@ logarithms are widened by ``_LIBM_ULPS`` ulps to cover a faithfully (not
 correctly) rounded libm.  Division by an interval containing zero is
 rejected rather than returning an unbounded interval.
 
-The log-ratio is enclosed through three globally monotone pieces,
+The log-ratio is the sum of two globally monotone pieces,
 
-    k(x)  = atanh(x)/x            increasing (series has positive terms),
-    m1(x) = -ln(1-x^2)/2          increasing,
-    m2(x) = (s/2) ln(1-u x^2)     nonincreasing,
+    h(x)  = 1 - [(1+x) ln(1+x) - (1-x) ln(1-x)] / (2x)
+          = sum_k x^(2k) / (2k(2k+1))      increasing (positive coefficients),
+    m2(x) = (s/2) ln(1 - u x^2)            nonincreasing (u >= 0),
 
 each bounded by its values at the interval endpoints, then combined with
-interval addition.  Monotone enclosure avoids the catastrophic dependency
-blowup a term-by-term product enclosure would have near x = 0.
+interval addition.  Both stay bounded as x -> 1 (h -> 1 - ln 2), so no
+node carries two divergent logarithms that cancel only in their sum, and
+monotone enclosure avoids the dependency blowup of a term-by-term product
+enclosure near x = 0.
 """
 
 from __future__ import annotations
@@ -109,20 +111,16 @@ def _log_hull(iv: Interval) -> Interval:
     return Interval(min(ln_lo.lo, ln_hi.lo), max(ln_lo.hi, ln_hi.hi))
 
 
-def _atanh_over_x_point(x: float) -> Interval:
-    """Enclosure of atanh(x)/x at a double x in (0, 1).
+def _h_point(x: float) -> Interval:
+    """Enclosure of h at a double x in (0, 1).
 
-    atanh(x) = (log1p(x) - log(1-x))/2.
+    Both products in the numerator are >= 0, so nothing cancels; the
+    arguments of ``log1p(x)``, ``log1p(-x)`` and the divisor ``2x`` are
+    exact, so the enclosure stays O(eps) wide as x -> 0.
     """
-    log1p = _widen(math.log1p(x), _LIBM_ULPS)
-    atanh = (log1p - _log_hull(_one_minus(x))) * Interval.point(0.5)
-    return atanh / Interval.point(x)
-
-
-def _m1_point(x: float) -> Interval:
-    """Enclosure of -ln(1-x^2)/2 at a double x in (0, 1)."""
-    one_minus_sq = _one_minus(x) * _widen(1.0 + x, 1)
-    return _log_hull(one_minus_sq) * Interval.point(-0.5)
+    plus = _widen(1.0 + x, 1) * _widen(math.log1p(x), _LIBM_ULPS)
+    minus = _one_minus(x) * _widen(math.log1p(-x), _LIBM_ULPS)
+    return Interval.point(1.0) - (plus - minus) / Interval.point(2.0 * x)
 
 
 def _one_minus_u(params: FamilyParams) -> Interval:
@@ -145,27 +143,26 @@ def _m2_point(s: float, one_minus_u: Interval, x: float) -> Interval:
 
 
 class _Endpoint(NamedTuple):
-    """Enclosures of the three monotone pieces at one double ``x``."""
+    """Enclosures of the two monotone pieces at one double ``x``."""
 
     x: float
-    k: Interval
-    m1: Interval
+    h: Interval
     m2: Interval
 
 
 def _enclose_endpoint(params: FamilyParams, x: float) -> _Endpoint:
-    """The pieces k, m1 and m2 enclosed at a double x in (0, 1)."""
+    """The pieces h and m2 enclosed at a double x in (0, 1)."""
     if params.u == 0.0:
         m2 = Interval.point(0.0)
     else:
         m2 = _m2_point(params.s, _one_minus_u(params), x)
-    return _Endpoint(x, _atanh_over_x_point(x), _m1_point(x), m2)
+    return _Endpoint(x, _h_point(x), m2)
 
 
 def enclose_log_ratio(params: FamilyParams, lo, hi) -> Interval:
     """Rigorous enclosure of the family log-ratio over [lo, hi] in (0, 1).
 
-    Uses endpoint evaluations of the three monotone pieces; the enclosure
+    Uses endpoint evaluations of the two monotone pieces; the enclosure
     width shrinks linearly with the interval width, so adaptive bisection
     converges wherever the log-ratio is bounded away from zero.  A
     bisection passes both bounds as ``_enclose_endpoint`` results instead
@@ -176,8 +173,5 @@ def enclose_log_ratio(params: FamilyParams, lo, hi) -> Interval:
         if not 0.0 < lo <= hi < 1.0:
             raise ValueError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
         lo, hi = _enclose_endpoint(params, lo), _enclose_endpoint(params, hi)
-    # k increasing, m1 increasing, m2 nonincreasing over [lo, hi].
-    k = Interval(lo.k.lo, hi.k.hi)
-    m1 = Interval(lo.m1.lo, hi.m1.hi)
-    m2 = Interval(hi.m2.lo, lo.m2.hi)
-    return Interval.point(1.0) - k + m1 + m2
+    # h increasing, m2 nonincreasing over [lo, hi].
+    return Interval(lo.h.lo, hi.h.hi) + Interval(hi.m2.lo, lo.m2.hi)

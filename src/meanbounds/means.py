@@ -97,14 +97,14 @@ def gap(pair: PositivePair) -> float:
     return abs(a - b) / (a + b)
 
 
-def _log_one_minus_gap(pair: PositivePair) -> float:
-    """``ln(1 - v)`` from ``1 - v = 2 min(a, b) / (a + b)``, which stays
-    positive where the gap itself rounds to 1."""
+def _one_minus_gap(pair: PositivePair) -> tuple[float, float]:
+    """``d = 1 - v = 2 min(a, b) / (a + b)`` and ``ln d``: unlike ``1 - v``,
+    exact to a few ulps as v -> 1, and ``ln d`` finite where v rounds to 1."""
     low, mean = min(pair.a, pair.b), arithmetic_mean(pair)
     d = low / mean
     if d >= sys.float_info.min:
-        return math.log(d)
-    return math.log(low) - math.log(mean)  # d is subnormal or zero
+        return d, math.log(d)
+    return d, math.log(low) - math.log(mean)  # d is subnormal or zero
 
 
 def pair_from_gap(v: float, scale: float = 1.0) -> PositivePair:
@@ -127,8 +127,7 @@ def identric_mean(pair: PositivePair) -> float:
     if v == 1.0:
         # atanh(v)/v + ln(1 - v^2)/2 in d = 1 - v: no cancellation, and the
         # limit ln(2/e) as d -> 0.
-        ln_d = _log_one_minus_gap(pair)
-        d = math.exp(ln_d)
+        d, ln_d = _one_minus_gap(pair)
         lr = -1.0 + ((1.0 + v) * math.log(2.0 - d) - d * ln_d) / (2.0 * v)
     else:
         lr = float(log_identric_over_arithmetic(v))
@@ -147,11 +146,11 @@ def q_mean(pair: PositivePair, t: float, s: float) -> float:
     """
     params = FamilyParams.from_t(t, s)
     v = gap(pair)
-    if v == 1.0:
-        # In d = 1 - v: 1 - u v^2 = d(2 - d) + (1 - u)(1 - d)^2.
-        ln_d = _log_one_minus_gap(pair)
-        d = math.exp(ln_d)
-        if params.one_minus_u == 0.0:
+    if v >= 0.5:
+        # In d = 1 - v: 1 - u v^2 = d(2 - d) + (1 - u)(1 - d)^2, one formula
+        # for every t (so monotone in t) unless d(2 - d) underflows at u = 1.
+        d, ln_d = _one_minus_gap(pair)
+        if d < sys.float_info.min and params.one_minus_u == 0.0:
             ln_inner = ln_d + math.log(2.0 - d)
         else:
             ln_inner = math.log(d * (2.0 - d) + params.one_minus_u * (1.0 - d) ** 2)
@@ -162,7 +161,7 @@ def q_mean(pair: PositivePair, t: float, s: float) -> float:
 
 
 def _validate_gap(arr: np.ndarray) -> None:
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr >= 0.0) & (arr < 1.0)):  # NaN fails both tests
         raise ValueError("gap values must lie in [0, 1)")
 
 

@@ -84,7 +84,7 @@ class GridSpec:
     def __post_init__(self):
         if self.spacing not in ("uniform", "endpoint_refined"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
-        if int(self.count) != self.count or self.count < 2:
+        if not (math.isfinite(self.count) and self.count == int(self.count) >= 2):
             raise ValueError(f"count must be an integer >= 2, got {self.count}")
         if not 0.0 < self.x_min < self.x_max < 1.0:
             raise ValueError(f"need 0 < x_min < x_max < 1, got "
@@ -490,8 +490,8 @@ def certify_sign(
         raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
     if not 0.0 < x_lo < x_hi < 1.0 or x_hi > EVAL_LIMIT:
         raise ValueError(f"need 0 < x_lo < x_hi <= {EVAL_LIMIT!r}")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not (math.isfinite(budget) and budget == int(budget) >= 1):
+        raise ValueError(f"budget must be an integer >= 1, got {budget}")
     params = FamilyParams.from_t(float(t), float(s))
     nodes: list[CertificateNode] = []
     stack = [(_enclose_endpoint(params, float(x_lo)),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -74,21 +75,39 @@ class TestOneMinusU:
             assert Fraction(enc.lo) <= 1 - Fraction(u) <= Fraction(enc.hi), u
 
 
+@st.composite
+def subintervals(draw):
+    """[lo, hi] inside [1e-4, 0.999], next to 0 inside [1e-8, 1.3e-4], or
+    next to 1 inside [0.98, 1 - 1e-12]."""
+    width = draw(st.floats(min_value=1e-6, max_value=0.3))
+    region = draw(st.sampled_from(["compact", "near_zero", "near_one"]))
+    if region == "compact":
+        lo = draw(st.floats(min_value=1e-4, max_value=0.98))
+        return lo, min(lo * (1.0 + width) + 1e-9, 0.999)
+    if region == "near_zero":
+        lo = 10.0 ** draw(st.floats(min_value=-8.0, max_value=-4.0))
+        return lo, lo * (1.0 + width)
+    # Distances to 1 from 1e-12 to 0.02, log-uniform.
+    d_lo = 10.0 ** draw(st.floats(min_value=-12.0, max_value=math.log10(0.02)))
+    return 1.0 - d_lo, min(1.0 - d_lo * (1.0 - width), 1.0 - 1e-12)
+
+
 class TestLogRatioEnclosure:
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=1.0, max_value=10.0),
-           st.floats(min_value=1e-4, max_value=0.98),
-           st.floats(min_value=1e-6, max_value=0.3))
-    @settings(max_examples=200, deadline=None)
-    def test_contains_high_precision_value(self, u, s, lo, width):
-        hi = min(lo * (1.0 + width) + 1e-9, 0.999)
+           subintervals())
+    @settings(max_examples=400, deadline=None)
+    def test_contains_high_precision_value(self, u, s, interval):
+        lo, hi = interval
         assume(lo < hi)
         params = FamilyParams.from_u(u, s)
         enc = enclose_log_ratio(params, lo, hi)
         with mp.workdps(40):
             for x in (lo, hi, 0.5 * (lo + hi)):
                 truth = family_log_ratio_u(params.u, s, x)
-                assert mp.mpf(enc.lo) <= truth <= mp.mpf(enc.hi)
+                # The point node [x, x] leaves no slack but the rounding.
+                for e in (enc, enclose_log_ratio(params, x, x)):
+                    assert mp.mpf(e.lo) <= truth <= mp.mpf(e.hi)
 
     def test_width_shrinks_with_interval(self):
         params = FamilyParams.from_u(0.3, 2.0)

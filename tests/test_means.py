@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ class TestQMean:
     def test_t_zero_s_one_is_geometric(self):
         assert q_mean(PositivePair(4, 9), 0.0, 1.0) == pytest.approx(6.0, rel=1e-14)
 
+    @pytest.mark.parametrize("a", [1e-16, 2.5e-16, 1e-15, 1e-12])
+    @pytest.mark.parametrize("t, s", [(0.0, 1.0), (0.0, 3.0), (1e-3, 1.0)])
+    def test_gap_near_one_against_oracle(self, a, t, s):
+        # The gap is just below 1, so 1 - v formed from the rounded v has
+        # lost most of its digits; 1 - v must come from the pair instead.
+        pair = PositivePair(a, 1.0)
+        assert 0.5 <= gap(pair) < 1.0
+        expected = float(oracles.q_mean(a, 1.0, t, s))
+        assert q_mean(pair, t, s) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_s_two_is_harmonic_of_mixed_pair(self):
         got = q_mean(PositivePair(1, 3), 0.2, 2.0)
         c, d = 0.2 * 1 + 0.8 * 3, 0.2 * 3 + 0.8 * 1
@@ -208,13 +219,29 @@ class TestGap:
         assert gap(PositivePair(5, 5)) == 0.0
         assert gap(PositivePair(1, 2)) == pytest.approx(1 / 3, abs=1e-16)
 
+    # A double gap near 1 carries 1 - v only to about eps/(1 - v) relative,
+    # so a round trip through v cannot give the pair back to a fixed
+    # relative tolerance.  Each step is checked exactly against what its own
+    # double inputs imply instead.
+
     @given(pairs())
     @settings(max_examples=150)
-    def test_round_trip_up_to_scale_and_order(self, pair):
-        v = gap(pair)
-        rebuilt = pair_from_gap(v, scale=arithmetic_mean(pair))
-        assert sorted((rebuilt.a, rebuilt.b)) == pytest.approx(
-            sorted((pair.a, pair.b)), rel=1e-12)
+    def test_gap_within_ulps_of_exact_gap(self, pair):
+        a, b = Fraction(pair.a), Fraction(pair.b)
+        exact = abs(a - b) / (a + b)
+        # a - b, a + b and the quotient round once each: 3 * 2^-53 relative.
+        assert abs(Fraction(gap(pair)) - exact) <= 3 * Fraction(math.ulp(float(exact)))
+
+    @given(pairs())
+    @settings(max_examples=150)
+    def test_pair_from_gap_rounds_the_exact_pair(self, pair):
+        v, scale = gap(pair), arithmetic_mean(pair)
+        rebuilt = pair_from_gap(v, scale)
+        # Two roundings, 1 +- v and then the product, each at most 2^-53.
+        bound = (1 + Fraction(1, 2**53)) ** 2 - 1
+        for got, sign in ((rebuilt.a, 1), (rebuilt.b, -1)):
+            exact = Fraction(scale) * (1 + sign * Fraction(v))
+            assert abs(Fraction(got) - exact) <= bound * exact
 
     def test_pair_from_gap_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -239,7 +266,7 @@ class TestLogIdentricOverArithmetic:
         vals = log_identric_over_arithmetic(vs)
         assert np.all(vals < 0)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
     def test_rejects_out_of_domain(self, bad):
         with pytest.raises(ValueError):
             log_identric_over_arithmetic(bad)

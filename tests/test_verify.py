@@ -48,6 +48,9 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("kwargs", [
         dict(count=1),
+        dict(count=math.inf),
+        dict(count=math.nan),
+        dict(count=2.5),
         dict(spacing="random"),
         dict(x_min=0.0),
         dict(x_min=0.9, x_max=0.1),
@@ -382,6 +385,23 @@ class TestCertification:
             certify_sign(0.2, 2.0, 0.5, 0.4, "negative")
         with pytest.raises(ValueError):
             certify_sign(0.2, 2.0, 0.1, 0.9, "nonzero")
+        for budget in (0, math.nan, math.inf, 2.5):
+            with pytest.raises(ValueError):
+                certify_sign(0.2, 2.0, 0.1, 0.9, "negative", budget=budget)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("delta, x_lo, x_hi, budget", [
+        # Next to 1 the log-ratio sits near its limit 1 - ln 2 + (s/2) ln(1-u),
+        # and both enclosed pieces stay bounded there.
+        (1e-3, 0.99, 1 - 1e-12, 64),
+        # Next to 0 it is about c1 x^2, ~1e-14 at x = 1e-6, while the h piece
+        # is enclosed to a few ulps.
+        (1e-2, 1e-6, 0.5, 1000),
+    ])
+    def test_proves_negative_toward_the_ends(self, s, delta, x_lo, x_hi, budget):
+        ts = sharp_thresholds(s)
+        nodes = certify_sign(ts.p - delta, s, x_lo, x_hi, "negative", budget)
+        assert certificate_succeeded(nodes, "negative")
 
 
 def _reference_certificate(t, s, x_lo, x_hi, budget):
