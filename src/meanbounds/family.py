@@ -3,18 +3,21 @@
 For parameters ``(t, s)`` with ``u = (1-2t)^2``, the signed log-difference
 between the two-parameter mean and the identric mean reduces to
 
-    log_ratio_q_over_i(params, x) = 1 - atanh(x)/x - ln(1-x^2)/2
-                                    + (s/2) ln(1 - u x^2)
+    log_ratio_q_over_i(params, x) = h(x) + m2(x),
+    h(x)  = 1 - [(1+x) ln(1+x) - (1-x) ln(1-x)] / (2x)     increasing,
+    m2(x) = (s/2) ln(1 - u x^2)                            nonincreasing,
 
-as a function of the normalized gap ``x``.  Its derivative is
-``derivative_kernel(params, x) / x**2``, and the kernel's monotonicity is in
-turn controlled by the sign of a quadratic trinomial in ``X = x^2``.  This
-module evaluates all three stably, finds the trinomial's roots and the
-kernel's interior zero, and provides the exponential-bound margin family
-``exp_bound_margin`` used for the ``exp(c * x^2)`` comparisons.
+as a function of the normalized gap ``x``; both pieces stay bounded as
+``x -> 1``.  Its derivative is ``derivative_kernel(params, x) / x**2``, and
+the kernel's monotonicity is in turn controlled by the sign of a quadratic
+trinomial in ``X = x^2``.  This module evaluates all three stably, finds
+the trinomial's roots and the kernel's interior zero, and provides the
+exponential-bound margin family ``exp_bound_margin`` used for the
+``exp(c * x^2)`` comparisons.
 
 The log-ratio is the one evaluation core of the package: ``ln(I/A)`` is its
-``u = 0`` case, negated, so :mod:`meanbounds.means` evaluates it here too.
+``u = 0`` case, ``-h``, so :mod:`meanbounds.means` evaluates it here, and
+:mod:`meanbounds.intervals` encloses the same two pieces.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ __all__ = [
     "exp_bound_margin",
 ]
 
-# Direct evaluation is supported up to this point; beyond it the log terms
-# have absorbed every significant digit and the x -> 1 behavior is exposed
-# through log_ratio_limit_at_one instead.
+# Direct evaluation is supported up to this point; beyond it a double x
+# resolves 1 - x to fewer than four digits, and the x -> 1 behavior is
+# exposed through log_ratio_limit_at_one instead.
 EVAL_LIMIT = 1.0 - 1e-12
 
-# Below this gap the direct formula keeps only absolute (not relative)
-# accuracy: its ~4 ulp error on O(1) summands divided by x^2 swamps
+# Below this gap the direct form keeps only absolute (not relative)
+# accuracy: its few-ulp error on the O(1) quotient in h divided by x^2 swamps
 # quantities like ln(A/I)/x^2 - 1/6 once x^2 is small.  The degree-8 series
 # still truncates below 6e-18 relative at 1e-2, so it owns everything
 # beneath that point.
@@ -160,99 +163,85 @@ def _log_ratio_series(params: FamilyParams, w: np.ndarray) -> np.ndarray:
     return w * (c1 + w * (c2 + w * (c3 + w * c4)))
 
 
-def _direct_terms(x: np.ndarray):
-    """The t-independent direct-form terms atanh(x)/x, 1 - x^2, ln(1 - x^2)."""
-    atanh_over_x = np.arctanh(x) / x
-    # (1-x)(1+x): the subtraction is exact for x >= 1/2 and one rounding
-    # below, so 1 - x^2 keeps a few-ulp relative error up to x = 1 - 1e-9.
-    one_minus_sq = (1.0 - x) * (1.0 + x)
-    return atanh_over_x, one_minus_sq, np.log(one_minus_sq)
+def _h(v, d, ln_d):
+    """``h = 1 - [(1+v) ln(1+v) - d ln d] / (2v)`` given ``d = 1 - v`` and ``ln d``.
+
+    Both products are >= 0 and their quotient by ``2v`` lies in [ln 2, 1], so
+    nothing cancels.  The grid passes ``(x, 1 - x, log1p(-x))``, the identric
+    mean ``d`` and ``ln d`` from the pair.  Interval twin: ``intervals._h_point``.
+    """
+    return 1.0 - ((1.0 + v) * np.log1p(v) - d * ln_d) / (2.0 * v)
 
 
 def _m2(params: FamilyParams, x: np.ndarray, one_minus_sq: np.ndarray) -> np.ndarray:
-    """The t-dependent term (s/2) ln(1 - u x^2), as (1 - x^2) + (1 - u) x^2."""
-    return 0.5 * params.s * np.log(one_minus_sq + params.one_minus_u * x * x)
-
-
-def _log_ratio_direct(params: FamilyParams, x: np.ndarray) -> np.ndarray:
-    atanh_over_x, one_minus_sq, ln_one_minus_sq = _direct_terms(x)
-    vals = 1.0 - atanh_over_x - 0.5 * ln_one_minus_sq
-    if params.u != 0.0:
-        vals = vals + _m2(params, x, one_minus_sq)
-    return vals
+    """The t-dependent piece (s/2) ln(1 - u x^2), as (1 - x^2) + (1 - u) x^2."""
+    out = np.multiply(x, params.one_minus_u)
+    out *= x
+    out += one_minus_sq
+    np.log(out, out=out)
+    out *= 0.5 * params.s
+    return out
 
 
 class _Pieces:
-    """The t-independent pieces of the log-ratio and its error scale on ``x``.
+    """The t-independent pieces of the log-ratio on ``x``.
 
     Built once per array of gaps; :func:`_log_ratio_with_scale` adds the
-    t-dependent ``m2`` term and the series for each parameter pair, so a
-    bisection in ``t`` over one grid builds them once.  ``base`` is the
-    direct form at ``u = 0`` and ``magnitude`` the size of its summands,
-    both on the direct-path argument ``safe``; ``w_small`` is ``x^2`` on
-    the series points.  ``len`` is the point count.
+    t-dependent ``m2`` piece and the series for each parameter pair.  ``h``
+    and ``one_minus_sq`` (``1 - x^2``) are taken on the direct-path argument
+    ``safe``; ``w_small`` is ``x^2`` on the series points.
     """
 
     def __init__(self, x: np.ndarray):
         self.small, self.safe = _split(x)
         x_small = x[self.small]
         self.w_small = x_small * x_small
-        atanh_over_x, self.one_minus_sq, ln_one_minus_sq = _direct_terms(self.safe)
-        self.base = 1.0 - atanh_over_x - 0.5 * ln_one_minus_sq
-        self.magnitude = np.abs(atanh_over_x) + 0.5 * np.abs(ln_one_minus_sq)
+        one_minus_x = 1.0 - self.safe
+        # (1-x)(1+x): the subtraction is exact for x >= 1/2 and one rounding
+        # below, so 1 - x^2 keeps a few-ulp relative error up to x = 1 - 1e-9.
+        self.one_minus_sq = one_minus_x * (1.0 + self.safe)
+        self.h = _h(self.safe, one_minus_x, np.log1p(-self.safe))
 
     def __len__(self) -> int:
         return self.safe.size
 
 
-def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces,
-                          series_scale: float | None = None):
-    """Values plus absolute-error scale (error <= scale * eps) on the
-    points of ``pieces``.
+def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
+    """Values plus absolute-error scale (error <= scale * eps) on ``pieces``.
 
-    In the series region the scale is ``w (1 + 3su) / 3`` with ``w = x^2``,
-    or ``w * series_scale`` when that is given.
+    Direct path, ``4 (2 + |m2|)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3): h's quotient in [ln 2, 1] comes from two
+    log1p values within 4 ulps each and six roundings of nonnegative terms,
+    so it is off by under 6 eps, and ``1 - quotient`` is exact (Sterbenz).
+    ``4 |m2|`` covers m2's log; the (s/2)-fold few-ulp error of the positive
+    sum ``1 - u x^2`` sits in the headroom of ``verify._NOISE_C``.  Series
+    region, ``w (1 + 3su) / 3`` with ``w = x^2``, the size of its terms.
     """
     # In-place steps keep the temporaries of a bisection step to a few.
     if params.u != 0.0:
         m2 = _m2(params, pieces.safe, pieces.one_minus_sq)
-        vals = pieces.base + m2
+        vals = pieces.h + m2
         scale = np.abs(m2, out=m2)
-        scale += pieces.magnitude
+        scale += 2.0
+        scale *= 4.0
     else:
-        vals, scale = pieces.base.copy(), pieces.magnitude.copy()
-    scale += 1.0
-    scale *= 4.0
+        vals, scale = pieces.h.copy(), np.full(len(pieces), 8.0)
     w = pieces.w_small
     vals[pieces.small] = _log_ratio_series(params, w)
-    if series_scale is None:
-        scale[pieces.small] = w * (1.0 + 3.0 * params.s * params.u) / 3.0
-    else:
-        scale[pieces.small] = w * series_scale
+    scale[pieces.small] = w * (1.0 + 3.0 * params.s * params.u) / 3.0
     return vals, scale
 
 
-def _log_ratio(params: FamilyParams, x: np.ndarray, method: str) -> np.ndarray:
-    """The log-ratio on an array by the named evaluation path."""
-    if method == "series":
-        return _log_ratio_series(params, x * x)
-    if method == "direct":
-        return _log_ratio_direct(params, x)
-    if method == "auto":
-        small, safe = _split(x)
-        direct = _log_ratio_direct(params, safe)
-        return np.where(small, _log_ratio_series(params, x * x), direct)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def log_ratio_q_over_i(params: FamilyParams, x, method: str = "auto"):
+def log_ratio_q_over_i(params: FamilyParams, x):
     """Signed log-gap between the two-parameter mean and the identric mean.
 
     Negative values mean the parameterized mean sits below the identric
-    mean at that gap, positive above.  Tends to 0 as ``x -> 0`` and to
+    mean at that gap, positive above.  Evaluated as ``h(x) + m2(x)``, two
+    bounded monotone pieces, with the even-power series below
+    ``SERIES_CROSSOVER``.  Tends to 0 as ``x -> 0`` and to
     ``log_ratio_limit_at_one(params)`` as ``x -> 1``.  Scalar or array.
     """
-    return _evaluate(x, lambda arr: _log_ratio(params, arr, method))
+    return _evaluate(x, lambda arr: _log_ratio_with_scale(params, _Pieces(arr))[0])
 
 
 # At u = 0 (t = 1/2) the family mean is A, so the log-ratio is ln(A/I).
@@ -264,11 +253,10 @@ def _lr_with_error_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The returned ``scale`` is such that the evaluation error is below
     ``scale * eps``; used by the verification layer to build noise floors.
-    Inputs are assumed validated and strictly inside (0, 1).  In the series
-    region the scale is ``w = x^2``, three times the family's at ``u = 0``:
-    the exp-bound and power-bound floors are set from this one.
+    Inputs are assumed validated, in [0, 1).  It is the family's value and
+    scale at ``u = 0``, negated.
     """
-    vals, scale = _log_ratio_with_scale(_IDENTRIC, _Pieces(x), series_scale=1.0)
+    vals, scale = _log_ratio_with_scale(_IDENTRIC, _Pieces(x))
     return -vals, scale
 
 

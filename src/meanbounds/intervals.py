@@ -31,7 +31,9 @@ from .family import FamilyParams
 
 __all__ = ["Interval", "enclose_log_ratio"]
 
-# Error allowance, in ulps, for one libm log/log1p/atanh call.
+# Error allowance, in ulps, for one libm log/log1p call.  Assumed of both
+# math.log1p here and np.log1p in the float core: 80k sampled points in
+# (0, 2) were within 0.58 ulp of mpmath, which is evidence, not proof.
 _LIBM_ULPS = 4
 
 
@@ -116,7 +118,8 @@ def _h_point(x: float) -> Interval:
 
     Both products in the numerator are >= 0, so nothing cancels; the
     arguments of ``log1p(x)``, ``log1p(-x)`` and the divisor ``2x`` are
-    exact, so the enclosure stays O(eps) wide as x -> 0.
+    exact, so the enclosure stays O(eps) wide as x -> 0.  The float twin
+    is :func:`meanbounds.family._h`.
     """
     plus = _widen(1.0 + x, 1) * _widen(math.log1p(x), _LIBM_ULPS)
     minus = _one_minus(x) * _widen(math.log1p(-x), _LIBM_ULPS)

@@ -6,8 +6,8 @@ a one-variable function of the normalized gap ``v = |a - b| / (a + b)``,
 so the numerically delicate work is concentrated in
 :func:`log_identric_over_arithmetic`, which evaluates ``ln(I/A)`` as a
 function of ``v`` with a series path near the removable singularity at
-``v = 0`` and a cancellation-aware direct path elsewhere.  Both paths are
-the ``u = 0`` case of the family log-ratio in :mod:`meanbounds.family`.
+``v = 0`` and the bounded form ``-h(v)`` elsewhere.  Both paths are the
+``u = 0`` case of the family log-ratio in :mod:`meanbounds.family`.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 from .family import (
     SERIES_CROSSOVER,
     FamilyParams,
-    _IDENTRIC,
     _evaluate,
-    _log_ratio,
+    _h,
+    _lr_with_error_scale,
 )
 
 __all__ = [
@@ -119,16 +119,14 @@ def identric_mean(pair: PositivePair) -> float:
     """Identric mean ``(1/e) * (a^a / b^b)^(1/(a-b))``, extended by I(a, a) = a.
 
     Evaluated as ``A * exp(ln(I/A))`` through the gap reduction; the raw
-    power form overflows once ``a**a`` leaves the double range.
+    power form overflows once ``a**a`` leaves the double range.  For
+    ``v >= 1/2``, ``-h`` takes ``1 - v`` from the pair, as :func:`q_mean` does.
     """
     if pair.a == pair.b:
         return pair.a
     v = gap(pair)
-    if v == 1.0:
-        # atanh(v)/v + ln(1 - v^2)/2 in d = 1 - v: no cancellation, and the
-        # limit ln(2/e) as d -> 0.
-        d, ln_d = _one_minus_gap(pair)
-        lr = -1.0 + ((1.0 + v) * math.log(2.0 - d) - d * ln_d) / (2.0 * v)
+    if v >= 0.5:
+        lr = -float(_h(v, *_one_minus_gap(pair)))
     else:
         lr = float(log_identric_over_arithmetic(v))
     return arithmetic_mean(pair) * math.exp(lr)
@@ -165,26 +163,15 @@ def _validate_gap(arr: np.ndarray) -> None:
         raise ValueError("gap values must lie in [0, 1)")
 
 
-def log_identric_over_arithmetic(v, method: str = "auto"):
+def log_identric_over_arithmetic(v):
     """``ln(I/A)`` as a function of the gap ``v`` alone.
 
-    Equals ``-1 + atanh(v)/v + ln(1 - v^2)/2``; zero at ``v = 0``, strictly
-    negative on (0, 1), tending to ``ln(2/e)`` as ``v -> 1``.  The ``auto``
-    method uses the even-power series ``-(v^2/6 + v^4/20 + v^6/42 + v^8/72)``
-    below ``SERIES_CROSSOVER`` and the direct expression above it; pass
-    ``method="series"`` or ``"direct"`` to force one path (the series is
-    accurate for v up to ~1e-2, the direct path loses relative accuracy as
-    v -> 0 but keeps absolute accuracy near machine epsilon).
+    Equals ``-h(v) = -1 + [(1+v) ln(1+v) - (1-v) ln(1-v)] / (2v)``; zero at
+    ``v = 0``, strictly negative on (0, 1), tending to ``ln(2/e)`` as
+    ``v -> 1``.  The series ``-(v^2/6 + v^4/20 + v^6/42 + v^8/72)`` keeps
+    relative accuracy below ``SERIES_CROSSOVER``; above it ``-h`` keeps
+    absolute accuracy near machine epsilon up to ``v -> 1``.
 
     Accepts a scalar or array; rejects any value outside [0, 1).
     """
-    def evaluate(arr):
-        if method != "direct":
-            return -_log_ratio(_IDENTRIC, arr, method)
-        # The direct form is 0/0 at v = 0, where ln(I/A) is 0.  Where it
-        # cancels to zero, 0.0 - direct keeps that zero +0.0.
-        positive = arr > 0.0
-        direct = _log_ratio(_IDENTRIC, np.where(positive, arr, 0.5), method)
-        return np.where(positive, 0.0 - direct, 0.0)
-
-    return _evaluate(v, evaluate, _validate_gap)
+    return _evaluate(v, lambda arr: _lr_with_error_scale(arr)[0], _validate_gap)

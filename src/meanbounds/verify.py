@@ -232,8 +232,9 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
     else:
         margins = np.concatenate([side[1] for side in sides])
         scale = np.concatenate([side[2] for side in sides])
-    floors = _NOISE_C * _EPS * scale
-    candidates = np.where(margins < -floors)[0]
+    # 64 eps is a power of two, so this is -(64 eps * scale) bit for bit.
+    neg_floors = scale * (-_NOISE_C * _EPS)
+    candidates = np.where(margins < neg_floors)[0]
     witness = None
     rechecks = 0
     if candidates.size:
@@ -272,7 +273,7 @@ def _grid(grid: GridSpec | None) -> tuple[np.ndarray, dict]:
 def _family_side(t: float, s: float, side: str, pieces: _Pieces):
     params = FamilyParams.from_t(t, s)
     vals, scale = _log_ratio_with_scale(params, pieces)
-    margins = -vals if side == "lower" else vals
+    margins = np.negative(vals, out=vals) if side == "lower" else vals
     return ("", margins, scale, lambda x: _mp_family_margin(t, s, side, x))
 
 

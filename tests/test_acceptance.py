@@ -37,6 +37,7 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
+from meanbounds.means import SERIES_CROSSOVER
 from oracles import lr_gap
 
 EPS = float(np.finfo(float).eps)
@@ -85,7 +86,9 @@ def test_criterion_01_closed_form_identities():
 def test_criterion_02_series_direct_consistency():
     with _Budget(1.0):
         vs = np.geomspace(1e-8, 1e-3, 100)
-        series = log_identric_over_arithmetic(vs, method="series")
+        # Every point lies on the series path of the public function.
+        assert np.all(vs < SERIES_CROSSOVER)
+        series = log_identric_over_arithmetic(vs)
         # Independent direct-formula route at high precision; binary64
         # cannot evaluate the direct expression to 1e-12 relative here.
         direct = np.array([float(lr_gap(v)) for v in vs])

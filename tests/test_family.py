@@ -93,6 +93,15 @@ class TestLogRatio:
             assert log_ratio_q_over_i(params, 1 - 1e-9) == pytest.approx(
                 limit, abs=1e-6)
 
+    @pytest.mark.parametrize("u", [0.0, 0.3])
+    def test_accurate_near_one(self, u):
+        # Both pieces stay bounded as x -> 1, so the absolute error stays
+        # within a few ulps of the O(1) value.
+        xs = 1.0 - np.geomspace(1e-12, 0.5, 400)
+        got = log_ratio_q_over_i(FamilyParams.from_u(u, 2.0), xs)
+        want = np.array([float(family_log_ratio_u(u, 2.0, x)) for x in xs])
+        assert np.max(np.abs(got - want)) <= 8e-16
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1 - 1e-13, math.nan])
     def test_domain_rejection(self, bad):
         with pytest.raises(ValueError):

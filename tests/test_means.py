@@ -18,6 +18,8 @@ from meanbounds import (
     q_mean,
 )
 
+from meanbounds.family import _IDENTRIC, _h, _log_ratio_series
+
 import oracles
 from oracles import identric_raw, lr_gap
 
@@ -115,11 +117,17 @@ class TestExtremeRatios:
     # and underflows to 0 in the last.
     PAIRS = [(1e-17, 1.0), (1e-100, 1.0), (5e-324, 1.0), (5e-324, 3.0),
              (5e-324, 1e300)]
+    # Gaps 1/2 and 1 - 2e-6: 1 - v is taken from the pair here too.
+    NEAR_ONE_PAIRS = [(1.0, 3.0), (1.0, 1e6)]
 
     @pytest.mark.parametrize("a, b", PAIRS)
+    def test_gap_rounds_to_one(self, a, b):
+        assert gap(PositivePair(a, b)) == 1.0
+
+    @pytest.mark.parametrize("a, b", PAIRS + NEAR_ONE_PAIRS)
     def test_identric_against_oracle(self, a, b):
         pair = PositivePair(a, b)
-        assert gap(pair) == 1.0
+        assert gap(pair) >= 0.5
         # I(a, b) = b I(a/b, 1): the raw power form at unit scale.
         expected = float(b * identric_raw(oracles.mp.mpf(a) / b, 1))
         assert identric_mean(pair) == pytest.approx(expected, rel=1e-13)
@@ -143,6 +151,10 @@ class TestIdentric:
     def test_closed_form_1_2(self):
         got = identric_mean(PositivePair(1, 2))
         assert got == pytest.approx(FOUR_OVER_E, rel=1e-13)
+
+    def test_1_2_is_correctly_rounded(self):
+        # The double nearest 4/e, as the README's quick tour prints it.
+        assert identric_mean(PositivePair(1, 2)) == 1.4715177646857693
 
     def test_closed_form_2_4(self):
         assert identric_mean(PositivePair(2, 4)) == pytest.approx(
@@ -276,8 +288,8 @@ class TestLogIdentricOverArithmetic:
         # absolute machine precision (the direct path's relative accuracy
         # degrades as v -> 0, which is why the series takes over).
         vs = np.geomspace(1e-4, 1e-2, 50)
-        series = log_identric_over_arithmetic(vs, method="series")
-        direct = log_identric_over_arithmetic(vs, method="direct")
+        series = _log_ratio_series(_IDENTRIC, vs * vs)
+        direct = _h(vs, 1.0 - vs, np.log1p(-vs))
         assert np.max(np.abs(series - direct)) < 2e-15
 
     @pytest.mark.parametrize("v", [1e-8, 1e-6, 1e-4, 1e-3, 0.25, 0.5, 0.9,

@@ -23,9 +23,11 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
+from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import enclose_log_ratio
-from meanbounds.verify import CertificateNode
-from oracles import exp_margin, family_log_ratio_t, power_margin
+from meanbounds.verify import _EPS, _NOISE_C, CertificateNode
+from oracles import (exp_margin, family_log_ratio_t, family_log_ratio_u, lr_gap,
+                     power_margin)
 
 SMALL_GRID = GridSpec(count=2000)
 
@@ -108,6 +110,32 @@ class TestFamilyVerification:
     def test_side_validation(self):
         with pytest.raises(ValueError):
             verify_family_inequality(0.2, 2.0, "sideways")
+
+
+class TestFloorCalibration:
+    """The observed float-core error stays below a quarter of the noise floor.
+
+    Checked against the mpmath oracles on a refined grid reaching
+    ``1 - 1e-12``, so a margin clamped inside its floor is rounding noise
+    with room to spare, whatever the point's distance from 0 or 1.
+    """
+
+    XS = grid_points(GridSpec(count=400, x_max=1.0 - 1e-12))
+
+    def _assert_within_gate(self, vals, scale, oracle):
+        want = np.array([float(oracle(x)) for x in self.XS])
+        assert np.all(np.abs(vals - want) <= _NOISE_C * _EPS * scale / 4)
+
+    @pytest.mark.parametrize("u, s", [(0.0, 1.0), (0.3, 2.0), (0.9, 5.0),
+                                      (1.0, 1.0), (0.05, 10.0), (1 / 3, 1.0)])
+    def test_family_log_ratio(self, u, s):
+        vals, scale = _log_ratio_with_scale(FamilyParams.from_u(u, s),
+                                            _Pieces(self.XS))
+        self._assert_within_gate(vals, scale,
+                                 lambda x: family_log_ratio_u(u, s, x))
+
+    def test_log_identric_over_arithmetic(self):
+        self._assert_within_gate(*_lr_with_error_scale(self.XS), lr_gap)
 
 
 class TestFalsify:
