@@ -17,7 +17,8 @@ exponential-bound margin family ``exp_bound_margin`` used for the
 
 The log-ratio is the one evaluation core of the package: ``ln(I/A)`` is its
 ``u = 0`` case, ``-h``, so :mod:`meanbounds.means` evaluates it here, and
-:mod:`meanbounds.intervals` encloses the same two pieces.
+:mod:`meanbounds.intervals` encloses the same two pieces.  The kernel is
+built from the same ``(v, d = 1 - v, ln d)`` and the same series coefficients.
 """
 
 from __future__ import annotations
@@ -153,13 +154,19 @@ def _split(x: np.ndarray):
     return small, np.where(small, 0.5, x)
 
 
-def _log_ratio_series(params: FamilyParams, w: np.ndarray) -> np.ndarray:
-    # w = x^2.  Coefficients of the even series 1/(2k(2k+1)) - s u^k / (2k).
+def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, float]:
+    """``c_k = 1/(2k(2k+1)) - s u^k / (2k)``, k = 1..4: the log-ratio is
+    ``sum c_k x^(2k)``, so the kernel ``x^2 f'`` is ``sum 2k c_k x^(2k+1)``."""
     u, s = params.u, params.s
-    c1 = (1.0 - 3.0 * s * u) / 6.0
-    c2 = 1.0 / 20.0 - s * u * u / 4.0
-    c3 = 1.0 / 42.0 - s * u ** 3 / 6.0
-    c4 = 1.0 / 72.0 - s * u ** 4 / 8.0
+    return ((1.0 - 3.0 * s * u) / 6.0,
+            1.0 / 20.0 - s * u * u / 4.0,
+            1.0 / 42.0 - s * u ** 3 / 6.0,
+            1.0 / 72.0 - s * u ** 4 / 8.0)
+
+
+def _log_ratio_series(params: FamilyParams, w: np.ndarray) -> np.ndarray:
+    """The log-ratio's series in ``w = x^2``."""
+    c1, c2, c3, c4 = _series_coefficients(params)
     return w * (c1 + w * (c2 + w * (c3 + w * c4)))
 
 
@@ -260,25 +267,24 @@ def _lr_with_error_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -vals, scale
 
 
-def _kernel_series(params: FamilyParams, x: np.ndarray) -> np.ndarray:
-    u, s = params.u, params.s
-    w = x * x
-    d1 = 1.0 / 3.0 - s * u
-    d2 = 1.0 / 5.0 - s * u * u
-    d3 = 1.0 / 7.0 - s * u ** 3
-    d4 = 1.0 / 9.0 - s * u ** 4
-    return x * w * (d1 + w * (d2 + w * (d3 + w * d4)))
+def _kernel_direct(params: FamilyParams, v, d, ln_d):
+    """Kernel ``-v + atanh(v) - s u v^3 / (1 - u v^2)`` given ``d = 1 - v`` and ``ln d``.
+
+    The twin of :func:`_h`: ``atanh(v) = (log1p(v) - ln d) / 2``, and
+    ``1 - u v^2 = d (1 + v) + (1 - u) v^2`` is a sum of nonnegative terms.
+    """
+    return (-v + 0.5 * (np.log1p(v) - ln_d)
+            - params.s * params.u * v ** 3 / (d * (1.0 + v) + params.one_minus_u * v * v))
 
 
 def _kernel(params: FamilyParams, x: np.ndarray) -> np.ndarray:
     small, safe = _split(x)
-    if params.u == 0.0:
-        rational = 0.0
-    else:
-        one_minus_usq = (1.0 - safe) * (1.0 + safe) + params.one_minus_u * safe * safe
-        rational = params.s * params.u * safe ** 3 / one_minus_usq
-    direct = -safe + np.arctanh(safe) - rational
-    return np.where(small, _kernel_series(params, x), direct)
+    out = _kernel_direct(params, safe, 1.0 - safe, np.log1p(-safe))
+    x_small = x[small]
+    w = x_small * x_small
+    c1, c2, c3, c4 = _series_coefficients(params)
+    out[small] = x_small * w * (2.0 * c1 + w * (4.0 * c2 + w * (6.0 * c3 + w * 8.0 * c4)))
+    return out
 
 
 def derivative_kernel(params: FamilyParams, x):
@@ -300,11 +306,8 @@ def derivative_kernel_near_one(params: FamilyParams, eps_from_one: float) -> flo
     eps = float(eps_from_one)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps_from_one must lie in (0, 1), got {eps}")
-    x = 1.0 - eps  # may round; the log terms below use eps exactly
-    atanh_x = 0.5 * (math.log(2.0 - eps) - math.log(eps))
-    denom = params.one_minus_u + params.u * eps * (2.0 - eps)
-    rational = params.s * params.u * x ** 3 / denom if params.u else 0.0
-    return -x + atanh_x - rational
+    # 1 - eps may round to 1; d = eps and ln d keep the distance exactly.
+    return float(_kernel_direct(params, 1.0 - eps, eps, math.log(eps)))
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -389,9 +392,9 @@ def critical_point(params: FamilyParams) -> CriticalPoint:
 
     The kernel decreases to a negative minimum at ``sqrt(z0)`` (``z0`` the
     trinomial root in ``X = x^2``) and then increases to +inf, so its zero
-    is bracketed by ``(sqrt(z0), 1)``.  The search runs in the
-    distance-from-one coordinate with a safeguarded geometric-bisection /
-    secant iteration, because the zero may sit far below one ulp from 1.
+    is bracketed by ``(sqrt(z0), 1)``.  The search bisects geometrically in
+    the distance from one, because the zero may sit far below one ulp from
+    1, and returns the end of the final bracket with the smaller kernel.
 
     Raises ValueError when the preconditions fail and RuntimeError when no
     bracket can be established (a precision ceiling, not a disproof).
@@ -405,58 +408,28 @@ def critical_point(params: FamilyParams) -> CriticalPoint:
     tr = trinomial_roots(params)
     if tr.z0 is None or not 0.0 < tr.z0 < 1.0:
         raise RuntimeError(f"degenerate trinomial configuration: roots {tr}")
-    xstar = math.sqrt(tr.z0)
-    eps_neg = 1.0 - xstar
-    if derivative_kernel_near_one(params, eps_neg) >= 0.0:
+    # Near 1 the kernel moves ~0.5 per unit of ln(eps), so a final relative
+    # width of 4e-16 in eps pins |kernel| to ~1e-15 wherever the zero sits.
+    pos, neg = 1e-300, 1.0 - math.sqrt(tr.z0)
+    f_neg = derivative_kernel_near_one(params, neg)
+    if f_neg >= 0.0:
         raise RuntimeError("kernel not negative at its minimum; parameters sit "
                            "on the threshold at machine precision")
-    # Walk toward 1 in decades until the kernel turns positive.
-    eps_pos = None
-    cand = eps_neg
-    while cand > 1e-300:
-        cand *= 0.1
-        val = derivative_kernel_near_one(params, cand)
-        if val > 0.0:
-            eps_pos = cand
-            break
-        eps_neg = cand
-    if eps_pos is None:
+    f_pos = derivative_kernel_near_one(params, pos)
+    if not f_pos > 0.0:
         raise RuntimeError("no sign change above eps = 1e-300; the critical "
                            "point is beyond binary64 range")
-    f_pos = derivative_kernel_near_one(params, eps_pos)
-    f_neg = derivative_kernel_near_one(params, eps_neg)
-    best_eps, best_val = (eps_pos, f_pos) if abs(f_pos) < abs(f_neg) else (eps_neg, f_neg)
-    for _ in range(200):
-        # Relative width in eps: the kernel moves ~0.5 per unit of ln(eps)
-        # near 1, so this pins |kernel| to ~1e-15 regardless of how close
-        # the zero sits to 1.
-        if eps_neg - eps_pos <= 4e-16 * eps_neg:
+    while neg - pos > 4e-16 * neg:
+        mid = math.sqrt(pos) * math.sqrt(neg)  # pos * neg may underflow
+        if not pos < mid < neg:
             break
-        mid = math.sqrt(eps_pos * eps_neg)
-        # Secant candidate in the log coordinate, safeguarded to the bracket.
-        if f_neg != f_pos:
-            lp, ln_ = math.log(eps_pos), math.log(eps_neg)
-            sec = lp - f_pos * (ln_ - lp) / (f_neg - f_pos)
-            if lp < sec < ln_:
-                cand = math.exp(sec)
-                if eps_pos < cand < eps_neg:
-                    mid = cand
-        if mid <= eps_pos or mid >= eps_neg:
-            mid = 0.5 * (eps_pos + eps_neg)
-            if mid <= eps_pos or mid >= eps_neg:
-                break
         val = derivative_kernel_near_one(params, mid)
-        if abs(val) < abs(best_val):
-            best_eps, best_val = mid, val
         if val > 0.0:
-            eps_pos, f_pos = mid, val
-        elif val < 0.0:
-            eps_neg, f_neg = mid, val
+            pos, f_pos = mid, val
         else:
-            best_eps, best_val = mid, val
-            break
-    return CriticalPoint(y0=1.0 - best_eps, one_minus_y0=best_eps,
-                         kernel_value=best_val)
+            neg, f_neg = mid, val
+    eps, val = (pos, f_pos) if abs(f_pos) < abs(f_neg) else (neg, f_neg)
+    return CriticalPoint(y0=1.0 - eps, one_minus_y0=eps, kernel_value=val)
 
 
 def log_ratio_limit_at_one(params: FamilyParams) -> float:

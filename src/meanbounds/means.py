@@ -155,7 +155,10 @@ def q_mean(pair: PositivePair, t: float, s: float) -> float:
     else:
         # (1 - v)(1 + v) + 4t(1-t) v^2 == 1 - (1-2t)^2 v^2, all terms positive.
         ln_inner = math.log((1.0 - v) * (1.0 + v) + params.one_minus_u * v * v)
-    return arithmetic_mean(pair) * math.exp(0.5 * params.s * ln_inner)
+    e = 0.5 * params.s * ln_inner
+    if math.exp(e) < sys.float_info.min:  # A exp(e) may still be normal
+        return arithmetic_mean(pair) * math.exp(0.5 * e) * math.exp(0.5 * e)
+    return arithmetic_mean(pair) * math.exp(e)
 
 
 def _validate_gap(arr: np.ndarray) -> None:

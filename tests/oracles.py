@@ -42,6 +42,13 @@ def kernel_u(u, s, x):
         return val
 
 
+def kernel_near_one_u(u, s, eps):
+    """The kernel at x = 1 - eps, exact eps: resolves eps down to 1e-300."""
+    with mp.workdps(360):
+        u, s, x = mp.mpf(u), mp.mpf(s), 1 - mp.mpf(eps)
+        return -x + mp.atanh(x) - s * u * x ** 3 / (1 - u * x * x)
+
+
 def arithmetic_mean(a, b):
     with mp.workdps(DPS):
         return (mp.mpf(a) + mp.mpf(b)) / 2

@@ -228,6 +228,16 @@ class TestOutputFiles:
         assert not target.exists()
 
 
+class TestSharpnessReport:
+    def test_all_checks_pass(self, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "sharpness_report", ROOT / "scripts" / "sharpness_report.py")
+        report = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(report)
+        assert report.main(["--s", "2"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+
 class TestCorpus:
     def test_matches_recorded_output(self, tmp_path):
         """The CLI corpus prints byte for byte what tests/cli_corpus holds."""

@@ -22,7 +22,7 @@ from meanbounds import (
     trinomial_roots,
 )
 
-from oracles import family_log_ratio_u, kernel_u
+from oracles import family_log_ratio_u, kernel_near_one_u, kernel_u
 
 LN_E_OVER_2 = 0.3068528194400546905828  # 1 - ln 2
 
@@ -36,6 +36,8 @@ FROZEN_LOG_RATIO = [
 ]
 
 KERNEL_AT_HALF_U0 = 0.04930614433405484569762  # -1/2 + ln(3)/2
+
+EPS = np.finfo(float).eps
 
 
 class TestFamilyParams:
@@ -157,11 +159,24 @@ class TestDerivativeKernel:
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=1.0, max_value=20.0),
-           st.floats(min_value=1e-3, max_value=1 - 1e-6))
+           st.floats(min_value=1e-9, max_value=1 - 1e-12))
     @settings(max_examples=150)
     def test_against_oracle(self, u, s, x):
         got = derivative_kernel(FamilyParams.from_u(u, s), x)
         assert got == pytest.approx(float(kernel_u(u, s, x)), rel=1e-9, abs=1e-13)
+
+    @pytest.mark.parametrize("u, s", [(0.0, 1.0), (0.3, 2.0), (0.9, 2.0),
+                                      (1.0, 1.0), (1.0, 3.0), (0.99, 10.0)])
+    def test_near_one_against_oracle(self, u, s):
+        # Rounding model: a few ulps on each term, x (about 1),
+        # atanh(1 - e) = ln((2 - e)/e)/2 and s u x^3 / (1 - u x^2).
+        params = FamilyParams.from_u(u, s)
+        for e in np.geomspace(1e-300, 0.5, 60):
+            atanh = 0.5 * math.log((2.0 - e) / e)
+            rational = s * u * (1.0 - e) ** 3 / (params.one_minus_u + u * e * (2.0 - e))
+            gate = 4.0 * EPS * (1.0 + atanh + rational)
+            got = derivative_kernel_near_one(params, e)
+            assert abs(got - kernel_near_one_u(u, s, e)) <= gate, e
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=1.0, max_value=10.0),
@@ -275,8 +290,18 @@ class TestCriticalPoint:
 
     def test_kernel_residual_across_parameters(self):
         for u, s in [(0.5, 1.5), (0.4, 2.0), (0.8, 3.0), (0.95, 2.0)]:
-            cp = critical_point(FamilyParams.from_u(u, s))
+            params = FamilyParams.from_u(u, s)
+            cp = critical_point(params)
             assert abs(cp.kernel_value) <= 1e-12
+            below = derivative_kernel_near_one(params, 2 * cp.one_minus_y0)
+            above = derivative_kernel_near_one(params, 0.5 * cp.one_minus_y0)
+            assert below < 0.0 < above
+
+    @pytest.mark.parametrize("u, s", [(0.9, 2.0), (0.2, 2.0), (0.5, 1.5),
+                                      (0.4, 2.0), (0.8, 3.0), (0.95, 2.0)])
+    def test_true_kernel_at_zero(self, u, s):
+        cp = critical_point(FamilyParams.from_u(u, s))
+        assert abs(kernel_near_one_u(u, s, cp.one_minus_y0)) <= 1e-14
 
     def test_precondition_subcritical(self):
         with pytest.raises(ValueError):

@@ -140,6 +140,16 @@ class TestExtremeRatios:
         got = q_mean(PositivePair(a, b), 0.0, s)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("a, b, s", [
+        (1.0, 1e34, 20.0), (1.0, 1e34, 19.0),
+        (1.6863878851660068e34, 10.851897131473606, 19.7696)])
+    def test_q_mean_normal_below_exp_range(self, a, b, s):
+        # (1 - v^2)^(s/2) falls below the normal range (to 0 at s = 20),
+        # but A (1 - v^2)^(s/2) is a normal double.
+        expected = float(oracles.q_mean(a, b, 0.0, s))
+        got = q_mean(PositivePair(a, b), 0.0, s)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_q_mean_huge_exponent_underflows_to_zero(self):
         # (1 - v^2)^(s/2) with 1 - v^2 ~ 2e-323 and s = 1e6 is far below
         # the smallest double.

@@ -127,7 +127,9 @@ class TestFloorCalibration:
         assert np.all(np.abs(vals - want) <= _NOISE_C * _EPS * scale / 4)
 
     @pytest.mark.parametrize("u, s", [(0.0, 1.0), (0.3, 2.0), (0.9, 5.0),
-                                      (1.0, 1.0), (0.05, 10.0), (1 / 3, 1.0)])
+                                      (1.0, 1.0), (0.05, 10.0), (1 / 3, 1.0),
+                                      (0.3, 20.0), (0.3, 50.0), (1 / 150, 50.0),
+                                      (0.9, 50.0)])
     def test_family_log_ratio(self, u, s):
         vals, scale = _log_ratio_with_scale(FamilyParams.from_u(u, s),
                                             _Pieces(self.XS))
