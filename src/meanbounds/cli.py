@@ -15,6 +15,7 @@ leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -22,28 +23,39 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .means import (
-    PositivePair,
-    arithmetic_mean,
-    gap,
-    geometric_mean,
-    harmonic_mean,
-    identric_mean,
-    q_mean,
-)
 from .thresholds import exponential_bound_constants, sharp_thresholds
-from .verify import (
-    GridSpec,
-    empirical_threshold,
-    falsify,
-    verify_family_inequality,
-)
+
+# Names bound as module globals on first use, by module __getattr__ or by
+# _load in the commands that call them: ``thresholds`` then loads neither
+# numpy nor mpmath.  Being globals, they stay patchable from outside.
+_LAZY = {
+    "means": ("PositivePair", "arithmetic_mean", "gap", "geometric_mean",
+              "harmonic_mean", "identric_mean", "q_mean"),
+    "verify": ("GridSpec", "empirical_threshold", "falsify",
+               "verify_family_inequality"),
+}
+
+
+def _load(module: str) -> None:
+    """Bind the names of ``module`` in _LAZY that are not bound yet."""
+    source = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 GRID_ENV_VAR = "MEANBOUNDS_GRID"
 
-# Work is bounded before it starts: a sweep runs about 60 rows/s on the
-# default grid (2 cores), so the row limit is about 3 minutes, and 1M grid
-# points take about 0.1 s per check.
+# Work is bounded before it starts: a sweep runs 80-115 rows/s on the
+# default grid (2 cores), so the row limit is about 2 minutes, and 1M grid
+# points take 0.06-0.07 s per check.
 _MAX_SWEEP_ROWS = 10_000
 _MAX_GRID = 10_000_000
 
@@ -160,6 +172,7 @@ def _render(fmt: str, payload: dict, human, table=None) -> str:
 
 
 def _cmd_eval(args):
+    _load("means")
     if (args.t is None) != (args.s is None):
         raise ValueError("--t and --s must be given together")
     pair = PositivePair(args.a, args.b)
@@ -210,6 +223,7 @@ def _witness_line(w) -> str:
 
 
 def _cmd_verify(args):
+    _load("verify")
     report = verify_family_inequality(args.t, args.s, args.side,
                                       _grid_from_args(args))
     w, params = report.witness, report.parameters
@@ -227,6 +241,7 @@ def _cmd_verify(args):
 
 
 def _cmd_falsify(args):
+    _load("verify")
     result = falsify(args.t, args.s, args.side)
     payload = {"found": result.found, "attempts": result.attempts,
                "note": result.note}
@@ -259,6 +274,7 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def _cmd_sweep(args):
+    _load("verify")
     grid = _grid_from_args(args)
     rows = []
     for s in _parse_range(args.s):

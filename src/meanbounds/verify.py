@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .family import (
@@ -179,9 +178,13 @@ def _check_side(side: str) -> None:
 
 # ----------------------------------------------------------------------
 # Extended-precision margin rechecks (mpmath, ~2x working precision).
+# mpmath is imported here, on the first recheck, so that a check which
+# finds no candidate violation never loads it.
 # ----------------------------------------------------------------------
 
 def _mp_log_ratio_q_over_i(t: float, s: float, x: float) -> mp.mpf:
+    import mpmath as mp
+
     x = mp.mpf(x)
     val = 1 - mp.atanh(x) / x - mp.log(1 - x * x) / 2
     if t != 0.5:  # u = (1 - 2t)^2 vanishes only at t = 1/2
@@ -191,6 +194,8 @@ def _mp_log_ratio_q_over_i(t: float, s: float, x: float) -> mp.mpf:
 
 
 def _mp_family_margin(t: float, s: float, side: str, x: float) -> float:
+    import mpmath as mp
+
     with mp.workdps(_RECHECK_DPS):
         val = _mp_log_ratio_q_over_i(t, s, x)
         return float(-val if side == "lower" else val)
@@ -198,12 +203,16 @@ def _mp_family_margin(t: float, s: float, side: str, x: float) -> float:
 
 # ln(A/I) is the family log-ratio at t = 1/2 (u = 0), where Q(t, s) = A.
 def _mp_exp_margin(coef: float, side: str, x: float) -> float:
+    import mpmath as mp
+
     with mp.workdps(_RECHECK_DPS):
         g = _mp_log_ratio_q_over_i(0.5, 1.0, x) - mp.mpf(coef) * mp.mpf(x) ** 2
         return float(g if side == "lower" else -g)
 
 
 def _mp_power_margin(p: float, alpha: float, side: str, x: float) -> float:
+    import mpmath as mp
+
     with mp.workdps(_RECHECK_DPS):
         p, alpha, x = mp.mpf(p), mp.mpf(alpha), mp.mpf(x)
         i_pow = mp.e ** (-p * _mp_log_ratio_q_over_i(0.5, 1.0, x))

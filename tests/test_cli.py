@@ -3,6 +3,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 import meanbounds.cli as cli
 from meanbounds.cli import main
 
@@ -236,6 +238,25 @@ class TestSharpnessReport:
         spec.loader.exec_module(report)
         assert report.main(["--s", "2"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+
+class TestPatchableNames:
+    """The commands call the check functions bound in ``cli``'s namespace."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("falsify", ("falsify", "--s", "1", "--t", "0.2", "--side", "upper")),
+        ("verify_family_inequality",
+         ("verify", "--s", "2", "--t", "0.24", "--side", "lower")),
+    ])
+    def test_patched_check_is_called(self, capsys, monkeypatch, name, argv):
+        def refuse(*args):
+            raise ValueError("patched")
+
+        monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"meanbounds {argv[0]}: error: patched\n"
 
 
 class TestCorpus:

@@ -73,7 +73,8 @@ class TestLogRatio:
         # vanishes and the quartic one (1/20 - su^2/4) leads.
         params = FamilyParams.from_u(1 / 3, 1.0)
         got = log_ratio_q_over_i(params, 1e-3)
-        assert got == pytest.approx(2.222223985891887126088e-14, rel=1e-10)
+        assert got == pytest.approx(2.222223985891887126088e-14, rel=1e-10,
+                                   abs=0.0)
 
     def test_vanishes_toward_zero(self):
         params = FamilyParams.from_u(0.7, 2.0)
@@ -338,7 +339,7 @@ class TestExpBoundMargin:
         # At coef = 1/6 the quadratic term cancels and x^4/20 leads.
         x = 1e-3
         got = exp_bound_margin(1 / 6, x)
-        assert got == pytest.approx(x ** 4 / 20, rel=1e-5)
+        assert got == pytest.approx(x ** 4 / 20, rel=1e-5, abs=0.0)
 
     def test_positive_inside_at_sharp_lower(self):
         xs = np.linspace(0.01, 0.99, 200)
