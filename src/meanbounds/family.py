@@ -175,7 +175,8 @@ def _h(v, d, ln_d):
 
     Both products are >= 0 and their quotient by ``2v`` lies in [ln 2, 1], so
     nothing cancels.  The grid passes ``(x, 1 - x, log1p(-x))``, the identric
-    mean ``d`` and ``ln d`` from the pair.  Interval twin: ``intervals._h_point``.
+    mean ``d`` and ``ln d`` from the pair.  Interval twin: the ``h`` enclosure
+    of ``intervals._endpoint_enclosure``.
     """
     return 1.0 - ((1.0 + v) * np.log1p(v) - d * ln_d) / (2.0 * v)
 

@@ -2,10 +2,13 @@
 
 This is deliberately not a general interval library: it provides exactly
 the operations needed to enclose the family log-ratio over a compact
-subinterval of (0, 1).  Arithmetic results are widened one step with
-``math.nextafter`` in each direction; point evaluations of library
-logarithms are widened by ``_LIBM_ULPS`` ulps to cover a faithfully (not
-correctly) rounded libm.  Division by an interval containing zero is
+subinterval of (0, 1).  The primitives work on ``(lo, hi)`` float pairs:
+``_add``, ``_sub``, ``_mul`` (four products, min/max) and ``_div`` each
+round once in IEEE arithmetic and step the result out by one
+``math.nextafter`` in each direction; ``_widen`` steps a point out by
+``n`` ulps, ``_LIBM_ULPS`` for a library logarithm, to cover a faithfully
+(not correctly) rounded libm.  :class:`Interval` is the public, validated
+face of the same primitives.  Division by an interval containing zero is
 rejected rather than returning an unbounded interval.
 
 The log-ratio is the sum of two globally monotone pieces,
@@ -24,7 +27,9 @@ enclosure near x = 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from math import inf, nextafter
 from typing import NamedTuple
 
 from .family import FamilyParams
@@ -36,22 +41,39 @@ __all__ = ["Interval", "enclose_log_ratio"]
 # points in (0, 2) were within 0.58 ulp of mpmath, evidence but not proof.
 _LIBM_ULPS = 4
 
-
-def _down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
+# The kernel's two libm functions, looked up here at each call so that a test
+# can substitute perturbed versions.
+_log = math.log
+_log1p = math.log1p
 
 
-def _widen(x: float, n: int) -> "Interval":
+def _widen(x: float, n: int) -> tuple[float, float]:
     """The point ``x`` widened outward by ``n`` ulps on each side."""
     lo = hi = x
     for _ in range(n):
-        lo = _down(lo)
-        hi = _up(hi)
-    return Interval(lo, hi)
+        lo = nextafter(lo, -inf)
+        hi = nextafter(hi, inf)
+    return lo, hi
+
+
+def _add(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    return nextafter(alo + blo, -inf), nextafter(ahi + bhi, inf)
+
+
+def _sub(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    return nextafter(alo - bhi, -inf), nextafter(ahi - blo, inf)
+
+
+def _mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return nextafter(min(products), -inf), nextafter(max(products), inf)
+
+
+def _div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    if blo <= 0.0 <= bhi:
+        raise ZeroDivisionError(f"denominator interval [{blo}, {bhi}] contains 0")
+    quotients = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+    return nextafter(min(quotients), -inf), nextafter(max(quotients), inf)
 
 
 @dataclass(frozen=True)
@@ -71,59 +93,20 @@ class Interval:
         return cls(x, x)
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        return Interval(*_add(self.lo, self.hi, other.lo, other.hi))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+        return Interval(*_sub(self.lo, self.hi, other.lo, other.hi))
 
     def __mul__(self, other: "Interval") -> "Interval":
-        products = (self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi)
-        return Interval(_down(min(products)), _up(max(products)))
+        return Interval(*_mul(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo <= 0.0 <= other.hi:
-            raise ZeroDivisionError(f"denominator interval {other} contains 0")
-        quotients = (self.lo / other.lo, self.lo / other.hi,
-                     self.hi / other.lo, self.hi / other.hi)
-        return Interval(_down(min(quotients)), _up(max(quotients)))
+        return Interval(*_div(self.lo, self.hi, other.lo, other.hi))
 
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-def _one_minus(x: float) -> Interval:
-    """Enclosure of 1 - x: exact for x >= 1/2 (Sterbenz), else one ulp wide."""
-    if x >= 0.5:
-        return Interval.point(1.0 - x)
-    return _widen(1.0 - x, 1)
-
-
-def _log_hull(iv: Interval) -> Interval:
-    """Enclosure of ln over a positive interval from its two endpoint logs.
-
-    The min/max over both widened endpoint values keeps the hull rigorous
-    without relying on libm log being monotone.
-    """
-    if iv.lo <= 0.0:
-        raise ValueError(f"log argument must be > 0, got {iv.lo}")
-    ln_lo = _widen(math.log(iv.lo), _LIBM_ULPS)
-    ln_hi = _widen(math.log(iv.hi), _LIBM_ULPS)
-    return Interval(min(ln_lo.lo, ln_hi.lo), max(ln_lo.hi, ln_hi.hi))
-
-
-def _h_point(x: float) -> Interval:
-    """Enclosure of h at a double x in (0, 1).
-
-    Both products in the numerator are >= 0, so nothing cancels; the
-    arguments of ``log1p(x)``, ``log1p(-x)`` and the divisor ``2x`` are
-    exact, so the enclosure stays O(eps) wide as x -> 0.  The float twin
-    is :func:`meanbounds.family._h`.
-    """
-    plus = _widen(1.0 + x, 1) * _widen(math.log1p(x), _LIBM_ULPS)
-    minus = _one_minus(x) * _widen(math.log1p(-x), _LIBM_ULPS)
-    return Interval.point(1.0) - (plus - minus) / Interval.point(2.0 * x)
 
 
 def _one_minus_u(params: FamilyParams) -> Interval:
@@ -133,33 +116,64 @@ def _one_minus_u(params: FamilyParams) -> Interval:
     to a relative 2^-53 (``4t`` is exact), so it is off by at most 2^-52 +
     2^-106 relative: just over 2 ulps, which three nextafter steps cover.
     """
-    return _widen(params.one_minus_u, 3)
-
-
-def _m2_point(s: float, one_minus_u: Interval, x: float) -> Interval:
-    """Enclosure of (s/2) ln(1 - u x^2) at a double x in (0, 1)."""
-    xi = Interval.point(x)
-    inner = _one_minus(x) * _widen(1.0 + x, 1) + one_minus_u * xi * xi
-    if inner.lo <= 0.0:
-        raise ValueError("1 - u x^2 enclosure touches 0; x too close to 1")
-    return _log_hull(inner) * Interval.point(0.5 * s)
+    return Interval(*_widen(params.one_minus_u, 3))
 
 
 class _Endpoint(NamedTuple):
     """Enclosures of the two monotone pieces at one double ``x``."""
 
     x: float
-    h: Interval
-    m2: Interval
+    h_lo: float
+    h_hi: float
+    m2_lo: float
+    m2_hi: float
 
 
-def _enclose_endpoint(params: FamilyParams, x: float) -> _Endpoint:
-    """The pieces h and m2 enclosed at a double x in (0, 1)."""
-    if params.u == 0.0:
-        m2 = Interval.point(0.0)
-    else:
-        m2 = _m2_point(params.s, _one_minus_u(params), x)
-    return _Endpoint(x, _h_point(x), m2)
+def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
+    """The function enclosing h and m2 at a double x in (0, 1) for ``params``.
+
+    ``0.5 s``, the enclosure of ``1 - u`` and the ``u == 0`` test are taken
+    once here.  In ``h`` both products are >= 0, so nothing cancels; the
+    arguments of ``log1p(x)``, ``log1p(-x)`` and the divisor ``2x`` are
+    exact, so its enclosure stays O(eps) wide as x -> 0.  The products keep
+    the four-corner min/max: for subnormal x the widened ``log1p(x)`` can
+    cross 0.  The log in ``m2`` is hulled from both endpoint values of its
+    argument, so that libm log need not be monotone.  The float twin of ``h`` is :func:`meanbounds.family._h`.
+    """
+    half_s = 0.5 * params.s
+    u_is_zero = params.u == 0.0
+    one_minus_u = _one_minus_u(params)
+    c_lo, c_hi = one_minus_u.lo, one_minus_u.hi
+
+    def enclose(x: float) -> _Endpoint:
+        # 1 - x is exact for x >= 1/2 (Sterbenz), else one ulp wide.
+        d_lo = d_hi = 1.0 - x
+        if x < 0.5:
+            d_lo, d_hi = _widen(d_lo, 1)
+        p_lo, p_hi = _widen(1.0 + x, 1)
+        # h = 1 - [(1 + x) log1p(x) - (1 - x) log1p(-x)] / (2x)
+        ln_lo, ln_hi = _widen(_log1p(x), _LIBM_ULPS)
+        plus_lo, plus_hi = _mul(p_lo, p_hi, ln_lo, ln_hi)
+        ln_lo, ln_hi = _widen(_log1p(-x), _LIBM_ULPS)
+        minus_lo, minus_hi = _mul(d_lo, d_hi, ln_lo, ln_hi)
+        q_lo, q_hi = _sub(plus_lo, plus_hi, minus_lo, minus_hi)
+        q_lo, q_hi = _div(q_lo, q_hi, 2.0 * x, 2.0 * x)
+        h_lo, h_hi = _sub(1.0, 1.0, q_lo, q_hi)
+        if u_is_zero:
+            return _Endpoint(x, h_lo, h_hi, 0.0, 0.0)
+        # m2 = (s/2) ln[(1 - x)(1 + x) + (1 - u) x^2]
+        w_lo, w_hi = _mul(c_lo, c_hi, x, x)
+        w_lo, w_hi = _mul(w_lo, w_hi, x, x)
+        i_lo, i_hi = _mul(d_lo, d_hi, p_lo, p_hi)
+        i_lo, i_hi = _add(i_lo, i_hi, w_lo, w_hi)
+        if i_lo <= 0.0:
+            raise ValueError("1 - u x^2 enclosure touches 0; x too close to 1")
+        a_lo, a_hi = _widen(_log(i_lo), _LIBM_ULPS)
+        b_lo, b_hi = _widen(_log(i_hi), _LIBM_ULPS)
+        m2_lo, m2_hi = _mul(min(a_lo, b_lo), max(a_hi, b_hi), half_s, half_s)
+        return _Endpoint(x, h_lo, h_hi, m2_lo, m2_hi)
+
+    return enclose
 
 
 def enclose_log_ratio(params: FamilyParams, lo, hi) -> Interval:
@@ -168,13 +182,14 @@ def enclose_log_ratio(params: FamilyParams, lo, hi) -> Interval:
     Uses endpoint evaluations of the two monotone pieces; the enclosure
     width shrinks linearly with the interval width, so adaptive bisection
     converges wherever the log-ratio is bounded away from zero.  A
-    bisection passes both bounds as ``_enclose_endpoint`` results instead
-    of doubles, so that each point is enclosed once; the bounds are the
-    same.
+    bisection passes both bounds as ``_endpoint_enclosure`` results
+    instead of doubles, so that each point is enclosed once; the bounds
+    are the same.
     """
     if not isinstance(lo, _Endpoint):
         if not 0.0 < lo <= hi < 1.0:
             raise ValueError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
-        lo, hi = _enclose_endpoint(params, lo), _enclose_endpoint(params, hi)
+        enclose = _endpoint_enclosure(params)
+        lo, hi = enclose(lo), enclose(hi)
     # h increasing, m2 nonincreasing over [lo, hi].
-    return Interval(lo.h.lo, hi.h.hi) + Interval(hi.m2.lo, lo.m2.hi)
+    return Interval(*_add(lo.h_lo, hi.h_hi, hi.m2_lo, lo.m2_hi))

@@ -32,7 +32,7 @@ from .family import (
     _log_ratio_with_scale,
     _lr_with_error_scale,
 )
-from .intervals import _enclose_endpoint, enclose_log_ratio
+from .intervals import _endpoint_enclosure, enclose_log_ratio
 from .thresholds import sharp_thresholds
 
 __all__ = [
@@ -489,12 +489,15 @@ def certify_sign(
 
     Adaptive bisection with the outward-rounded monotone enclosure from
     :mod:`meanbounds.intervals`.  Leaves are ``proved_negative`` /
-    ``proved_positive`` when the enclosure clears zero; when the node
-    budget runs out remaining intervals are marked ``inconclusive``
-    (distinct from a disproof, which shows up as a proved leaf of the
-    opposite sign).  Returns the full tree in processing order for audit.
-    Each node's endpoint enclosures come from its parent, so a split
-    encloses only its midpoint.
+    ``proved_positive`` when the enclosure clears zero.  ``budget`` caps
+    the splits, not the nodes: a node splits only while fewer than
+    ``budget - 1`` nodes came before it, so at most ``budget - 1`` nodes
+    split and the tree holds at most ``2 budget - 1``.  An undecided node
+    that may not split is ``inconclusive`` (distinct from a disproof,
+    which shows up as a proved leaf of the opposite sign).  Returns the
+    full tree in processing order for audit.  The constants of the
+    enclosure are taken once per call, and each node's endpoint enclosures
+    come from its parent, so a split encloses only its midpoint.
     """
     if sign not in ("negative", "positive"):
         raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
@@ -503,9 +506,9 @@ def certify_sign(
     if not (math.isfinite(budget) and budget == int(budget) >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget}")
     params = FamilyParams.from_t(float(t), float(s))
+    enclose = _endpoint_enclosure(params)
     nodes: list[CertificateNode] = []
-    stack = [(_enclose_endpoint(params, float(x_lo)),
-              _enclose_endpoint(params, float(x_hi)))]
+    stack = [(enclose(float(x_lo)), enclose(float(x_hi)))]
     while stack:
         lo, hi = stack.pop()
         a, b = lo.x, hi.x
@@ -518,7 +521,7 @@ def certify_sign(
             mid = 0.5 * (a + b)
             if len(nodes) + 1 < budget and a < mid < b:
                 status = "split"
-                middle = _enclose_endpoint(params, mid)
+                middle = enclose(mid)
                 stack.append((middle, hi))
                 stack.append((lo, middle))
             else:

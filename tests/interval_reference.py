@@ -1,0 +1,61 @@
+"""Reference endpoint enclosure composed from ``Interval`` operators.
+
+The library's kernel evaluates the same enclosure on bare float pairs.
+This module spells it out one ``Interval`` operation at a time, as the
+library did before it moved to float pairs, so that the kernel's bounds
+can be compared with ``==`` against an independent composition of the
+same outward-rounded steps.
+"""
+
+import math
+
+from meanbounds.intervals import _LIBM_ULPS, Interval, _one_minus_u
+
+
+def _widen(x, n):
+    lo = hi = x
+    for _ in range(n):
+        lo = math.nextafter(lo, -math.inf)
+        hi = math.nextafter(hi, math.inf)
+    return Interval(lo, hi)
+
+
+def _one_minus(x):
+    """Enclosure of 1 - x: exact for x >= 1/2 (Sterbenz), else one ulp wide."""
+    if x >= 0.5:
+        return Interval.point(1.0 - x)
+    return _widen(1.0 - x, 1)
+
+
+def _log_hull(iv):
+    """Enclosure of ln over a positive interval from its two endpoint logs."""
+    if iv.lo <= 0.0:
+        raise ValueError(f"log argument must be > 0, got {iv.lo}")
+    ln_lo = _widen(math.log(iv.lo), _LIBM_ULPS)
+    ln_hi = _widen(math.log(iv.hi), _LIBM_ULPS)
+    return Interval(min(ln_lo.lo, ln_hi.lo), max(ln_lo.hi, ln_hi.hi))
+
+
+def h_point(x):
+    """Enclosure of h at a double x in (0, 1)."""
+    plus = _widen(1.0 + x, 1) * _widen(math.log1p(x), _LIBM_ULPS)
+    minus = _one_minus(x) * _widen(math.log1p(-x), _LIBM_ULPS)
+    return Interval.point(1.0) - (plus - minus) / Interval.point(2.0 * x)
+
+
+def m2_point(params, x):
+    """Enclosure of (s/2) ln(1 - u x^2) at a double x in (0, 1)."""
+    if params.u == 0.0:
+        return Interval.point(0.0)
+    xi = Interval.point(x)
+    inner = _one_minus(x) * _widen(1.0 + x, 1) + _one_minus_u(params) * xi * xi
+    if inner.lo <= 0.0:
+        raise ValueError("1 - u x^2 enclosure touches 0; x too close to 1")
+    return _log_hull(inner) * Interval.point(0.5 * params.s)
+
+
+def enclose_log_ratio(params, lo, hi):
+    """Enclosure of the log-ratio over [lo, hi] from the pieces' endpoint values."""
+    # h increasing, m2 nonincreasing over [lo, hi].
+    return (Interval(h_point(lo).lo, h_point(hi).hi)
+            + Interval(m2_point(params, hi).lo, m2_point(params, lo).hi))

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meanbounds import FamilyParams
-from meanbounds.intervals import Interval, _one_minus_u, enclose_log_ratio
+from meanbounds import FamilyParams, intervals
+from meanbounds.family import EVAL_LIMIT
+from meanbounds.intervals import (_LIBM_ULPS, Interval, _endpoint_enclosure, _one_minus_u,
+                                  enclose_log_ratio)
 
+import interval_reference as reference
 from oracles import family_log_ratio_u
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
@@ -123,3 +126,93 @@ class TestLogRatioEnclosure:
             enclose_log_ratio(params, 0.5, 0.2)
         with pytest.raises(ValueError):
             enclose_log_ratio(params, 0.0, 0.2)
+
+
+def _endpoint_params(rng):
+    """u = 0, u = 1 (t = 0), or a random (t, s) with s <= 50, in turn."""
+    while True:
+        yield FamilyParams.from_u(0.0, rng.uniform(1.0, 50.0))
+        yield FamilyParams.from_t(0.0, rng.uniform(1.0, 50.0))
+        yield FamilyParams.from_t(rng.uniform(0.0, 0.5), rng.uniform(1.0, 50.0))
+
+
+def _endpoint_xs(rng, count):
+    """Log-uniform x in [5e-324, 0.5], x = 1/2 and its neighbours (the exact
+    1 - x branch starts there), and distances to 1 down to 1 - EVAL_LIMIT."""
+    xs = [5e-324, EVAL_LIMIT]
+    x = y = 0.5
+    for _ in range(8):
+        xs += [x, y]
+        x, y = math.nextafter(x, 0.0), math.nextafter(y, 1.0)
+    while len(xs) < count:
+        xs.append(min(0.5, 10.0 ** rng.uniform(-323.3, math.log10(0.5))))
+        xs.append(1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5)))
+    return xs
+
+
+class TestEndpointEnclosure:
+    """The float-pair kernel gives the same bounds as the same steps composed
+    from ``Interval`` operators in ``tests/interval_reference.py``."""
+
+    def test_bounds_equal_interval_composition(self):
+        rng = random.Random(7)
+        params = _endpoint_params(rng)
+        xs = _endpoint_xs(rng, 20_000)
+        for x in xs:
+            p = next(params)
+            e = _endpoint_enclosure(p)(x)
+            h, m2 = reference.h_point(x), reference.m2_point(p, x)
+            assert (e.x, e.h_lo, e.h_hi, e.m2_lo, e.m2_hi) == (x, h.lo, h.hi, m2.lo, m2.hi), (x, p)
+        assert len(xs) >= 20_000
+
+    def test_enclosure_of_doubles_equals_interval_composition(self):
+        rng = random.Random(8)
+        params = _endpoint_params(rng)
+        xs = _endpoint_xs(rng, 600)
+        rng.shuffle(xs)
+        for lo, hi in zip(xs[::2], xs[1::2]):
+            lo, hi = min(lo, hi), max(lo, hi)
+            p = next(params)
+            assert enclose_log_ratio(p, lo, hi) == reference.enclose_log_ratio(p, lo, hi)
+
+
+def _shifted(f, ulps):
+    """``f`` with its result moved ``ulps`` ulps up (ulps > 0) or down."""
+    toward = math.copysign(math.inf, ulps)
+
+    def g(v):
+        y = f(v)
+        for _ in range(abs(ulps)):
+            y = math.nextafter(y, toward)
+        return y
+    return g
+
+
+def _mp_pieces(params, x):
+    """h(x) and (s/2) ln(1 - u x^2) at 60 digits, u exact for the double t."""
+    with mp.workdps(60):
+        x = mp.mpf(x)
+        h = 1 - ((1 + x) * mp.log1p(x) - (1 - x) * mp.log1p(-x)) / (2 * x)
+        u = (1 - 2 * mp.mpf(params.t)) ** 2
+        return h, mp.mpf(params.s) / 2 * mp.log1p(-u * x * x)
+
+
+class TestLibmAllowance:
+    """Each libm log and log1p result may be off by ``_LIBM_ULPS`` ulps: with
+    both shifted that far, up or down, the pieces still hold the truth."""
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_pieces_contain_truth_with_shifted_libm(self, monkeypatch, direction):
+        monkeypatch.setattr(intervals, "_log", _shifted(math.log, direction * _LIBM_ULPS))
+        monkeypatch.setattr(intervals, "_log1p", _shifted(math.log1p, direction * _LIBM_ULPS))
+        rng = random.Random(9)
+        params = _endpoint_params(rng)
+        xs = _endpoint_xs(rng, 3000)
+        failures = []
+        for x in xs:
+            p = next(params)
+            e = _endpoint_enclosure(p)(x)
+            h, m2 = _mp_pieces(p, x)
+            if not (e.h_lo <= h <= e.h_hi and e.m2_lo <= m2 <= e.m2_hi):
+                failures.append((x, p))
+        assert not failures, (len(failures), failures[:3])

@@ -24,8 +24,8 @@ from meanbounds import (
 )
 
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
-from meanbounds.intervals import enclose_log_ratio
 from meanbounds.verify import _EPS, _NOISE_C, CertificateNode
+from interval_reference import enclose_log_ratio as reference_enclosure
 from oracles import (exp_margin, family_log_ratio_t, family_log_ratio_u, lr_gap,
                      power_margin)
 
@@ -384,6 +384,16 @@ class TestCertification:
         assert "inconclusive" in statuses
         assert "proved_positive" not in statuses
 
+    @pytest.mark.parametrize("budget, count", [(1, 1), (2, 3), (10, 19), (100, 111)])
+    def test_budget_caps_splits_not_nodes(self, budget, count):
+        # Each split adds two children, so up to 2 budget - 1 nodes.
+        ts = sharp_thresholds(2.0)
+        nodes = certify_sign(ts.q + 1e-3, 2.0, 0.01, 0.99, "positive", budget)
+        splits = sum(n.status == "split" for n in nodes)
+        assert splits <= budget - 1
+        assert len(nodes) == count <= 2 * budget - 1
+        assert len(nodes) == 2 * splits + 1
+
     def test_wrong_sign_shows_as_opposite_proof(self):
         ts = sharp_thresholds(2.0)
         nodes = certify_sign(ts.q + 0.01, 2.0, 0.3, 0.7, "negative")
@@ -435,13 +445,14 @@ class TestCertification:
 
 
 def _reference_certificate(t, s, x_lo, x_hi, budget):
-    """Depth-first bisection enclosing every node from its two doubles."""
+    """Depth-first bisection enclosing every node from its two doubles with
+    the ``Interval``-composed reference, not the kernel under test."""
     params = FamilyParams.from_t(t, s)
     nodes = []
     stack = [(x_lo, x_hi)]
     while stack:
         a, b = stack.pop()
-        enc = enclose_log_ratio(params, a, b)
+        enc = reference_enclosure(params, a, b)
         if enc.hi < 0.0:
             status = "proved_negative"
         elif enc.lo > 0.0:
