@@ -5,7 +5,8 @@ identric means plus a two-parameter interpolating family, computes the
 closed-form sharp thresholds at which the family crosses the identric
 mean, and verifies or falsifies the associated inequalities by grid
 evaluation, counterexample search, empirical threshold recovery, and
-interval-arithmetic sign certification on compact subintervals.
+interval-arithmetic sign certification on compact subintervals and from
+the open end at 0.
 """
 
 import importlib

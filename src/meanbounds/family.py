@@ -156,7 +156,8 @@ def _split(x: np.ndarray):
 
 def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, float]:
     """``c_k = 1/(2k(2k+1)) - s u^k / (2k)``, k = 1..4: the log-ratio is
-    ``sum c_k x^(2k)``, so the kernel ``x^2 f'`` is ``sum 2k c_k x^(2k+1)``."""
+    ``sum c_k x^(2k)``, so the kernel ``x^2 f'`` is ``sum 2k c_k x^(2k+1)``.
+    Interval twin, to ``TAYLOR_K`` terms: ``intervals._taylor_enclosure``."""
     u, s = params.u, params.s
     return ((1.0 - 3.0 * s * u) / 6.0,
             1.0 / 20.0 - s * u * u / 4.0,

@@ -21,7 +21,14 @@ each bounded by its values at the interval endpoints, then combined with
 interval addition.  Both stay bounded as x -> 1 (h -> 1 - ln 2), so no
 node carries two divergent logarithms that cancel only in their sum, and
 monotone enclosure avoids the dependency blowup of a term-by-term product
-enclosure near x = 0.
+enclosure.
+
+Near 0 both pieces are O(x^2) while their sum is ``c_1 x^2`` with ``c_1``
+as small as the distance of ``t`` from a cutoff, so a node inside
+``[0, TAYLOR_X0]`` is enclosed from the series instead:
+:func:`_taylor_enclosure` encloses ``g = f / x^2``, a polynomial in
+``X = x^2`` plus a bounded tail.  Such a Taylor node takes its sign from
+``g`` (``X > 0`` on ``(0, b]``) and reports ``X g`` as its bounds.
 """
 
 from __future__ import annotations
@@ -34,12 +41,25 @@ from typing import NamedTuple
 
 from .family import FamilyParams
 
-__all__ = ["Interval", "enclose_log_ratio"]
+__all__ = ["Interval", "enclose_log_ratio", "TAYLOR_X0", "TAYLOR_K"]
 
 # Error allowance, in ulps, for one libm log/log1p call, assumed of math.log1p
 # here and np.log1p in the float core, which calls no atanh: 80k sampled
 # points in (0, 2) were within 0.58 ulp of mpmath, evidence but not proof.
 _LIBM_ULPS = 4
+
+# The Taylor node (see _taylor_enclosure).  On [0, TAYLOR_X0], X <= 0.09, so the
+# tail factor X^K / (1 - X) is below 0.09^20 / 0.91 < 1.4e-21 and the tail of
+# g below 3.2e-23 s (its s u^(K+1) / (2K+2) end dominates 1/(42 * 43)).  The
+# enclosed c_1 alone is 4e-16 to 9e-16 wide near the cutoffs, mostly from the
+# widening of u, so at K = 20 the tail sits five orders of magnitude below
+# what rounding already costs, even at s = 50, and each further term would
+# only add a product and a sum to every Taylor node.  At TAYLOR_X0 = 0.3 the
+# interval Horner over X in [0, 0.09] still proves (0, 0.3] in one node at
+# q + 1e-15 and p - 1e-15 for s in {1, 2, 10, 50}.  A larger X0 needs more
+# terms for the same tail, about 24 / ln(1 / X0): 35 at X0 = 0.5.
+TAYLOR_X0 = 0.3
+TAYLOR_K = 20
 
 # The kernel's two libm functions, looked up here at each call so that a test
 # can substitute perturbed versions.
@@ -119,6 +139,60 @@ def _one_minus_u(params: FamilyParams) -> Interval:
     return Interval(*_widen(params.one_minus_u, 3))
 
 
+def _u_enclosure(params: FamilyParams) -> tuple[float, float]:
+    """Enclosure of the exact ``u = (1 - 2t)^2`` of the double ``t``.
+
+    ``from_t`` rounds ``1 - 2t`` (``2t`` is exact) and its square, each to a
+    relative 2^-53, so ``u`` is off by less than 3.001 * 2^-53 relative.  Each
+    nextafter step from ``u`` moves by at least ``u`` 2^-53, so four steps
+    cover it, even below a power of 2.  The exact ``u`` lies in [0, 1].
+    ``from_u`` keeps the double ``u`` itself, which the widening contains.
+    """
+    lo, hi = _widen(params.u, 4)
+    return max(lo, 0.0), min(hi, 1.0)
+
+
+def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[float, ...]]:
+    """The function enclosing the log-ratio over ``[a, b]`` in [0, TAYLOR_X0].
+
+    With ``X = x^2`` the log-ratio is ``f = X g``, where
+
+        g = sum_{k<=K} c_k X^(k-1) + R,  c_k = 1/(2k(2k+1)) - s u^k / (2k),
+        R in [-s u^(K+1) / (2K+2), 1/((2K+2)(2K+3))] X^K / (1 - X),
+
+    since ``h``'s coefficients fall and ``u X <= X``.  The ``c_k`` and the
+    two ends of the tail factor are enclosed here, once, from
+    :func:`_u_enclosure`; the returned function evaluates ``g`` by interval
+    Horner over ``[a^2, b^2]`` with the tail as the innermost term, and
+    returns ``(g_lo, g_hi, f_lo, f_hi)`` with ``f = X g``.  Every product and
+    sum is rounded outward by the float-pair primitives.
+    """
+    u_lo, u_hi = _u_enclosure(params)
+    w_lo = w_hi = 0.5 * params.s
+    coefficients = []
+    for k in range(1, TAYLOR_K + 2):
+        w_lo, w_hi = _mul(w_lo, w_hi, u_lo, u_hi)  # s u^k / 2
+        m_lo, m_hi = _div(w_lo, w_hi, k, k)
+        n = 2.0 * k * (2 * k + 1)
+        h_lo, h_hi = _div(1.0, 1.0, n, n)
+        coefficients.append(_sub(h_lo, h_hi, m_lo, m_hi))
+    # Horner runs from c_K down to c_1; the k = K + 1 terms bound the tail.
+    coefficients.pop()
+    coefficients.reverse()
+    tail_lo, tail_hi = -m_hi, h_hi
+
+    def enclose(a: float, b: float) -> tuple[float, ...]:
+        x2_lo, x2_hi = nextafter(a * a, -inf), nextafter(b * b, inf)
+        d_lo, d_hi = _sub(1.0, 1.0, x2_lo, x2_hi)
+        g_lo, g_hi = _div(tail_lo, tail_hi, d_lo, d_hi)
+        for c_lo, c_hi in coefficients:
+            g_lo, g_hi = _mul(g_lo, g_hi, x2_lo, x2_hi)
+            g_lo, g_hi = _add(g_lo, g_hi, c_lo, c_hi)
+        return (g_lo, g_hi) + _mul(x2_lo, x2_hi, g_lo, g_hi)
+
+    return enclose
+
+
 class _Endpoint(NamedTuple):
     """Enclosures of the two monotone pieces at one double ``x``."""
 
@@ -130,7 +204,7 @@ class _Endpoint(NamedTuple):
 
 
 def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
-    """The function enclosing h and m2 at a double x in (0, 1) for ``params``.
+    """The function enclosing h and m2 at a double x in [0, 1) for ``params``.
 
     ``0.5 s``, the enclosure of ``1 - u`` and the ``u == 0`` test are taken
     once here.  In ``h`` both products are >= 0, so nothing cancels; the
@@ -138,7 +212,9 @@ def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
     exact, so its enclosure stays O(eps) wide as x -> 0.  The products keep
     the four-corner min/max: for subnormal x the widened ``log1p(x)`` can
     cross 0.  The log in ``m2`` is hulled from both endpoint values of its
-    argument, so that libm log need not be monotone.  The float twin of ``h`` is :func:`meanbounds.family._h`.
+    argument, so that libm log need not be monotone.  At ``x = 0`` both
+    pieces are exactly 0, their common limit.  The float twin of ``h`` is
+    :func:`meanbounds.family._h`.
     """
     half_s = 0.5 * params.s
     u_is_zero = params.u == 0.0
@@ -146,6 +222,8 @@ def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
     c_lo, c_hi = one_minus_u.lo, one_minus_u.hi
 
     def enclose(x: float) -> _Endpoint:
+        if x == 0.0:
+            return _Endpoint(0.0, 0.0, 0.0, 0.0, 0.0)
         # 1 - x is exact for x >= 1/2 (Sterbenz), else one ulp wide.
         d_lo = d_hi = 1.0 - x
         if x < 0.5:

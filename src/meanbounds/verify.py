@@ -32,7 +32,7 @@ from .family import (
     _log_ratio_with_scale,
     _lr_with_error_scale,
 )
-from .intervals import _endpoint_enclosure, enclose_log_ratio
+from .intervals import TAYLOR_X0, _endpoint_enclosure, _taylor_enclosure, enclose_log_ratio
 from .thresholds import sharp_thresholds
 
 __all__ = [
@@ -487,46 +487,67 @@ def certify_sign(
 ) -> list[CertificateNode]:
     """Certify the family log-ratio's sign on ``[x_lo, x_hi]`` by subdivision.
 
-    Adaptive bisection with the outward-rounded monotone enclosure from
-    :mod:`meanbounds.intervals`.  Leaves are ``proved_negative`` /
-    ``proved_positive`` when the enclosure clears zero.  ``budget`` caps
+    Adaptive bisection; ``x_lo`` may be 0, the open left end, where the
+    log-ratio vanishes: the sign is then proved on ``(0, x_hi]``.  A node with
+    ``x_hi > TAYLOR_X0`` is enclosed by the outward-rounded monotone
+    enclosure from :mod:`meanbounds.intervals`; a node inside
+    ``[0, TAYLOR_X0]`` is a Taylor node, enclosed from the series as
+    ``g = f / x^2``: its status comes from the sign of ``g`` and its bounds
+    are ``x^2 g``.  Leaves are ``proved_negative`` / ``proved_positive``
+    when the enclosure clears zero.  ``budget`` caps
     the splits, not the nodes: a node splits only while fewer than
     ``budget - 1`` nodes came before it, so at most ``budget - 1`` nodes
     split and the tree holds at most ``2 budget - 1``.  An undecided node
     that may not split is ``inconclusive`` (distinct from a disproof,
     which shows up as a proved leaf of the opposite sign).  Returns the
     full tree in processing order for audit.  The constants of the
-    enclosure are taken once per call, and each node's endpoint enclosures
-    come from its parent, so a split encloses only its midpoint.
+    enclosures are taken once per call (the series coefficients when the
+    first Taylor node needs them), and each monotone node's endpoint
+    enclosures come from its parent, so a split encloses only its midpoint.
     """
     if sign not in ("negative", "positive"):
         raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
-    if not 0.0 < x_lo < x_hi < 1.0 or x_hi > EVAL_LIMIT:
-        raise ValueError(f"need 0 < x_lo < x_hi <= {EVAL_LIMIT!r}")
+    if not 0.0 <= x_lo < x_hi < 1.0 or x_hi > EVAL_LIMIT:
+        raise ValueError(f"need 0 <= x_lo < x_hi <= {EVAL_LIMIT!r}")
     if not (math.isfinite(budget) and budget == int(budget) >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget}")
     params = FamilyParams.from_t(float(t), float(s))
     enclose = _endpoint_enclosure(params)
+    taylor = None
     nodes: list[CertificateNode] = []
-    stack = [(enclose(float(x_lo)), enclose(float(x_hi)))]
+    # (a, b, endpoint enclosures of a and b, or None for a Taylor node)
+    a, b = float(x_lo), float(x_hi)
+    stack = [(a, b, None if b <= TAYLOR_X0 else (enclose(a), enclose(b)))]
     while stack:
-        lo, hi = stack.pop()
-        a, b = lo.x, hi.x
-        enc = enclose_log_ratio(params, lo, hi)
-        if enc.hi < 0.0:
+        a, b, ends = stack.pop()
+        if b <= TAYLOR_X0:
+            if taylor is None:
+                taylor = _taylor_enclosure(params)
+            sign_lo, sign_hi, bound_lo, bound_hi = taylor(a, b)
+            ends = None
+        else:
+            enc = enclose_log_ratio(params, *ends)
+            sign_lo = bound_lo = enc.lo
+            sign_hi = bound_hi = enc.hi
+        if sign_hi < 0.0:
             status = "proved_negative"
-        elif enc.lo > 0.0:
+        elif sign_lo > 0.0:
             status = "proved_positive"
         else:
             mid = 0.5 * (a + b)
             if len(nodes) + 1 < budget and a < mid < b:
                 status = "split"
-                middle = enclose(mid)
-                stack.append((middle, hi))
-                stack.append((lo, middle))
+                if ends is None:
+                    stack.append((mid, b, None))
+                    stack.append((a, mid, None))
+                else:
+                    lo, hi = ends
+                    middle = enclose(mid)
+                    stack.append((mid, b, (middle, hi)))
+                    stack.append((a, mid, (lo, middle)))
             else:
                 status = "inconclusive"
-        nodes.append(CertificateNode(a, b, enc.lo, enc.hi, status))
+        nodes.append(CertificateNode(a, b, bound_lo, bound_hi, status))
     return nodes
 
 

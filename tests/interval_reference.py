@@ -4,12 +4,13 @@ The library's kernel evaluates the same enclosure on bare float pairs.
 This module spells it out one ``Interval`` operation at a time, as the
 library did before it moved to float pairs, so that the kernel's bounds
 can be compared with ``==`` against an independent composition of the
-same outward-rounded steps.
+same outward-rounded steps.  :func:`taylor_enclosure` does the same for
+the series enclosure of nodes inside ``[0, TAYLOR_X0]``.
 """
 
 import math
 
-from meanbounds.intervals import _LIBM_ULPS, Interval, _one_minus_u
+from meanbounds.intervals import _LIBM_ULPS, TAYLOR_K, Interval, _one_minus_u, _u_enclosure
 
 
 def _widen(x, n):
@@ -59,3 +60,27 @@ def enclose_log_ratio(params, lo, hi):
     # h increasing, m2 nonincreasing over [lo, hi].
     return (Interval(h_point(lo).lo, h_point(hi).hi)
             + Interval(m2_point(params, hi).lo, m2_point(params, lo).hi))
+
+
+def taylor_enclosure(params, a, b):
+    """``(g, x^2 g)`` over [a, b] in [0, TAYLOR_X0], where ``g = f / x^2``.
+
+    ``g = sum_{k<=K} c_k X^(k-1) + R`` with ``X = x^2``,
+    ``c_k = 1/(2k(2k+1)) - s u^k / (2k)`` and the tail
+    ``R in [-s u^(K+1) / (2K+2), 1/((2K+2)(2K+3))] X^K / (1 - X)``, by
+    Horner from ``c_K`` down, with the tail innermost.
+    """
+    u = Interval(*_u_enclosure(params))
+    half_s_power = Interval.point(0.5 * params.s)
+    coefficients = []
+    for k in range(1, TAYLOR_K + 2):
+        half_s_power = half_s_power * u
+        negative = half_s_power / Interval.point(k)
+        positive = Interval.point(1.0) / Interval.point(2.0 * k * (2 * k + 1))
+        coefficients.append(positive - negative)
+    tail = Interval(-negative.hi, positive.hi)
+    x2 = Interval(math.nextafter(a * a, -math.inf), math.nextafter(b * b, math.inf))
+    g = tail / (Interval.point(1.0) - x2)
+    for c in reversed(coefficients[:-1]):
+        g = g * x2 + c
+    return g, x2 * g

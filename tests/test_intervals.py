@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from meanbounds import FamilyParams, intervals
 from meanbounds.family import EVAL_LIMIT
-from meanbounds.intervals import (_LIBM_ULPS, Interval, _endpoint_enclosure, _one_minus_u,
+from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, TAYLOR_X0, Interval, _endpoint_enclosure,
+                                  _one_minus_u, _taylor_enclosure, _u_enclosure,
                                   enclose_log_ratio)
 
 import interval_reference as reference
-from oracles import family_log_ratio_u
+from oracles import family_log_ratio_and_quotient_t, family_log_ratio_u
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 
@@ -76,6 +77,67 @@ class TestOneMinusU:
         for u in [0.0, 1.0, 1e-300] + [rng.random() for _ in range(2_000)]:
             enc = _one_minus_u(FamilyParams.from_u(u, 2.0))
             assert Fraction(enc.lo) <= 1 - Fraction(u) <= Fraction(enc.hi), u
+
+
+class TestUEnclosure:
+    """The enclosure of u holds the exact (1 - 2t)^2 of the double t."""
+
+    def test_from_t_against_exact_fraction(self):
+        rng = random.Random(10)
+        ts = [0.0, 0.5, 0.25, math.nextafter(0.25, 0.0), 1e-300, 0.5 - 2.0 ** -53]
+        ts += [rng.uniform(0.0, 0.5) for _ in range(20_000)]
+        for t in ts:
+            lo, hi = _u_enclosure(FamilyParams.from_t(t, 2.0))
+            exact = (1 - 2 * Fraction(t)) ** 2
+            assert Fraction(lo) <= exact <= Fraction(hi), t
+
+
+def _taylor_nodes(rng):
+    """[0, b], random [a, b], the point nodes [x, x] and [0, 0], and
+    [0, TAYLOR_X0], all inside [0, TAYLOR_X0]."""
+    nodes = [(0.0, 0.0), (0.0, TAYLOR_X0), (TAYLOR_X0, TAYLOR_X0)]
+    for _ in range(4):
+        a, b = sorted(rng.uniform(0.0, TAYLOR_X0) for _ in range(2))
+        x = rng.uniform(0.0, TAYLOR_X0)
+        nodes += [(0.0, b), (a, b), (x, x)]
+    return nodes
+
+
+class TestTaylorEnclosure:
+    """The series enclosure of ``g = f / x^2`` and of ``f = x^2 g`` holds the
+    60-digit values at both ends and the midpoint of nodes in [0, TAYLOR_X0].
+    The tail bound holds for every K, so fewer terms, whose tail then
+    matters, check the tail as well as the default."""
+
+    @pytest.mark.parametrize("terms", [TAYLOR_K, 3, 1])
+    @pytest.mark.parametrize("u", [0.0, 1e-12, "random", 0.99, 1.0])
+    def test_contains_high_precision_values(self, monkeypatch, terms, u):
+        monkeypatch.setattr(intervals, "TAYLOR_K", terms)
+        rng = random.Random(f"{terms}-{u}")
+        for s in (1.0, 1.5, 2.0, 5.0, 20.0, 50.0):
+            u_value = rng.random() if u == "random" else u
+            params = FamilyParams.from_t(0.5 * (1.0 - math.sqrt(u_value)), s)
+            enclose = _taylor_enclosure(params)
+            for a, b in _taylor_nodes(rng):
+                g_lo, g_hi, f_lo, f_hi = enclose(a, b)
+                for x in (a, 0.5 * (a + b), b):
+                    f, g = family_log_ratio_and_quotient_t(params.t, s, x)
+                    assert g_lo <= g <= g_hi, (s, u_value, a, b, x)
+                    assert f_lo <= f <= f_hi, (s, u_value, a, b, x)
+
+    def test_bounds_equal_interval_composition(self):
+        rng = random.Random(11)
+        params = _endpoint_params(rng)
+        for _ in range(30):
+            p = next(params)
+            enclose = _taylor_enclosure(p)
+            for a, b in _taylor_nodes(rng):
+                g, f = reference.taylor_enclosure(p, a, b)
+                assert enclose(a, b) == (g.lo, g.hi, f.lo, f.hi), (a, b, p)
+
+    def test_zero_endpoint_is_exact(self):
+        e = _endpoint_enclosure(FamilyParams.from_t(0.2, 2.0))(0.0)
+        assert (e.x, e.h_lo, e.h_hi, e.m2_lo, e.m2_hi) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @st.composite

@@ -24,10 +24,12 @@ from meanbounds import (
 )
 
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
+from meanbounds.intervals import TAYLOR_X0
 from meanbounds.verify import _EPS, _NOISE_C, CertificateNode
 from interval_reference import enclose_log_ratio as reference_enclosure
-from oracles import (exp_margin, family_log_ratio_t, family_log_ratio_u, lr_gap,
-                     power_margin)
+from interval_reference import taylor_enclosure as reference_taylor
+from oracles import (exp_margin, family_log_ratio_and_quotient_t, family_log_ratio_t,
+                     family_log_ratio_u, lr_gap, power_margin)
 
 SMALL_GRID = GridSpec(count=2000)
 
@@ -384,9 +386,10 @@ class TestCertification:
         assert "inconclusive" in statuses
         assert "proved_positive" not in statuses
 
-    @pytest.mark.parametrize("budget, count", [(1, 1), (2, 3), (10, 19), (100, 111)])
+    @pytest.mark.parametrize("budget, count", [(1, 1), (2, 3), (10, 15), (100, 103)])
     def test_budget_caps_splits_not_nodes(self, budget, count):
-        # Each split adds two children, so up to 2 budget - 1 nodes.
+        # Each split adds two children, so up to 2 budget - 1 nodes.  The
+        # whole tree has 111 nodes, so even budget 100 stops some splits.
         ts = sharp_thresholds(2.0)
         nodes = certify_sign(ts.q + 1e-3, 2.0, 0.01, 0.99, "positive", budget)
         splits = sum(n.status == "split" for n in nodes)
@@ -443,19 +446,45 @@ class TestCertification:
         nodes = certify_sign(ts.p - delta, s, x_lo, x_hi, "negative", budget)
         assert certificate_succeeded(nodes, "negative")
 
+    @pytest.mark.parametrize("s", [1.0, 2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-12])
+    @pytest.mark.parametrize("sign", ["negative", "positive"])
+    def test_proves_the_open_left_end(self, s, delta, sign):
+        # From x = 0 the Taylor nodes carry g = f / x^2, about c_1 ~ delta.
+        ts = sharp_thresholds(s)
+        t = ts.p - delta if sign == "negative" else ts.q + delta
+        nodes = certify_sign(t, s, 0.0, 0.99, sign)
+        assert certificate_succeeded(nodes, sign)
+        assert min(n.x_lo for n in nodes) == 0.0
+        for leaf in certificate_leaves(nodes):
+            if leaf.x_hi <= TAYLOR_X0:
+                for x in (leaf.x_lo, 0.5 * (leaf.x_lo + leaf.x_hi), leaf.x_hi):
+                    g = family_log_ratio_and_quotient_t(t, s, x)[1]
+                    assert (g < 0) == (sign == "negative"), (leaf, x)
+
+    def test_open_left_end_rejects_negative_and_nan(self):
+        for x_lo in (-1e-300, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                certify_sign(0.2, 2.0, x_lo, 0.9, "negative")
+
 
 def _reference_certificate(t, s, x_lo, x_hi, budget):
     """Depth-first bisection enclosing every node from its two doubles with
-    the ``Interval``-composed reference, not the kernel under test."""
+    the ``Interval``-composed reference, not the kernel under test.  A node
+    inside [0, TAYLOR_X0] takes its status from ``g = f / x^2`` and
+    records ``x^2 g``."""
     params = FamilyParams.from_t(t, s)
     nodes = []
     stack = [(x_lo, x_hi)]
     while stack:
         a, b = stack.pop()
-        enc = reference_enclosure(params, a, b)
-        if enc.hi < 0.0:
+        if b <= TAYLOR_X0:
+            sign, enc = reference_taylor(params, a, b)
+        else:
+            sign = enc = reference_enclosure(params, a, b)
+        if sign.hi < 0.0:
             status = "proved_negative"
-        elif enc.lo > 0.0:
+        elif sign.lo > 0.0:
             status = "proved_positive"
         else:
             mid = 0.5 * (a + b)
