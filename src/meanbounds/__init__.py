@@ -30,14 +30,9 @@ _EXPORTS = {
     ), "means"),
     **dict.fromkeys((
         "FamilyParams",
-        "TrinomialRoots",
-        "CriticalPoint",
         "log_ratio_q_over_i",
         "derivative_kernel",
         "derivative_kernel_near_one",
-        "trinomial_eval",
-        "trinomial_roots",
-        "critical_point",
         "log_ratio_limit_at_one",
         "exp_bound_margin",
     ), "family"),

@@ -8,12 +8,12 @@ between the two-parameter mean and the identric mean reduces to
     m2(x) = (s/2) ln(1 - u x^2)                            nonincreasing,
 
 as a function of the normalized gap ``x``; both pieces stay bounded as
-``x -> 1``.  Its derivative is ``derivative_kernel(params, x) / x**2``, and
-the kernel's monotonicity is in turn controlled by the sign of a quadratic
-trinomial in ``X = x^2``.  This module evaluates all three stably, finds
-the trinomial's roots and the kernel's interior zero, and provides the
-exponential-bound margin family ``exp_bound_margin`` used for the
-``exp(c * x^2)`` comparisons.
+``x -> 1``.  Its derivative is ``derivative_kernel(params, x) / x**2``.
+This module evaluates both stably, gives the log-ratio's limit at 1, and
+provides the exponential-bound margin family ``exp_bound_margin`` used for
+the ``exp(c * x^2)`` comparisons.  The sign analysis of the kernel that
+decides the sharp cutoffs is carried out exactly in
+:func:`meanbounds.thresholds.membership`.
 
 The log-ratio is the one evaluation core of the package: ``ln(I/A)`` is its
 ``u = 0`` case, ``-h``, so :mod:`meanbounds.means` evaluates it here, and
@@ -31,14 +31,9 @@ import numpy as np
 __all__ = [
     "EVAL_LIMIT",
     "FamilyParams",
-    "TrinomialRoots",
-    "CriticalPoint",
     "log_ratio_q_over_i",
     "derivative_kernel",
     "derivative_kernel_near_one",
-    "trinomial_eval",
-    "trinomial_roots",
-    "critical_point",
     "log_ratio_limit_at_one",
     "exp_bound_margin",
 ]
@@ -98,37 +93,6 @@ class FamilyParams:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"u must lie in [0, 1], got {u}")
         return cls(t=0.5 * (1.0 - math.sqrt(u)), s=s, u=u, one_minus_u=1.0 - u)
-
-
-@dataclass(frozen=True)
-class TrinomialRoots:
-    """Real roots of the kernel trinomial, classified against (0, 1].
-
-    ``kind`` is "constant" (u = 0), "linear" (vanishing leading
-    coefficient, in particular s = 1) or "quadratic".  ``z0`` is the
-    smallest root in (0, 1] when one exists; ``z1`` the root >= 1 when one
-    exists.  ``coefficients`` are ``(a2, a1, a0)`` for ``a2*X^2 + a1*X + a0``.
-    """
-
-    kind: str
-    roots_in_unit: tuple[float, ...]
-    z0: float | None
-    z1: float | None
-    coefficients: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    """Interior zero of the derivative kernel.
-
-    ``one_minus_y0`` is the authoritative location: the zero can sit closer
-    to 1 than the spacing of binary64 doubles, in which case ``y0`` rounds
-    to 1.0 while ``one_minus_y0`` keeps full precision.
-    """
-
-    y0: float
-    one_minus_y0: float
-    kernel_value: float
 
 
 def _validate_x(arr: np.ndarray) -> None:
@@ -310,128 +274,6 @@ def derivative_kernel_near_one(params: FamilyParams, eps_from_one: float) -> flo
         raise ValueError(f"eps_from_one must lie in (0, 1), got {eps}")
     # 1 - eps may round to 1; d = eps and ln d keep the distance exactly.
     return float(_kernel_direct(params, 1.0 - eps, eps, math.log(eps)))
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    c = _SPLITTER * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = _SPLITTER * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _coefficients(params: FamilyParams) -> tuple[float, float, float]:
-    u, s = params.u, params.s
-    return ((1.0 - s) * u * u,
-            (3.0 * s + s * u - 2.0) * u,
-            1.0 - 3.0 * s * u)
-
-
-def trinomial_eval(params: FamilyParams, X: float) -> float:
-    """Kernel trinomial ``(1-s)u^2 X^2 + (3s+su-2)u X + (1-3su)`` at ``X``.
-
-    Compensated Horner evaluation, so the residual at a computed root is
-    dominated by the rounding of the coefficients themselves.  Takes any
-    real ``X`` (the variable is ``X = x^2`` but no range is required).
-    """
-    a2, a1, a0 = _coefficients(params)
-    X = float(X)
-    p, e1 = _two_prod(a2, X)
-    s1, e2 = _two_sum(p, a1)
-    p, e3 = _two_prod(s1, X)
-    s2, e4 = _two_sum(p, a0)
-    return s2 + ((e1 + e2) * X + (e3 + e4))
-
-
-def trinomial_roots(params: FamilyParams) -> TrinomialRoots:
-    """Real roots of the kernel trinomial with the sign classification.
-
-    For ``u = 0`` the trinomial is the constant 1 (kind "constant", no
-    roots).  A leading coefficient below 1e-14 of the coefficient scale is
-    treated as linear, which covers ``s = 1`` exactly.  The quadratic case
-    computes the larger-magnitude root first and derives the other from
-    the constant/leading ratio, so nearly-linear cases stay accurate.
-    """
-    a2, a1, a0 = _coefficients(params)
-    if params.u == 0.0:
-        return TrinomialRoots("constant", (), None, None, (a2, a1, a0))
-    scale = max(abs(a2), abs(a1), abs(a0))
-    if abs(a2) < 1e-14 * scale:
-        kind = "linear"
-        roots = [-a0 / a1]  # a1 = (3s + su - 2) u > 0 for s >= 1, u > 0
-    else:
-        kind = "quadratic"
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc < 0.0:
-            # Unreachable for s > 1, u > 0: the parabola opens downward and
-            # is nonnegative at X = 1, forcing real roots.  Guard anyway.
-            return TrinomialRoots(kind, (), None, None, (a2, a1, a0))
-        sq = math.sqrt(disc)
-        qd = -0.5 * (a1 + math.copysign(sq, a1))
-        roots = sorted((qd / a2, a0 / qd)) if qd != 0.0 else [0.0, 0.0]
-    tol = 1e-12
-    in_unit = tuple(min(r, 1.0) for r in roots if 0.0 < r <= 1.0 + tol)
-    z0 = in_unit[0] if in_unit else None
-    z1 = max(roots) if roots and max(roots) >= 1.0 - tol else None
-    return TrinomialRoots(kind, in_unit, z0, z1, (a2, a1, a0))
-
-
-def critical_point(params: FamilyParams) -> CriticalPoint:
-    """Locate the kernel's unique interior zero when ``3su > 1`` and ``u < 1``.
-
-    The kernel decreases to a negative minimum at ``sqrt(z0)`` (``z0`` the
-    trinomial root in ``X = x^2``) and then increases to +inf, so its zero
-    is bracketed by ``(sqrt(z0), 1)``.  The search bisects geometrically in
-    the distance from one, because the zero may sit far below one ulp from
-    1, and returns the end of the final bracket with the smaller kernel.
-
-    Raises ValueError when the preconditions fail and RuntimeError when no
-    bracket can be established (a precision ceiling, not a disproof).
-    """
-    u, s = params.u, params.s
-    if not 3.0 * s * u > 1.0:
-        raise ValueError(f"critical point requires 3su > 1, got 3su = {3.0 * s * u}")
-    if not u < 1.0:
-        raise ValueError("critical point requires u < 1; the kernel is "
-                         "single-signed for u = 1")
-    tr = trinomial_roots(params)
-    if tr.z0 is None or not 0.0 < tr.z0 < 1.0:
-        raise RuntimeError(f"degenerate trinomial configuration: roots {tr}")
-    # Near 1 the kernel moves ~0.5 per unit of ln(eps), so a final relative
-    # width of 4e-16 in eps pins |kernel| to ~1e-15 wherever the zero sits.
-    pos, neg = 1e-300, 1.0 - math.sqrt(tr.z0)
-    f_neg = derivative_kernel_near_one(params, neg)
-    if f_neg >= 0.0:
-        raise RuntimeError("kernel not negative at its minimum; parameters sit "
-                           "on the threshold at machine precision")
-    f_pos = derivative_kernel_near_one(params, pos)
-    if not f_pos > 0.0:
-        raise RuntimeError("no sign change above eps = 1e-300; the critical "
-                           "point is beyond binary64 range")
-    while neg - pos > 4e-16 * neg:
-        mid = math.sqrt(pos) * math.sqrt(neg)  # pos * neg may underflow
-        if not pos < mid < neg:
-            break
-        val = derivative_kernel_near_one(params, mid)
-        if val > 0.0:
-            pos, f_pos = mid, val
-        else:
-            neg, f_neg = mid, val
-    eps, val = (pos, f_pos) if abs(f_pos) < abs(f_neg) else (neg, f_neg)
-    return CriticalPoint(y0=1.0 - eps, one_minus_y0=eps, kernel_value=val)
 
 
 def log_ratio_limit_at_one(params: FamilyParams) -> float:

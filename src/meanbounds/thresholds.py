@@ -5,7 +5,9 @@ two-parameter mean stays under the identric mean for every distinct pair,
 and above ``q`` it stays over.  Both have closed forms, and both are
 re-derivable from the one-variable analysis conditions ``3 s u <= 1`` and
 ``u + (2/e)^(2/s) >= 1`` with ``u = (1-2t)^2``; ``threshold_consistency``
-checks that round trip.
+checks that round trip.  ``membership`` does not compare ``t`` with the
+rounded cutoffs: it decides those two conditions exactly for the caller's
+doubles, the first in rationals and the second by an interval enclosure.
 """
 
 from __future__ import annotations
@@ -58,31 +60,74 @@ def _one_minus_two_over_e_pow(s: float) -> float:
     return -math.expm1((2.0 / s) * (_LN2 - 1.0))
 
 
-def sharp_thresholds(s: float) -> ThresholdSet:
-    """Closed forms ``p = (1 - sqrt(1-(2/e)^(2/s)))/2``, ``q = (1 - 1/sqrt(3s))/2``."""
+def _checked_s(s: float) -> float:
     s = float(s)
     if not (math.isfinite(s) and s >= 1.0):
         raise ValueError(f"s must be >= 1, got {s}")
+    return s
+
+
+def sharp_thresholds(s: float) -> ThresholdSet:
+    """Closed forms ``p = (1 - sqrt(1-(2/e)^(2/s)))/2``, ``q = (1 - 1/sqrt(3s))/2``."""
+    s = _checked_s(s)
     p = 0.5 * (1.0 - math.sqrt(_one_minus_two_over_e_pow(s)))
     q = 0.5 - 0.5 / math.sqrt(3.0 * s)
     return ThresholdSet(s=s, p=p, q=q)
 
 
-def membership(t: float, s: float) -> str:
-    """Classify ``t`` against the sharp cutoffs for ``s``.
+# Precisions tried for the enclosure of L: doubling from the first, up to
+# and including the cap (80 * 2^6).
+_LIMIT_PREC, _LIMIT_PREC_CAP = 80, 5120
 
-    Returns "lower_bound_holds" (t <= p, mean below identric everywhere),
-    "upper_bound_holds" (t >= q), or "neither".
+
+def membership(t: float, s: float) -> str:
+    """Classify the double ``t`` against the sharp cutoffs for the double ``s``.
+
+    Returns "lower_bound_holds" (``Q(t, s) < I`` for every pair ``a != b``,
+    the side ``t <= p``), "upper_bound_holds" (``I < Q(t, s)``, ``t >= q``),
+    or "neither".  The verdict is exact for the doubles passed in, which
+    the closed-form doubles ``p`` and ``q`` can sit an ulp beyond.
+
+    With ``u = (1-2t)^2``, the upper side holds iff ``3 s u <= 1``: then
+    every series coefficient of the log-ratio is >= 0, and otherwise the
+    first is < 0.  That is decided in rationals.  For the lower side,
+    ``t = 0`` holds, since ``Q(0, s) = G (G/A)^(s-1) <= G < I``.  Otherwise
+    ``3 s u > 1`` is needed, and then the log-ratio falls and then rises
+    (its kernel trinomial is < 0 at 0, > 0 at 1 and concave), so the side
+    holds iff its limit at 1, ``L = 1 - ln 2 + (s/2) ln(4t(1-t))``, is
+    <= 0.  ``L`` is enclosed with ``mpmath.iv`` from 80 bits, doubling the
+    precision while the enclosure contains 0.  ``L = 0`` would make ``e``
+    algebraic, so this ends for every pair of doubles; RuntimeError is
+    raised, never a guess, should 5120 bits not suffice.
     """
     t = float(t)
-    if not 0.0 <= t <= 0.5:
+    if not 0.0 <= t <= 0.5:  # NaN fails too
         raise ValueError(f"t must lie in [0, 1/2], got {t}")
-    ts = sharp_thresholds(s)
-    if t <= ts.p:
-        return "lower_bound_holds"
-    if t >= ts.q:
+    s = _checked_s(s)
+    from fractions import Fraction
+
+    if 3 * Fraction(s) * (1 - 2 * Fraction(t)) ** 2 <= 1:
         return "upper_bound_holds"
-    return "neither"
+    if t == 0.0:
+        return "lower_bound_holds"
+    from mpmath import iv
+
+    saved = iv.prec
+    try:
+        prec = _LIMIT_PREC
+        while prec <= _LIMIT_PREC_CAP:
+            iv.prec = prec
+            t_iv = iv.mpf(t)
+            limit = 1 - iv.log(2) + iv.mpf(s) / 2 * iv.log(4 * t_iv * (1 - t_iv))
+            if limit.b <= 0:
+                return "lower_bound_holds"
+            if limit.a > 0:
+                return "neither"
+            prec *= 2
+    finally:
+        iv.prec = saved
+    raise RuntimeError(f"the sign of L at t = {t!r}, s = {s!r} is not "
+                       f"resolved at {_LIMIT_PREC_CAP} bits")
 
 
 def exponential_bound_constants() -> ExponentialBoundConstants:

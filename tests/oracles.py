@@ -50,6 +50,24 @@ def family_log_ratio_and_quotient_t(t, s, x):
         return val, val / (x * x)
 
 
+def membership_class(t, s):
+    """The sharp-cutoff class of the double t, from the paper's theorem.
+
+    I < Q(t, s) for all pairs iff 3 s u <= 1; Q(t, s) < I iff 3 s u > 1 and
+    L = 1 - ln 2 + (s/2) ln(1 - u) <= 0 (L = -inf at u = 1).  u = (1-2t)^2
+    and 3 s u are exact at 60 digits; |L| is far above 1e-50 at the doubles
+    tested.
+    """
+    with mp.workdps(60):
+        t, s = mp.mpf(t), mp.mpf(s)
+        u = (1 - 2 * t) ** 2
+        if 3 * s * u <= 1:
+            return "upper_bound_holds"
+        limit = 1 - mp.log(2) + s / 2 * mp.log(1 - u)
+        assert not abs(limit) < mp.mpf("1e-50"), limit
+        return "lower_bound_holds" if limit <= 0 else "neither"
+
+
 def kernel_u(u, s, x):
     """-x + atanh(x) - s u x^3 / (1 - u x^2)."""
     with mp.workdps(DPS):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from meanbounds import (
     FamilyParams,
     PositivePair,
-    critical_point,
     derivative_kernel,
     derivative_kernel_near_one,
     exp_bound_margin,
@@ -18,8 +18,6 @@ from meanbounds import (
     log_ratio_limit_at_one,
     log_ratio_q_over_i,
     q_mean,
-    trinomial_eval,
-    trinomial_roots,
 )
 
 from oracles import family_log_ratio_u, kernel_near_one_u, kernel_u
@@ -38,6 +36,8 @@ FROZEN_LOG_RATIO = [
 KERNEL_AT_HALF_U0 = 0.04930614433405484569762  # -1/2 + ln(3)/2
 
 EPS = np.finfo(float).eps
+
+GRID = np.linspace(0.01, 0.9999, 4000)
 
 
 class TestFamilyParams:
@@ -192,131 +192,88 @@ class TestDerivativeKernel:
         assert fd == pytest.approx(kernel_over_sq, rel=1e-5, abs=2e-8)
 
 
+def exact_trinomial(t, s):
+    """Kernel trinomial ``(a2, a1, a0)`` in ``X = x^2`` for the exact doubles.
+
+    The kernel's slope has the sign of ``a2 X^2 + a1 X + a0``; the
+    coefficients are rationals in ``u = (1-2t)^2`` and ``s``.
+    """
+    t, s = Fraction(t), Fraction(s)
+    u = (1 - 2 * t) ** 2
+    return (1 - s) * u * u, (3 * s + s * u - 2) * u, 1 - 3 * s * u
+
+
 class TestTrinomial:
+    """The facts about the kernel trinomial ``T`` that ``membership`` uses."""
+
     def test_value_at_zero_and_one(self):
-        params = FamilyParams.from_u(0.3, 2.0)
-        assert trinomial_eval(params, 0.0) == pytest.approx(1 - 6 * 0.3, rel=1e-14)
-        assert trinomial_eval(params, 1.0) == pytest.approx(0.49, rel=1e-12)
-
-    def test_u1_s1_linear_with_root_at_one(self):
-        params = FamilyParams.from_u(1.0, 1.0)
-        assert trinomial_eval(params, 0.0) == -2.0
-        assert trinomial_eval(params, 1.0) == 0.0
-        tr = trinomial_roots(params)
-        assert tr.kind == "linear"
-        assert tr.z0 == pytest.approx(1.0, abs=1e-15)
-
-    def test_linear_root_example(self):
-        tr = trinomial_roots(FamilyParams.from_u(0.5, 1.0))
-        assert tr.kind == "linear"
-        assert tr.roots_in_unit == pytest.approx((2 / 3,), rel=1e-14)
-
-    def test_threshold_case_no_interior_root(self):
-        # 3su = 1 at u = 1/6, s = 2: the root sits at the X = 0 boundary.
-        tr = trinomial_roots(FamilyParams.from_u(1 / 6, 2.0))
-        assert tr.roots_in_unit == ()
-        assert tr.z1 is not None and tr.z1 > 1.0
+        for t, s in [(0.2, 2.0), (0.1, 1.0), (0.3, 7.5), (0.45, 1.25)]:
+            a2, a1, a0 = exact_trinomial(t, s)
+            u = (1 - 2 * Fraction(t)) ** 2
+            assert a0 == 1 - 3 * Fraction(s) * u
+            assert a2 + a1 + a0 == (1 - u) ** 2
 
     def test_u_one_always_has_root_at_one(self):
+        # t = 0: T(1) = 0, so membership decides t = 0 on its own.
         for s in (1.0, 2.0, 5.0):
-            tr = trinomial_roots(FamilyParams.from_u(1.0, s))
-            assert any(abs(r - 1.0) < 1e-12 for r in tr.roots_in_unit)
+            a2, a1, a0 = exact_trinomial(0.0, s)
+            assert a2 + a1 + a0 == 0 and a0 < 0
+        assert exact_trinomial(0.0, 1.0) == (0, 2, -2)
 
     def test_u_zero_constant(self):
-        tr = trinomial_roots(FamilyParams.from_u(0.0, 2.0))
-        assert tr.kind == "constant"
-        assert tr.roots_in_unit == ()
-
-    def test_subcritical_quadratic_brackets_unit_interval(self):
-        # 3su <= 1 with s > 1: roots satisfy z0 <= 0 < 1 <= z1.
-        params = FamilyParams.from_u(1 / 7, 2.0)
-        tr = trinomial_roots(params)
-        assert tr.kind == "quadratic"
-        assert tr.roots_in_unit == ()
-        assert tr.z1 is not None and tr.z1 >= 1.0
-
-    def test_root_residuals(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            u = float(rng.uniform(1e-3, 1.0))
-            s = float(rng.uniform(1.0, 10.0))
-            params = FamilyParams.from_u(u, s)
-            tr = trinomial_roots(params)
-            bound = 1e-12 * (1.0 + sum(abs(c) for c in tr.coefficients))
-            for root in tr.roots_in_unit:
-                assert abs(trinomial_eval(params, root)) <= bound
+        assert exact_trinomial(0.5, 3.0) == (0, 0, 1)
 
     def test_sign_cases_on_unit_interval(self):
+        # a2 <= 0 makes T concave on [0, 1].  With T(1) > 0, T has exactly
+        # one root in (0, 1) when T(0) < 0 (3su > 1) and is > 0 on [0, 1]
+        # when T(0) > 0.  T(0) = 0 never happens: 3su = 1 would need a
+        # dyadic 1/3.
         rng = np.random.default_rng(11)
-        # X = 1 included: the trinomial is (1-u)^2 > 0 there, so the single
-        # crossing is detectable even when the root sits close to 1.
-        xs = np.linspace(1e-6, 1.0, 1500)
-        supercritical = 0
-        for _ in range(200):
-            u = float(rng.uniform(1e-3, 1.0))
-            s = float(rng.uniform(1.0, 10.0))
-            params = FamilyParams.from_u(u, s)
-            values = np.array([trinomial_eval(params, x) for x in xs])
-            if 3 * s * u <= 1.0:
-                assert np.all(values >= 0.0)
-            else:
-                supercritical += 1
-                flips = np.sum(values[:-1] * values[1:] < 0.0)
-                assert flips == 1
-        assert supercritical > 50
+        seen = {"supercritical": 0, "subcritical": 0}
+        while min(seen.values()) < 1000:
+            t = float(rng.uniform(0.0, 0.5))
+            s = float(rng.choice([1.0, rng.uniform(1.0, 20.0)]))
+            if t == 0.0:
+                continue
+            a2, a1, a0 = exact_trinomial(t, s)
+            u = (1 - 2 * Fraction(t)) ** 2
+            assert a2 <= 0
+            assert a2 + a1 + a0 == (1 - u) ** 2 > 0
+            assert a0 != 0
+            seen["supercritical" if a0 < 0 else "subcritical"] += 1
 
 
 class TestCriticalPoint:
-    def test_near_one_zero(self):
-        params = FamilyParams.from_u(0.9, 2.0)
-        cp = critical_point(params)
-        assert 0.0 < cp.one_minus_y0 < 1e-15
-        assert abs(cp.kernel_value) <= 1e-12
-        below = derivative_kernel_near_one(params, 2 * cp.one_minus_y0)
-        above = derivative_kernel_near_one(params, 0.5 * cp.one_minus_y0)
-        assert below < 0.0 < above
+    """The log-ratio's shape, which reduces the lower side to its limit at 1."""
 
-    def test_interior_zero_and_monotonicity_structure(self):
-        params = FamilyParams.from_u(0.2, 2.0)
-        cp = critical_point(params)
-        assert 0.0 < cp.y0 < 1.0
-        assert abs(cp.kernel_value) <= 1e-12
-        # decreasing before the critical point, increasing after
-        left = np.linspace(0.02, cp.y0 * 0.98, 40)
-        right = np.linspace(min(cp.y0 * 1.02, 0.999), 0.999, 40)
-        f_left = log_ratio_q_over_i(params, left)
-        f_right = log_ratio_q_over_i(params, right)
-        assert np.all(np.diff(f_left) < 0)
-        assert np.all(np.diff(f_right) > 0)
+    @pytest.mark.parametrize("u, s", [(0.2, 2.0), (0.3, 2.0), (0.6, 1.0),
+                                      (0.5, 1.5), (0.35, 5.0)])
+    def test_falls_then_rises(self, u, s):
+        # 3su > 1 and u < 1, with the minimum inside the grid (at 0.60 to
+        # 0.9987 for these pairs); for u = 0.99, s = 10 it lies beyond
+        # 1 - 1e-300.
+        params = FamilyParams.from_u(u, s)
+        assert 3 * s * u > 1
+        steps = np.sign(np.diff(log_ratio_q_over_i(params, GRID)))
+        assert np.all(steps != 0)
+        assert steps[0] < 0 < steps[-1]
+        assert np.count_nonzero(steps[1:] != steps[:-1]) == 1
 
-    def test_kernel_residual_across_parameters(self):
-        for u, s in [(0.5, 1.5), (0.4, 2.0), (0.8, 3.0), (0.95, 2.0)]:
-            params = FamilyParams.from_u(u, s)
-            cp = critical_point(params)
-            assert abs(cp.kernel_value) <= 1e-12
-            below = derivative_kernel_near_one(params, 2 * cp.one_minus_y0)
-            above = derivative_kernel_near_one(params, 0.5 * cp.one_minus_y0)
-            assert below < 0.0 < above
+    @pytest.mark.parametrize("u, s", [(1 / 7, 2.0), (0.3, 1.0), (0.33, 1.0),
+                                      (0.06, 5.0), (0.0, 5.0)])
+    def test_rises_throughout_when_subcritical(self, u, s):
+        params = FamilyParams.from_u(u, s)
+        assert 3 * s * u <= 1
+        assert np.all(np.diff(log_ratio_q_over_i(params, GRID)) > 0)
 
-    @pytest.mark.parametrize("u, s", [(0.9, 2.0), (0.2, 2.0), (0.5, 1.5),
-                                      (0.4, 2.0), (0.8, 3.0), (0.95, 2.0)])
-    def test_true_kernel_at_zero(self, u, s):
-        cp = critical_point(FamilyParams.from_u(u, s))
-        assert abs(kernel_near_one_u(u, s, cp.one_minus_y0)) <= 1e-14
-
-    def test_precondition_subcritical(self):
-        with pytest.raises(ValueError):
-            critical_point(FamilyParams.from_u(1 / 7, 2.0))
-
-    def test_precondition_u_equal_one(self):
-        with pytest.raises(ValueError):
-            critical_point(FamilyParams.from_u(1.0, 1.0))
-
-    def test_precision_ceiling_reported(self):
-        # At u = 0.99, s = 10 the zero sits near 1 - 1e-860, far below the
-        # smallest positive double: a reported failure, not a wrong answer.
-        with pytest.raises(RuntimeError):
-            critical_point(FamilyParams.from_u(0.99, 10.0))
+    def test_zero_beyond_smallest_distance(self):
+        # At u = 0.99, s = 10 the kernel's zero sits near 1 - 1e-860: the
+        # log-ratio falls on every double gap, and only its limit at 1
+        # decides the lower side.
+        params = FamilyParams.from_u(0.99, 10.0)
+        assert derivative_kernel_near_one(params, 1e-300) < 0
+        assert kernel_near_one_u(0.99, 10.0, 1e-300) < 0
+        assert np.all(np.diff(log_ratio_q_over_i(params, GRID)) < 0)
 
 
 class TestLimitAtOne:

@@ -47,10 +47,11 @@ def test_bare_import_loads_neither_numpy_nor_mpmath():
 
 
 def test_thresholds_loads_neither_numpy_nor_mpmath():
+    # Nor fractions, which pulls in decimal: only membership needs it.
     proc, names = imported_packages("-m", "meanbounds", "thresholds", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("s = 2\n")
-    assert not names & {"numpy", "mpmath"}
+    assert not names & {"numpy", "mpmath", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import iv
 
 from meanbounds import (
     exponential_bound_constants,
@@ -9,6 +10,9 @@ from meanbounds import (
     sharp_thresholds,
     threshold_consistency,
 )
+from meanbounds import thresholds
+
+from oracles import membership_class
 
 # Frozen with mpmath at 40 digits.
 FROZEN = {
@@ -19,6 +23,16 @@ FROZEN = {
     5.0: (0.330068104445984533974, 0.3709005551264194371607),
     10.0: (0.3780109320944714905653, 0.4087129070824723144238),
 }
+
+
+def ulps_around(x, n):
+    """The 2n + 1 doubles from n ulps below ``x`` to n ulps above, in order."""
+    for _ in range(n):
+        x = math.nextafter(x, -math.inf)
+    out = [x]
+    for _ in range(2 * n):
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
 
 
 class TestClosedForms:
@@ -63,13 +77,67 @@ class TestMembership:
         assert membership(0.27, 2.0) == "neither"
 
     def test_boundaries_inclusive(self):
+        # The closed-form doubles can sit an ulp on either side of the real
+        # cutoffs (at s = 3, L = +3.4e-17 at the double p), so the statement
+        # is about the doubles around them: the verdict flips exactly once.
         ts = sharp_thresholds(3.0)
-        assert membership(ts.p, 3.0) == "lower_bound_holds"
-        assert membership(ts.q, 3.0) == "upper_bound_holds"
+        for cutoff, before, after in ((ts.p, "lower_bound_holds", "neither"),
+                                      (ts.q, "neither", "upper_bound_holds")):
+            got = [membership(t, 3.0) for t in ulps_around(cutoff, 2)]
+            flips = sum(a != b for a, b in zip(got, got[1:]))
+            assert flips == 1 and got[0] == before and got[-1] == after, got
 
-    def test_rejects_bad_t(self):
+    @pytest.mark.parametrize("t, s", [
+        (0.7, 2.0), (-0.1, 2.0), (0.2, 0.5),
+        (math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0),
+        (0.2, math.nan), (0.2, math.inf), (0.2, -math.inf),
+    ])
+    def test_rejects_bad_t(self, t, s):
         with pytest.raises(ValueError):
-            membership(0.7, 2.0)
+            membership(t, s)
+
+
+class TestMembershipExact:
+    """``membership`` decides the theorem for the exact doubles passed in."""
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.7, 5.0, 10.0, 20.0, 50.0])
+    def test_matches_oracle_near_cutoffs(self, s):
+        ts = sharp_thresholds(s)
+        for cutoff in (ts.p, ts.q):
+            for t in ulps_around(cutoff, 64):
+                assert membership(t, s) == membership_class(t, s), (s, t.hex())
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_q_and_next_double_are_neither(self, s):
+        # 3su - 1 is +2.7e-16 and +7.6e-17 at s = 1: f < 0 near x = 0.
+        q = sharp_thresholds(s).q
+        assert membership(q, s) == "neither"
+        assert membership(math.nextafter(q, 1.0), s) == "neither"
+
+    def test_p_is_neither_at_s1(self):
+        # L = +5.3e-18 at the double p.
+        assert membership(sharp_thresholds(1.0).p, 1.0) == "neither"
+
+    def test_precision_doubles_until_the_sign_is_resolved(self, monkeypatch):
+        # 8 bits cannot resolve |L| ~ 1e-16; the doublings must.
+        monkeypatch.setattr(thresholds, "_LIMIT_PREC", 8)
+        p = sharp_thresholds(1.0).p
+        for t in ulps_around(p, 2):
+            assert membership(t, 1.0) == membership_class(t, 1.0)
+
+    def test_unresolved_sign_raises_and_restores_precision(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "_LIMIT_PREC", 16)
+        monkeypatch.setattr(thresholds, "_LIMIT_PREC_CAP", 32)
+        saved = iv.prec
+        iv.prec = 123
+        try:
+            with pytest.raises(RuntimeError):
+                membership(sharp_thresholds(1.0).p, 1.0)
+            assert iv.prec == 123
+            assert membership(0.1, 1.0) == "lower_bound_holds"
+            assert iv.prec == 123
+        finally:
+            iv.prec = saved
 
 
 class TestExponentialConstants:
