@@ -198,8 +198,12 @@ def exact_trinomial(t, s):
     The kernel's slope has the sign of ``a2 X^2 + a1 X + a0``; the
     coefficients are rationals in ``u = (1-2t)^2`` and ``s``.
     """
-    t, s = Fraction(t), Fraction(s)
-    u = (1 - 2 * t) ** 2
+    return trinomial_in_u((1 - 2 * Fraction(t)) ** 2, s)
+
+
+def trinomial_in_u(u, s):
+    """``(a2, a1, a0)`` for rational ``u`` and ``s``, also ones no ``t`` reaches."""
+    u, s = Fraction(u), Fraction(s)
     return (1 - s) * u * u, (3 * s + s * u - 2) * u, 1 - 3 * s * u
 
 
@@ -220,8 +224,32 @@ class TestTrinomial:
             assert a2 + a1 + a0 == 0 and a0 < 0
         assert exact_trinomial(0.0, 1.0) == (0, 2, -2)
 
+    def test_u1_s1_linear_with_root_at_one(self):
+        # a2 = 0 at s = 1: T(X) = 2X - 2, whose only root is X = 1.
+        a2, a1, a0 = exact_trinomial(0.0, 1.0)
+        assert (a2, a1, a0) == (0, 2, -2)
+        assert -a0 / a1 == 1
+
     def test_u_zero_constant(self):
         assert exact_trinomial(0.5, 3.0) == (0, 0, 1)
+
+    def test_threshold_case_no_interior_root(self):
+        # 3su = 1 at u = 1/6, s = 2: T(X) = X (a2 X + a1) has roots 0 and
+        # -a1/a2 = 26, so none in (0, 1].
+        a2, a1, a0 = trinomial_in_u(Fraction(1, 6), 2)
+        assert a0 == 0
+        assert a2 < 0 < a1
+        assert -a1 / a2 == 26
+
+    def test_subcritical_quadratic_brackets_unit_interval(self):
+        # 3su < 1 with s > 1: a2 < 0 < a0 puts one root below 0, and
+        # T(1) > 0 puts the other above 1, so z0 < 0 < 1 < z1.
+        a2, a1, a0 = trinomial_in_u(Fraction(1, 7), 2)
+        assert a2 < 0 < a0
+        assert a2 + a1 + a0 == Fraction(6, 7) ** 2
+        # z0 z1 = a0/a2 < 0, and a2 T(X) < 0 exactly between the roots.
+        assert a0 / a2 < 0
+        assert a2 * (a2 + a1 + a0) < 0
 
     def test_sign_cases_on_unit_interval(self):
         # a2 <= 0 makes T concave on [0, 1].  With T(1) > 0, T has exactly
