@@ -10,9 +10,10 @@ compare with ``diff -r``:
 
 The corpus covers every subcommand and every ``--format``, ``verify`` below,
 at and above the sharp cutoffs, ``falsify`` found and not found, the csv
-fallback to the human text, an ``s`` without closed forms, and the
-usage-error exits.  ``$MEANBOUNDS_GRID`` is cleared and ``$COLUMNS`` fixed
-for each command, so the output depends on nothing but the code.
+fallback to the human text, an ``s`` without closed forms, the sharpness
+checks of ``certify``, and the usage-error exits.  ``$MEANBOUNDS_GRID`` is
+cleared and ``$COLUMNS`` fixed for each command, so the output depends on
+nothing but the code.
 ``tests/cli_corpus/`` holds a recorded run that ``tests/test_cli.py``
 compares against.
 """
@@ -79,6 +80,9 @@ CORPUS = (
     ("sweep-reversed", "sweep --s 2:1:1", {}),
     ("sweep-two-fields", "sweep --s 1:2", {}),
     ("version", "--version", {}),
+    ("certify", "certify --s 2", {}),
+    ("certify-structured", "certify --s 2 --format structured", {}),
+    ("certify-domain", "certify --s 0.5", {}),
 )
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: ``eval`` (means for a pair), ``thresholds`` (closed-form
 cutoffs), ``verify`` / ``falsify`` (grid checks of the mean comparison),
-and ``sweep`` (CSV survey over a range of s).
+``sweep`` (CSV survey over a range of s) and ``certify`` (the sharpness
+checks around the cutoffs of one s).
 
 Exit codes are a stable contract: 0 means the checked inequality holds
 (or the command is informational), 1 means violated / witness search
@@ -31,8 +32,8 @@ from .thresholds import exponential_bound_constants, sharp_thresholds
 _LAZY = {
     "means": ("PositivePair", "arithmetic_mean", "gap", "geometric_mean",
               "harmonic_mean", "identric_mean", "q_mean"),
-    "verify": ("GridSpec", "empirical_threshold", "falsify",
-               "verify_family_inequality"),
+    "verify": ("GridSpec", "certificate_succeeded", "certify_sign",
+               "empirical_threshold", "falsify", "verify_family_inequality"),
 }
 
 
@@ -63,6 +64,8 @@ _VERIFY_COLUMNS = ("check", "side", "t", "s", "verdict", "worst_margin",
                    "witness_x", "samples")
 _SWEEP_COLUMNS = ("s", "p_closed", "q_closed", "p_empirical", "q_empirical",
                   "lower_margin_at_p", "upper_margin_at_q")
+_CERTIFY_COLUMNS = ("check", "t", "result", "margin", "x", "nodes")
+_CERTIFY_PASSES = ("holds_on_grid", "found", "proved_negative")
 
 _CLOSED_FORMS = {
     1.0: ("(1 - sqrt(1 - 4/e^2))/2", "(3 - sqrt(3))/6"),
@@ -127,6 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--tol", type=float, default=1e-6,
                       help="bisection tolerance for empirical thresholds")
     _add_grid_args(p_sw)
+
+    p_cert = sub.add_parser("certify",
+                            help="sharpness checks around the cutoffs of s")
+    p_cert.add_argument("--s", type=float, required=True)
     for command in sub.choices.values():
         command.add_argument("--format", choices=("human", "csv", "structured"),
                              default="human", help="output format")
@@ -289,6 +296,36 @@ def _cmd_sweep(args):
     return 0, payload, None, (_SWEEP_COLUMNS, rows)
 
 
+def _cmd_certify(args):
+    ts = sharp_thresholds(args.s)
+    s, p, q = ts.s, ts.p, ts.q
+    if p + 1e-3 > 0.5:
+        raise ValueError(f"s = {_fmt(s)} is too large: p + 1e-3 lies above 1/2")
+    _load("verify")
+    # The grid holds at the cutoffs, a witness exists 1e-3 outside them and
+    # the sign is proved 0.01 inside p: one row per check.
+    rows = []
+    for name, t, side in (("verify_at_p", p, "lower"),
+                          ("verify_at_q", q, "upper")):
+        report = verify_family_inequality(t, s, side)
+        w = report.witness
+        rows.append([name, t, report.verdict, report.worst_margin, w and w.x,
+                     None])
+    for name, t, side in (("falsify_above_p", p + 1e-3, "lower"),
+                          ("falsify_below_q", q - 1e-3, "upper")):
+        w = falsify(t, s, side).witness
+        rows.append([name, t, "found" if w else "not_found",
+                     w and w.margin_recheck, w and w.x, None])
+    nodes = certify_sign(p - 0.01, s, 0.01, 0.99, "negative")
+    rows.append(["certify_below_p", p - 0.01,
+                 "proved_negative" if certificate_succeeded(nodes, "negative")
+                 else "not_proved", None, None, len(nodes)])
+    passed = all(row[2] in _CERTIFY_PASSES for row in rows)
+    payload = {"s": s, "p": p, "q": q, "passed": passed,
+               "rows": [dict(zip(_CERTIFY_COLUMNS, row)) for row in rows]}
+    return (0 if passed else 1), payload, None, (_CERTIFY_COLUMNS, rows)
+
+
 # Each command returns its exit code followed by the arguments of _render
 # after the format: the payload, the human lines and, if any, the csv table.
 _DISPATCH = {
@@ -297,6 +334,7 @@ _DISPATCH = {
     "verify": _cmd_verify,
     "falsify": _cmd_falsify,
     "sweep": _cmd_sweep,
+    "certify": _cmd_certify,
 }
 
 

@@ -49,12 +49,6 @@ class ExponentialBoundConstants:
     upper: float
 
 
-def _two_over_e_pow(s: float) -> float:
-    # (2/e)**(2/s) as exp((2/s)(ln 2 - 1)): one rounding in the exponent
-    # instead of powering a transcendental base.
-    return math.exp((2.0 / s) * (_LN2 - 1.0))
-
-
 def _one_minus_two_over_e_pow(s: float) -> float:
     # 1 - (2/e)**(2/s) via expm1; the direct subtraction cancels for large s.
     return -math.expm1((2.0 / s) * (_LN2 - 1.0))
@@ -138,7 +132,7 @@ def threshold_consistency(s: float, tol: float = 1e-12) -> bool:
     """Re-derive both cutoffs from the analysis conditions and compare.
 
     At ``t = p`` the derived ``u = (1-2t)^2`` must satisfy
-    ``u + (2/e)^(2/s) = 1``; at ``t = q`` it must satisfy ``3 s u = 1``.
+    ``u = 1 - (2/e)^(2/s)``; at ``t = q`` it must satisfy ``3 s u = 1``.
     True when both hold within ``tol``.
     """
     ts = sharp_thresholds(s)
@@ -146,6 +140,6 @@ def threshold_consistency(s: float, tol: float = 1e-12) -> bool:
     u_p = one_minus_2p * one_minus_2p
     one_minus_2q = 1.0 - 2.0 * ts.q
     u_q = one_minus_2q * one_minus_2q
-    lower_ok = abs(u_p + _two_over_e_pow(float(s)) - 1.0) <= tol
+    lower_ok = abs(u_p - _one_minus_two_over_e_pow(float(s))) <= tol
     upper_ok = abs(3.0 * float(s) * u_q - 1.0) <= tol
     return lower_ok and upper_ok

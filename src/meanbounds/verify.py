@@ -275,8 +275,7 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
 def _grid(grid: GridSpec | None) -> tuple[np.ndarray, dict]:
     """Points of ``grid`` (default ``GridSpec()``) and its report entry."""
     spec = grid if grid is not None else GridSpec()
-    return grid_points(spec), {"count": spec.count, "spacing": spec.spacing,
-                               "x_min": spec.x_min, "x_max": spec.x_max}
+    return grid_points(spec), asdict(spec)
 
 
 def _family_side(t: float, s: float, side: str, pieces: _Pieces):

@@ -7,6 +7,7 @@ import pytest
 
 import meanbounds.cli as cli
 from meanbounds.cli import main
+from meanbounds.verify import FalsificationResult
 
 import oracles
 
@@ -230,14 +231,46 @@ class TestOutputFiles:
         assert not target.exists()
 
 
-class TestSharpnessReport:
-    def test_all_checks_pass(self, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "sharpness_report", ROOT / "scripts" / "sharpness_report.py")
-        report = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(report)
-        assert report.main(["--s", "2"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
+class TestCertify:
+    @pytest.mark.parametrize("s", ["1", "2", "5", "50"])
+    def test_all_checks_pass(self, capsys, s):
+        code, out, err = run(capsys, "certify", "--s", s,
+                             "--format", "structured")
+        assert code == 0, out
+        assert err == ""
+        payload = json.loads(out)
+        ts = cli.sharp_thresholds(float(s))
+        assert (payload["p"], payload["q"], payload["passed"]) == (ts.p, ts.q,
+                                                                  True)
+        assert [(r["check"], r["result"]) for r in payload["rows"]] == [
+            ("verify_at_p", "holds_on_grid"), ("verify_at_q", "holds_on_grid"),
+            ("falsify_above_p", "found"), ("falsify_below_q", "found"),
+            ("certify_below_p", "proved_negative")]
+        assert 0 < payload["rows"][-1]["nodes"] < 100
+
+    def test_human_output_is_the_csv(self, capsys):
+        _, human, _ = run(capsys, "certify", "--s", "2")
+        _, csv, _ = run(capsys, "certify", "--s", "2", "--format", "csv")
+        assert human == csv
+        assert human.splitlines()[0] == "check,t,result,margin,x,nodes"
+        assert len(human.splitlines()) == 1 + 5
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "falsify", lambda t, s, side: FalsificationResult(
+            found=False, witness=None, attempts=0, note="patched"))
+        code, out, _ = run(capsys, "certify", "--s", "2")
+        assert code == 1
+        assert out.count(",not_found,") == 2
+        assert "certify_below_p,0.23297805655104298,proved_negative" in out
+
+    @pytest.mark.parametrize("s", ["0.5", "nan", "2e5"])
+    def test_bad_s_is_usage_error(self, capsys, s):
+        code, out, err = run(capsys, "certify", "--s", s)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("meanbounds certify: error: ")
+        assert "Traceback" not in err
 
 
 class TestPatchableNames:

@@ -65,6 +65,13 @@ def test_eval_and_holding_verify_load_no_mpmath(argv):
     assert "mpmath" not in names
 
 
+def test_certify_rejects_bad_s_before_loading_numpy():
+    proc, names = imported_packages("-m", "meanbounds", "certify", "--s", "2e5")
+    assert proc.returncode == 2
+    assert "meanbounds certify: error: s = 200000 is too large" in proc.stderr
+    assert "numpy" not in names
+
+
 def test_violated_verify_loads_mpmath_for_the_recheck():
     proc, names = imported_packages("-m", "meanbounds", "verify", "--s", "2",
                                     "--t", "0.25", "--side", "lower")
@@ -101,6 +108,23 @@ except AttributeError:
     pass
 else:
     raise AssertionError("unknown name resolved")
+"""
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_submodule_all_matches_the_export_table():
+    # The package resolves each name through _EXPORTS; each submodule's
+    # __all__ must export the same names, bound to the same objects.
+    script = f"""
+import meanbounds
+
+for module in {SUBMODULES!r}:
+    namespace = {{}}
+    exec(f"from meanbounds.{{module}} import *", namespace)
+    for name, home in meanbounds._EXPORTS.items():
+        if home == module:
+            assert namespace.get(name) is getattr(meanbounds, name), name
 """
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from meanbounds import (
     grid_points,
     log_identric_over_arithmetic,
     log_ratio_q_over_i,
+    membership,
     sharp_thresholds,
     verify_convex_power_bound,
     verify_exponential_bounds,
@@ -164,10 +165,12 @@ class TestFalsify:
             falsify(ts.q, 2.0, "upper")
 
     def test_not_found_just_past_threshold(self):
-        # One ulp past the threshold the reversal exists only beyond the
-        # supported evaluation range: reported as a precision ceiling.
+        # One ulp past the closed-form double p the lower side still holds
+        # at s = 2 (the exact cutoff lies above it), so there is no reversal
+        # to find: the search ends not found, with the precision note.
         ts = sharp_thresholds(2.0)
         t = math.nextafter(ts.p, 1.0)
+        assert membership(t, 2.0) == "lower_bound_holds"
         result = falsify(t, 2.0, "lower")
         assert not result.found
         assert result.witness is None
