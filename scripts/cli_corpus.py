@@ -9,11 +9,11 @@ compare with ``diff -r``:
     PYTHONPATH=src python scripts/cli_corpus.py OUT_DIR
 
 The corpus covers every subcommand and every ``--format``, ``verify`` below,
-at and above the sharp cutoffs, ``falsify`` found and not found, the csv
-fallback to the human text, an ``s`` without closed forms, the sharpness
-checks of ``certify``, and the usage-error exits.  ``$MEANBOUNDS_GRID`` is
-cleared and ``$COLUMNS`` fixed for each command, so the output depends on
-nothing but the code.
+at and above the sharp cutoffs, ``falsify`` found, not found and refused
+where the side holds, the csv fallback to the human text, an ``s`` without
+closed forms, the sharpness checks of ``certify``, and the usage-error
+exits.  ``$MEANBOUNDS_GRID`` is cleared and ``$COLUMNS`` fixed for each
+command, so the output depends on nothing but the code.
 ``tests/cli_corpus/`` holds a recorded run that ``tests/test_cli.py``
 compares against.
 """
@@ -28,10 +28,11 @@ from pathlib import Path
 
 from meanbounds.cli import GRID_ENV_VAR, main
 
-# Cutoffs of s = 2 as printed by `meanbounds thresholds 2`, and the doubles
-# one ulp outside them.
+# Cutoffs of s = 2 as printed by `meanbounds thresholds 2`, the doubles one
+# ulp outside them, and the p of s = 1, a double just past the exact cutoff.
 P2, P2_UP = "0.24297805655104299", "0.24297805655104301"
 Q2 = "0.29587585476806844"
+P1 = "0.16137820985148149"
 
 # (name, argv, extra environment); "{out}" in an argv is the output directory.
 CORPUS = (
@@ -70,8 +71,8 @@ CORPUS = (
      {}),
     ("falsify-lower-structured",
      "falsify --s 2 --t 0.26 --side lower --format structured", {}),
-    ("falsify-not-found", f"falsify --s 2 --t {P2_UP} --side lower", {}),
-    ("falsify-not-found-structured",
+    ("falsify-lower-holds", f"falsify --s 2 --t {P2_UP} --side lower", {}),
+    ("falsify-lower-holds-structured",
      f"falsify --s 2 --t {P2_UP} --side lower --format structured", {}),
     ("falsify-at-p", f"falsify --s 2 --t {P2} --side lower", {}),
     ("sweep", "sweep --s 1:2:0.5 --grid 2000", {}),
@@ -83,6 +84,7 @@ CORPUS = (
     ("certify", "certify --s 2", {}),
     ("certify-structured", "certify --s 2 --format structured", {}),
     ("certify-domain", "certify --s 0.5", {}),
+    ("falsify-not-found", f"falsify --s 1 --t {P1} --side lower", {}),
 )
 
 

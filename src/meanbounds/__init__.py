@@ -32,7 +32,6 @@ _EXPORTS = {
         "FamilyParams",
         "log_ratio_q_over_i",
         "derivative_kernel",
-        "derivative_kernel_near_one",
         "log_ratio_limit_at_one",
         "exp_bound_margin",
     ), "family"),
@@ -42,7 +41,6 @@ _EXPORTS = {
         "sharp_thresholds",
         "membership",
         "exponential_bound_constants",
-        "threshold_consistency",
     ), "thresholds"),
     **dict.fromkeys((
         "GridSpec",

@@ -7,10 +7,10 @@ checks around the cutoffs of one s).
 
 Exit codes are a stable contract: 0 means the checked inequality holds
 (or the command is informational), 1 means violated / witness search
-exhausted, 2 means usage or domain error.  Each command computes its result
-and :func:`_render` alone turns it into text for ``--format``.  Output
-files are written once, after all computation, so invalid input never
-leaves a partial file.
+exhausted, 2 means usage or domain error or an unwritable ``--out``.  Each
+command computes its result and :func:`_render` alone turns it into text
+for ``--format``.  Output files are written once, after all computation,
+so invalid input never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -345,7 +345,10 @@ def main(argv=None) -> int:
         code, *result = _DISPATCH[args.command](args)
         text = _render(args.format, *result)
         if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
+            try:
+                Path(args.out).write_text(text + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
         else:
             print(text)
         return code

@@ -18,7 +18,8 @@ decides the sharp cutoffs is carried out exactly in
 The log-ratio is the one evaluation core of the package: ``ln(I/A)`` is its
 ``u = 0`` case, ``-h``, so :mod:`meanbounds.means` evaluates it here, and
 :mod:`meanbounds.intervals` encloses the same two pieces.  The kernel is
-built from the same ``(v, d = 1 - v, ln d)`` and the same series coefficients.
+built from the same ``d = 1 - x``, ``log1p`` terms and series coefficients,
+on the same domain, up to ``EVAL_LIMIT``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "FamilyParams",
     "log_ratio_q_over_i",
     "derivative_kernel",
-    "derivative_kernel_near_one",
     "log_ratio_limit_at_one",
     "exp_bound_margin",
 ]
@@ -233,19 +233,16 @@ def _lr_with_error_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -vals, scale
 
 
-def _kernel_direct(params: FamilyParams, v, d, ln_d):
-    """Kernel ``-v + atanh(v) - s u v^3 / (1 - u v^2)`` given ``d = 1 - v`` and ``ln d``.
-
-    The twin of :func:`_h`: ``atanh(v) = (log1p(v) - ln d) / 2``, and
-    ``1 - u v^2 = d (1 + v) + (1 - u) v^2`` is a sum of nonnegative terms.
-    """
-    return (-v + 0.5 * (np.log1p(v) - ln_d)
-            - params.s * params.u * v ** 3 / (d * (1.0 + v) + params.one_minus_u * v * v))
-
-
 def _kernel(params: FamilyParams, x: np.ndarray) -> np.ndarray:
+    """The kernel on ``x``: below the crossover its series; above, the twin
+    of :func:`_h`, with ``atanh(x) = (log1p(x) - log1p(-x)) / 2`` and
+    ``1 - u x^2 = d (1 + x) + (1 - u) x^2``, ``d = 1 - x``, a sum of
+    nonnegative terms."""
     small, safe = _split(x)
-    out = _kernel_direct(params, safe, 1.0 - safe, np.log1p(-safe))
+    d = 1.0 - safe
+    out = (-safe + 0.5 * (np.log1p(safe) - np.log1p(-safe))
+           - params.s * params.u * safe ** 3
+           / (d * (1.0 + safe) + params.one_minus_u * safe * safe))
     x_small = x[small]
     w = x_small * x_small
     c1, c2, c3, c4 = _series_coefficients(params)
@@ -261,19 +258,6 @@ def derivative_kernel(params: FamilyParams, x):
     ``u < 1``.  Scalar or array, same domain as :func:`log_ratio_q_over_i`.
     """
     return _evaluate(x, lambda arr: _kernel(params, arr))
-
-
-def derivative_kernel_near_one(params: FamilyParams, eps_from_one: float) -> float:
-    """Kernel at ``x = 1 - eps``, parameterized by the distance from 1.
-
-    Usable for ``eps`` far below the spacing of doubles near 1 (down to
-    ~1e-300), which is where the kernel's zero lives when ``u`` is large.
-    """
-    eps = float(eps_from_one)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps_from_one must lie in (0, 1), got {eps}")
-    # 1 - eps may round to 1; d = eps and ln d keep the distance exactly.
-    return float(_kernel_direct(params, 1.0 - eps, eps, math.log(eps)))
 
 
 def log_ratio_limit_at_one(params: FamilyParams) -> float:

@@ -143,6 +143,8 @@ def q_mean(pair: PositivePair, t: float, s: float) -> float:
     Raises ValueError for ``t`` outside [0, 1/2] or ``s`` not in [1, inf).
     """
     params = FamilyParams.from_t(t, s)
+    if params.u == 0.0:  # t = 1/2: Q = A exactly, for every s
+        return arithmetic_mean(pair)
     v = gap(pair)
     if v >= 0.5:
         # In d = 1 - v: 1 - u v^2 = d(2 - d) + (1 - u)(1 - d)^2, one formula

@@ -2,12 +2,13 @@
 
 For each ``s >= 1`` there are two cutoffs in ``t``: below ``p`` the
 two-parameter mean stays under the identric mean for every distinct pair,
-and above ``q`` it stays over.  Both have closed forms, and both are
-re-derivable from the one-variable analysis conditions ``3 s u <= 1`` and
-``u + (2/e)^(2/s) >= 1`` with ``u = (1-2t)^2``; ``threshold_consistency``
-checks that round trip.  ``membership`` does not compare ``t`` with the
-rounded cutoffs: it decides those two conditions exactly for the caller's
-doubles, the first in rationals and the second by an interval enclosure.
+and above ``q`` it stays over.  ``sharp_thresholds`` returns their closed
+forms, rounded to doubles.  ``membership`` is the one place that decides
+which side of a cutoff a double ``t`` lies on.  It never compares ``t``
+with the rounded cutoffs: with ``u = (1-2t)^2`` it decides the upper side's
+condition ``3 s u <= 1`` in rationals, and the lower side's condition on the
+log-ratio's limit at 1, ``1 - ln 2 + (s/2) ln(4t(1-t)) <= 0``, by an
+interval enclosure, both exactly for the caller's doubles.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "sharp_thresholds",
     "membership",
     "exponential_bound_constants",
-    "threshold_consistency",
 ]
 
 _LN2 = math.log(2.0)
@@ -49,11 +49,6 @@ class ExponentialBoundConstants:
     upper: float
 
 
-def _one_minus_two_over_e_pow(s: float) -> float:
-    # 1 - (2/e)**(2/s) via expm1; the direct subtraction cancels for large s.
-    return -math.expm1((2.0 / s) * (_LN2 - 1.0))
-
-
 def _checked_s(s: float) -> float:
     s = float(s)
     if not (math.isfinite(s) and s >= 1.0):
@@ -64,7 +59,8 @@ def _checked_s(s: float) -> float:
 def sharp_thresholds(s: float) -> ThresholdSet:
     """Closed forms ``p = (1 - sqrt(1-(2/e)^(2/s)))/2``, ``q = (1 - 1/sqrt(3s))/2``."""
     s = _checked_s(s)
-    p = 0.5 * (1.0 - math.sqrt(_one_minus_two_over_e_pow(s)))
+    # 1 - (2/e)**(2/s) via expm1; the direct subtraction cancels for large s.
+    p = 0.5 * (1.0 - math.sqrt(-math.expm1((2.0 / s) * (_LN2 - 1.0))))
     q = 0.5 - 0.5 / math.sqrt(3.0 * s)
     return ThresholdSet(s=s, p=p, q=q)
 
@@ -127,19 +123,3 @@ def membership(t: float, s: float) -> str:
 def exponential_bound_constants() -> ExponentialBoundConstants:
     return ExponentialBoundConstants(lower=1.0 / 6.0, upper=1.0 - _LN2)
 
-
-def threshold_consistency(s: float, tol: float = 1e-12) -> bool:
-    """Re-derive both cutoffs from the analysis conditions and compare.
-
-    At ``t = p`` the derived ``u = (1-2t)^2`` must satisfy
-    ``u = 1 - (2/e)^(2/s)``; at ``t = q`` it must satisfy ``3 s u = 1``.
-    True when both hold within ``tol``.
-    """
-    ts = sharp_thresholds(s)
-    one_minus_2p = 1.0 - 2.0 * ts.p
-    u_p = one_minus_2p * one_minus_2p
-    one_minus_2q = 1.0 - 2.0 * ts.q
-    u_q = one_minus_2q * one_minus_2q
-    lower_ok = abs(u_p - _one_minus_two_over_e_pow(float(s))) <= tol
-    upper_ok = abs(3.0 * float(s) * u_q - 1.0) <= tol
-    return lower_ok and upper_ok

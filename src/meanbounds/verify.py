@@ -33,7 +33,7 @@ from .family import (
     _lr_with_error_scale,
 )
 from .intervals import TAYLOR_X0, _endpoint_enclosure, _taylor_enclosure, enclose_log_ratio
-from .thresholds import sharp_thresholds
+from .thresholds import membership
 
 __all__ = [
     "GridSpec",
@@ -85,6 +85,7 @@ class GridSpec:
             raise ValueError(f"unknown spacing {self.spacing!r}")
         if not (math.isfinite(self.count) and self.count == int(self.count) >= 2):
             raise ValueError(f"count must be an integer >= 2, got {self.count}")
+        object.__setattr__(self, "count", int(self.count))
         if not 0.0 < self.x_min < self.x_max < 1.0:
             raise ValueError(f"need 0 < x_min < x_max < 1, got "
                              f"[{self.x_min}, {self.x_max}]")
@@ -313,34 +314,31 @@ _FALSIFY_UPPER_LADDER = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 2e-2, 5e-2)
 def falsify(t: float, s: float, side: str) -> FalsificationResult:
     """Search for a concrete gap where the inequality at ``(t, s)`` reverses.
 
-    Requires ``t`` strictly outside the sharp interval for ``side``
-    (ValueError otherwise).  Lower-side failures are hunted near ``x = 1``
-    and upper-side failures near ``x = 0``, where they must appear; every
-    returned witness is confirmed at extended precision.  A not-found
-    result signals a precision ceiling, not a disproof.
+    Lower-side failures are hunted near ``x = 1`` and upper-side failures
+    near ``x = 0``, where they must appear; every returned witness is
+    confirmed at extended precision.  When none is found, ``membership``
+    decides the side exactly for these doubles: ValueError if it holds
+    (nothing to falsify), else a not-found result, as the side fails by
+    less than the noise floor at every ladder point.
     """
     _check_side(side)
     t, s = float(t), float(s)
-    ts = sharp_thresholds(s)
-    if side == "lower" and not t > ts.p:
-        raise ValueError(f"t = {t} is not strictly above the sharp lower "
-                         f"threshold p = {ts.p}; nothing to falsify")
-    if side == "upper" and not t < ts.q:
-        raise ValueError(f"t = {t} is not strictly below the sharp upper "
-                         f"threshold q = {ts.q}; nothing to falsify")
     ladder = _FALSIFY_LOWER_LADDER if side == "lower" else _FALSIFY_UPPER_LADDER
     xs = np.asarray(ladder)
     report, rechecks = _run_grid_check(
         xs, [_family_side(t, s, side, _Pieces(xs))], {})
-    if report.witness is None:
-        return FalsificationResult(
-            found=False, witness=None, attempts=len(ladder),
-            note="no grid point on the search ladder crossed its noise floor "
-                 "and survived the extended-precision recheck; the margin is "
-                 "below the double-precision resolution at these parameters",
-        )
-    return FalsificationResult(found=True, witness=report.witness,
-                               attempts=rechecks, note="")
+    if report.witness is not None:
+        return FalsificationResult(found=True, witness=report.witness,
+                                   attempts=rechecks, note="")
+    if membership(t, s) == f"{side}_bound_holds":
+        raise ValueError(f"the {side} side holds at t = {t}, s = {s}; "
+                         "nothing to falsify")
+    return FalsificationResult(
+        found=False, witness=None, attempts=len(ladder),
+        note="no grid point on the search ladder crossed its noise floor "
+             "and survived the extended-precision recheck; the margin is "
+             "below the double-precision resolution at these parameters",
+    )
 
 
 def empirical_threshold(
@@ -411,10 +409,12 @@ def _power_sides(p: float, alpha: float, xs: np.ndarray) -> dict:
     t_i = np.expm1(p * lr)          # I^p/A^p - 1, fully cancellation-free
     t_g = np.expm1(p * ln_g)        # G^p/A^p - 1
     lower = t_i - (1.0 - alpha) * t_g
-    # exp(p*lr) and exp(p*ln_g) are <= 1, so the propagated log errors are
-    # bounded by p * scale and the expm1 terms contribute their own ulps.
+    # An error e in a log argument moves its expm1 term by exp(arg) e =
+    # (1 + t) e, a slope <= 1, taken before the factor p so that p up to
+    # 1e307 overflows nothing; the expm1 terms add their own ulps.
     scale = (np.abs(t_i) + (1.0 - alpha) * np.abs(t_g)
-             + p * scale_lr + p * (1.0 - alpha) * (3.0 * np.abs(ln_g) + 1.0))
+             + p * ((1.0 + t_i) * scale_lr)
+             + p * ((1.0 - alpha) * (1.0 + t_g) * (3.0 * np.abs(ln_g) + 1.0)))
     return {"lower": ("", lower, scale,
                       lambda x: _mp_power_margin(p, alpha, "lower", x)),
             "upper": ("", -lower, scale,

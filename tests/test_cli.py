@@ -230,6 +230,16 @@ class TestOutputFiles:
         assert code == 2
         assert not target.exists()
 
+    @pytest.mark.parametrize("where", ["missing/dir/x.out", "."])
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, where):
+        # A missing directory, or a directory in place of a file.
+        code, out, err = run(capsys, "thresholds", "2", "--out",
+                             str(tmp_path / where))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("meanbounds thresholds: error: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestCertify:
     @pytest.mark.parametrize("s", ["1", "2", "5", "50"])

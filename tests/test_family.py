@@ -10,7 +10,6 @@ from meanbounds import (
     FamilyParams,
     PositivePair,
     derivative_kernel,
-    derivative_kernel_near_one,
     exp_bound_margin,
     gap,
     identric_mean,
@@ -151,13 +150,6 @@ class TestDerivativeKernel:
         vals = derivative_kernel(params, xs)
         assert np.all(np.abs(vals) < xs ** 2)
 
-    def test_diverges_toward_one_when_u_below_one(self):
-        params = FamilyParams.from_u(0.9, 2.0)
-        vals = [derivative_kernel_near_one(params, e)
-                for e in (1e-20, 1e-60, 1e-120, 1e-240)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] > 100.0
-
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=1.0, max_value=20.0),
            st.floats(min_value=1e-9, max_value=1 - 1e-12))
@@ -169,14 +161,17 @@ class TestDerivativeKernel:
     @pytest.mark.parametrize("u, s", [(0.0, 1.0), (0.3, 2.0), (0.9, 2.0),
                                       (1.0, 1.0), (1.0, 3.0), (0.99, 10.0)])
     def test_near_one_against_oracle(self, u, s):
-        # Rounding model: a few ulps on each term, x (about 1),
-        # atanh(1 - e) = ln((2 - e)/e)/2 and s u x^3 / (1 - u x^2).
+        # The direct form up to EVAL_LIMIT, against the oracle at the exact
+        # distance e = 1 - x (exact for x >= 1/2).  Rounding model: a few
+        # ulps on each term, x (about 1), atanh(x) = ln((2 - e)/e)/2 and
+        # s u x^3 / (1 - u x^2).
         params = FamilyParams.from_u(u, s)
-        for e in np.geomspace(1e-300, 0.5, 60):
+        for x in 1.0 - np.geomspace(1e-12, 0.5, 60):
+            e = 1.0 - x
             atanh = 0.5 * math.log((2.0 - e) / e)
-            rational = s * u * (1.0 - e) ** 3 / (params.one_minus_u + u * e * (2.0 - e))
+            rational = s * u * x ** 3 / (params.one_minus_u + u * e * (2.0 - e))
             gate = 4.0 * EPS * (1.0 + atanh + rational)
-            got = derivative_kernel_near_one(params, e)
+            got = derivative_kernel(params, x)
             assert abs(got - kernel_near_one_u(u, s, e)) <= gate, e
 
     @given(st.floats(min_value=0.0, max_value=1.0),
@@ -299,7 +294,6 @@ class TestCriticalPoint:
         # log-ratio falls on every double gap, and only its limit at 1
         # decides the lower side.
         params = FamilyParams.from_u(0.99, 10.0)
-        assert derivative_kernel_near_one(params, 1e-300) < 0
         assert kernel_near_one_u(0.99, 10.0, 1e-300) < 0
         assert np.all(np.diff(log_ratio_q_over_i(params, GRID)) < 0)
 

@@ -193,6 +193,13 @@ class TestQMean:
         pair = PositivePair(1, 2)
         assert q_mean(pair, 0.5, 3.0) == pytest.approx(1.5, rel=1e-15)
 
+    @pytest.mark.parametrize("s", [1.0, 3.0, 1e10, 1e20, 1e300])
+    def test_t_half_is_arithmetic_for_every_s(self, s):
+        # Q(1/2, s) = A for every s: no rounding may be raised to the s/2.
+        pair = PositivePair(0.3, 7.1)
+        want = float(oracles.arithmetic_mean(0.3, 7.1))
+        assert q_mean(pair, 0.5, s) == pytest.approx(want, rel=2 * EPS)
+
     def test_t_zero_s_one_is_geometric(self):
         assert q_mean(PositivePair(4, 9), 0.0, 1.0) == pytest.approx(6.0, rel=1e-14)
 

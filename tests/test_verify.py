@@ -26,11 +26,12 @@ from meanbounds import (
 
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import TAYLOR_X0
-from meanbounds.verify import _EPS, _NOISE_C, CertificateNode
+from meanbounds.verify import _EPS, _NOISE_C, CertificateNode, FalsificationResult
 from interval_reference import enclose_log_ratio as reference_enclosure
 from interval_reference import taylor_enclosure as reference_taylor
 from oracles import (exp_margin, family_log_ratio_and_quotient_t, family_log_ratio_t,
                      family_log_ratio_u, lr_gap, power_margin)
+from test_thresholds import ulps_around
 
 SMALL_GRID = GridSpec(count=2000)
 
@@ -64,6 +65,12 @@ class TestGridSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
+
+    @pytest.mark.parametrize("spacing", ["uniform", "endpoint_refined"])
+    def test_integral_float_count(self, spacing):
+        spec = GridSpec(count=10.0, spacing=spacing)
+        assert type(spec.count) is int
+        assert grid_points(spec).size == 10
 
 
 class TestFamilyVerification:
@@ -159,19 +166,25 @@ class TestFalsify:
 
     def test_precondition_inside_interval(self):
         ts = sharp_thresholds(2.0)
-        with pytest.raises(ValueError):
+        assert membership(ts.p, 2.0) == "lower_bound_holds"
+        with pytest.raises(ValueError, match="nothing to falsify"):
             falsify(ts.p, 2.0, "lower")
-        with pytest.raises(ValueError):
-            falsify(ts.q, 2.0, "upper")
+        assert membership(0.4, 2.0) == "upper_bound_holds"
+        with pytest.raises(ValueError, match="nothing to falsify"):
+            falsify(0.4, 2.0, "upper")
 
     def test_not_found_just_past_threshold(self):
         # One ulp past the closed-form double p the lower side still holds
-        # at s = 2 (the exact cutoff lies above it), so there is no reversal
-        # to find: the search ends not found, with the precision note.
-        ts = sharp_thresholds(2.0)
-        t = math.nextafter(ts.p, 1.0)
-        assert membership(t, 2.0) == "lower_bound_holds"
-        result = falsify(t, 2.0, "lower")
+        # at s = 2 (the exact cutoff lies above it): nothing to falsify.
+        # At s = 1 the double p lies past the exact cutoff (L = +5.3e-18):
+        # the side fails, but below the noise floor at every ladder point.
+        p2 = math.nextafter(sharp_thresholds(2.0).p, 1.0)
+        assert membership(p2, 2.0) == "lower_bound_holds"
+        with pytest.raises(ValueError, match="nothing to falsify"):
+            falsify(p2, 2.0, "lower")
+        p1 = sharp_thresholds(1.0).p
+        assert membership(p1, 1.0) == "neither"
+        result = falsify(p1, 1.0, "lower")
         assert not result.found
         assert result.witness is None
         assert "precision" in result.note or "resolution" in result.note
@@ -182,8 +195,20 @@ class TestFalsify:
         assert falsify(ts.q - 1e-2, 1.0, "upper").attempts == 1
 
     def test_attempts_is_ladder_length_when_not_found(self):
-        t = math.nextafter(sharp_thresholds(2.0).p, 1.0)
-        assert falsify(t, 2.0, "lower").attempts == 10
+        assert falsify(sharp_thresholds(1.0).p, 1.0, "lower").attempts == 10
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0, 5.0, 20.0])
+    def test_refuses_exactly_where_membership_holds(self, s):
+        # The closed-form doubles sit on either side of the exact cutoffs;
+        # only membership decides whether there is anything to falsify.
+        ts = sharp_thresholds(s)
+        for cutoff, side in ((ts.p, "lower"), (ts.q, "upper")):
+            for t in ulps_around(cutoff, 8):
+                if membership(t, s) == f"{side}_bound_holds":
+                    with pytest.raises(ValueError, match="nothing to falsify"):
+                        falsify(t, s, side)
+                else:
+                    assert isinstance(falsify(t, s, side), FalsificationResult)
 
 
 class TestEmpiricalThreshold:
@@ -295,6 +320,20 @@ class TestConvexPowerBounds:
         report = verify_convex_power_bound(p, alpha, side, SMALL_GRID)
         assert report.verdict == "violated"
         assert float(power_margin(p, alpha, side, report.witness.x)) < 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1e15, 1e300, 1e307])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_large_exponent(self, p, alpha):
+        # I^p/A^p and G^p/A^p vanish on most of the grid, so the margin is
+        # -alpha there; the noise floor must not hide it.
+        report = verify_convex_power_bound(p, alpha, "lower", SMALL_GRID)
+        if alpha == 0.0:
+            assert report.verdict == "holds_on_grid"
+        else:
+            assert report.verdict == "violated"
+            assert report.witness.margin_recheck < 0.0
+            assert float(power_margin(p, alpha, "lower", report.witness.x)) < 0.0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
