@@ -28,7 +28,11 @@ as small as the distance of ``t`` from a cutoff, so a node inside
 ``[0, TAYLOR_X0]`` is enclosed from the series instead:
 :func:`_taylor_enclosure` encloses ``g = f / x^2``, a polynomial in
 ``X = x^2`` plus a bounded tail.  Such a Taylor node takes its sign from
-``g`` (``X > 0`` on ``(0, b]``) and reports ``X g`` as its bounds.
+``g`` (``X > 0`` on ``(0, b]``) and reports ``X g`` as its bounds.  The
+series is cut after ``TAYLOR_K = 35`` terms with a bounded tail, enough for
+``TAYLOR_X0 = 0.5`` (the rule is derived beside the constants); ``h``'s
+coefficients, which depend on neither ``t`` nor ``s``, are enclosed once at
+import.
 """
 
 from __future__ import annotations
@@ -48,18 +52,19 @@ __all__ = ["Interval", "enclose_log_ratio", "TAYLOR_X0", "TAYLOR_K"]
 # points in (0, 2) were within 0.58 ulp of mpmath, evidence but not proof.
 _LIBM_ULPS = 4
 
-# The Taylor node (see _taylor_enclosure).  On [0, TAYLOR_X0], X <= 0.09, so the
-# tail factor X^K / (1 - X) is below 0.09^20 / 0.91 < 1.4e-21 and the tail of
-# g below 3.2e-23 s (its s u^(K+1) / (2K+2) end dominates 1/(42 * 43)).  The
+# The Taylor node (see _taylor_enclosure).  On [0, TAYLOR_X0], X <= 1/4, so the
+# tail factor X^K / (1 - X) is below 0.25^35 / 0.75 < 1.4e-21 and the tail of
+# g below 1.6e-23 s (its s u^(K+1) / (2K+2) end dominates 1/(72 * 73)).  The
 # enclosed c_1 alone is 4e-16 to 9e-16 wide near the cutoffs, mostly from the
-# widening of u, so at K = 20 the tail sits five orders of magnitude below
-# what rounding already costs, even at s = 50, and each further term would
-# only add a product and a sum to every Taylor node.  At TAYLOR_X0 = 0.3 the
-# interval Horner over X in [0, 0.09] still proves (0, 0.3] in one node at
-# q + 1e-15 and p - 1e-15 for s in {1, 2, 10, 50}.  A larger X0 needs more
-# terms for the same tail, about 24 / ln(1 / X0): 35 at X0 = 0.5.
-TAYLOR_X0 = 0.3
-TAYLOR_K = 20
+# widening of u, so the tail sits five orders of magnitude below what
+# rounding already costs, even at s = 50.  The rule is X0^(2K) / (1 - X0^2)
+# < 1.4e-21, so K grows as about 24 / ln(1 / X0) with X0: 20 at 0.3, 35 at
+# 0.5.  A larger X0 leaves fewer nodes to the monotone enclosure, which needs
+# many where f is O(x^2) and nearly cancels, and at TAYLOR_X0 = 0.5 the
+# interval Horner over X in [0, 1/4] still proves (0, 0.5] in one node at
+# q + 1e-15 and p - 1e-15 for s in {1, 2, 10, 50}.
+TAYLOR_X0 = 0.5
+TAYLOR_K = 35
 
 # The kernel's two libm functions, looked up here at each call so that a test
 # can substitute perturbed versions.
@@ -152,6 +157,12 @@ def _u_enclosure(params: FamilyParams) -> tuple[float, float]:
     return max(lo, 0.0), min(hi, 1.0)
 
 
+# Enclosures of h's series coefficients 1/(2k(2k+1)), k = 1 .. K + 1, which
+# depend on neither t nor s.
+_H_COEFFICIENTS = tuple(_div(1.0, 1.0, n, n) for n in
+                        (2.0 * k * (2 * k + 1) for k in range(1, TAYLOR_K + 2)))
+
+
 def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[float, ...]]:
     """The function enclosing the log-ratio over ``[a, b]`` in [0, TAYLOR_X0].
 
@@ -162,7 +173,8 @@ def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[fl
 
     since ``h``'s coefficients fall and ``u X <= X``.  The ``c_k`` and the
     two ends of the tail factor are enclosed here, once, from
-    :func:`_u_enclosure`; the returned function evaluates ``g`` by interval
+    :func:`_u_enclosure` and the first ``TAYLOR_K + 1`` entries of
+    ``_H_COEFFICIENTS``; the returned function evaluates ``g`` by interval
     Horner over ``[a^2, b^2]`` with the tail as the innermost term, and
     returns ``(g_lo, g_hi, f_lo, f_hi)`` with ``f = X g``.  Every product and
     sum is rounded outward by the float-pair primitives.
@@ -170,11 +182,9 @@ def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[fl
     u_lo, u_hi = _u_enclosure(params)
     w_lo = w_hi = 0.5 * params.s
     coefficients = []
-    for k in range(1, TAYLOR_K + 2):
+    for k, (h_lo, h_hi) in enumerate(_H_COEFFICIENTS[:TAYLOR_K + 1], 1):
         w_lo, w_hi = _mul(w_lo, w_hi, u_lo, u_hi)  # s u^k / 2
         m_lo, m_hi = _div(w_lo, w_hi, k, k)
-        n = 2.0 * k * (2 * k + 1)
-        h_lo, h_hi = _div(1.0, 1.0, n, n)
         coefficients.append(_sub(h_lo, h_hi, m_lo, m_hi))
     # Horner runs from c_K down to c_1; the k = K + 1 terms bound the tail.
     coefficients.pop()
@@ -254,20 +264,20 @@ def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
     return enclose
 
 
-def enclose_log_ratio(params: FamilyParams, lo, hi) -> Interval:
+def _monotone_bounds(lo: _Endpoint, hi: _Endpoint) -> tuple[float, float]:
+    """Bounds of the log-ratio over ``[lo.x, hi.x]`` from the pieces' values
+    at its ends: ``h`` is increasing and ``m2`` nonincreasing there."""
+    return _add(lo.h_lo, hi.h_hi, hi.m2_lo, lo.m2_hi)
+
+
+def enclose_log_ratio(params: FamilyParams, lo: float, hi: float) -> Interval:
     """Rigorous enclosure of the family log-ratio over [lo, hi] in (0, 1).
 
     Uses endpoint evaluations of the two monotone pieces; the enclosure
     width shrinks linearly with the interval width, so adaptive bisection
-    converges wherever the log-ratio is bounded away from zero.  A
-    bisection passes both bounds as ``_endpoint_enclosure`` results
-    instead of doubles, so that each point is enclosed once; the bounds
-    are the same.
+    converges wherever the log-ratio is bounded away from zero.
     """
-    if not isinstance(lo, _Endpoint):
-        if not 0.0 < lo <= hi < 1.0:
-            raise ValueError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
-        enclose = _endpoint_enclosure(params)
-        lo, hi = enclose(lo), enclose(hi)
-    # h increasing, m2 nonincreasing over [lo, hi].
-    return Interval(*_add(lo.h_lo, hi.h_hi, hi.m2_lo, lo.m2_hi))
+    if not 0.0 < lo <= hi < 1.0:
+        raise ValueError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
+    enclose = _endpoint_enclosure(params)
+    return Interval(*_monotone_bounds(enclose(lo), enclose(hi)))

@@ -32,7 +32,7 @@ from .family import (
     _log_ratio_with_scale,
     _lr_with_error_scale,
 )
-from .intervals import TAYLOR_X0, _endpoint_enclosure, _taylor_enclosure, enclose_log_ratio
+from .intervals import TAYLOR_X0, _endpoint_enclosure, _monotone_bounds, _taylor_enclosure
 from .thresholds import membership
 
 __all__ = [
@@ -402,19 +402,40 @@ def verify_exponential_bounds(
     return _run_grid_check(xs, sides, parameters)[0]
 
 
+def _ln_one_minus_sq(xs: np.ndarray) -> np.ndarray:
+    """``ln(1 - x^2) = 2 ln(G/A)`` on the increasing grid ``xs``.
+
+    Below 1/2 as ``log1p(-x^2)``, which keeps a few-ulp relative error down
+    to the smallest ``x`` (``1 - x^2`` rounds to 1 below ``x ~ 1e-8``); from
+    1/2 on as the log of ``(1 - x)(1 + x)``, whose ``1 - x`` is exact there
+    (Sterbenz) while ``x^2`` would lose the digits of ``1 - x^2`` near 1.
+    """
+    k = int(xs.searchsorted(0.5))
+    out = np.empty_like(xs)
+    small, large, x_large = out[:k], out[k:], xs[k:]
+    np.multiply(xs[:k], xs[:k], out=small)
+    np.negative(small, out=small)
+    np.log1p(small, out=small)
+    np.subtract(1.0, x_large, out=large)
+    large *= 1.0 + x_large
+    np.log(large, out=large)
+    return out
+
+
 def _power_sides(p: float, alpha: float, xs: np.ndarray) -> dict:
     """Both sides of the power comparison from one margin evaluation."""
     lr, scale_lr = _lr_with_error_scale(xs)
-    ln_g = 0.5 * np.log((1.0 - xs) * (1.0 + xs))
+    ln_sq = _ln_one_minus_sq(xs)    # 2 ln(G/A)
     t_i = np.expm1(p * lr)          # I^p/A^p - 1, fully cancellation-free
-    t_g = np.expm1(p * ln_g)        # G^p/A^p - 1
-    lower = t_i - (1.0 - alpha) * t_g
+    t_g = np.expm1((0.5 * p) * ln_sq)  # G^p/A^p - 1
+    weighted_g = (1.0 - alpha) * t_g
+    lower = t_i - weighted_g
     # An error e in a log argument moves its expm1 term by exp(arg) e =
     # (1 + t) e, a slope <= 1, taken before the factor p so that p up to
     # 1e307 overflows nothing; the expm1 terms add their own ulps.
-    scale = (np.abs(t_i) + (1.0 - alpha) * np.abs(t_g)
+    scale = (np.abs(t_i) + np.abs(weighted_g)
              + p * ((1.0 + t_i) * scale_lr)
-             + p * ((1.0 - alpha) * (1.0 + t_g) * (3.0 * np.abs(ln_g) + 1.0)))
+             + p * ((1.0 - alpha) * (1.0 + t_g) * (1.5 * np.abs(ln_sq) + 1.0)))
     return {"lower": ("", lower, scale,
                       lambda x: _mp_power_margin(p, alpha, "lower", x)),
             "upper": ("", -lower, scale,
@@ -501,8 +522,10 @@ def certify_sign(
     which shows up as a proved leaf of the opposite sign).  Returns the
     full tree in processing order for audit.  The constants of the
     enclosures are taken once per call (the series coefficients when the
-    first Taylor node needs them), and each monotone node's endpoint
-    enclosures come from its parent, so a split encloses only its midpoint.
+    first Taylor node needs them; their t-free half once per process), and
+    each monotone node's endpoint enclosures come from its parent, so a
+    split encloses only its midpoint.  A monotone node's bounds are those of
+    ``enclose_log_ratio``, taken on float pairs without its ``Interval``.
     """
     if sign not in ("negative", "positive"):
         raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
@@ -525,9 +548,8 @@ def certify_sign(
             sign_lo, sign_hi, bound_lo, bound_hi = taylor(a, b)
             ends = None
         else:
-            enc = enclose_log_ratio(params, *ends)
-            sign_lo = bound_lo = enc.lo
-            sign_hi = bound_hi = enc.hi
+            lo, hi = ends
+            bound_lo, bound_hi = sign_lo, sign_hi = _monotone_bounds(lo, hi)
         if sign_hi < 0.0:
             status = "proved_negative"
         elif sign_lo > 0.0:
@@ -540,7 +562,6 @@ def certify_sign(
                     stack.append((mid, b, None))
                     stack.append((a, mid, None))
                 else:
-                    lo, hi = ends
                     middle = enclose(mid)
                     stack.append((mid, b, (middle, hi)))
                     stack.append((a, mid, (lo, middle)))

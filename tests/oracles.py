@@ -50,6 +50,24 @@ def family_log_ratio_and_quotient_t(t, s, x):
         return val, val / (x * x)
 
 
+def family_log_ratio_iv(t, s, x, prec=80):
+    """An ``mpmath.iv`` enclosure of the family log-ratio at ``prec`` bits.
+
+    ``1 - atanh(x)/x - ln(1-x^2)/2 + (s/2) ln(1-u x^2)`` with
+    ``atanh(x) = (ln(1+x) - ln(1-x))/2`` and ``u = (1-2t)^2`` exact for the
+    double ``t``, every step rounded outward by mpmath.
+    """
+    iv = mp.iv
+    saved, iv.prec = iv.prec, prec
+    try:
+        t, s, x = iv.mpf(t), iv.mpf(s), iv.mpf(x)
+        u = (1 - 2 * t) ** 2
+        atanh = (iv.log1p(x) - iv.log1p(-x)) / 2
+        return 1 - atanh / x - iv.log1p(-x * x) / 2 + s / 2 * iv.log1p(-u * x * x)
+    finally:
+        iv.prec = saved
+
+
 def membership_class(t, s):
     """The sharp-cutoff class of the double t, from the paper's theorem.
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meanbounds import FamilyParams, intervals
+from meanbounds import (FamilyParams, certificate_succeeded, certify_sign, intervals,
+                        sharp_thresholds)
 from meanbounds.family import EVAL_LIMIT
 from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, TAYLOR_X0, Interval, _endpoint_enclosure,
                                   _one_minus_u, _taylor_enclosure, _u_enclosure,
@@ -109,7 +110,7 @@ class TestTaylorEnclosure:
     The tail bound holds for every K, so fewer terms, whose tail then
     matters, check the tail as well as the default."""
 
-    @pytest.mark.parametrize("terms", [TAYLOR_K, 3, 1])
+    @pytest.mark.parametrize("terms", [TAYLOR_K, 20, 3, 1])
     @pytest.mark.parametrize("u", [0.0, 1e-12, "random", 0.99, 1.0])
     def test_contains_high_precision_values(self, monkeypatch, terms, u):
         monkeypatch.setattr(intervals, "TAYLOR_K", terms)
@@ -134,6 +135,19 @@ class TestTaylorEnclosure:
             for a, b in _taylor_nodes(rng):
                 g, f = reference.taylor_enclosure(p, a, b)
                 assert enclose(a, b) == (g.lo, g.hi, f.lo, f.hi), (a, b, p)
+
+    def test_constants_meet_the_tail_rule(self):
+        # The rule derived beside the constants: the tail factor X^K / (1 - X)
+        # at X = TAYLOR_X0^2 stays below 1.4e-21, so K cannot shrink alone.
+        x0_sq = Fraction(TAYLOR_X0) ** 2
+        assert x0_sq ** TAYLOR_K / (1 - x0_sq) < Fraction("1.4e-21")
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 10.0, 50.0])
+    def test_one_node_proves_up_to_x0(self, s):
+        ts = sharp_thresholds(s)
+        for t, sign in ((ts.q + 1e-15, "positive"), (ts.p - 1e-15, "negative")):
+            nodes = certify_sign(t, s, 0.0, TAYLOR_X0, sign)
+            assert len(nodes) == 1 and certificate_succeeded(nodes, sign), (t, sign)
 
     def test_zero_endpoint_is_exact(self):
         e = _endpoint_enclosure(FamilyParams.from_t(0.2, 2.0))(0.0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,8 +30,8 @@ from meanbounds.intervals import TAYLOR_X0
 from meanbounds.verify import _EPS, _NOISE_C, CertificateNode, FalsificationResult
 from interval_reference import enclose_log_ratio as reference_enclosure
 from interval_reference import taylor_enclosure as reference_taylor
-from oracles import (exp_margin, family_log_ratio_and_quotient_t, family_log_ratio_t,
-                     family_log_ratio_u, lr_gap, power_margin)
+from oracles import (exp_margin, family_log_ratio_and_quotient_t, family_log_ratio_iv,
+                     family_log_ratio_t, family_log_ratio_u, lr_gap, power_margin)
 from test_thresholds import ulps_around
 
 SMALL_GRID = GridSpec(count=2000)
@@ -335,6 +336,15 @@ class TestConvexPowerBounds:
             assert report.witness.margin_recheck < 0.0
             assert float(power_margin(p, alpha, "lower", report.witness.x)) < 0.0
 
+    @pytest.mark.parametrize("p", [1e20, 1e300])
+    def test_worst_margin_matches_oracle_at_tiny_gaps(self, p):
+        # Below x ~ 1e-8, 1 - x^2 rounds to 1, yet p x^2 is large, so G^p/A^p
+        # vanishes there and the margin is about -alpha, not -1.
+        grid = GridSpec(count=200)
+        report = verify_convex_power_bound(p, 0.5, "lower", grid)
+        truth = min(float(power_margin(p, 0.5, "lower", x)) for x in grid_points(grid))
+        assert report.worst_margin == pytest.approx(truth, rel=1e-12, abs=1e-15)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             verify_convex_power_bound(0.5, 0.5, "lower")
@@ -428,10 +438,10 @@ class TestCertification:
         assert "inconclusive" in statuses
         assert "proved_positive" not in statuses
 
-    @pytest.mark.parametrize("budget, count", [(1, 1), (2, 3), (10, 15), (100, 103)])
+    @pytest.mark.parametrize("budget, count", [(1, 1), (2, 3), (10, 13), (30, 31)])
     def test_budget_caps_splits_not_nodes(self, budget, count):
         # Each split adds two children, so up to 2 budget - 1 nodes.  The
-        # whole tree has 111 nodes, so even budget 100 stops some splits.
+        # whole tree has 33 nodes, so even budget 30 stops some splits.
         ts = sharp_thresholds(2.0)
         nodes = certify_sign(ts.q + 1e-3, 2.0, 0.01, 0.99, "positive", budget)
         splits = sum(n.status == "split" for n in nodes)
@@ -503,6 +513,23 @@ class TestCertification:
                 for x in (leaf.x_lo, 0.5 * (leaf.x_lo + leaf.x_hi), leaf.x_hi):
                     g = family_log_ratio_and_quotient_t(t, s, x)[1]
                     assert (g < 0) == (sign == "negative"), (leaf, x)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-6])
+    @pytest.mark.parametrize("sign", ["negative", "positive"])
+    def test_monotone_leaves_contain_interval_oracle(self, s, delta, sign):
+        # A leaf beyond TAYLOR_X0 takes its bounds from the two pieces'
+        # endpoint enclosures; an 80-bit mpmath.iv enclosure of the log-ratio
+        # at either end and the midpoint must lie inside them.
+        ts = sharp_thresholds(s)
+        t = ts.p - delta if sign == "negative" else ts.q + delta
+        leaves = [n for n in certificate_leaves(certify_sign(t, s, 0.01, 0.99, sign))
+                  if n.x_hi > TAYLOR_X0]
+        assert leaves
+        for leaf in leaves:
+            bounds = mp.iv.mpf([leaf.bound_lo, leaf.bound_hi])
+            for x in (leaf.x_lo, 0.5 * (leaf.x_lo + leaf.x_hi), leaf.x_hi):
+                assert family_log_ratio_iv(t, s, x) in bounds, (leaf, x)
 
     def test_open_left_end_rejects_negative_and_nan(self):
         for x_lo in (-1e-300, -0.1, math.nan):
