@@ -29,13 +29,13 @@ _EXPORTS = {
         "log_identric_over_arithmetic",
     ), "means"),
     **dict.fromkeys((
-        "FamilyParams",
         "log_ratio_q_over_i",
         "derivative_kernel",
         "log_ratio_limit_at_one",
         "exp_bound_margin",
     ), "family"),
     **dict.fromkeys((
+        "FamilyParams",
         "ThresholdSet",
         "ExponentialBoundConstants",
         "sharp_thresholds",
@@ -48,7 +48,6 @@ _EXPORTS = {
         "VerificationReport",
         "FalsificationResult",
         "TwoThirdsPowerReport",
-        "CertificateNode",
         "grid_points",
         "verify_family_inequality",
         "falsify",
@@ -56,10 +55,13 @@ _EXPORTS = {
         "verify_exponential_bounds",
         "verify_convex_power_bound",
         "verify_two_thirds_power",
+    ), "verify"),
+    **dict.fromkeys((
+        "CertificateNode",
         "certify_sign",
         "certificate_leaves",
         "certificate_succeeded",
-    ), "verify"),
+    ), "intervals"),
 }
 _SUBMODULES = frozenset(("cli", "family", "intervals", "means", "thresholds",
                          "verify"))

@@ -19,29 +19,25 @@ The log-ratio is the one evaluation core of the package: ``ln(I/A)`` is its
 ``u = 0`` case, ``-h``, so :mod:`meanbounds.means` evaluates it here, and
 :mod:`meanbounds.intervals` encloses the same two pieces.  The kernel is
 built from the same ``d = 1 - x``, ``log1p`` terms and series coefficients,
-on the same domain, up to ``EVAL_LIMIT``.
+on the same domain, up to ``EVAL_LIMIT``.  ``FamilyParams`` and
+``EVAL_LIMIT`` come from :mod:`meanbounds.thresholds`, which owns the domain
+of ``(t, s)``, and stay importable from here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .thresholds import EVAL_LIMIT, FamilyParams
+
 __all__ = [
-    "EVAL_LIMIT",
-    "FamilyParams",
     "log_ratio_q_over_i",
     "derivative_kernel",
     "log_ratio_limit_at_one",
     "exp_bound_margin",
 ]
-
-# Direct evaluation is supported up to this point; beyond it a double x
-# resolves 1 - x to fewer than four digits, and the x -> 1 behavior is
-# exposed through log_ratio_limit_at_one instead.
-EVAL_LIMIT = 1.0 - 1e-12
 
 # Below this gap the direct form keeps only absolute (not relative)
 # accuracy: its few-ulp error on the O(1) quotient in h divided by x^2 swamps
@@ -51,48 +47,6 @@ EVAL_LIMIT = 1.0 - 1e-12
 SERIES_CROSSOVER = 1e-2
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameters ``(t, s)`` with the derived ``u = (1-2t)^2``.
-
-    ``one_minus_u`` is carried separately so that ``1 - u*x**2`` can be
-    formed without cancellation as ``(1-x)(1+x) + one_minus_u * x**2``.
-    Construct via :meth:`from_t` or :meth:`from_u`.
-    """
-
-    t: float
-    s: float
-    u: float
-    one_minus_u: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and 0.0 <= self.t <= 0.5):
-            raise ValueError(f"t must lie in [0, 1/2], got {self.t}")
-        if not (math.isfinite(self.s) and self.s >= 1.0):
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        if not 0.0 <= self.u <= 1.0 or not 0.0 <= self.one_minus_u <= 1.0:
-            raise ValueError(f"u must lie in [0, 1], got {self.u}")
-        if abs(self.u + self.one_minus_u - 1.0) > 1e-12:
-            raise ValueError("inconsistent u and one_minus_u")
-
-    @classmethod
-    def from_t(cls, t: float, s: float) -> "FamilyParams":
-        t = float(t)
-        s = float(s)
-        # An out-of-range t fails the range check of __post_init__.
-        one_minus_2t = 1.0 - 2.0 * t
-        return cls(t=t, s=s, u=one_minus_2t * one_minus_2t,
-                   one_minus_u=4.0 * t * (1.0 - t))
-
-    @classmethod
-    def from_u(cls, u: float, s: float) -> "FamilyParams":
-        u = float(u)
-        s = float(s)
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"u must lie in [0, 1], got {u}")
-        return cls(t=0.5 * (1.0 - math.sqrt(u)), s=s, u=u, one_minus_u=1.0 - u)
 
 
 def _validate_x(arr: np.ndarray) -> None:

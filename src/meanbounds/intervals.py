@@ -1,15 +1,15 @@
-"""Minimal outward-rounded interval kernel for sign certification.
+"""Outward-rounded interval kernel and sign certificates for the log-ratio.
 
 This is deliberately not a general interval library: it provides exactly
 the operations needed to enclose the family log-ratio over a compact
-subinterval of (0, 1).  The primitives work on ``(lo, hi)`` float pairs:
-``_add``, ``_sub``, ``_mul`` (four products, min/max) and ``_div`` each
-round once in IEEE arithmetic and step the result out by one
-``math.nextafter`` in each direction; ``_widen`` steps a point out by
-``n`` ulps, ``_LIBM_ULPS`` for a library logarithm, to cover a faithfully
-(not correctly) rounded libm.  :class:`Interval` is the public, validated
-face of the same primitives.  Division by an interval containing zero is
-rejected rather than returning an unbounded interval.
+subinterval of [0, 1), and :func:`certify_sign`, which proves its sign by
+subdivision.  The primitives work on ``(lo, hi)`` float pairs: ``_add``,
+``_sub``, ``_mul`` (four products, min/max) and ``_div`` each round once in
+IEEE arithmetic and step the result out by one ``math.nextafter`` in each
+direction; ``_widen`` steps a point out by ``n`` ulps, ``_LIBM_ULPS`` for a
+library logarithm, to cover a faithfully (not correctly) rounded libm.
+Division by an interval containing zero is rejected rather than returning
+an unbounded interval.  The module needs neither numpy nor mpmath.
 
 The log-ratio is the sum of two globally monotone pieces,
 
@@ -43,9 +43,16 @@ from dataclasses import dataclass
 from math import inf, nextafter
 from typing import NamedTuple
 
-from .family import FamilyParams
+from .thresholds import EVAL_LIMIT, FamilyParams
 
-__all__ = ["Interval", "enclose_log_ratio", "TAYLOR_X0", "TAYLOR_K"]
+__all__ = [
+    "TAYLOR_X0",
+    "TAYLOR_K",
+    "CertificateNode",
+    "certify_sign",
+    "certificate_leaves",
+    "certificate_succeeded",
+]
 
 # Error allowance, in ulps, for one libm log/log1p call, assumed of math.log1p
 # here and np.log1p in the float core, which calls no atanh: 80k sampled
@@ -101,47 +108,14 @@ def _div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
     return nextafter(min(quotients), -inf), nextafter(max(quotients), inf)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with outward-rounded arithmetic."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        x = float(x)
-        return cls(x, x)
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(*_add(self.lo, self.hi, other.lo, other.hi))
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(*_sub(self.lo, self.hi, other.lo, other.hi))
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return Interval(*_mul(self.lo, self.hi, other.lo, other.hi))
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        return Interval(*_div(self.lo, self.hi, other.lo, other.hi))
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-def _one_minus_u(params: FamilyParams) -> Interval:
+def _one_minus_u(params: FamilyParams) -> tuple[float, float]:
     """Enclosure of the exact ``1 - u`` of the double ``t`` or ``u``.
 
     ``from_u`` rounds once; ``from_t`` rounds ``1 - t`` and ``4t(1-t)``, each
     to a relative 2^-53 (``4t`` is exact), so it is off by at most 2^-52 +
     2^-106 relative: just over 2 ulps, which three nextafter steps cover.
     """
-    return Interval(*_widen(params.one_minus_u, 3))
+    return _widen(params.one_minus_u, 3)
 
 
 def _u_enclosure(params: FamilyParams) -> tuple[float, float]:
@@ -228,8 +202,7 @@ def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
     """
     half_s = 0.5 * params.s
     u_is_zero = params.u == 0.0
-    one_minus_u = _one_minus_u(params)
-    c_lo, c_hi = one_minus_u.lo, one_minus_u.hi
+    c_lo, c_hi = _one_minus_u(params)
 
     def enclose(x: float) -> _Endpoint:
         if x == 0.0:
@@ -270,14 +243,94 @@ def _monotone_bounds(lo: _Endpoint, hi: _Endpoint) -> tuple[float, float]:
     return _add(lo.h_lo, hi.h_hi, hi.m2_lo, lo.m2_hi)
 
 
-def enclose_log_ratio(params: FamilyParams, lo: float, hi: float) -> Interval:
-    """Rigorous enclosure of the family log-ratio over [lo, hi] in (0, 1).
+@dataclass(frozen=True)
+class CertificateNode:
+    x_lo: float
+    x_hi: float
+    bound_lo: float
+    bound_hi: float
+    status: str  # proved_negative | proved_positive | split | inconclusive
 
-    Uses endpoint evaluations of the two monotone pieces; the enclosure
-    width shrinks linearly with the interval width, so adaptive bisection
-    converges wherever the log-ratio is bounded away from zero.
+
+def certify_sign(
+    t: float,
+    s: float,
+    x_lo: float,
+    x_hi: float,
+    sign: str,
+    budget: int = 100_000,
+) -> list[CertificateNode]:
+    """Certify the family log-ratio's sign on ``[x_lo, x_hi]`` by subdivision.
+
+    Adaptive bisection; ``x_lo`` may be 0, the open left end, where the
+    log-ratio vanishes: the sign is then proved on ``(0, x_hi]``.  A node with
+    ``x_hi > TAYLOR_X0`` is bounded by :func:`_monotone_bounds` from the
+    outward-rounded enclosures of the two pieces at its ends; a node inside
+    ``[0, TAYLOR_X0]`` is a Taylor node, enclosed from the series as
+    ``g = f / x^2``: its status comes from the sign of ``g`` and its bounds
+    are ``x^2 g``.  Leaves are ``proved_negative`` / ``proved_positive``
+    when the enclosure clears zero.  ``budget`` caps
+    the splits, not the nodes: a node splits only while fewer than
+    ``budget - 1`` nodes came before it, so at most ``budget - 1`` nodes
+    split and the tree holds at most ``2 budget - 1``.  An undecided node
+    that may not split is ``inconclusive`` (distinct from a disproof,
+    which shows up as a proved leaf of the opposite sign).  Returns the
+    full tree in processing order for audit.  The constants of the
+    enclosures are taken once per call (the series coefficients when the
+    first Taylor node needs them; their t-free half once per process), and
+    each monotone node's endpoint enclosures come from its parent, so a
+    split encloses only its midpoint.
     """
-    if not 0.0 < lo <= hi < 1.0:
-        raise ValueError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
+    if sign not in ("negative", "positive"):
+        raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
+    if not 0.0 <= x_lo < x_hi < 1.0 or x_hi > EVAL_LIMIT:
+        raise ValueError(f"need 0 <= x_lo < x_hi <= {EVAL_LIMIT!r}")
+    if not (math.isfinite(budget) and budget == int(budget) >= 1):
+        raise ValueError(f"budget must be an integer >= 1, got {budget}")
+    params = FamilyParams.from_t(float(t), float(s))
     enclose = _endpoint_enclosure(params)
-    return Interval(*_monotone_bounds(enclose(lo), enclose(hi)))
+    taylor = None
+    nodes: list[CertificateNode] = []
+    # (a, b, endpoint enclosures of a and b, or None for a Taylor node)
+    a, b = float(x_lo), float(x_hi)
+    stack = [(a, b, None if b <= TAYLOR_X0 else (enclose(a), enclose(b)))]
+    while stack:
+        a, b, ends = stack.pop()
+        if b <= TAYLOR_X0:
+            if taylor is None:
+                taylor = _taylor_enclosure(params)
+            sign_lo, sign_hi, bound_lo, bound_hi = taylor(a, b)
+            ends = None
+        else:
+            lo, hi = ends
+            bound_lo, bound_hi = sign_lo, sign_hi = _monotone_bounds(lo, hi)
+        if sign_hi < 0.0:
+            status = "proved_negative"
+        elif sign_lo > 0.0:
+            status = "proved_positive"
+        else:
+            mid = 0.5 * (a + b)
+            if len(nodes) + 1 < budget and a < mid < b:
+                status = "split"
+                if ends is None:
+                    stack.append((mid, b, None))
+                    stack.append((a, mid, None))
+                else:
+                    middle = enclose(mid)
+                    stack.append((mid, b, (middle, hi)))
+                    stack.append((a, mid, (lo, middle)))
+            else:
+                status = "inconclusive"
+        nodes.append(CertificateNode(a, b, bound_lo, bound_hi, status))
+    return nodes
+
+
+def certificate_leaves(nodes: list[CertificateNode]) -> list[CertificateNode]:
+    return [n for n in nodes if n.status != "split"]
+
+
+def certificate_succeeded(nodes: list[CertificateNode], sign: str) -> bool:
+    """True when every leaf proves the expected sign."""
+    want = "proved_negative" if sign == "negative" else "proved_positive"
+    leaves = certificate_leaves(nodes)
+    return bool(leaves) and all(n.status == want for n in leaves)

@@ -18,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import (
-    SERIES_CROSSOVER,
-    FamilyParams,
-    _evaluate,
-    _h,
-    _lr_with_error_scale,
-)
+from .family import SERIES_CROSSOVER, _evaluate, _h, _lr_with_error_scale
+from .thresholds import FamilyParams
 
 __all__ = [
     "PositivePair",
@@ -157,7 +152,9 @@ def q_mean(pair: PositivePair, t: float, s: float) -> float:
     else:
         # (1 - v)(1 + v) + 4t(1-t) v^2 == 1 - (1-2t)^2 v^2, all terms positive.
         ln_inner = math.log((1.0 - v) * (1.0 + v) + params.one_minus_u * v * v)
-    e = 0.5 * params.s * ln_inner
+    # 1 - u v^2 <= 1, which the rounded sum can pass by an ulp; (s/2) times
+    # that would lift Q above A.
+    e = 0.5 * params.s * min(ln_inner, 0.0)
     if math.exp(e) < sys.float_info.min:  # A exp(e) may still be normal
         return arithmetic_mean(pair) * math.exp(0.5 * e) * math.exp(0.5 * e)
     return arithmetic_mean(pair) * math.exp(e)

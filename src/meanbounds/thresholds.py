@@ -1,14 +1,16 @@
-"""Closed-form sharp thresholds for the mean-comparison family.
+"""The parameter domain and the closed-form sharp thresholds of the family.
 
-For each ``s >= 1`` there are two cutoffs in ``t``: below ``p`` the
-two-parameter mean stays under the identric mean for every distinct pair,
-and above ``q`` it stays over.  ``sharp_thresholds`` returns their closed
-forms, rounded to doubles.  ``membership`` is the one place that decides
-which side of a cutoff a double ``t`` lies on.  It never compares ``t``
-with the rounded cutoffs: with ``u = (1-2t)^2`` it decides the upper side's
-condition ``3 s u <= 1`` in rationals, and the lower side's condition on the
-log-ratio's limit at 1, ``1 - ln 2 + (s/2) ln(4t(1-t)) <= 0``, by an
-interval enclosure, both exactly for the caller's doubles.
+:class:`FamilyParams` owns the domain of ``(t, s)``: the evaluators, the
+certificates and ``membership`` all validate through it, with one set of
+messages.  For each ``s >= 1`` there are two cutoffs in ``t``: below ``p``
+the two-parameter mean stays under the identric mean for every distinct
+pair, and above ``q`` it stays over.  ``sharp_thresholds`` returns their
+closed forms, rounded to doubles.  ``membership`` is the one place that
+decides which side of a cutoff a double ``t`` lies on.  It never compares
+``t`` with the rounded cutoffs: with ``u = (1-2t)^2`` it decides the upper
+side's condition ``3 s u <= 1`` in rationals, and the lower side's
+condition on the log-ratio's limit at 1, ``1 - ln 2 + (s/2) ln(4t(1-t))
+<= 0``, by an interval enclosure, both exactly for the caller's doubles.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "EVAL_LIMIT",
+    "FamilyParams",
     "ThresholdSet",
     "ExponentialBoundConstants",
     "sharp_thresholds",
@@ -25,6 +29,59 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# Direct evaluation is supported up to this point; beyond it a double x
+# resolves 1 - x to fewer than four digits, and the x -> 1 behavior is
+# exposed through family.log_ratio_limit_at_one instead.
+EVAL_LIMIT = 1.0 - 1e-12
+
+
+def _checked_s(s: float) -> float:
+    s = float(s)
+    if not (math.isfinite(s) and s >= 1.0):
+        raise ValueError(f"s must be >= 1, got {s}")
+    return s
+
+
+@dataclass(frozen=True)
+class FamilyParams:
+    """Parameters ``(t, s)`` with the derived ``u = (1-2t)^2``.
+
+    ``one_minus_u`` is carried separately so that ``1 - u*x**2`` can be
+    formed without cancellation as ``(1-x)(1+x) + one_minus_u * x**2``.
+    Construct via :meth:`from_t` or :meth:`from_u`.
+    """
+
+    t: float
+    s: float
+    u: float
+    one_minus_u: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.t <= 0.5:  # NaN fails too
+            raise ValueError(f"t must lie in [0, 1/2], got {self.t}")
+        _checked_s(self.s)
+        if not 0.0 <= self.u <= 1.0 or not 0.0 <= self.one_minus_u <= 1.0:
+            raise ValueError(f"u must lie in [0, 1], got {self.u}")
+        if abs(self.u + self.one_minus_u - 1.0) > 1e-12:
+            raise ValueError("inconsistent u and one_minus_u")
+
+    @classmethod
+    def from_t(cls, t: float, s: float) -> "FamilyParams":
+        t = float(t)
+        s = float(s)
+        # An out-of-range t fails the range check of __post_init__.
+        one_minus_2t = 1.0 - 2.0 * t
+        return cls(t=t, s=s, u=one_minus_2t * one_minus_2t,
+                   one_minus_u=4.0 * t * (1.0 - t))
+
+    @classmethod
+    def from_u(cls, u: float, s: float) -> "FamilyParams":
+        u = float(u)
+        s = float(s)
+        if not 0.0 <= u <= 1.0:
+            raise ValueError(f"u must lie in [0, 1], got {u}")
+        return cls(t=0.5 * (1.0 - math.sqrt(u)), s=s, u=u, one_minus_u=1.0 - u)
 
 
 @dataclass(frozen=True)
@@ -47,13 +104,6 @@ class ExponentialBoundConstants:
 
     lower: float
     upper: float
-
-
-def _checked_s(s: float) -> float:
-    s = float(s)
-    if not (math.isfinite(s) and s >= 1.0):
-        raise ValueError(f"s must be >= 1, got {s}")
-    return s
 
 
 def sharp_thresholds(s: float) -> ThresholdSet:
@@ -90,10 +140,8 @@ def membership(t: float, s: float) -> str:
     algebraic, so this ends for every pair of doubles; RuntimeError is
     raised, never a guess, should 5120 bits not suffice.
     """
-    t = float(t)
-    if not 0.0 <= t <= 0.5:  # NaN fails too
-        raise ValueError(f"t must lie in [0, 1/2], got {t}")
-    s = _checked_s(s)
+    params = FamilyParams.from_t(t, s)
+    t, s = params.t, params.s
     from fractions import Fraction
 
     if 3 * Fraction(s) * (1 - 2 * Fraction(t)) ** 2 <= 1:

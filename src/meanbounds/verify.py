@@ -1,4 +1,4 @@
-"""Grid verification, counterexample search, and sign certification.
+"""Grid verification, counterexample search, and empirical thresholds.
 
 Every check here evaluates a margin function on a grid of gap values and
 reports the signed worst slack.  Three conventions keep the verdicts
@@ -15,6 +15,10 @@ honest at machine precision:
 * Any candidate violation is re-evaluated with mpmath at roughly twice
   the working precision before being reported.  A witness that fails the
   recheck is a rounding artifact and is dropped.
+
+Sign certificates are proved by :func:`meanbounds.intervals.certify_sign`,
+beside the interval kernel they run on; its names, and ``FamilyParams`` and
+``EVAL_LIMIT`` from :mod:`meanbounds.thresholds`, stay importable from here.
 """
 
 from __future__ import annotations
@@ -25,15 +29,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .family import (
-    EVAL_LIMIT,
-    FamilyParams,
     _Pieces,
     _exp_bound_margin_with_scale,
     _log_ratio_with_scale,
     _lr_with_error_scale,
 )
-from .intervals import TAYLOR_X0, _endpoint_enclosure, _monotone_bounds, _taylor_enclosure
-from .thresholds import membership
+from .intervals import CertificateNode, certificate_leaves, certificate_succeeded, certify_sign
+from .thresholds import EVAL_LIMIT, FamilyParams, membership
 
 __all__ = [
     "GridSpec",
@@ -41,7 +43,6 @@ __all__ = [
     "VerificationReport",
     "FalsificationResult",
     "TwoThirdsPowerReport",
-    "CertificateNode",
     "grid_points",
     "verify_family_inequality",
     "falsify",
@@ -49,9 +50,6 @@ __all__ = [
     "verify_exponential_bounds",
     "verify_convex_power_bound",
     "verify_two_thirds_power",
-    "certify_sign",
-    "certificate_leaves",
-    "certificate_succeeded",
     "TWO_THIRDS_FORWARD_THRESHOLD",
     "TWO_THIRDS_REVERSE_THRESHOLD",
 ]
@@ -161,15 +159,6 @@ class TwoThirdsPowerReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class CertificateNode:
-    x_lo: float
-    x_hi: float
-    bound_lo: float
-    bound_hi: float
-    status: str  # proved_negative | proved_positive | split | inconclusive
 
 
 def _check_side(side: str) -> None:
@@ -495,88 +484,3 @@ def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoTh
         classification = "neither"
     return TwoThirdsPowerReport(p=p_exp, forward=reports["forward"],
                      reverse=reports["reverse"], classification=classification)
-
-
-def certify_sign(
-    t: float,
-    s: float,
-    x_lo: float,
-    x_hi: float,
-    sign: str,
-    budget: int = 100_000,
-) -> list[CertificateNode]:
-    """Certify the family log-ratio's sign on ``[x_lo, x_hi]`` by subdivision.
-
-    Adaptive bisection; ``x_lo`` may be 0, the open left end, where the
-    log-ratio vanishes: the sign is then proved on ``(0, x_hi]``.  A node with
-    ``x_hi > TAYLOR_X0`` is enclosed by the outward-rounded monotone
-    enclosure from :mod:`meanbounds.intervals`; a node inside
-    ``[0, TAYLOR_X0]`` is a Taylor node, enclosed from the series as
-    ``g = f / x^2``: its status comes from the sign of ``g`` and its bounds
-    are ``x^2 g``.  Leaves are ``proved_negative`` / ``proved_positive``
-    when the enclosure clears zero.  ``budget`` caps
-    the splits, not the nodes: a node splits only while fewer than
-    ``budget - 1`` nodes came before it, so at most ``budget - 1`` nodes
-    split and the tree holds at most ``2 budget - 1``.  An undecided node
-    that may not split is ``inconclusive`` (distinct from a disproof,
-    which shows up as a proved leaf of the opposite sign).  Returns the
-    full tree in processing order for audit.  The constants of the
-    enclosures are taken once per call (the series coefficients when the
-    first Taylor node needs them; their t-free half once per process), and
-    each monotone node's endpoint enclosures come from its parent, so a
-    split encloses only its midpoint.  A monotone node's bounds are those of
-    ``enclose_log_ratio``, taken on float pairs without its ``Interval``.
-    """
-    if sign not in ("negative", "positive"):
-        raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
-    if not 0.0 <= x_lo < x_hi < 1.0 or x_hi > EVAL_LIMIT:
-        raise ValueError(f"need 0 <= x_lo < x_hi <= {EVAL_LIMIT!r}")
-    if not (math.isfinite(budget) and budget == int(budget) >= 1):
-        raise ValueError(f"budget must be an integer >= 1, got {budget}")
-    params = FamilyParams.from_t(float(t), float(s))
-    enclose = _endpoint_enclosure(params)
-    taylor = None
-    nodes: list[CertificateNode] = []
-    # (a, b, endpoint enclosures of a and b, or None for a Taylor node)
-    a, b = float(x_lo), float(x_hi)
-    stack = [(a, b, None if b <= TAYLOR_X0 else (enclose(a), enclose(b)))]
-    while stack:
-        a, b, ends = stack.pop()
-        if b <= TAYLOR_X0:
-            if taylor is None:
-                taylor = _taylor_enclosure(params)
-            sign_lo, sign_hi, bound_lo, bound_hi = taylor(a, b)
-            ends = None
-        else:
-            lo, hi = ends
-            bound_lo, bound_hi = sign_lo, sign_hi = _monotone_bounds(lo, hi)
-        if sign_hi < 0.0:
-            status = "proved_negative"
-        elif sign_lo > 0.0:
-            status = "proved_positive"
-        else:
-            mid = 0.5 * (a + b)
-            if len(nodes) + 1 < budget and a < mid < b:
-                status = "split"
-                if ends is None:
-                    stack.append((mid, b, None))
-                    stack.append((a, mid, None))
-                else:
-                    middle = enclose(mid)
-                    stack.append((mid, b, (middle, hi)))
-                    stack.append((a, mid, (lo, middle)))
-            else:
-                status = "inconclusive"
-        nodes.append(CertificateNode(a, b, bound_lo, bound_hi, status))
-    return nodes
-
-
-def certificate_leaves(nodes: list[CertificateNode]) -> list[CertificateNode]:
-    return [n for n in nodes if n.status != "split"]
-
-
-def certificate_succeeded(nodes: list[CertificateNode], sign: str) -> bool:
-    """True when every leaf proves the expected sign."""
-    want = "proved_negative" if sign == "negative" else "proved_positive"
-    leaves = certificate_leaves(nodes)
-    return bool(leaves) and all(n.status == want for n in leaves)

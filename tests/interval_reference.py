@@ -1,16 +1,49 @@
-"""Reference endpoint enclosure composed from ``Interval`` operators.
+"""Reference enclosures composed from ``Interval`` operators.
 
-The library's kernel evaluates the same enclosure on bare float pairs.
-This module spells it out one ``Interval`` operation at a time, as the
-library did before it moved to float pairs, so that the kernel's bounds
-can be compared with ``==`` against an independent composition of the
-same outward-rounded steps.  :func:`taylor_enclosure` does the same for
-the series enclosure of nodes inside ``[0, TAYLOR_X0]``.
+The library's kernel evaluates its enclosures on bare float pairs.  This
+module defines :class:`Interval`, a validated closed interval whose
+operators call the same float-pair primitives, and spells each enclosure
+out one ``Interval`` operation at a time, as the library did before it
+moved to float pairs, so that the kernel's bounds can be compared with
+``==`` against an independent composition of the same outward-rounded
+steps.  :func:`taylor_enclosure` does the same for the series enclosure of
+nodes inside ``[0, TAYLOR_X0]``.
 """
 
 import math
+from dataclasses import dataclass
 
-from meanbounds.intervals import _LIBM_ULPS, TAYLOR_K, Interval, _one_minus_u, _u_enclosure
+from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, _add, _div, _mul, _one_minus_u, _sub,
+                                  _u_enclosure)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Closed interval [lo, hi] with outward-rounded arithmetic."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not self.lo <= self.hi:
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def point(cls, x: float) -> "Interval":
+        x = float(x)
+        return cls(x, x)
+
+    def __add__(self, other: "Interval") -> "Interval":
+        return Interval(*_add(self.lo, self.hi, other.lo, other.hi))
+
+    def __sub__(self, other: "Interval") -> "Interval":
+        return Interval(*_sub(self.lo, self.hi, other.lo, other.hi))
+
+    def __mul__(self, other: "Interval") -> "Interval":
+        return Interval(*_mul(self.lo, self.hi, other.lo, other.hi))
+
+    def __truediv__(self, other: "Interval") -> "Interval":
+        return Interval(*_div(self.lo, self.hi, other.lo, other.hi))
 
 
 def _widen(x, n):
@@ -49,7 +82,7 @@ def m2_point(params, x):
     if params.u == 0.0:
         return Interval.point(0.0)
     xi = Interval.point(x)
-    inner = _one_minus(x) * _widen(1.0 + x, 1) + _one_minus_u(params) * xi * xi
+    inner = _one_minus(x) * _widen(1.0 + x, 1) + Interval(*_one_minus_u(params)) * xi * xi
     if inner.lo <= 0.0:
         raise ValueError("1 - u x^2 enclosure touches 0; x too close to 1")
     return _log_hull(inner) * Interval.point(0.5 * params.s)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from meanbounds import (FamilyParams, certificate_succeeded, certify_sign, intervals,
                         sharp_thresholds)
-from meanbounds.family import EVAL_LIMIT
-from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, TAYLOR_X0, Interval, _endpoint_enclosure,
-                                  _one_minus_u, _taylor_enclosure, _u_enclosure,
-                                  enclose_log_ratio)
+from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, TAYLOR_X0, _add, _div, _endpoint_enclosure,
+                                  _monotone_bounds, _mul, _one_minus_u, _sub, _taylor_enclosure,
+                                  _u_enclosure)
+from meanbounds.thresholds import EVAL_LIMIT
 
 import interval_reference as reference
 from oracles import family_log_ratio_and_quotient_t, family_log_ratio_u
@@ -20,44 +20,47 @@ from oracles import family_log_ratio_and_quotient_t, family_log_ratio_u
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 
 
-def as_interval(x, width):
-    return Interval(x, x + abs(width))
+def as_pair(x, width):
+    return x, x + abs(width)
 
 
 class TestArithmeticContainment:
+    """Each float-pair primitive holds the exact result at every corner."""
+
     @given(finite, finite, st.floats(min_value=0, max_value=10.0),
            st.floats(min_value=0, max_value=10.0))
     @settings(max_examples=200)
     def test_add_sub_mul(self, a, b, wa, wb):
-        ia, ib = as_interval(a, wa), as_interval(b, wb)
-        corners = [(Fraction(x), Fraction(y))
-                   for x in (ia.lo, ia.hi) for y in (ib.lo, ib.hi)]
-        for op, exact_op in ((ia + ib, lambda x, y: x + y),
-                             (ia - ib, lambda x, y: x - y),
-                             (ia * ib, lambda x, y: x * y)):
+        ia, ib = as_pair(a, wa), as_pair(b, wb)
+        corners = [(Fraction(x), Fraction(y)) for x in ia for y in ib]
+        for (lo, hi), exact_op in ((_add(*ia, *ib), lambda x, y: x + y),
+                                   (_sub(*ia, *ib), lambda x, y: x - y),
+                                   (_mul(*ia, *ib), lambda x, y: x * y)):
             for x, y in corners:
                 exact = exact_op(x, y)
-                assert Fraction(op.lo) <= exact <= Fraction(op.hi)
+                assert Fraction(lo) <= exact <= Fraction(hi)
 
     @given(finite, st.floats(min_value=1e-6, max_value=1e6),
            st.floats(min_value=0, max_value=10.0),
            st.floats(min_value=0, max_value=1.0))
     @settings(max_examples=200)
     def test_division(self, a, b, wa, wb):
-        ia, ib = as_interval(a, wa), as_interval(b, wb)
-        q = ia / ib
-        for x in (ia.lo, ia.hi):
-            for y in (ib.lo, ib.hi):
+        ia, ib = as_pair(a, wa), as_pair(b, wb)
+        q_lo, q_hi = _div(*ia, *ib)
+        for x in ia:
+            for y in ib:
                 exact = Fraction(x) / Fraction(y)
-                assert Fraction(q.lo) <= exact <= Fraction(q.hi)
+                assert Fraction(q_lo) <= exact <= Fraction(q_hi)
 
     def test_division_by_zero_straddling_interval_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            Interval(1.0, 2.0) / Interval(-1.0, 1.0)
+        for denominator in ((-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0)):
+            with pytest.raises(ZeroDivisionError):
+                _div(1.0, 2.0, *denominator)
 
     def test_empty_interval_rejected(self):
+        # The reference that the composition tests compare against.
         with pytest.raises(ValueError):
-            Interval(2.0, 1.0)
+            reference.Interval(2.0, 1.0)
 
 
 class TestOneMinusU:
@@ -69,15 +72,15 @@ class TestOneMinusU:
         ts = [0.0, 0.5, 0.4989659448751263, 1e-300]
         ts += [rng.uniform(0.0, 0.5) for _ in range(20_000)]
         for t in ts:
-            enc = _one_minus_u(FamilyParams.from_t(t, 2.0))
+            lo, hi = _one_minus_u(FamilyParams.from_t(t, 2.0))
             exact = 4 * Fraction(t) * (1 - Fraction(t))
-            assert Fraction(enc.lo) <= exact <= Fraction(enc.hi), t
+            assert Fraction(lo) <= exact <= Fraction(hi), t
 
     def test_from_u_against_exact_fraction(self):
         rng = random.Random(1)
         for u in [0.0, 1.0, 1e-300] + [rng.random() for _ in range(2_000)]:
-            enc = _one_minus_u(FamilyParams.from_u(u, 2.0))
-            assert Fraction(enc.lo) <= 1 - Fraction(u) <= Fraction(enc.hi), u
+            lo, hi = _one_minus_u(FamilyParams.from_u(u, 2.0))
+            assert Fraction(lo) <= 1 - Fraction(u) <= Fraction(hi), u
 
 
 class TestUEnclosure:
@@ -171,6 +174,12 @@ def subintervals(draw):
     return 1.0 - d_lo, min(1.0 - d_lo * (1.0 - width), 1.0 - 1e-12)
 
 
+def node_bounds(params, lo, hi):
+    """The bounds of a monotone certificate node [lo, hi]."""
+    enclose = _endpoint_enclosure(params)
+    return _monotone_bounds(enclose(lo), enclose(hi))
+
+
 class TestLogRatioEnclosure:
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=1.0, max_value=10.0),
@@ -180,28 +189,22 @@ class TestLogRatioEnclosure:
         lo, hi = interval
         assume(lo < hi)
         params = FamilyParams.from_u(u, s)
-        enc = enclose_log_ratio(params, lo, hi)
+        enc = node_bounds(params, lo, hi)
         with mp.workdps(40):
             for x in (lo, hi, 0.5 * (lo + hi)):
                 truth = family_log_ratio_u(params.u, s, x)
                 # The point node [x, x] leaves no slack but the rounding.
-                for e in (enc, enclose_log_ratio(params, x, x)):
-                    assert mp.mpf(e.lo) <= truth <= mp.mpf(e.hi)
+                for e_lo, e_hi in (enc, node_bounds(params, x, x)):
+                    assert mp.mpf(e_lo) <= truth <= mp.mpf(e_hi)
 
     def test_width_shrinks_with_interval(self):
         params = FamilyParams.from_u(0.3, 2.0)
-        wide = enclose_log_ratio(params, 0.2, 0.4)
-        narrow = enclose_log_ratio(params, 0.29, 0.31)
-        point = enclose_log_ratio(params, 0.3, 0.3)
-        assert point.width < narrow.width < wide.width
-        assert point.width < 1e-13
-
-    def test_rejects_bad_interval(self):
-        params = FamilyParams.from_u(0.3, 2.0)
-        with pytest.raises(ValueError):
-            enclose_log_ratio(params, 0.5, 0.2)
-        with pytest.raises(ValueError):
-            enclose_log_ratio(params, 0.0, 0.2)
+        wide, narrow, point = (hi - lo for lo, hi in (
+            node_bounds(params, 0.2, 0.4),
+            node_bounds(params, 0.29, 0.31),
+            node_bounds(params, 0.3, 0.3)))
+        assert point < narrow < wide
+        assert point < 1e-13
 
 
 def _endpoint_params(rng):
@@ -249,7 +252,8 @@ class TestEndpointEnclosure:
         for lo, hi in zip(xs[::2], xs[1::2]):
             lo, hi = min(lo, hi), max(lo, hi)
             p = next(params)
-            assert enclose_log_ratio(p, lo, hi) == reference.enclose_log_ratio(p, lo, hi)
+            ref = reference.enclose_log_ratio(p, lo, hi)
+            assert node_bounds(p, lo, hi) == (ref.lo, ref.hi)
 
 
 def _shifted(f, ulps):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanbounds import (
@@ -233,6 +233,9 @@ class TestQMean:
 
     @given(pairs(), st.floats(min_value=0.0, max_value=0.5),
            st.floats(min_value=1.0, max_value=50.0))
+    # 1 - u v^2 rounds above 1 here, and s/2 = 4.5 lifted Q 1.1e-15 above A.
+    @example(PositivePair(1.0283332389353637, 1.0079702045010002),
+             math.nextafter(0.5, 0.0), 9.0)
     @settings(max_examples=150)
     def test_bounded_by_g_like_and_arithmetic(self, pair, t, s):
         q = q_mean(pair, t, s)

@@ -54,6 +54,31 @@ def test_thresholds_loads_neither_numpy_nor_mpmath():
     assert not names & {"numpy", "mpmath", "fractions", "decimal"}
 
 
+def test_certificate_loads_neither_numpy_nor_mpmath():
+    # The proof path runs on thresholds and intervals alone.  perfbench
+    # resolves the certificate names through meanbounds.verify, so that
+    # module must bind the same objects.
+    script = """
+import sys
+from meanbounds import FamilyParams, certificate_succeeded, certify_sign, sharp_thresholds
+from meanbounds import intervals
+from meanbounds.intervals import FamilyParams as Params
+from meanbounds.intervals import certificate_succeeded as succeeded
+from meanbounds.intervals import certify_sign as certify
+
+assert (certify, succeeded, Params) == (certify_sign, certificate_succeeded, FamilyParams)
+p = sharp_thresholds(2.0).p
+assert certificate_succeeded(certify_sign(p - 0.01, 2.0, 0.0, 0.99, "negative"), "negative")
+loaded = {"numpy", "mpmath", "fractions"} & set(sys.modules)
+assert not loaded, loaded
+import meanbounds.verify as verify
+for name in ("certify_sign", "certificate_succeeded", "CertificateNode"):
+    assert getattr(verify, name) is getattr(intervals, name), name
+"""
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "1", "2"),
     ("verify", "--s", "2", "--t", "0.24", "--side", "lower"),

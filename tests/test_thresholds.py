@@ -5,6 +5,7 @@ import pytest
 from mpmath import iv
 
 from meanbounds import (
+    FamilyParams,
     exponential_bound_constants,
     membership,
     sharp_thresholds,
@@ -91,10 +92,17 @@ class TestMembership:
         (0.7, 2.0), (-0.1, 2.0), (0.2, 0.5),
         (math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0),
         (0.2, math.nan), (0.2, math.inf), (0.2, -math.inf),
+        (math.nextafter(0.5, 1.0), 2.0), (-5e-324, 2.0),
+        (0.2, math.nextafter(1.0, 0.0)), (0.7, 0.5), (math.nan, math.nan),
     ])
     def test_rejects_bad_t(self, t, s):
-        with pytest.raises(ValueError):
-            membership(t, s)
+        # FamilyParams owns the domain: membership raises its message.
+        messages = []
+        for check in (membership, FamilyParams.from_t):
+            with pytest.raises(ValueError) as caught:
+                check(t, s)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
 
 class TestMembershipExact:
