@@ -213,8 +213,8 @@ def _cmd_thresholds(args):
     payload = {"s": ts.s, "p": ts.p, "q": ts.q,
                "exp_bound_lower": const.lower, "exp_bound_upper": const.upper}
     human = [f"s = {_fmt(ts.s)}",
-             f"p = {_fmt(ts.p)}   (largest t with the mean below identric)",
-             f"q = {_fmt(ts.q)}   (smallest t with the mean above identric)"]
+             f"p = {_fmt(ts.p)}   (lower-side cutoff: closed form, rounded to a double)",
+             f"q = {_fmt(ts.q)}   (upper-side cutoff: closed form, rounded to a double)"]
     closed = _CLOSED_FORMS.get(float(args.s))
     if closed:
         payload["p_closed_form"], payload["q_closed_form"] = closed

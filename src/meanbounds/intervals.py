@@ -4,12 +4,18 @@ This is deliberately not a general interval library: it provides exactly
 the operations needed to enclose the family log-ratio over a compact
 subinterval of [0, 1), and :func:`certify_sign`, which proves its sign by
 subdivision.  The primitives work on ``(lo, hi)`` float pairs: ``_add``,
-``_sub``, ``_mul`` (four products, min/max) and ``_div`` each round once in
-IEEE arithmetic and step the result out by one ``math.nextafter`` in each
+``_sub``, ``_mul`` (four products, min/max), ``_mul_nonneg`` (two products,
+for a second factor ``>= 0``) and ``_div`` each round once in IEEE
+arithmetic and step the result out by one ``math.nextafter`` in each
 direction; ``_widen`` steps a point out by ``n`` ulps, ``_LIBM_ULPS`` for a
 library logarithm, to cover a faithfully (not correctly) rounded libm.
 Division by an interval containing zero is rejected rather than returning
-an unbounded interval.  The module needs neither numpy nor mpmath.
+an unbounded interval.  Nearly every factor in the kernel is known to be
+``>= 0`` (``s/2``, ``u^k``, ``X = x^2``, ``1 +- x``) and every divisor but
+one is an exact positive point (``k``, ``2x``), so it takes two products or
+quotients where ``_mul`` and ``_div`` take four: the corners that their
+min/max would pick.  Rounding is monotone, so the bounds are the same
+doubles.  The module needs neither numpy nor mpmath.
 
 The log-ratio is the sum of two globally monotone pieces,
 
@@ -101,6 +107,20 @@ def _mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
     return nextafter(min(products), -inf), nextafter(max(products), inf)
 
 
+def _mul_nonneg(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    """``_mul`` for a second factor with ``blo >= 0``, from two products.
+
+    With ``b >= 0`` the product rises with ``a``: its least corner has
+    ``alo`` and its greatest ``ahi``, each with the end of ``b`` that its own
+    sign picks.  Rounding is monotone, so for finite inputs these are the
+    doubles that ``_mul``'s min/max would pick, up to the sign of a zero,
+    which ``nextafter`` removes.  The kernel's loops inline the same two
+    products.
+    """
+    return (nextafter(alo * (blo if alo >= 0.0 else bhi), -inf),
+            nextafter(ahi * (bhi if ahi >= 0.0 else blo), inf))
+
+
 def _div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
     if blo <= 0.0 <= bhi:
         raise ZeroDivisionError(f"denominator interval [{blo}, {bhi}] contains 0")
@@ -151,15 +171,19 @@ def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[fl
     ``_H_COEFFICIENTS``; the returned function evaluates ``g`` by interval
     Horner over ``[a^2, b^2]`` with the tail as the innermost term, and
     returns ``(g_lo, g_hi, f_lo, f_hi)`` with ``f = X g``.  Every product and
-    sum is rounded outward by the float-pair primitives.
+    sum is rounded outward as by the float-pair primitives; the two loops
+    inline them.
     """
     u_lo, u_hi = _u_enclosure(params)
     w_lo = w_hi = 0.5 * params.s
     coefficients = []
     for k, (h_lo, h_hi) in enumerate(_H_COEFFICIENTS[:TAYLOR_K + 1], 1):
-        w_lo, w_hi = _mul(w_lo, w_hi, u_lo, u_hi)  # s u^k / 2
-        m_lo, m_hi = _div(w_lo, w_hi, k, k)
-        coefficients.append(_sub(h_lo, h_hi, m_lo, m_hi))
+        # w = s u^k / 2 by _mul_nonneg (u >= 0; w_lo is -5e-324 once u_lo = 0
+        # rounds it down), then m = w / k with two quotients: k is exact, > 0.
+        w_lo = nextafter(w_lo * (u_lo if w_lo >= 0.0 else u_hi), -inf)
+        w_hi = nextafter(w_hi * (u_hi if w_hi >= 0.0 else u_lo), inf)
+        m_lo, m_hi = nextafter(w_lo / k, -inf), nextafter(w_hi / k, inf)
+        coefficients.append((nextafter(h_lo - m_hi, -inf), nextafter(h_hi - m_lo, inf)))
     # Horner runs from c_K down to c_1; the k = K + 1 terms bound the tail.
     coefficients.pop()
     coefficients.reverse()
@@ -169,10 +193,17 @@ def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[fl
         x2_lo, x2_hi = nextafter(a * a, -inf), nextafter(b * b, inf)
         d_lo, d_hi = _sub(1.0, 1.0, x2_lo, x2_hi)
         g_lo, g_hi = _div(tail_lo, tail_hi, d_lo, d_hi)
+        if x2_lo < 0.0:
+            # a * a rounded to 0 (a = 0 or below about 1.5e-162), so X reaches
+            # one subnormal below 0 and each product needs all four corners.
+            for c_lo, c_hi in coefficients:
+                g_lo, g_hi = _add(*_mul(g_lo, g_hi, x2_lo, x2_hi), c_lo, c_hi)
+            return (g_lo, g_hi) + _mul(x2_lo, x2_hi, g_lo, g_hi)
+        # g X + c with X >= 0, by _mul_nonneg and _add.
         for c_lo, c_hi in coefficients:
-            g_lo, g_hi = _mul(g_lo, g_hi, x2_lo, x2_hi)
-            g_lo, g_hi = _add(g_lo, g_hi, c_lo, c_hi)
-        return (g_lo, g_hi) + _mul(x2_lo, x2_hi, g_lo, g_hi)
+            g_lo = nextafter(nextafter(g_lo * (x2_lo if g_lo >= 0.0 else x2_hi), -inf) + c_lo, -inf)
+            g_hi = nextafter(nextafter(g_hi * (x2_hi if g_hi >= 0.0 else x2_lo), inf) + c_hi, inf)
+        return (g_lo, g_hi) + _mul_nonneg(g_lo, g_hi, x2_lo, x2_hi)
 
     return enclose
 
@@ -193,12 +224,13 @@ def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
     ``0.5 s``, the enclosure of ``1 - u`` and the ``u == 0`` test are taken
     once here.  In ``h`` both products are >= 0, so nothing cancels; the
     arguments of ``log1p(x)``, ``log1p(-x)`` and the divisor ``2x`` are
-    exact, so its enclosure stays O(eps) wide as x -> 0.  The products keep
-    the four-corner min/max: for subnormal x the widened ``log1p(x)`` can
-    cross 0.  The log in ``m2`` is hulled from both endpoint values of its
-    argument, so that libm log need not be monotone.  At ``x = 0`` both
-    pieces are exactly 0, their common limit.  The float twin of ``h`` is
-    :func:`meanbounds.family._h`.
+    exact, so its enclosure stays O(eps) wide as x -> 0.  The products take
+    two corners, by ``_mul_nonneg`` with the factor ``1 +- x`` second: for
+    subnormal x the widened ``log1p(x)`` can cross 0, so the first factor
+    may take either sign.  The log in ``m2`` is hulled from both endpoint
+    values of its argument, so that libm log need not be monotone.  At
+    ``x = 0`` both pieces are exactly 0, their common limit.  The float twin
+    of ``h`` is :func:`meanbounds.family._h`.
     """
     half_s = 0.5 * params.s
     u_is_zero = params.u == 0.0
@@ -214,24 +246,27 @@ def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
         p_lo, p_hi = _widen(1.0 + x, 1)
         # h = 1 - [(1 + x) log1p(x) - (1 - x) log1p(-x)] / (2x)
         ln_lo, ln_hi = _widen(_log1p(x), _LIBM_ULPS)
-        plus_lo, plus_hi = _mul(p_lo, p_hi, ln_lo, ln_hi)
+        plus_lo, plus_hi = _mul_nonneg(ln_lo, ln_hi, p_lo, p_hi)
         ln_lo, ln_hi = _widen(_log1p(-x), _LIBM_ULPS)
-        minus_lo, minus_hi = _mul(d_lo, d_hi, ln_lo, ln_hi)
+        minus_lo, minus_hi = _mul_nonneg(ln_lo, ln_hi, d_lo, d_hi)
         q_lo, q_hi = _sub(plus_lo, plus_hi, minus_lo, minus_hi)
-        q_lo, q_hi = _div(q_lo, q_hi, 2.0 * x, 2.0 * x)
+        two_x = 2.0 * x  # exact and > 0: two quotients
+        q_lo, q_hi = nextafter(q_lo / two_x, -inf), nextafter(q_hi / two_x, inf)
         h_lo, h_hi = _sub(1.0, 1.0, q_lo, q_hi)
         if u_is_zero:
             return _Endpoint(x, h_lo, h_hi, 0.0, 0.0)
-        # m2 = (s/2) ln[(1 - x)(1 + x) + (1 - u) x^2]
-        w_lo, w_hi = _mul(c_lo, c_hi, x, x)
-        w_lo, w_hi = _mul(w_lo, w_hi, x, x)
-        i_lo, i_hi = _mul(d_lo, d_hi, p_lo, p_hi)
+        # m2 = (s/2) ln[(1 - x)(1 + x) + (1 - u) x^2].  A product by a point
+        # x or s/2, both > 0, takes the ends in order; 1 -+ x are both > 0.
+        w_lo = nextafter(nextafter(c_lo * x, -inf) * x, -inf)
+        w_hi = nextafter(nextafter(c_hi * x, inf) * x, inf)
+        i_lo, i_hi = nextafter(d_lo * p_lo, -inf), nextafter(d_hi * p_hi, inf)
         i_lo, i_hi = _add(i_lo, i_hi, w_lo, w_hi)
         if i_lo <= 0.0:
             raise ValueError("1 - u x^2 enclosure touches 0; x too close to 1")
         a_lo, a_hi = _widen(_log(i_lo), _LIBM_ULPS)
         b_lo, b_hi = _widen(_log(i_hi), _LIBM_ULPS)
-        m2_lo, m2_hi = _mul(min(a_lo, b_lo), max(a_hi, b_hi), half_s, half_s)
+        m2_lo = nextafter(min(a_lo, b_lo) * half_s, -inf)
+        m2_hi = nextafter(max(a_hi, b_hi) * half_s, inf)
         return _Endpoint(x, h_lo, h_hi, m2_lo, m2_hi)
 
     return enclose

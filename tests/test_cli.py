@@ -7,6 +7,7 @@ import pytest
 
 import meanbounds.cli as cli
 from meanbounds.cli import main
+from meanbounds.thresholds import membership
 from meanbounds.verify import FalsificationResult
 
 import oracles
@@ -96,6 +97,21 @@ class TestThresholds:
         code, out, _ = run(capsys, "thresholds", "1")
         assert code == 0
         assert "(3 - sqrt(3))/6" in out
+
+    @pytest.mark.parametrize("s, name, side", [
+        (1.0, "p", "lower_bound_holds"), (1.5, "p", "lower_bound_holds"),
+        (3.0, "p", "lower_bound_holds"), (5.0, "p", "lower_bound_holds"),
+        (20.0, "p", "lower_bound_holds"), (1.0, "q", "upper_bound_holds"),
+        (1.5, "q", "upper_bound_holds"), (2.0, "q", "upper_bound_holds")])
+    def test_label_claims_no_side_the_double_misses(self, capsys, s, name, side):
+        # The printed double lies beyond its cutoff here, so the label may
+        # not call it the largest t below (or smallest t above) identric.
+        code, out, _ = run(capsys, "thresholds", repr(s))
+        line = next(ln for ln in out.splitlines() if ln.startswith(f"{name} = "))
+        value = float(line.split()[2])
+        assert code == 0 and membership(value, s) != side
+        side_name = "lower" if name == "p" else "upper"
+        assert line.endswith(f"({side_name}-side cutoff: closed form, rounded to a double)")
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "thresholds", "0.5")

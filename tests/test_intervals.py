@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from meanbounds import (FamilyParams, certificate_succeeded, certify_sign, intervals,
                         sharp_thresholds)
 from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, TAYLOR_X0, _add, _div, _endpoint_enclosure,
-                                  _monotone_bounds, _mul, _one_minus_u, _sub, _taylor_enclosure,
-                                  _u_enclosure)
+                                  _monotone_bounds, _mul, _mul_nonneg, _one_minus_u, _sub,
+                                  _taylor_enclosure, _u_enclosure)
 from meanbounds.thresholds import EVAL_LIMIT
 
 import interval_reference as reference
@@ -61,6 +61,31 @@ class TestArithmeticContainment:
         # The reference that the composition tests compare against.
         with pytest.raises(ValueError):
             reference.Interval(2.0, 1.0)
+
+
+# Any finite double; the signed zeros, the smallest subnormal and the largest
+# magnitudes are drawn by name as well as by chance.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308]
+any_double = st.sampled_from(_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+nonneg_double = (st.sampled_from([v for v in _EDGES if v >= 0.0])
+                 | st.floats(min_value=0.0, allow_infinity=False))
+
+
+def _bits(pair):
+    return tuple(v.hex() for v in pair)
+
+
+class TestTwoCornerProduct:
+    """``_mul_nonneg`` gives ``_mul``'s doubles, bit for bit, whenever the
+    second factor's ``lo >= 0``, whatever the sign of the first."""
+
+    @given(any_double, any_double, nonneg_double, nonneg_double)
+    @settings(max_examples=500)
+    def test_equals_four_corner_product(self, a1, a2, b1, b2):
+        alo, ahi = sorted((a1, a2))
+        blo, bhi = sorted((b1, b2))
+        assert _bits(_mul_nonneg(alo, ahi, blo, bhi)) == _bits(_mul(alo, ahi, blo, bhi))
 
 
 class TestOneMinusU:

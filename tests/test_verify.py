@@ -588,3 +588,12 @@ class TestCertificationIdentity:
         # u = 0: the m2 piece is the point 0 at every endpoint.
         nodes = certify_sign(0.5, 1.0, 0.01, 0.99, "positive", 1000)
         assert nodes == _reference_certificate(0.5, 1.0, 0.01, 0.99, 1000)
+
+    @pytest.mark.parametrize("t", [0.01, 0.0])
+    def test_open_left_end_at_huge_s_equals_reference(self, t):
+        # At x_lo = 0, a * a rounds to 0 and X = x^2 reaches one subnormal
+        # below 0, so g X needs all four corners: at s = 1e300, g is near
+        # -5e299 and its product with -5e-324 sets bound_hi (about 2.7e-24).
+        nodes = certify_sign(t, 1e300, 0.0, TAYLOR_X0, "negative", 100)
+        assert nodes == _reference_certificate(t, 1e300, 0.0, TAYLOR_X0, 100)
+        assert nodes[0].bound_hi > 1e-24
