@@ -66,10 +66,14 @@ def _evaluate(x, fn, validate=_validate_x):
 
 
 def _split(x: np.ndarray):
-    """Series mask and direct-path argument (0.5 under the mask)."""
-    # The dummy keeps the direct forms off the removable singularity at 0.
+    """Indexers of the series points (``x < SERIES_CROSSOVER``) and of the
+    direct points of ``x``: slices when the series points are a prefix, as
+    on every increasing grid, else boolean masks."""
     small = x < SERIES_CROSSOVER
-    return small, np.where(small, 0.5, x)
+    k = int(np.count_nonzero(small))
+    if k in (0, small.size) or small[:k].all():
+        return slice(0, k), slice(k, None)
+    return small, ~small
 
 
 def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, float]:
@@ -77,16 +81,23 @@ def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, flo
     ``sum c_k x^(2k)``, so the kernel ``x^2 f'`` is ``sum 2k c_k x^(2k+1)``.
     Interval twin, to ``TAYLOR_K`` terms: ``intervals._taylor_enclosure``."""
     u, s = params.u, params.s
+    if u == 0.0:  # the s-free values, where 3 s u would be inf * 0 for s near the top
+        return 1.0 / 6.0, 1.0 / 20.0, 1.0 / 42.0, 1.0 / 72.0
     return ((1.0 - 3.0 * s * u) / 6.0,
             1.0 / 20.0 - s * u * u / 4.0,
             1.0 / 42.0 - s * u ** 3 / 6.0,
             1.0 / 72.0 - s * u ** 4 / 8.0)
 
 
-def _log_ratio_series(params: FamilyParams, w: np.ndarray) -> np.ndarray:
-    """The log-ratio's series in ``w = x^2``."""
+def _log_ratio_series(params: FamilyParams, w: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The log-ratio's series in ``w = x^2`` by Horner's rule, in ``out`` if given."""
     c1, c2, c3, c4 = _series_coefficients(params)
-    return w * (c1 + w * (c2 + w * (c3 + w * c4)))
+    out = np.multiply(w, c4, out=out)
+    for c in (c3, c2, c1):
+        out += c
+        out *= w
+    return out
 
 
 def _h(v, d, ln_d):
@@ -100,37 +111,45 @@ def _h(v, d, ln_d):
     return 1.0 - ((1.0 + v) * np.log1p(v) - d * ln_d) / (2.0 * v)
 
 
-def _m2(params: FamilyParams, x: np.ndarray, one_minus_sq: np.ndarray) -> np.ndarray:
-    """The t-dependent piece (s/2) ln(1 - u x^2), as (1 - x^2) + (1 - u) x^2."""
-    out = np.multiply(x, params.one_minus_u)
+def _m2(params: FamilyParams, x: np.ndarray, one_minus_sq: np.ndarray,
+        out: np.ndarray) -> None:
+    """The t-dependent piece (s/2) ln(1 - u x^2), as (1 - x^2) + (1 - u) x^2,
+    written into ``out``."""
+    np.multiply(x, params.one_minus_u, out=out)
     out *= x
     out += one_minus_sq
     np.log(out, out=out)
     out *= 0.5 * params.s
-    return out
 
 
 class _Pieces:
     """The t-independent pieces of the log-ratio on ``x``.
 
     Built once per array of gaps; :func:`_log_ratio_with_scale` adds the
-    t-dependent ``m2`` piece and the series for each parameter pair.  ``h``
-    and ``one_minus_sq`` (``1 - x^2``) are taken on the direct-path argument
-    ``safe``; ``w_small`` is ``x^2`` on the series points.
+    t-dependent ``m2`` piece and the series for each parameter pair.  The
+    gaps are split once, by :func:`_split`, into the series points
+    ``small`` and the direct points ``direct``.  ``w_small`` is ``x^2`` on
+    the series points; ``x_direct``, ``h`` and ``one_minus_sq``
+    (``1 - x^2``) are taken on the direct points only.  The arrays are
+    read-only, so one instance can serve any number of checks.
     """
 
     def __init__(self, x: np.ndarray):
-        self.small, self.safe = _split(x)
+        self.size = x.size
+        self.small, self.direct = _split(x)
         x_small = x[self.small]
         self.w_small = x_small * x_small
-        one_minus_x = 1.0 - self.safe
+        self.x_direct = x[self.direct]
+        one_minus_x = 1.0 - self.x_direct
         # (1-x)(1+x): the subtraction is exact for x >= 1/2 and one rounding
         # below, so 1 - x^2 keeps a few-ulp relative error up to x = 1 - 1e-9.
-        self.one_minus_sq = one_minus_x * (1.0 + self.safe)
-        self.h = _h(self.safe, one_minus_x, np.log1p(-self.safe))
+        self.one_minus_sq = one_minus_x * (1.0 + self.x_direct)
+        self.h = _h(self.x_direct, one_minus_x, np.log1p(-self.x_direct))
+        for arr in (self.w_small, self.x_direct, self.one_minus_sq, self.h):
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
-        return self.safe.size
+        return self.size
 
 
 def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
@@ -142,20 +161,34 @@ def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
     so it is off by under 6 eps, and ``1 - quotient`` is exact (Sterbenz).
     ``4 |m2|`` covers m2's log; the (s/2)-fold few-ulp error of the positive
     sum ``1 - u x^2`` sits in the headroom of ``verify._NOISE_C``.  Series
-    region, ``w (1 + 3su) / 3`` with ``w = x^2``, the size of its terms.
+    region, ``w (1 + 3su) / 3`` with ``w = x^2``, the size of its terms
+    (``w / 3`` at ``u = 0``, where ``3su`` would be ``inf * 0`` for s near
+    the top of the double range).
     """
-    # In-place steps keep the temporaries of a bisection step to a few.
-    if params.u != 0.0:
-        m2 = _m2(params, pieces.safe, pieces.one_minus_sq)
-        vals = pieces.h + m2
-        scale = np.abs(m2, out=m2)
-        scale += 2.0
-        scale *= 4.0
-    else:
-        vals, scale = pieces.h.copy(), np.full(len(pieces), 8.0)
+    vals, scale = np.empty(len(pieces)), np.empty(len(pieces))
+    # A slice indexes a view, so each part is written in place; a mask
+    # indexes a copy, which is written back at the end.
+    direct, small = pieces.direct, pieces.small
+    direct_vals, direct_scale = vals[direct], scale[direct]
+    series_vals, series_scale = vals[small], scale[small]
+    if params.u == 0.0:
+        direct_vals[...] = pieces.h
+        direct_scale.fill(8.0)
+    elif direct_vals.size:  # a scalar call has one of the two parts only
+        _m2(params, pieces.x_direct, pieces.one_minus_sq, out=direct_scale)
+        np.add(pieces.h, direct_scale, out=direct_vals)
+        np.abs(direct_scale, out=direct_scale)
+        direct_scale += 2.0
+        direct_scale *= 4.0
     w = pieces.w_small
-    vals[pieces.small] = _log_ratio_series(params, w)
-    scale[pieces.small] = w * (1.0 + 3.0 * params.s * params.u) / 3.0
+    if w.size:
+        _log_ratio_series(params, w, out=series_vals)
+        np.multiply(w, 1.0 + 3.0 * params.s * params.u if params.u else 1.0,
+                    out=series_scale)
+        series_scale /= 3.0
+    if not isinstance(small, slice):
+        vals[direct], scale[direct] = direct_vals, direct_scale
+        vals[small], scale[small] = series_vals, series_scale
     return vals, scale
 
 
@@ -192,11 +225,13 @@ def _kernel(params: FamilyParams, x: np.ndarray) -> np.ndarray:
     of :func:`_h`, with ``atanh(x) = (log1p(x) - log1p(-x)) / 2`` and
     ``1 - u x^2 = d (1 + x) + (1 - u) x^2``, ``d = 1 - x``, a sum of
     nonnegative terms."""
-    small, safe = _split(x)
-    d = 1.0 - safe
-    out = (-safe + 0.5 * (np.log1p(safe) - np.log1p(-safe))
-           - params.s * params.u * safe ** 3
-           / (d * (1.0 + safe) + params.one_minus_u * safe * safe))
+    small, direct = _split(x)
+    out = np.empty_like(x)
+    xd = x[direct]
+    d = 1.0 - xd
+    out[direct] = (-xd + 0.5 * (np.log1p(xd) - np.log1p(-xd))
+                   - params.s * params.u * xd ** 3
+                   / (d * (1.0 + xd) + params.one_minus_u * xd * xd))
     x_small = x[small]
     w = x_small * x_small
     c1, c2, c3, c4 = _series_coefficients(params)

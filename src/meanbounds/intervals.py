@@ -278,6 +278,33 @@ def _monotone_bounds(lo: _Endpoint, hi: _Endpoint) -> tuple[float, float]:
     return _add(lo.h_lo, hi.h_hi, hi.m2_lo, lo.m2_hi)
 
 
+def _point_sign(params: FamilyParams) -> Callable[[float], int]:
+    """The function giving the log-ratio's sign at a double x in (0, EVAL_LIMIT].
+
+    It bounds the degenerate node ``[x, x]`` by the rule of
+    :func:`certify_sign`: the Taylor node up to ``TAYLOR_X0``, whose ``g``
+    has the sign of the log-ratio, and :func:`_monotone_bounds` above it.
+    It returns -1 or 1 when the bounds clear 0, and 0 when they straddle
+    it.  Each enclosure is set up for ``params`` on its first use.
+    """
+    taylor = endpoint = None
+
+    def sign(x: float) -> int:
+        nonlocal taylor, endpoint
+        if x <= TAYLOR_X0:
+            if taylor is None:
+                taylor = _taylor_enclosure(params)
+            lo, hi = taylor(x, x)[:2]
+        else:
+            if endpoint is None:
+                endpoint = _endpoint_enclosure(params)
+            ends = endpoint(x)
+            lo, hi = _monotone_bounds(ends, ends)
+        return -1 if hi < 0.0 else 1 if lo > 0.0 else 0
+
+    return sign
+
+
 @dataclass(frozen=True)
 class CertificateNode:
     x_lo: float

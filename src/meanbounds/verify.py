@@ -12,9 +12,14 @@ honest at machine precision:
   floor is indistinguishable from zero; it is clamped rather than being
   promoted to a counterexample, so parameters sitting exactly on a sharp
   threshold report ``holds_on_grid`` with a zero margin column.
-* Any candidate violation is re-evaluated with mpmath at roughly twice
-  the working precision before being reported.  A witness that fails the
-  recheck is a rounding artifact and is dropped.
+* Any candidate violation is rechecked before it counts.  A reported
+  witness is re-evaluated with mpmath at roughly twice the working
+  precision, and that value is printed.  A bisection step of
+  :func:`empirical_threshold` reads only the verdict, so it first
+  bounds the margin at the candidate by the interval enclosure of the
+  certificates, and calls mpmath only when that enclosure straddles 0.
+  A candidate that fails its recheck is a rounding artifact and is
+  dropped.
 
 Sign certificates are proved by :func:`meanbounds.intervals.certify_sign`,
 beside the interval kernel they run on; its names, and ``FamilyParams`` and
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +40,13 @@ from .family import (
     _log_ratio_with_scale,
     _lr_with_error_scale,
 )
-from .intervals import CertificateNode, certificate_leaves, certificate_succeeded, certify_sign
+from .intervals import (
+    CertificateNode,
+    _point_sign,
+    certificate_leaves,
+    certificate_succeeded,
+    certify_sign,
+)
 from .thresholds import EVAL_LIMIT, FamilyParams, membership
 
 __all__ = [
@@ -219,12 +231,14 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
     """Check one or more margin sides on the grid ``xs``.
 
     Each side is ``(label, margins, scale, recheck)``: the margins on
-    ``xs``, their rounding-error scale, and a one-argument extended-precision
-    recheck of the margin at a grid point.  Negative margins beyond the
-    noise floor ``_NOISE_C * eps * scale`` become candidates, rechecked in
-    order of margin over all sides together (at most ``_MAX_RECHECKS``);
-    the first confirmed one is the witness.  Returns the report and the
-    number of rechecks run.
+    ``xs``, their rounding-error scale (overwritten here, so each check
+    needs its own), and a one-argument recheck of the margin at a grid
+    point, whose sign decides the candidate (the extended-precision
+    margin, for a report).  Negative margins beyond the noise floor
+    ``_NOISE_C * eps * scale`` become candidates, rechecked in order of
+    margin over all sides together (at most ``_MAX_RECHECKS``); the first
+    confirmed one is the witness.  Returns the report and the number of
+    rechecks run.
     """
     if len(sides) == 1:  # skips two array copies on the common path
         margins, scale = sides[0][1], sides[0][2]
@@ -232,47 +246,92 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
         margins = np.concatenate([side[1] for side in sides])
         scale = np.concatenate([side[2] for side in sides])
     # 64 eps is a power of two, so this is -(64 eps * scale) bit for bit.
-    neg_floors = scale * (-_NOISE_C * _EPS)
-    candidates = np.where(margins < neg_floors)[0]
+    # Written over the scale: one step temporary fewer.
+    neg_floors = np.multiply(scale, -_NOISE_C * _EPS, out=scale)
+    candidates = np.flatnonzero(margins < neg_floors)
     witness = None
     rechecks = 0
-    if candidates.size:
-        order = candidates[np.argsort(margins[candidates], kind="stable")]
-        for idx in order[:_MAX_RECHECKS]:
-            label, _, _, recheck = sides[idx // xs.size]
-            x = float(xs[idx % xs.size])
-            confirmed = recheck(x)
-            rechecks += 1
-            if confirmed < 0.0:
-                witness = Witness(
-                    x=x,
-                    pair=(1.0 + x, 1.0 - x),
-                    margin=float(margins[idx]),
-                    margin_recheck=confirmed,
-                    label=label,
-                )
-                break
+    for idx in _in_margin_order(margins, candidates):
+        label, _, _, recheck = sides[idx // xs.size]
+        x = float(xs[idx % xs.size])
+        confirmed = recheck(x)
+        rechecks += 1
+        if confirmed < 0.0:
+            witness = Witness(
+                x=x,
+                pair=(1.0 + x, 1.0 - x),
+                margin=float(margins[idx]),
+                margin_recheck=confirmed,
+                label=label,
+            )
+            break
     worst = float(margins.min())
     if witness is None:
         # Any remaining negatives sit below their noise floors (or failed the
-        # extended-precision recheck): indistinguishable from zero.
+        # recheck): indistinguishable from zero.
         worst = max(worst, 0.0)
     verdict = "holds_on_grid" if witness is None else "violated"
     return (VerificationReport(verdict, worst, witness, int(margins.size),
                                parameters), rechecks)
 
 
-def _grid(grid: GridSpec | None) -> tuple[np.ndarray, dict]:
-    """Points of ``grid`` (default ``GridSpec()``) and its report entry."""
+def _in_margin_order(margins: np.ndarray, candidates: np.ndarray):
+    """The first ``_MAX_RECHECKS`` candidates by margin, ties by index.
+
+    The first one almost always confirms, so it comes from ``argmin`` (the
+    first least margin, the head of the stable order); the stable sort of
+    all candidates is paid only when a recheck asks past it.
+    """
+    if not candidates.size:
+        return
+    values = margins[candidates]
+    yield int(candidates[np.argmin(values)])
+    order = candidates[np.argsort(values, kind="stable")]
+    yield from (int(idx) for idx in order[1:_MAX_RECHECKS])
+
+
+@lru_cache(maxsize=1)
+def _grid_points_and_pieces(spec: GridSpec) -> tuple[np.ndarray, _Pieces]:
+    """Read-only points of ``spec`` and their t-independent pieces.
+
+    Kept for the last spec asked only: the steps of a bisection and the
+    checks of a sweep row share one grid, and memory holds at most one,
+    even at the CLI's largest.
+    """
+    xs = grid_points(spec)
+    xs.flags.writeable = False
+    return xs, _Pieces(xs)
+
+
+def _grid(grid: GridSpec | None) -> tuple[np.ndarray, _Pieces, dict]:
+    """Points of ``grid`` (default ``GridSpec()``), their pieces and its
+    report entry."""
     spec = grid if grid is not None else GridSpec()
-    return grid_points(spec), asdict(spec)
+    return (*_grid_points_and_pieces(spec), asdict(spec))
 
 
-def _family_side(t: float, s: float, side: str, pieces: _Pieces):
+def _family_side(t: float, s: float, side: str, pieces: _Pieces,
+                 verdict_only: bool = False):
+    """The margin side of the family check at ``(t, s)`` on ``pieces``.
+
+    A report's recheck is the mpmath margin.  A verdict-only recheck is the
+    margin's sign, -1.0 or 1.0, from the enclosure of
+    :func:`meanbounds.intervals._point_sign`, and the mpmath margin only
+    where that enclosure straddles 0.
+    """
     params = FamilyParams.from_t(t, s)
     vals, scale = _log_ratio_with_scale(params, pieces)
     margins = np.negative(vals, out=vals) if side == "lower" else vals
-    return ("", margins, scale, lambda x: _mp_family_margin(t, s, side, x))
+    if not verdict_only:
+        return ("", margins, scale, lambda x: _mp_family_margin(t, s, side, x))
+    sign_of_log_ratio = _point_sign(params)
+    flip = -1.0 if side == "lower" else 1.0
+
+    def recheck(x: float) -> float:
+        sign = sign_of_log_ratio(x)
+        return flip * sign if sign else _mp_family_margin(t, s, side, x)
+
+    return ("", margins, scale, recheck)
 
 
 def verify_family_inequality(
@@ -289,10 +348,10 @@ def verify_family_inequality(
     """
     _check_side(side)
     t, s = float(t), float(s)
-    xs, grid_entry = _grid(grid)
+    xs, pieces, grid_entry = _grid(grid)
     parameters = {"check": "family", "t": t, "s": s,
                   "side": side, "grid": grid_entry}
-    return _run_grid_check(xs, [_family_side(t, s, side, _Pieces(xs))],
+    return _run_grid_check(xs, [_family_side(t, s, side, pieces)],
                            parameters)[0]
 
 
@@ -339,10 +398,13 @@ def empirical_threshold(
     """Recover the sharp cutoff in ``t`` by bisection on the grid verdict.
 
     Bisects ``t`` over [0, 1/2] with the verdict of
-    ``verify_family_inequality`` as the predicate.  The grid and the
-    t-independent pieces of the log-ratio are built once for all steps.
-    The result carries a one-sided bias of the order of the grid's
-    endpoint resolution (far below ``tol`` for the default grid).
+    ``verify_family_inequality`` as the predicate.  All steps share the
+    grid and the t-independent pieces of the log-ratio, which the next
+    check on the same grid reuses too, and a step rechecks its candidates
+    by interval enclosure, with mpmath only where the enclosure cannot
+    decide.  The result carries a one-sided bias
+    of the order of the grid's endpoint resolution (far below ``tol`` for
+    the default grid).
     """
     _check_side(side)
     s = float(s)
@@ -350,14 +412,14 @@ def empirical_threshold(
     if not 1e-8 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 1e-8, got {tol}")
 
-    xs = _grid(grid)[0]
-    pieces = _Pieces(xs)
+    xs, pieces, _ = _grid(grid)
     # The check holds on [0, p] for "lower" and on [q, 1/2] for "upper":
     # a verdict that agrees with the side puts mid left of the cutoff.
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        report = _run_grid_check(xs, [_family_side(mid, s, side, pieces)], {})[0]
+        side_at_mid = _family_side(mid, s, side, pieces, verdict_only=True)
+        report = _run_grid_check(xs, [side_at_mid], {})[0]
         if (report.verdict == "holds_on_grid") == (side == "lower"):
             lo = mid
         else:
@@ -380,7 +442,7 @@ def verify_exponential_bounds(
     if not (0.0 < p_coef < math.inf and 0.0 < q_coef < math.inf):
         raise ValueError(f"both coefficients must be finite and > 0, got "
                          f"({p_coef}, {q_coef})")
-    xs, grid_entry = _grid(grid)
+    xs, _, grid_entry = _grid(grid)
     lr = _lr_with_error_scale(xs)
     g_p, scale_p = _exp_bound_margin_with_scale(p_coef, *lr, xs)
     g_q, scale_q = _exp_bound_margin_with_scale(q_coef, *lr, xs)
@@ -425,9 +487,10 @@ def _power_sides(p: float, alpha: float, xs: np.ndarray) -> dict:
     scale = (np.abs(t_i) + np.abs(weighted_g)
              + p * ((1.0 + t_i) * scale_lr)
              + p * ((1.0 - alpha) * (1.0 + t_g) * (1.5 * np.abs(ln_sq) + 1.0)))
+    # Each side has its own scale, which its check overwrites.
     return {"lower": ("", lower, scale,
                       lambda x: _mp_power_margin(p, alpha, "lower", x)),
-            "upper": ("", -lower, scale,
+            "upper": ("", -lower, scale.copy(),
                       lambda x: _mp_power_margin(p, alpha, "upper", x))}
 
 
@@ -450,7 +513,7 @@ def verify_convex_power_bound(
         raise ValueError(f"p_exp must be finite and >= 1, got {p_exp}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    xs, grid_entry = _grid(grid)
+    xs, _, grid_entry = _grid(grid)
     parameters = {"check": "convex_power", "p_exp": p_exp, "alpha": alpha,
                   "side": side, "grid": grid_entry}
     return _run_grid_check(xs, [_power_sides(p_exp, alpha, xs)[side]],
@@ -467,7 +530,7 @@ def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoTh
     p_exp = float(p_exp)
     if not 0.0 < p_exp < math.inf:
         raise ValueError(f"p_exp must be finite and > 0, got {p_exp}")
-    xs, grid_entry = _grid(grid)
+    xs, _, grid_entry = _grid(grid)
     sides = _power_sides(p_exp, 2.0 / 3.0, xs)
     reports = {}
     for direction, side in (("forward", "upper"), ("reverse", "lower")):

@@ -144,6 +144,18 @@ class TestVerify:
         assert payload["parameters"]["grid"]["count"] == 2000
         assert payload["tool_version"]
 
+    def test_u_zero_at_extreme_s_has_a_finite_margin(self, capsys):
+        # Q = A at t = 1/2, so the upper side holds with its least margin
+        # at the grid's smallest gap, in the series region.
+        code, out, _ = run(capsys, "verify", "--s", "1e308", "--t", "0.5",
+                           "--side", "upper", "--grid", "400",
+                           "--format", "structured")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "holds_on_grid"
+        assert payload["worst_margin"] == pytest.approx(
+            float(oracles.family_log_ratio_t(0.5, 1e308, 1e-9)), rel=1e-14)
+
     def test_grid_env_var_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MEANBOUNDS_GRID", "500")
         code, out, _ = run(capsys, "verify", "--s", "2", "--t", "0.24",
@@ -189,6 +201,18 @@ class TestSweep:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_u_zero_margin_is_finite_at_extreme_s(self, capsys):
+        # At s = 1e308 the closed forms round to t = 1/2, where the series
+        # once formed 3 s u = inf * 0 and printed nan margins.
+        code, out, _ = run(capsys, "sweep", "--s", "1e308:1e308:1",
+                           "--grid", "400", "--tol", "1e-4")
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        lower, upper = float(row[5]), float(row[6])
+        assert lower == pytest.approx(-float(oracles.family_log_ratio_t(
+            0.5, 1e308, 1.0 - 1e-9)), rel=1e-12)
+        assert 0.0 <= upper < 1e-17
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--s", "1-10")

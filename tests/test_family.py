@@ -19,6 +19,7 @@ from meanbounds import (
     q_mean,
 )
 
+from meanbounds.family import _Pieces, _log_ratio_with_scale
 from oracles import family_log_ratio_u, kernel_near_one_u, kernel_u
 
 LN_E_OVER_2 = 0.3068528194400546905828  # 1 - ln 2
@@ -103,6 +104,38 @@ class TestLogRatio:
         got = log_ratio_q_over_i(FamilyParams.from_u(u, 2.0), xs)
         want = np.array([float(family_log_ratio_u(u, 2.0, x)) for x in xs])
         assert np.max(np.abs(got - want)) <= 8e-16
+
+    @pytest.mark.parametrize("u", [0.0, 0.3])
+    def test_any_order_gives_the_same_bits(self, u):
+        # Increasing gaps split into two slices, any other order into two
+        # masks; each point's value and error scale must not depend on that.
+        params = FamilyParams.from_u(u, 2.0)
+        xs = np.concatenate([np.geomspace(1e-9, 0.5, 40),
+                             1.0 - np.geomspace(1e-9, 0.5, 40)[::-1]])
+        shuffled = np.random.default_rng(3).permutation(xs)
+        by_order = [_log_ratio_with_scale(params, _Pieces(arr))
+                    for arr in (xs, shuffled)]
+        order = np.argsort(shuffled)
+        for sorted_part, shuffled_part in zip(*by_order):
+            np.testing.assert_array_equal(shuffled_part[order], sorted_part)
+        scalars = [log_ratio_q_over_i(params, float(x)) for x in xs]
+        np.testing.assert_array_equal(by_order[0][0], scalars)
+
+    @pytest.mark.parametrize("s", [6e307, 1e308, 1.7976931348623157e308])
+    def test_u_zero_is_finite_at_extreme_s(self, s):
+        # At t = 1/2 the series coefficients and their error scale are
+        # s-free; formed from 3 s u they would be inf * 0 = nan.
+        params = FamilyParams.from_t(0.5, s)
+        xs = np.array([1e-6, 1e-3, 5e-3, 0.02, 0.5, 0.9])
+        got = log_ratio_q_over_i(params, xs)
+        want = [float(family_log_ratio_u(0.0, s, x)) for x in xs]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=4 * EPS)
+        np.testing.assert_array_equal(
+            got, log_ratio_q_over_i(FamilyParams.from_t(0.5, 1.0), xs))
+        assert np.all(np.isfinite(_log_ratio_with_scale(params, _Pieces(xs))[1]))
+        kernel = derivative_kernel(params, xs)
+        np.testing.assert_allclose(
+            kernel, [float(kernel_u(0.0, s, x)) for x in xs], rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1 - 1e-13, math.nan])
     def test_domain_rejection(self, bad):

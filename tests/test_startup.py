@@ -82,6 +82,7 @@ for name in ("certify_sign", "certificate_succeeded", "CertificateNode"):
 @pytest.mark.parametrize("argv", [
     ("eval", "1", "2"),
     ("verify", "--s", "2", "--t", "0.24", "--side", "lower"),
+    ("sweep", "--s", "1:2:1"),
 ])
 def test_eval_and_holding_verify_load_no_mpmath(argv):
     proc, names = imported_packages("-m", "meanbounds", *argv)

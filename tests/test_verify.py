@@ -25,6 +25,7 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
+from meanbounds import verify
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import TAYLOR_X0
 from meanbounds.verify import _EPS, _NOISE_C, CertificateNode, FalsificationResult
@@ -32,6 +33,7 @@ from interval_reference import enclose_log_ratio as reference_enclosure
 from interval_reference import taylor_enclosure as reference_taylor
 from oracles import (exp_margin, family_log_ratio_and_quotient_t, family_log_ratio_iv,
                      family_log_ratio_t, family_log_ratio_u, lr_gap, power_margin)
+from test_startup import python
 from test_thresholds import ulps_around
 
 SMALL_GRID = GridSpec(count=2000)
@@ -261,6 +263,91 @@ class TestEmpiricalThresholdIdentity:
             == _reference_threshold(s, side, grid, 1e-6)
 
 
+class TestEnclosureRecheck:
+    """A bisection step decides a candidate by enclosure as mpmath would."""
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 5.0, 10.0, 50.0])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("grid", [None, GridSpec(count=512),
+                                      GridSpec(count=2000, spacing="uniform")])
+    def test_decisions_agree_with_mpmath(self, s, side, grid, monkeypatch):
+        decided = []
+        point_sign = verify._point_sign
+
+        def recording(params):
+            sign_at = point_sign(params)
+
+            def sign(x):
+                result = sign_at(x)
+                if result:
+                    decided.append((params.t, x, result))
+                return result
+            return sign
+
+        monkeypatch.setattr(verify, "_point_sign", recording)
+        empirical_threshold(s, side, grid, tol=1e-6)
+        assert decided
+        for t, x, sign in decided:
+            confirmed = (sign > 0) if side == "lower" else (sign < 0)
+            assert (verify._mp_family_margin(t, s, side, x) < 0.0) == confirmed, (t, x)
+
+    def test_reports_keep_the_mpmath_recheck(self):
+        # A reported witness prints the extended-precision margin itself.
+        report = verify_family_inequality(0.25, 2.0, "lower", SMALL_GRID)
+        w = report.witness
+        assert w.margin_recheck == verify._mp_family_margin(0.25, 2.0, "lower", w.x)
+
+
+_CACHE_SPECS = (GridSpec(), GridSpec(count=512),
+                GridSpec(count=2000, spacing="uniform"))
+
+
+def _cache_reports(index):
+    """Reports on one of ``_CACHE_SPECS``, as a comparable string."""
+    spec = _CACHE_SPECS[index]
+    return repr([verify_family_inequality(0.24, 2.0, "lower", spec).to_dict(),
+                 verify_family_inequality(0.25, 2.0, "lower", spec).to_dict(),
+                 verify_convex_power_bound(1.0, 0.7, "lower", spec).to_dict(),
+                 empirical_threshold(5.0, "upper", spec, tol=1e-4)])
+
+
+class TestGridCache:
+    """The grid cache holds one read-only grid and changes no report."""
+
+    def test_cached_arrays_are_read_only(self):
+        xs, pieces, _ = verify._grid(None)
+        for arr in (xs, pieces.h, pieces.one_minus_sq, pieces.w_small,
+                    pieces.x_direct):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    def test_grid_points_returns_a_new_writable_array(self):
+        spec = GridSpec(count=512)
+        before = verify_family_inequality(0.25, 2.0, "lower", spec)
+        first, second = grid_points(spec), grid_points(spec)
+        assert first is not second and first.flags.writeable
+        first[:] = 0.5
+        assert verify_family_inequality(0.25, 2.0, "lower", spec) == before
+        np.testing.assert_array_equal(second, grid_points(spec))
+
+    def test_alternating_specs_match_a_fresh_process(self):
+        fresh = []
+        for index in range(len(_CACHE_SPECS)):
+            proc = python("-c", "import sys; sys.path.insert(0, 'tests'); "
+                          "from test_verify import _cache_reports; "
+                          f"print(_cache_reports({index}))")
+            assert proc.returncode == 0, proc.stderr
+            fresh.append(proc.stdout.strip())
+        for index in (0, 1, 1, 2, 0, 2, 2, 1, 0):
+            assert _cache_reports(index) == fresh[index]
+
+    def test_holds_one_grid(self):
+        for spec in _CACHE_SPECS:
+            verify_family_inequality(0.24, 2.0, "lower", spec)
+        info = verify._grid_points_and_pieces.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+
+
 class TestExponentialBounds:
     def test_sharp_constants_hold(self):
         const = exponential_bound_constants()
@@ -368,6 +455,27 @@ class TestTwoThirdsPower:
         assert report.reverse.witness.margin_recheck < 0.0
         assert float(power_margin(1.25, 2 / 3, "lower",
                                   report.reverse.witness.x)) < 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 1.1, 1.2, 1.25, 1.4, 2.0])
+    def test_directions_equal_the_single_checks(self, p, monkeypatch):
+        # The two directions share one margin evaluation, and each check
+        # writes its floors over its own scale: same reports, same rechecks.
+        rechecks = []
+        recheck = verify._mp_power_margin
+
+        def counting(*args):
+            rechecks.append(args)
+            return recheck(*args)
+
+        monkeypatch.setattr(verify, "_mp_power_margin", counting)
+        report = verify_two_thirds_power(p, SMALL_GRID)
+        both = len(rechecks)
+        for direction, side in (("forward", "upper"), ("reverse", "lower")):
+            single = verify_convex_power_bound(p, 2 / 3, side, SMALL_GRID)
+            got = getattr(report, direction)
+            assert (got.verdict, got.worst_margin, got.witness) \
+                == (single.verdict, single.worst_margin, single.witness)
+        assert 2 * both == len(rechecks)
 
     def test_threshold_constants(self):
         report = verify_two_thirds_power(1.4, SMALL_GRID)
