@@ -208,15 +208,15 @@ def log_ratio_q_over_i(params: FamilyParams, x):
 _IDENTRIC = FamilyParams.from_u(0.0, 1.0)
 
 
-def _lr_with_error_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln(I/A) on an array plus a per-point bound scale for its absolute error.
+def _lr_with_error_scale(pieces: _Pieces) -> tuple[np.ndarray, np.ndarray]:
+    """ln(I/A) on the gaps of ``pieces`` plus a per-point scale for its error.
 
     The returned ``scale`` is such that the evaluation error is below
     ``scale * eps``; used by the verification layer to build noise floors.
     Inputs are assumed validated, in [0, 1).  It is the family's value and
     scale at ``u = 0``, negated.
     """
-    vals, scale = _log_ratio_with_scale(_IDENTRIC, _Pieces(x))
+    vals, scale = _log_ratio_with_scale(_IDENTRIC, pieces)
     return -vals, scale
 
 
@@ -269,7 +269,7 @@ def exp_bound_margin(coef: float, x):
     if not 0.0 < coef < math.inf:
         raise ValueError(f"coefficient must be finite and > 0, got {coef}")
     return _evaluate(x, lambda arr: _exp_bound_margin_with_scale(
-        coef, *_lr_with_error_scale(arr), arr)[0])
+        coef, *_lr_with_error_scale(_Pieces(arr)), arr)[0])
 
 
 def _exp_bound_margin_with_scale(coef: float, lr: np.ndarray,

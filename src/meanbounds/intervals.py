@@ -38,7 +38,8 @@ as small as the distance of ``t`` from a cutoff, so a node inside
 series is cut after ``TAYLOR_K = 35`` terms with a bounded tail, enough for
 ``TAYLOR_X0 = 0.5`` (the rule is derived beside the constants); ``h``'s
 coefficients, which depend on neither ``t`` nor ``s``, are enclosed once at
-import.
+import.  :func:`_node_bounds` is the one place that applies this rule, for
+the nodes of a certificate and the points of a bisection's recheck alike.
 """
 
 from __future__ import annotations
@@ -278,28 +279,47 @@ def _monotone_bounds(lo: _Endpoint, hi: _Endpoint) -> tuple[float, float]:
     return _add(lo.h_lo, hi.h_hi, hi.m2_lo, lo.m2_hi)
 
 
+def _node_bounds(params: FamilyParams) -> Callable[[float, float], tuple[float, ...]]:
+    """The function bounding the log-ratio over a node ``[a, b]`` for ``params``.
+
+    It returns ``(sign_lo, sign_hi, bound_lo, bound_hi)``: the log-ratio
+    lies in ``[bound_lo, bound_hi]`` on ``[a, b]``, and where ``[sign_lo,
+    sign_hi]`` clears 0 it has that sign there, ``x = 0`` aside.  A node
+    inside ``[0, TAYLOR_X0]`` is a Taylor node, whose sign comes from
+    :func:`_taylor_enclosure`'s ``g`` and bounds from ``x^2 g``; above it
+    both are :func:`_monotone_bounds` of the pieces at the two ends.  Each
+    enclosure is set up when the first node needs it, and each endpoint is
+    enclosed once, however many nodes share it.
+    """
+    taylor = enclose = None
+    ends: dict[float, _Endpoint] = {}
+
+    def bounds(a: float, b: float) -> tuple[float, ...]:
+        nonlocal taylor, enclose
+        if b <= TAYLOR_X0:
+            if taylor is None:
+                taylor = _taylor_enclosure(params)
+            return taylor(a, b)
+        if enclose is None:
+            enclose = _endpoint_enclosure(params)
+        bound = _monotone_bounds(ends.get(a) or ends.setdefault(a, enclose(a)),
+                                 ends.get(b) or ends.setdefault(b, enclose(b)))
+        return bound + bound
+
+    return bounds
+
+
 def _point_sign(params: FamilyParams) -> Callable[[float], int]:
     """The function giving the log-ratio's sign at a double x in (0, EVAL_LIMIT].
 
-    It bounds the degenerate node ``[x, x]`` by the rule of
-    :func:`certify_sign`: the Taylor node up to ``TAYLOR_X0``, whose ``g``
-    has the sign of the log-ratio, and :func:`_monotone_bounds` above it.
-    It returns -1 or 1 when the bounds clear 0, and 0 when they straddle
-    it.  Each enclosure is set up for ``params`` on its first use.
+    It bounds the degenerate node ``[x, x]`` by :func:`_node_bounds`, the
+    rule of :func:`certify_sign`, and returns -1 or 1 when the bounds clear
+    0, and 0 when they straddle it.
     """
-    taylor = endpoint = None
+    bounds = _node_bounds(params)
 
     def sign(x: float) -> int:
-        nonlocal taylor, endpoint
-        if x <= TAYLOR_X0:
-            if taylor is None:
-                taylor = _taylor_enclosure(params)
-            lo, hi = taylor(x, x)[:2]
-        else:
-            if endpoint is None:
-                endpoint = _endpoint_enclosure(params)
-            ends = endpoint(x)
-            lo, hi = _monotone_bounds(ends, ends)
+        lo, hi = bounds(x, x)[:2]
         return -1 if hi < 0.0 else 1 if lo > 0.0 else 0
 
     return sign
@@ -324,24 +344,17 @@ def certify_sign(
 ) -> list[CertificateNode]:
     """Certify the family log-ratio's sign on ``[x_lo, x_hi]`` by subdivision.
 
-    Adaptive bisection; ``x_lo`` may be 0, the open left end, where the
-    log-ratio vanishes: the sign is then proved on ``(0, x_hi]``.  A node with
-    ``x_hi > TAYLOR_X0`` is bounded by :func:`_monotone_bounds` from the
-    outward-rounded enclosures of the two pieces at its ends; a node inside
-    ``[0, TAYLOR_X0]`` is a Taylor node, enclosed from the series as
-    ``g = f / x^2``: its status comes from the sign of ``g`` and its bounds
-    are ``x^2 g``.  Leaves are ``proved_negative`` / ``proved_positive``
-    when the enclosure clears zero.  ``budget`` caps
-    the splits, not the nodes: a node splits only while fewer than
-    ``budget - 1`` nodes came before it, so at most ``budget - 1`` nodes
-    split and the tree holds at most ``2 budget - 1``.  An undecided node
-    that may not split is ``inconclusive`` (distinct from a disproof,
-    which shows up as a proved leaf of the opposite sign).  Returns the
-    full tree in processing order for audit.  The constants of the
-    enclosures are taken once per call (the series coefficients when the
-    first Taylor node needs them; their t-free half once per process), and
-    each monotone node's endpoint enclosures come from its parent, so a
-    split encloses only its midpoint.
+    Adaptive depth-first bisection; ``x_lo`` may be 0, the open left end,
+    where the log-ratio vanishes: the sign is then proved on ``(0, x_hi]``.
+    Each node ``[a, b]`` is bounded by one :func:`_node_bounds` for the
+    call, so a split encloses only its midpoint.  Leaves are
+    ``proved_negative`` / ``proved_positive`` when the node's sign bounds
+    clear zero.  ``budget`` caps the splits, not the nodes: a node splits
+    only while fewer than ``budget - 1`` nodes came before it, so at most
+    ``budget - 1`` nodes split and the tree holds at most ``2 budget - 1``.
+    An undecided node that may not split is ``inconclusive`` (distinct from
+    a disproof, which shows up as a proved leaf of the opposite sign).
+    Returns the full tree in processing order for audit.
     """
     if sign not in ("negative", "positive"):
         raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
@@ -349,23 +362,12 @@ def certify_sign(
         raise ValueError(f"need 0 <= x_lo < x_hi <= {EVAL_LIMIT!r}")
     if not (math.isfinite(budget) and budget == int(budget) >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget}")
-    params = FamilyParams.from_t(float(t), float(s))
-    enclose = _endpoint_enclosure(params)
-    taylor = None
+    bounds = _node_bounds(FamilyParams.from_t(float(t), float(s)))
     nodes: list[CertificateNode] = []
-    # (a, b, endpoint enclosures of a and b, or None for a Taylor node)
-    a, b = float(x_lo), float(x_hi)
-    stack = [(a, b, None if b <= TAYLOR_X0 else (enclose(a), enclose(b)))]
+    stack = [(float(x_lo), float(x_hi))]
     while stack:
-        a, b, ends = stack.pop()
-        if b <= TAYLOR_X0:
-            if taylor is None:
-                taylor = _taylor_enclosure(params)
-            sign_lo, sign_hi, bound_lo, bound_hi = taylor(a, b)
-            ends = None
-        else:
-            lo, hi = ends
-            bound_lo, bound_hi = sign_lo, sign_hi = _monotone_bounds(lo, hi)
+        a, b = stack.pop()
+        sign_lo, sign_hi, bound_lo, bound_hi = bounds(a, b)
         if sign_hi < 0.0:
             status = "proved_negative"
         elif sign_lo > 0.0:
@@ -374,13 +376,8 @@ def certify_sign(
             mid = 0.5 * (a + b)
             if len(nodes) + 1 < budget and a < mid < b:
                 status = "split"
-                if ends is None:
-                    stack.append((mid, b, None))
-                    stack.append((a, mid, None))
-                else:
-                    middle = enclose(mid)
-                    stack.append((mid, b, (middle, hi)))
-                    stack.append((a, mid, (lo, middle)))
+                stack.append((mid, b))
+                stack.append((a, mid))
             else:
                 status = "inconclusive"
         nodes.append(CertificateNode(a, b, bound_lo, bound_hi, status))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import SERIES_CROSSOVER, _evaluate, _h, _lr_with_error_scale
+from .family import SERIES_CROSSOVER, _Pieces, _evaluate, _h, _lr_with_error_scale
 from .thresholds import FamilyParams
 
 __all__ = [
@@ -176,4 +176,4 @@ def log_identric_over_arithmetic(v):
 
     Accepts a scalar or array; rejects any value outside [0, 1).
     """
-    return _evaluate(v, lambda arr: _lr_with_error_scale(arr)[0], _validate_gap)
+    return _evaluate(v, lambda arr: _lr_with_error_scale(_Pieces(arr))[0], _validate_gap)

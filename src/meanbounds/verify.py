@@ -442,8 +442,8 @@ def verify_exponential_bounds(
     if not (0.0 < p_coef < math.inf and 0.0 < q_coef < math.inf):
         raise ValueError(f"both coefficients must be finite and > 0, got "
                          f"({p_coef}, {q_coef})")
-    xs, _, grid_entry = _grid(grid)
-    lr = _lr_with_error_scale(xs)
+    xs, pieces, grid_entry = _grid(grid)
+    lr = _lr_with_error_scale(pieces)
     g_p, scale_p = _exp_bound_margin_with_scale(p_coef, *lr, xs)
     g_q, scale_q = _exp_bound_margin_with_scale(q_coef, *lr, xs)
     parameters = {"check": "exponential_bounds", "p_coef": p_coef,
@@ -473,9 +473,9 @@ def _ln_one_minus_sq(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_sides(p: float, alpha: float, xs: np.ndarray) -> dict:
-    """Both sides of the power comparison from one margin evaluation."""
-    lr, scale_lr = _lr_with_error_scale(xs)
+def _power_sides(p: float, alpha: float, xs: np.ndarray, pieces: _Pieces) -> dict:
+    """Both sides of the power comparison on ``xs`` from one margin evaluation."""
+    lr, scale_lr = _lr_with_error_scale(pieces)
     ln_sq = _ln_one_minus_sq(xs)    # 2 ln(G/A)
     t_i = np.expm1(p * lr)          # I^p/A^p - 1, fully cancellation-free
     t_g = np.expm1((0.5 * p) * ln_sq)  # G^p/A^p - 1
@@ -513,10 +513,10 @@ def verify_convex_power_bound(
         raise ValueError(f"p_exp must be finite and >= 1, got {p_exp}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    xs, _, grid_entry = _grid(grid)
+    xs, pieces, grid_entry = _grid(grid)
     parameters = {"check": "convex_power", "p_exp": p_exp, "alpha": alpha,
                   "side": side, "grid": grid_entry}
-    return _run_grid_check(xs, [_power_sides(p_exp, alpha, xs)[side]],
+    return _run_grid_check(xs, [_power_sides(p_exp, alpha, xs, pieces)[side]],
                            parameters)[0]
 
 
@@ -530,8 +530,8 @@ def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoTh
     p_exp = float(p_exp)
     if not 0.0 < p_exp < math.inf:
         raise ValueError(f"p_exp must be finite and > 0, got {p_exp}")
-    xs, _, grid_entry = _grid(grid)
-    sides = _power_sides(p_exp, 2.0 / 3.0, xs)
+    xs, pieces, grid_entry = _grid(grid)
+    sides = _power_sides(p_exp, 2.0 / 3.0, xs, pieces)
     reports = {}
     for direction, side in (("forward", "upper"), ("reverse", "lower")):
         parameters = {"check": "two_thirds_power", "p_exp": p_exp,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -321,3 +322,92 @@ class TestLibmAllowance:
             if not (e.h_lo <= h <= e.h_hi and e.m2_lo <= m2 <= e.m2_hi):
                 failures.append((x, p))
         assert not failures, (len(failures), failures[:3])
+
+
+def _digest_cases():
+    """Certificates of ``p - delta`` (negative) and ``q + delta`` (positive)
+    from the open left end, on a compact range and next to 1, and one run
+    stopped by its budget."""
+    cases = []
+    for s in (1.0, 2.0, 5.0, 10.0, 50.0):
+        ts = sharp_thresholds(s)
+        for delta in (1e-2, 1e-3, 1e-6, 1e-12):
+            for t, sign in ((ts.p - delta, "negative"), (ts.q + delta, "positive")):
+                for x_lo, x_hi in ((0.0, 0.99), (0.01, 0.99), (0.99, EVAL_LIMIT)):
+                    cases.append((t, s, x_lo, x_hi, sign, 100_000))
+    cases.append((sharp_thresholds(2.0).p - 1e-2, 2.0, 0.01, 0.99, "negative", 7))
+    return cases
+
+
+# sha256 of every node of the _digest_cases certificates, one line per node:
+# the float.hex of x_lo, x_hi, bound_lo and bound_hi, then the status.
+# Recorded from the loop that carried endpoint enclosures from parent to
+# child; any change to a bound, a status or the node order changes it.
+_CERTIFICATE_DIGEST = "bfd65c9a3b0d02097ffd092cb1af5126b3f7fee1b6ad9fe60eb3f63197037bef"
+
+
+class TestCertificateDigest:
+    def test_node_lists_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for case in _digest_cases():
+            for n in certify_sign(*case):
+                digest.update(f"{n.x_lo.hex()} {n.x_hi.hex()} {n.bound_lo.hex()} "
+                              f"{n.bound_hi.hex()} {n.status}\n".encode())
+        assert digest.hexdigest() == _CERTIFICATE_DIGEST
+
+    def test_each_endpoint_is_enclosed_once(self, monkeypatch):
+        # The endpoints of the nodes above TAYLOR_X0, each enclosed once; the
+        # endpoint enclosure is set up only for a certificate that has such a
+        # node, as the last, all-Taylor case has not.
+        setups, enclosed = [], []
+        endpoint_enclosure = intervals._endpoint_enclosure
+
+        def counting(params):
+            setups.append(params)
+            enclose = endpoint_enclosure(params)
+
+            def wrapped(x):
+                enclosed.append(x)
+                return enclose(x)
+            return wrapped
+
+        monkeypatch.setattr(intervals, "_endpoint_enclosure", counting)
+        all_taylor = (sharp_thresholds(2.0).p - 1e-3, 2.0, 0.0, TAYLOR_X0, "negative")
+        for case in _digest_cases() + [all_taylor]:
+            setups.clear()
+            enclosed.clear()
+            nodes = certify_sign(*case)
+            ends = {x for n in nodes if n.x_hi > TAYLOR_X0 for x in (n.x_lo, n.x_hi)}
+            assert sorted(enclosed) == sorted(ends), case
+            assert len(setups) == (1 if ends else 0), case
+
+
+def _reference_point_sign(params, x):
+    """The sign rule at ``[x, x]`` composed from ``tests/interval_reference.py``."""
+    if x <= TAYLOR_X0:
+        enclosure = reference.taylor_enclosure(params, x, x)[0]
+    else:
+        enclosure = reference.enclose_log_ratio(params, x, x)
+    return -1 if enclosure.hi < 0.0 else 1 if enclosure.lo > 0.0 else 0
+
+
+class TestPointSign:
+    """``_point_sign`` gives the reference rule's sign at every point, on
+    both sides of TAYLOR_X0 and where the bounds straddle 0."""
+
+    def test_agrees_with_reference_rule(self):
+        rng = random.Random(12)
+        params = _endpoint_params(rng)
+        cutoffs = [FamilyParams.from_t(t, ts.s) for ts in map(sharp_thresholds, (1.0, 2.0, 10.0, 50.0))
+                   for t in (ts.p, ts.q)]
+        seen = set()
+        for p in cutoffs + [next(params) for _ in range(40)]:
+            sign = intervals._point_sign(p)
+            xs = [5e-324, 1e-8, TAYLOR_X0, math.nextafter(TAYLOR_X0, 1.0), EVAL_LIMIT]
+            xs += [rng.uniform(0.0, TAYLOR_X0) for _ in range(20)]
+            xs += [rng.uniform(TAYLOR_X0, EVAL_LIMIT) for _ in range(20)]
+            for x in xs:
+                got = sign(x)
+                assert got == _reference_point_sign(p, x), (p, x)
+                seen.add(got)
+        assert seen == {-1, 0, 1}

@@ -150,7 +150,7 @@ class TestFloorCalibration:
                                  lambda x: family_log_ratio_u(u, s, x))
 
     def test_log_identric_over_arithmetic(self):
-        self._assert_within_gate(*_lr_with_error_scale(self.XS), lr_gap)
+        self._assert_within_gate(*_lr_with_error_scale(_Pieces(self.XS)), lr_gap)
 
 
 class TestFalsify:
