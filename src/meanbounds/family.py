@@ -83,7 +83,10 @@ def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, flo
     u, s = params.u, params.s
     if u == 0.0:  # the s-free values, where 3 s u would be inf * 0 for s near the top
         return 1.0 / 6.0, 1.0 / 20.0, 1.0 / 42.0, 1.0 / 72.0
-    return ((1.0 - 3.0 * s * u) / 6.0,
+    three_su = 3.0 * s * u
+    # 3 s overflows for s > 6e307, while s u <= s stays finite.
+    c1 = 1.0 / 6.0 - s * u / 2.0 if math.isinf(three_su) else (1.0 - three_su) / 6.0
+    return (c1,
             1.0 / 20.0 - s * u * u / 4.0,
             1.0 / 42.0 - s * u ** 3 / 6.0,
             1.0 / 72.0 - s * u ** 4 / 8.0)
@@ -163,7 +166,8 @@ def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
     sum ``1 - u x^2`` sits in the headroom of ``verify._NOISE_C``.  Series
     region, ``w (1 + 3su) / 3`` with ``w = x^2``, the size of its terms
     (``w / 3`` at ``u = 0``, where ``3su`` would be ``inf * 0`` for s near
-    the top of the double range).
+    the top of the double range, and ``w (su + 1/3)`` where ``3su``
+    overflows).
     """
     vals, scale = np.empty(len(pieces)), np.empty(len(pieces))
     # A slice indexes a view, so each part is written in place; a mask
@@ -183,9 +187,12 @@ def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
     w = pieces.w_small
     if w.size:
         _log_ratio_series(params, w, out=series_vals)
-        np.multiply(w, 1.0 + 3.0 * params.s * params.u if params.u else 1.0,
-                    out=series_scale)
-        series_scale /= 3.0
+        three_su = 3.0 * params.s * params.u if params.u else 0.0
+        if math.isinf(three_su):
+            np.multiply(w, params.s * params.u + 1.0 / 3.0, out=series_scale)
+        else:
+            np.multiply(w, 1.0 + three_su, out=series_scale)
+            series_scale /= 3.0
     if not isinstance(small, slice):
         vals[direct], scale[direct] = direct_vals, direct_scale
         vals[small], scale[small] = series_vals, series_scale

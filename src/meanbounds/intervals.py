@@ -8,7 +8,11 @@ subdivision.  The primitives work on ``(lo, hi)`` float pairs: ``_add``,
 for a second factor ``>= 0``) and ``_div`` each round once in IEEE
 arithmetic and step the result out by one ``math.nextafter`` in each
 direction; ``_widen`` steps a point out by ``n`` ulps, ``_LIBM_ULPS`` for a
-library logarithm, to cover a faithfully (not correctly) rounded libm.
+library logarithm, to cover a faithfully (not correctly) rounded libm.  It
+takes the ``n`` steps at once, as ``x -+ n ulp(x)``, whenever that ulp is
+normal and both ends keep it, that is whenever all ``n`` steps stay in the
+binade of ``x``; near a binade edge, among subnormals, at 0, inf and NaN
+it takes them one ``nextafter`` at a time.
 Division by an interval containing zero is rejected rather than returning
 an unbounded interval.  Nearly every factor in the kernel is known to be
 ``>= 0`` (``s/2``, ``u^k``, ``X = x^2``, ``1 +- x``) and every divisor but
@@ -45,9 +49,9 @@ the nodes of a certificate and the points of a bisection's recheck alike.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
-from dataclasses import dataclass
-from math import inf, nextafter
+from math import inf, nextafter, ulp
 from typing import NamedTuple
 
 from .thresholds import EVAL_LIMIT, FamilyParams
@@ -86,8 +90,24 @@ _log = math.log
 _log1p = math.log1p
 
 
+_MIN_NORMAL = sys.float_info.min
+
+
 def _widen(x: float, n: int) -> tuple[float, float]:
-    """The point ``x`` widened outward by ``n`` ulps on each side."""
+    """The point ``x`` widened outward by ``n`` ulps on each side.
+
+    The doubles ``n`` ``nextafter`` steps out from ``x``.  Within one
+    binade the steps are all ``u = ulp(x)``, so when ``u`` is normal and
+    ``x -+ n u`` still have ulp ``u``, both are exact multiples of ``u`` in
+    that binade and are those doubles.  Otherwise (a step would cross a
+    binade edge, ``x`` is 0 or subnormal, inf or NaN, or ``x + n u``
+    overflows) the steps are taken one at a time.
+    """
+    u = ulp(x)
+    if u >= _MIN_NORMAL:
+        lo, hi = x - n * u, x + n * u
+        if ulp(lo) == u == ulp(hi):
+            return lo, hi
     lo = hi = x
     for _ in range(n):
         lo = nextafter(lo, -inf)
@@ -243,8 +263,9 @@ def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
         # 1 - x is exact for x >= 1/2 (Sterbenz), else one ulp wide.
         d_lo = d_hi = 1.0 - x
         if x < 0.5:
-            d_lo, d_hi = _widen(d_lo, 1)
-        p_lo, p_hi = _widen(1.0 + x, 1)
+            d_lo, d_hi = nextafter(d_lo, -inf), nextafter(d_hi, inf)
+        p = 1.0 + x
+        p_lo, p_hi = nextafter(p, -inf), nextafter(p, inf)
         # h = 1 - [(1 + x) log1p(x) - (1 - x) log1p(-x)] / (2x)
         ln_lo, ln_hi = _widen(_log1p(x), _LIBM_ULPS)
         plus_lo, plus_hi = _mul_nonneg(ln_lo, ln_hi, p_lo, p_hi)
@@ -325,8 +346,10 @@ def _point_sign(params: FamilyParams) -> Callable[[float], int]:
     return sign
 
 
-@dataclass(frozen=True)
-class CertificateNode:
+class CertificateNode(NamedTuple):
+    """One node of a certificate: the bounds of the log-ratio over
+    ``[x_lo, x_hi]`` and what the bisection did with the node."""
+
     x_lo: float
     x_hi: float
     bound_lo: float

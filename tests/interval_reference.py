@@ -6,8 +6,9 @@ operators call the same float-pair primitives, and spells each enclosure
 out one ``Interval`` operation at a time, as the library did before it
 moved to float pairs, so that the kernel's bounds can be compared with
 ``==`` against an independent composition of the same outward-rounded
-steps.  :func:`taylor_enclosure` does the same for the series enclosure of
-nodes inside ``[0, TAYLOR_X0]``.
+steps, each widening taken one ``nextafter`` at a time.
+:func:`taylor_enclosure` does the same for the series enclosure of nodes
+inside ``[0, TAYLOR_X0]``.
 """
 
 import math
@@ -46,12 +47,18 @@ class Interval:
         return Interval(*_div(self.lo, self.hi, other.lo, other.hi))
 
 
-def _widen(x, n):
+def widen_loop(x, n):
+    """The doubles ``n`` ``nextafter`` steps out from ``x``, one step at a
+    time: the reference for the kernel's one-step ``_widen``."""
     lo = hi = x
     for _ in range(n):
         lo = math.nextafter(lo, -math.inf)
         hi = math.nextafter(hi, math.inf)
-    return Interval(lo, hi)
+    return lo, hi
+
+
+def _widen(x, n):
+    return Interval(*widen_loop(x, n))
 
 
 def _one_minus(x):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,8 @@ from meanbounds import (
     q_mean,
 )
 
-from meanbounds.family import _Pieces, _log_ratio_with_scale
-from oracles import family_log_ratio_u, kernel_near_one_u, kernel_u
+from meanbounds.family import _Pieces, _log_ratio_with_scale, _series_coefficients
+from oracles import family_log_ratio_and_quotient_t, family_log_ratio_u, kernel_near_one_u, kernel_u
 
 LN_E_OVER_2 = 0.3068528194400546905828  # 1 - ln 2
 
@@ -136,6 +137,42 @@ class TestLogRatio:
         kernel = derivative_kernel(params, xs)
         np.testing.assert_allclose(
             kernel, [float(kernel_u(0.0, s, x)) for x in xs], rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [1e308, 1.7976931348623157e308])
+    def test_series_is_finite_at_extreme_s(self, s):
+        # 3 s overflows for s > 6e307, so c_1 = (1 - 3 s u) / 6 would be
+        # -inf; the log-ratio is about -s u x^2 / 2 (-4.80e301 at s = 1e308,
+        # x = 1e-3).
+        params = FamilyParams.from_t(0.01, s)
+        xs = np.array([1e-6, 1e-3, 5e-3])
+        vals, scale = _log_ratio_with_scale(params, _Pieces(xs))
+        want = np.array([float(family_log_ratio_and_quotient_t(0.01, s, x)[0]) for x in xs])
+        np.testing.assert_allclose(vals, want, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(log_ratio_q_over_i(params, xs), vals)
+        assert np.all(np.isfinite(scale))
+        assert np.all(np.abs(vals - want) <= scale * EPS)
+
+    def test_series_coefficients_unchanged_where_finite(self):
+        # Wherever the old c_1 = (1 - 3 s u) / 6 is finite, that is wherever
+        # 3 s u is, all four coefficients keep their bits.
+        def old(u, s):
+            return ((1.0 - 3.0 * s * u) / 6.0, 1.0 / 20.0 - s * u * u / 4.0,
+                    1.0 / 42.0 - s * u ** 3 / 6.0, 1.0 / 72.0 - s * u ** 4 / 8.0)
+
+        rng = random.Random(21)
+        top = 5.992310449541052e307  # the largest s with 3 s finite
+        cases = [(1.0, top), (1e-300, top), (1.0, math.nextafter(top, 0.0))]
+        cases += [(rng.choice([1.0, rng.random(), 10.0 ** rng.uniform(-300.0, 0.0)]),
+                   10.0 ** rng.uniform(0.0, 308.2)) for _ in range(20_000)]
+        assert math.isinf(3.0 * math.nextafter(top, math.inf))
+        checked = 0
+        for u, s in cases:
+            if math.isinf(3.0 * s * u):
+                continue
+            got = _series_coefficients(FamilyParams.from_u(u, s))
+            assert [c.hex() for c in got] == [c.hex() for c in old(u, s)], (u, s)
+            checked += 1
+        assert checked > 19_000
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1 - 1e-13, math.nan])
     def test_domain_rejection(self, bad):

@@ -89,6 +89,72 @@ class TestTwoCornerProduct:
         assert _bits(_mul_nonneg(alo, ahi, blo, bhi)) == _bits(_mul(alo, ahi, blo, bhi))
 
 
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_MAX = 1.7976931348623157e308
+
+
+def _binade_edges():
+    """``+-2^e`` for every 7th ``e`` from -1074 and for 1023, each with the
+    three doubles on either side of it."""
+    xs = []
+    for e in [*range(-1074, 1024, 7), 1023]:
+        for edge in (2.0 ** e, -2.0 ** e):
+            xs.append(edge)
+            for k in (1, 2, 3):
+                xs += reference.widen_loop(edge, k)
+    return xs
+
+
+class TestWiden:
+    """``_widen`` gives the doubles of the one-step-at-a-time loop in
+    ``tests/interval_reference.py``, bit for bit: compared by ``float.hex``,
+    so the sign of a zero counts."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324,
+               *reference.widen_loop(_SMALLEST_NORMAL, 1), _SMALLEST_NORMAL,
+               *reference.widen_loop(-_SMALLEST_NORMAL, 1), -_SMALLEST_NORMAL,
+               _MAX, -_MAX, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_zeros_subnormals_extremes_and_nan(self, n):
+        for x in self.SPECIAL:
+            assert _bits(intervals._widen(x, n)) == _bits(reference.widen_loop(x, n)), x
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_around_binade_edges(self, n):
+        xs = _binade_edges()
+        assert len(xs) > 2000
+        for x in xs:
+            assert _bits(intervals._widen(x, n)) == _bits(reference.widen_loop(x, n)), x
+
+    @given(any_double, st.sampled_from([1, 3, 4]))
+    @settings(max_examples=500)
+    def test_any_double(self, x, n):
+        assert _bits(intervals._widen(x, n)) == _bits(reference.widen_loop(x, n))
+
+
+class TestEndpointStepCount:
+    """An endpoint enclosure's widenings take their ulps in one step each.
+
+    Counted, not timed: at x = 0.7 the products, sums and quotients round
+    outward by 22 ``nextafter`` calls (12 for h, 10 for m2), and x < 1/2
+    adds two for ``1 - x``; the four ``_LIBM_ULPS`` widenings of libm
+    results take none.  Taken one step at a time they would add 32.
+    """
+
+    @pytest.mark.parametrize("x, calls", [(0.7, 22), (0.3, 24)])
+    def test_nextafter_calls_per_enclosure(self, monkeypatch, x, calls):
+        enclose = _endpoint_enclosure(FamilyParams.from_t(0.2, 2.0))
+        counted = []
+
+        def counting(a, b):
+            counted.append(a)
+            return math.nextafter(a, b)
+        monkeypatch.setattr(intervals, "nextafter", counting)
+        enclose(x)
+        assert len(counted) == calls
+
+
 class TestOneMinusU:
     """The enclosure of 1 - u holds the exact value for the double t or u."""
 

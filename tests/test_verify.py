@@ -705,3 +705,32 @@ class TestCertificationIdentity:
         nodes = certify_sign(t, 1e300, 0.0, TAYLOR_X0, "negative", 100)
         assert nodes == _reference_certificate(t, 1e300, 0.0, TAYLOR_X0, 100)
         assert nodes[0].bound_hi > 1e-24
+
+
+class TestCertificateNodeType:
+    """``CertificateNode`` is a named tuple: the old fields by name and in
+    order, immutable, hashable, and equal to the plain tuple of its fields."""
+
+    def test_fields_in_order(self):
+        assert CertificateNode._fields == ("x_lo", "x_hi", "bound_lo", "bound_hi", "status")
+        node = CertificateNode(0.25, 0.5, -1e-3, -1e-4, "proved_negative")
+        assert (node.x_lo, node.x_hi, node.bound_lo, node.bound_hi, node.status) == tuple(node)
+        assert node == (0.25, 0.5, -1e-3, -1e-4, "proved_negative")
+
+    def test_refuses_assignment(self):
+        node = CertificateNode(0.25, 0.5, -1e-3, -1e-4, "proved_negative")
+        with pytest.raises(AttributeError):
+            node.status = "split"
+
+    def test_hashable(self):
+        nodes = certify_sign(sharp_thresholds(2.0).p - 0.01, 2.0, 0.01, 0.99, "negative")
+        assert len(set(nodes)) == len(nodes)
+        assert all(hash(n) == hash(tuple(n)) for n in nodes)
+
+    def test_equals_reference_nodes(self):
+        t = sharp_thresholds(5.0).q + 1e-3
+        nodes = certify_sign(t, 5.0, 0.01, 0.99, "positive")
+        reference = _reference_certificate(t, 5.0, 0.01, 0.99, 100_000)
+        assert all(type(n) is CertificateNode for n in nodes)
+        assert nodes == reference
+        assert [tuple(n) for n in nodes] == [tuple(n) for n in reference]
