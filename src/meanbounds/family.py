@@ -183,6 +183,11 @@ def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
         np.add(pieces.h, direct_scale, out=direct_vals)
         np.abs(direct_scale, out=direct_scale)
         direct_scale += 2.0
+        # |m2| <= 13.5 s up to EVAL_LIMIT, so only s > 1e306 can overflow
+        # 4 (2 + |m2|); there it is capped at DBL_MAX, still >= 2 + |m2|, so
+        # the noise floor stays at least 16 times the error bound.
+        if params.s > 1e306:
+            np.minimum(direct_scale, np.finfo(float).max / 4.0, out=direct_scale)
         direct_scale *= 4.0
     w = pieces.w_small
     if w.size:

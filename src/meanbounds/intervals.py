@@ -42,8 +42,9 @@ as small as the distance of ``t`` from a cutoff, so a node inside
 series is cut after ``TAYLOR_K = 35`` terms with a bounded tail, enough for
 ``TAYLOR_X0 = 0.5`` (the rule is derived beside the constants); ``h``'s
 coefficients, which depend on neither ``t`` nor ``s``, are enclosed once at
-import.  :func:`_node_bounds` is the one place that applies this rule, for
-the nodes of a certificate and the points of a bisection's recheck alike.
+import.  :func:`_node_bounds` is the one place that applies this rule and
+decides whether a node's sign enclosure clears 0 (sign -1 or 1, else 0),
+for the nodes of a certificate and, at ``[x, x]``, a bisection's rechecks.
 """
 
 from __future__ import annotations
@@ -300,13 +301,14 @@ def _monotone_bounds(lo: _Endpoint, hi: _Endpoint) -> tuple[float, float]:
     return _add(lo.h_lo, hi.h_hi, hi.m2_lo, lo.m2_hi)
 
 
-def _node_bounds(params: FamilyParams) -> Callable[[float, float], tuple[float, ...]]:
+def _node_bounds(params: FamilyParams) -> Callable[[float, float], tuple[int, float, float]]:
     """The function bounding the log-ratio over a node ``[a, b]`` for ``params``.
 
-    It returns ``(sign_lo, sign_hi, bound_lo, bound_hi)``: the log-ratio
-    lies in ``[bound_lo, bound_hi]`` on ``[a, b]``, and where ``[sign_lo,
-    sign_hi]`` clears 0 it has that sign there, ``x = 0`` aside.  A node
-    inside ``[0, TAYLOR_X0]`` is a Taylor node, whose sign comes from
+    It returns ``(sign, bound_lo, bound_hi)``, the package's one sign rule:
+    the log-ratio lies in ``[bound_lo, bound_hi]`` on ``[a, b]``, and
+    ``sign`` is -1 or 1 when the node's sign enclosure clears 0, the
+    log-ratio's sign there (``x = 0`` aside), and 0 when it straddles 0.  A
+    Taylor node, inside ``[0, TAYLOR_X0]``, takes its sign enclosure from
     :func:`_taylor_enclosure`'s ``g`` and bounds from ``x^2 g``; above it
     both are :func:`_monotone_bounds` of the pieces at the two ends.  Each
     enclosure is set up when the first node needs it, and each endpoint is
@@ -315,35 +317,21 @@ def _node_bounds(params: FamilyParams) -> Callable[[float, float], tuple[float, 
     taylor = enclose = None
     ends: dict[float, _Endpoint] = {}
 
-    def bounds(a: float, b: float) -> tuple[float, ...]:
+    def bounds(a: float, b: float) -> tuple[int, float, float]:
         nonlocal taylor, enclose
         if b <= TAYLOR_X0:
             if taylor is None:
                 taylor = _taylor_enclosure(params)
-            return taylor(a, b)
-        if enclose is None:
-            enclose = _endpoint_enclosure(params)
-        bound = _monotone_bounds(ends.get(a) or ends.setdefault(a, enclose(a)),
-                                 ends.get(b) or ends.setdefault(b, enclose(b)))
-        return bound + bound
+            sign_lo, sign_hi, lo, hi = taylor(a, b)
+        else:
+            if enclose is None:
+                enclose = _endpoint_enclosure(params)
+            sign_lo, sign_hi = lo, hi = _monotone_bounds(
+                ends.get(a) or ends.setdefault(a, enclose(a)),
+                ends.get(b) or ends.setdefault(b, enclose(b)))
+        return -1 if sign_hi < 0.0 else 1 if sign_lo > 0.0 else 0, lo, hi
 
     return bounds
-
-
-def _point_sign(params: FamilyParams) -> Callable[[float], int]:
-    """The function giving the log-ratio's sign at a double x in (0, EVAL_LIMIT].
-
-    It bounds the degenerate node ``[x, x]`` by :func:`_node_bounds`, the
-    rule of :func:`certify_sign`, and returns -1 or 1 when the bounds clear
-    0, and 0 when they straddle it.
-    """
-    bounds = _node_bounds(params)
-
-    def sign(x: float) -> int:
-        lo, hi = bounds(x, x)[:2]
-        return -1 if hi < 0.0 else 1 if lo > 0.0 else 0
-
-    return sign
 
 
 class CertificateNode(NamedTuple):
@@ -370,14 +358,15 @@ def certify_sign(
     Adaptive depth-first bisection; ``x_lo`` may be 0, the open left end,
     where the log-ratio vanishes: the sign is then proved on ``(0, x_hi]``.
     Each node ``[a, b]`` is bounded by one :func:`_node_bounds` for the
-    call, so a split encloses only its midpoint.  Leaves are
-    ``proved_negative`` / ``proved_positive`` when the node's sign bounds
-    clear zero.  ``budget`` caps the splits, not the nodes: a node splits
-    only while fewer than ``budget - 1`` nodes came before it, so at most
-    ``budget - 1`` nodes split and the tree holds at most ``2 budget - 1``.
-    An undecided node that may not split is ``inconclusive`` (distinct from
-    a disproof, which shows up as a proved leaf of the opposite sign).
-    Returns the full tree in processing order for audit.
+    call, so a split encloses only its midpoint, and its sign decides the
+    node: -1 / 1 make a ``proved_negative`` / ``proved_positive`` leaf, 0 a
+    split.  ``sign`` is validated but does not shape the tree: a disproof
+    shows up as a proved leaf of the opposite sign.  ``budget`` caps the
+    splits, not the nodes: a node splits only while fewer than
+    ``budget - 1`` nodes came before it, so at most ``budget - 1`` nodes
+    split and the tree holds at most ``2 budget - 1``.  An undecided node
+    that may not split is ``inconclusive``.  Returns the full tree in
+    processing order.
     """
     if sign not in ("negative", "positive"):
         raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
@@ -390,11 +379,9 @@ def certify_sign(
     stack = [(float(x_lo), float(x_hi))]
     while stack:
         a, b = stack.pop()
-        sign_lo, sign_hi, bound_lo, bound_hi = bounds(a, b)
-        if sign_hi < 0.0:
-            status = "proved_negative"
-        elif sign_lo > 0.0:
-            status = "proved_positive"
+        node_sign, bound_lo, bound_hi = bounds(a, b)
+        if node_sign:
+            status = "proved_negative" if node_sign < 0 else "proved_positive"
         else:
             mid = 0.5 * (a + b)
             if len(nodes) + 1 < budget and a < mid < b:

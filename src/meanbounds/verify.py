@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .family import (
 )
 from .intervals import (
     CertificateNode,
-    _point_sign,
+    _node_bounds,
     certificate_leaves,
     certificate_succeeded,
     certify_sign,
@@ -315,20 +315,20 @@ def _family_side(t: float, s: float, side: str, pieces: _Pieces,
     """The margin side of the family check at ``(t, s)`` on ``pieces``.
 
     A report's recheck is the mpmath margin.  A verdict-only recheck is the
-    margin's sign, -1.0 or 1.0, from the enclosure of
-    :func:`meanbounds.intervals._point_sign`, and the mpmath margin only
-    where that enclosure straddles 0.
+    margin's sign, -1.0 or 1.0, where the sign rule of the certificates,
+    :func:`meanbounds.intervals._node_bounds` at ``[x, x]``, proves the
+    log-ratio's sign, and the mpmath margin where it leaves the sign 0.
     """
     params = FamilyParams.from_t(t, s)
     vals, scale = _log_ratio_with_scale(params, pieces)
     margins = np.negative(vals, out=vals) if side == "lower" else vals
     if not verdict_only:
         return ("", margins, scale, lambda x: _mp_family_margin(t, s, side, x))
-    sign_of_log_ratio = _point_sign(params)
+    bounds = _node_bounds(params)
     flip = -1.0 if side == "lower" else 1.0
 
     def recheck(x: float) -> float:
-        sign = sign_of_log_ratio(x)
+        sign = bounds(x, x)[0]
         return flip * sign if sign else _mp_family_margin(t, s, side, x)
 
     return ("", margins, scale, recheck)
@@ -473,8 +473,8 @@ def _ln_one_minus_sq(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_sides(p: float, alpha: float, xs: np.ndarray, pieces: _Pieces) -> dict:
-    """Both sides of the power comparison on ``xs`` from one margin evaluation."""
+def _power_sides(p: float, alpha: float, xs: np.ndarray, pieces: _Pieces, sides) -> list:
+    """The ``sides`` of the power comparison on ``xs`` from one margin evaluation."""
     lr, scale_lr = _lr_with_error_scale(pieces)
     ln_sq = _ln_one_minus_sq(xs)    # 2 ln(G/A)
     t_i = np.expm1(p * lr)          # I^p/A^p - 1, fully cancellation-free
@@ -488,10 +488,10 @@ def _power_sides(p: float, alpha: float, xs: np.ndarray, pieces: _Pieces) -> dic
              + p * ((1.0 + t_i) * scale_lr)
              + p * ((1.0 - alpha) * (1.0 + t_g) * (1.5 * np.abs(ln_sq) + 1.0)))
     # Each side has its own scale, which its check overwrites.
-    return {"lower": ("", lower, scale,
-                      lambda x: _mp_power_margin(p, alpha, "lower", x)),
-            "upper": ("", -lower, scale.copy(),
-                      lambda x: _mp_power_margin(p, alpha, "upper", x))}
+    scales = [scale] + [scale.copy() for _ in sides[1:]]
+    return [("", lower if side == "lower" else -lower, side_scale,
+             partial(_mp_power_margin, p, alpha, side))
+            for side, side_scale in zip(sides, scales)]
 
 
 def verify_convex_power_bound(
@@ -516,7 +516,7 @@ def verify_convex_power_bound(
     xs, pieces, grid_entry = _grid(grid)
     parameters = {"check": "convex_power", "p_exp": p_exp, "alpha": alpha,
                   "side": side, "grid": grid_entry}
-    return _run_grid_check(xs, [_power_sides(p_exp, alpha, xs, pieces)[side]],
+    return _run_grid_check(xs, _power_sides(p_exp, alpha, xs, pieces, (side,)),
                            parameters)[0]
 
 
@@ -531,12 +531,12 @@ def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoTh
     if not 0.0 < p_exp < math.inf:
         raise ValueError(f"p_exp must be finite and > 0, got {p_exp}")
     xs, pieces, grid_entry = _grid(grid)
-    sides = _power_sides(p_exp, 2.0 / 3.0, xs, pieces)
+    sides = _power_sides(p_exp, 2.0 / 3.0, xs, pieces, ("upper", "lower"))
     reports = {}
-    for direction, side in (("forward", "upper"), ("reverse", "lower")):
+    for direction, side in zip(("forward", "reverse"), sides):
         parameters = {"check": "two_thirds_power", "p_exp": p_exp,
                       "direction": direction, "grid": grid_entry}
-        reports[direction] = _run_grid_check(xs, [sides[side]], parameters)[0]
+        reports[direction] = _run_grid_check(xs, [side], parameters)[0]
     fwd_ok = reports["forward"].verdict == "holds_on_grid"
     rev_ok = reports["reverse"].verdict == "holds_on_grid"
     if fwd_ok and not rev_ok:

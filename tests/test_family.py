@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,8 @@ from meanbounds import (
     q_mean,
 )
 
-from meanbounds.family import _Pieces, _log_ratio_with_scale, _series_coefficients
+from meanbounds.family import _m2, _Pieces, _log_ratio_with_scale, _series_coefficients
+from meanbounds.thresholds import EVAL_LIMIT
 from oracles import family_log_ratio_and_quotient_t, family_log_ratio_u, kernel_near_one_u, kernel_u
 
 LN_E_OVER_2 = 0.3068528194400546905828  # 1 - ln 2
@@ -173,6 +175,43 @@ class TestLogRatio:
             assert [c.hex() for c in got] == [c.hex() for c in old(u, s)], (u, s)
             checked += 1
         assert checked > 19_000
+
+    @pytest.mark.parametrize("s", [1e308, 1.1e308])
+    def test_direct_scale_is_finite_at_extreme_s(self, s):
+        # At t = 0.01, |m2| passes DBL_MAX / 4 next to x = 1, where the direct
+        # scale 4 (2 + |m2|) would overflow; it stays finite and the error
+        # inside it.  (At s = DBL_MAX m2 itself rounds to -inf.)
+        xs = np.concatenate([np.geomspace(1e-9, 0.5, 500, endpoint=False),
+                             1.0 - np.geomspace(0.5, 1e-9, 500)])
+        with np.errstate(over="raise"):
+            vals, scale = _log_ratio_with_scale(FamilyParams.from_t(0.01, s), _Pieces(xs))
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(scale))
+        assert scale.max() == sys.float_info.max
+        for x, val, bound in zip(xs[-5:], vals[-5:], scale[-5:]):
+            assert abs(val - float(family_log_ratio_and_quotient_t(0.01, s, x)[0])) <= bound * EPS
+
+    def test_direct_scale_unchanged_where_finite(self):
+        # Wherever the old direct scale 4 (2 + |m2|) is finite it keeps its
+        # bits; where it overflows the scale is DBL_MAX, above 2 + |m2|.
+        rng = random.Random(22)
+        xs = np.array(sorted(rng.uniform(0.5, EVAL_LIMIT) for _ in range(400)) + [EVAL_LIMIT])
+        pieces = _Pieces(xs)
+        cases = [(0.5 * rng.random(), 10.0 ** rng.uniform(0.0, 308.25)) for _ in range(300)]
+        cases += [(0.5 * rng.random(), rng.uniform(1e306, sys.float_info.max)) for _ in range(100)]
+        overflowed = 0
+        for t, s in cases:
+            params = FamilyParams.from_t(t, s)
+            m2 = np.empty_like(xs)
+            with np.errstate(over="ignore"):
+                _m2(params, pieces.x_direct, pieces.one_minus_sq, out=m2)
+                old = 4.0 * (2.0 + np.abs(m2))
+                scale = _log_ratio_with_scale(params, pieces)[1]
+            finite = np.isfinite(old)
+            assert scale[finite].tobytes() == old[finite].tobytes(), (t, s)
+            assert np.all(scale[~finite] == sys.float_info.max), (t, s)
+            assert np.all(scale[np.isfinite(m2)] >= 2.0 + np.abs(m2[np.isfinite(m2)]))
+            overflowed += int(np.count_nonzero(~finite))
+        assert overflowed > 1000
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1 - 1e-13, math.nan])
     def test_domain_rejection(self, bad):

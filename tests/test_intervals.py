@@ -458,8 +458,8 @@ def _reference_point_sign(params, x):
 
 
 class TestPointSign:
-    """``_point_sign`` gives the reference rule's sign at every point, on
-    both sides of TAYLOR_X0 and where the bounds straddle 0."""
+    """``_node_bounds`` at ``[x, x]`` gives the reference rule's sign at
+    every point, on both sides of TAYLOR_X0 and where the bounds straddle 0."""
 
     def test_agrees_with_reference_rule(self):
         rng = random.Random(12)
@@ -468,12 +468,12 @@ class TestPointSign:
                    for t in (ts.p, ts.q)]
         seen = set()
         for p in cutoffs + [next(params) for _ in range(40)]:
-            sign = intervals._point_sign(p)
+            bounds = intervals._node_bounds(p)
             xs = [5e-324, 1e-8, TAYLOR_X0, math.nextafter(TAYLOR_X0, 1.0), EVAL_LIMIT]
             xs += [rng.uniform(0.0, TAYLOR_X0) for _ in range(20)]
             xs += [rng.uniform(TAYLOR_X0, EVAL_LIMIT) for _ in range(20)]
             for x in xs:
-                got = sign(x)
+                got = bounds(x, x)[0]
                 assert got == _reference_point_sign(p, x), (p, x)
                 seen.add(got)
         assert seen == {-1, 0, 1}

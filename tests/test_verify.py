@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -113,6 +115,18 @@ class TestFamilyVerification:
             w = report.witness
             sign = -1.0 if side == "lower" else 1.0
             assert sign * float(family_log_ratio_t(t, s, w.x)) < 0.0
+
+    @pytest.mark.parametrize("s", [1e308, 1.1e308])
+    def test_witness_is_least_margin_at_extreme_s(self, s):
+        # Next to x = 1 the margin is least and its direct scale 4 (2 + |m2|)
+        # would overflow; the floor stays finite, so that point is a candidate
+        # and the witness, with no overflow anywhere in the check.
+        with np.errstate(over="raise"):
+            report = verify_family_inequality(0.01, s, "upper")
+        w = report.witness
+        assert w.margin == report.worst_margin < -1e308
+        assert w.x == grid_points(GridSpec())[-1]
+        assert w.margin_recheck == verify._mp_family_margin(0.01, s, "upper", w.x) < 0.0
 
     def test_determinism(self):
         ts = sharp_thresholds(1.5)
@@ -263,6 +277,61 @@ class TestEmpiricalThresholdIdentity:
             == _reference_threshold(s, side, grid, 1e-6)
 
 
+def _report_digest_reprs():
+    """The reprs of seeded 512-point reports of every check, each on both
+    sides of its sharp constants: the family check on both sides of ``p``
+    and ``q``, ``falsify`` on the side that fails, the exponential bounds,
+    the convex power bound at ``p = 1`` and ``p`` in [2, 4], and the
+    two-thirds power in its three bands."""
+    rng = random.Random(2022)
+    grid = GridSpec(count=512)
+    deltas = (1e-2, 1e-4, 1e-7)
+    for s in [1.0, 2.0, 50.0] + [rng.uniform(1.0, 50.0) for _ in range(13)]:
+        ts = sharp_thresholds(s)
+        for delta in deltas:
+            for t in (ts.p - delta, ts.p + delta, ts.q - delta, ts.q + delta):
+                for side in ("lower", "upper"):
+                    yield repr(verify_family_inequality(t, s, side, grid).to_dict())
+            yield repr(falsify(ts.p + delta, s, "lower"))
+            yield repr(falsify(ts.q - delta, s, "upper"))
+    sharp = exponential_bound_constants()
+    for _ in range(40):
+        p_coef = sharp.lower + rng.choice((-1.0, 1.0)) * rng.choice(deltas)
+        q_coef = sharp.upper + rng.choice((-1.0, 1.0)) * rng.choice(deltas)
+        yield repr(verify_exponential_bounds(p_coef, q_coef, grid).to_dict())
+    for _ in range(50):
+        p_exp = 1.0 if rng.random() < 0.4 else rng.uniform(2.0, 4.0)
+        sharp = ((2.0 / 3.0, 2.0 / math.e) if p_exp == 1.0
+                 else ((2.0 / math.e) ** p_exp, 2.0 / 3.0))
+        for alpha in sharp:
+            for delta in deltas:
+                for sign in (-1.0, 1.0):
+                    for side in ("lower", "upper"):
+                        yield repr(verify_convex_power_bound(
+                            p_exp, alpha + sign * delta, side, grid).to_dict())
+    forward = verify.TWO_THIRDS_FORWARD_THRESHOLD
+    reverse = verify.TWO_THIRDS_REVERSE_THRESHOLD
+    for band in ((0.5, reverse), (reverse, forward), (forward, 3.0)):
+        for p_exp in [band[0] + 1e-9, band[1] - 1e-9] + [rng.uniform(*band) for _ in range(8)]:
+            yield repr(verify_two_thirds_power(p_exp, grid).to_dict())
+
+
+# sha256 of the _report_digest_reprs reports, one repr a line; any change to
+# a verdict, a margin, a witness or a recheck value changes it.
+_REPORT_DIGEST = "f653f4f6418d02aac71e0b512d145eacf7b6ca2d5c69402adcd8b3d8043b6927"
+
+
+class TestReportDigest:
+    def test_reports_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        count = 0
+        for line in _report_digest_reprs():
+            digest.update(line.encode() + b"\n")
+            count += 1
+        assert count == 1750
+        assert digest.hexdigest() == _REPORT_DIGEST
+
+
 class TestEnclosureRecheck:
     """A bisection step decides a candidate by enclosure as mpmath would."""
 
@@ -272,19 +341,19 @@ class TestEnclosureRecheck:
                                       GridSpec(count=2000, spacing="uniform")])
     def test_decisions_agree_with_mpmath(self, s, side, grid, monkeypatch):
         decided = []
-        point_sign = verify._point_sign
+        node_bounds = verify._node_bounds
 
         def recording(params):
-            sign_at = point_sign(params)
+            bounds_of = node_bounds(params)
 
-            def sign(x):
-                result = sign_at(x)
-                if result:
-                    decided.append((params.t, x, result))
+            def bounds(a, b):
+                result = bounds_of(a, b)
+                if result[0]:
+                    decided.append((params.t, a, result[0]))
                 return result
-            return sign
+            return bounds
 
-        monkeypatch.setattr(verify, "_point_sign", recording)
+        monkeypatch.setattr(verify, "_node_bounds", recording)
         empirical_threshold(s, side, grid, tol=1e-6)
         assert decided
         for t, x, sign in decided:
