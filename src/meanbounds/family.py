@@ -122,7 +122,13 @@ def _m2(params: FamilyParams, x: np.ndarray, one_minus_sq: np.ndarray,
     out *= x
     out += one_minus_sq
     np.log(out, out=out)
-    out *= 0.5 * params.s
+    if params.s > 1e306:
+        # |m2| <= 13.5 s up to EVAL_LIMIT, so only such s can overflow
+        # here, to -inf next to x = 1: that is the rounded value.
+        with np.errstate(over="ignore"):
+            out *= 0.5 * params.s
+    else:
+        out *= 0.5 * params.s
 
 
 class _Pieces:

@@ -45,6 +45,17 @@ coefficients, which depend on neither ``t`` nor ``s``, are enclosed once at
 import.  :func:`_node_bounds` is the one place that applies this rule and
 decides whether a node's sign enclosure clears 0 (sign -1 or 1, else 0),
 for the nodes of a certificate and, at ``[x, x]``, a bisection's rechecks.
+
+What depends on neither ``t`` nor ``s`` is enclosed once per process, and
+no bound moves by a bit for it.  :func:`_x_pieces` encloses ``h(x)`` and
+``(1 - x)(1 + x)`` at an endpoint under an ``lru_cache`` of at most 1024
+entries (a certificate run meets a few dozen distinct endpoints, a sweep
+a few hundred), so an endpoint enclosure pays only for ``m2``; the cache
+returns the doubles that the same operations gave the first time.  The
+Taylor set-up stops its coefficient loop once ``s u^k / 2`` falls below an
+eighth of the least ulp of ``h``'s coefficients: the full loop would round
+every later ``c_k`` to its ``h`` pair widened one ulp, which is taken from
+a tuple built at import.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
+from functools import lru_cache
 from math import inf, nextafter, ulp
 from typing import NamedTuple
 
@@ -136,8 +148,8 @@ def _mul_nonneg(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, 
     ``alo`` and its greatest ``ahi``, each with the end of ``b`` that its own
     sign picks.  Rounding is monotone, so for finite inputs these are the
     doubles that ``_mul``'s min/max would pick, up to the sign of a zero,
-    which ``nextafter`` removes.  The kernel's loops inline the same two
-    products.
+    which ``nextafter`` removes.  The kernel's loops and :func:`_x_pieces`
+    inline the same two products.
     """
     return (nextafter(alo * (blo if alo >= 0.0 else bhi), -inf),
             nextafter(ahi * (bhi if ahi >= 0.0 else blo), inf))
@@ -177,6 +189,10 @@ def _u_enclosure(params: FamilyParams) -> tuple[float, float]:
 # depend on neither t nor s.
 _H_COEFFICIENTS = tuple(_div(1.0, 1.0, n, n) for n in
                         (2.0 * k * (2 * k + 1) for k in range(1, TAYLOR_K + 2)))
+# The same pairs widened one ulp each way: the c_k of every k from which
+# s u^k / 2 stays below _W_NEGLIGIBLE, an eighth of their least ulp.
+_H_WIDENED = tuple((nextafter(lo, -inf), nextafter(hi, inf)) for lo, hi in _H_COEFFICIENTS)
+_W_NEGLIGIBLE = min(ulp(lo) for lo, _ in _H_COEFFICIENTS) / 8.0
 
 
 def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[float, ...]]:
@@ -190,20 +206,38 @@ def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[fl
     since ``h``'s coefficients fall and ``u X <= X``.  The ``c_k`` and the
     two ends of the tail factor are enclosed here, once, from
     :func:`_u_enclosure` and the first ``TAYLOR_K + 1`` entries of
-    ``_H_COEFFICIENTS``; the returned function evaluates ``g`` by interval
-    Horner over ``[a^2, b^2]`` with the tail as the innermost term, and
-    returns ``(g_lo, g_hi, f_lo, f_hi)`` with ``f = X g``.  Every product and
-    sum is rounded outward as by the float-pair primitives; the two loops
-    inline them.
+    ``_H_COEFFICIENTS``.  Once ``s u^k / 2`` falls below ``_W_NEGLIGIBLE``
+    the rest of the ``c_k`` are those entries widened one ulp, the doubles
+    the full loop would give, so the loop stops there.  The returned
+    function evaluates ``g`` by interval Horner over ``[a^2, b^2]`` with the
+    tail as the innermost term, and returns ``(g_lo, g_hi, f_lo, f_hi)``
+    with ``f = X g``.  Every product and sum is rounded outward as by the
+    float-pair primitives; the two loops inline them.
     """
     u_lo, u_hi = _u_enclosure(params)
     w_lo = w_hi = 0.5 * params.s
+    n, negligible = TAYLOR_K + 1, _W_NEGLIGIBLE
     coefficients = []
-    for k, (h_lo, h_hi) in enumerate(_H_COEFFICIENTS[:TAYLOR_K + 1], 1):
+    for k, (h_lo, h_hi) in enumerate(_H_COEFFICIENTS[:n], 1):
         # w = s u^k / 2 by _mul_nonneg (u >= 0; w_lo is -5e-324 once u_lo = 0
-        # rounds it down), then m = w / k with two quotients: k is exact, > 0.
+        # rounds it down, while w_hi stays > 0), then m = w / k with two
+        # quotients: k is exact, > 0.
         w_lo = nextafter(w_lo * (u_lo if w_lo >= 0.0 else u_hi), -inf)
-        w_hi = nextafter(w_hi * (u_hi if w_hi >= 0.0 else u_lo), inf)
+        w_hi = nextafter(w_hi * u_hi, inf)
+        if w_hi < negligible:
+            # Early stop, bit for bit.  With U the least ulp of h's lower
+            # ends, w_hi < U/8 now.  u_hi <= 1, so each later step grows w_hi
+            # by at most one ulp of its own, and w_lo, below 0 only by
+            # subnormals, by at most a subnormal: every later |m| = |w / k|
+            # stays under U/4.  The doubles next to h_lo and h_hi are at
+            # least U/2 away, so h_lo - m_hi and h_hi - m_lo round to h_lo
+            # and h_hi, and c_k is h's pair widened one ulp each way.  Only
+            # w_hi runs on, to k = K + 1, for the tail's m_hi.
+            coefficients += _H_WIDENED[k - 1:n]
+            for _ in range(k, n):
+                w_hi = nextafter(w_hi * u_hi, inf)
+            m_hi, h_hi = nextafter(w_hi / n, inf), _H_COEFFICIENTS[n - 1][1]
+            break
         m_lo, m_hi = nextafter(w_lo / k, -inf), nextafter(w_hi / k, inf)
         coefficients.append((nextafter(h_lo - m_hi, -inf), nextafter(h_hi - m_lo, inf)))
     # Horner runs from c_K down to c_1; the k = K + 1 terms bound the tail.
@@ -240,19 +274,51 @@ class _Endpoint(NamedTuple):
     m2_hi: float
 
 
+@lru_cache(maxsize=1024)
+def _x_pieces(x: float) -> tuple[float, float, float, float]:
+    """Enclosures of ``h(x)`` and of ``(1 - x)(1 + x)`` at a double x in (0, 1).
+
+    Neither depends on ``(t, s)``, so each is taken once per process for
+    the last 1024 distinct ``x`` asked: a certificate's endpoints, and the
+    points a bisection rechecks, recur across certificates and steps.  In
+    ``h`` both products are >= 0, so nothing cancels; the arguments of
+    ``log1p(x)``, ``log1p(-x)`` and the divisor ``2x`` are exact, so its
+    enclosure stays O(eps) wide as x -> 0.  The products take two corners,
+    by ``_mul_nonneg`` with the factor ``1 +- x`` second: for subnormal x
+    the widened ``log1p(x)`` can cross 0, so the first factor may take
+    either sign.  The float twin of ``h`` is :func:`meanbounds.family._h`.
+    """
+    # 1 - x is exact for x >= 1/2 (Sterbenz), else one ulp wide.
+    d_lo = d_hi = 1.0 - x
+    if x < 0.5:
+        d_lo, d_hi = nextafter(d_lo, -inf), nextafter(d_hi, inf)
+    p = 1.0 + x
+    p_lo, p_hi = nextafter(p, -inf), nextafter(p, inf)
+    # h = 1 - [(1 + x) log1p(x) - (1 - x) log1p(-x)] / (2x), its products
+    # by _mul_nonneg and its differences by _sub, inlined.
+    a_lo, a_hi = _widen(_log1p(x), _LIBM_ULPS)
+    b_lo, b_hi = _widen(_log1p(-x), _LIBM_ULPS)
+    plus_lo = nextafter(a_lo * (p_lo if a_lo >= 0.0 else p_hi), -inf)
+    plus_hi = nextafter(a_hi * (p_hi if a_hi >= 0.0 else p_lo), inf)
+    minus_lo = nextafter(b_lo * (d_lo if b_lo >= 0.0 else d_hi), -inf)
+    minus_hi = nextafter(b_hi * (d_hi if b_hi >= 0.0 else d_lo), inf)
+    two_x = 2.0 * x  # exact and > 0: two quotients
+    q_lo = nextafter(nextafter(plus_lo - minus_hi, -inf) / two_x, -inf)
+    q_hi = nextafter(nextafter(plus_hi - minus_lo, inf) / two_x, inf)
+    # 1 -+ x are both > 0, so their product takes the ends in order.
+    return (nextafter(1.0 - q_hi, -inf), nextafter(1.0 - q_lo, inf),
+            nextafter(d_lo * p_lo, -inf), nextafter(d_hi * p_hi, inf))
+
+
 def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
     """The function enclosing h and m2 at a double x in [0, 1) for ``params``.
 
     ``0.5 s``, the enclosure of ``1 - u`` and the ``u == 0`` test are taken
-    once here.  In ``h`` both products are >= 0, so nothing cancels; the
-    arguments of ``log1p(x)``, ``log1p(-x)`` and the divisor ``2x`` are
-    exact, so its enclosure stays O(eps) wide as x -> 0.  The products take
-    two corners, by ``_mul_nonneg`` with the factor ``1 +- x`` second: for
-    subnormal x the widened ``log1p(x)`` can cross 0, so the first factor
-    may take either sign.  The log in ``m2`` is hulled from both endpoint
-    values of its argument, so that libm log need not be monotone.  At
-    ``x = 0`` both pieces are exactly 0, their common limit.  The float twin
-    of ``h`` is :func:`meanbounds.family._h`.
+    once here, and ``h`` and ``(1 - x)(1 + x)`` come from :func:`_x_pieces`,
+    so an endpoint pays only for the t-dependent ``m2``.  The log in ``m2``
+    is hulled from both endpoint values of its argument, so that libm log
+    need not be monotone.  At ``x = 0`` both pieces are exactly 0, their
+    common limit.
     """
     half_s = 0.5 * params.s
     u_is_zero = params.u == 0.0
@@ -261,29 +327,14 @@ def _endpoint_enclosure(params: FamilyParams) -> Callable[[float], _Endpoint]:
     def enclose(x: float) -> _Endpoint:
         if x == 0.0:
             return _Endpoint(0.0, 0.0, 0.0, 0.0, 0.0)
-        # 1 - x is exact for x >= 1/2 (Sterbenz), else one ulp wide.
-        d_lo = d_hi = 1.0 - x
-        if x < 0.5:
-            d_lo, d_hi = nextafter(d_lo, -inf), nextafter(d_hi, inf)
-        p = 1.0 + x
-        p_lo, p_hi = nextafter(p, -inf), nextafter(p, inf)
-        # h = 1 - [(1 + x) log1p(x) - (1 - x) log1p(-x)] / (2x)
-        ln_lo, ln_hi = _widen(_log1p(x), _LIBM_ULPS)
-        plus_lo, plus_hi = _mul_nonneg(ln_lo, ln_hi, p_lo, p_hi)
-        ln_lo, ln_hi = _widen(_log1p(-x), _LIBM_ULPS)
-        minus_lo, minus_hi = _mul_nonneg(ln_lo, ln_hi, d_lo, d_hi)
-        q_lo, q_hi = _sub(plus_lo, plus_hi, minus_lo, minus_hi)
-        two_x = 2.0 * x  # exact and > 0: two quotients
-        q_lo, q_hi = nextafter(q_lo / two_x, -inf), nextafter(q_hi / two_x, inf)
-        h_lo, h_hi = _sub(1.0, 1.0, q_lo, q_hi)
+        h_lo, h_hi, i_lo, i_hi = _x_pieces(x)
         if u_is_zero:
             return _Endpoint(x, h_lo, h_hi, 0.0, 0.0)
         # m2 = (s/2) ln[(1 - x)(1 + x) + (1 - u) x^2].  A product by a point
-        # x or s/2, both > 0, takes the ends in order; 1 -+ x are both > 0.
+        # x or s/2, both > 0, takes the ends in order.
         w_lo = nextafter(nextafter(c_lo * x, -inf) * x, -inf)
         w_hi = nextafter(nextafter(c_hi * x, inf) * x, inf)
-        i_lo, i_hi = nextafter(d_lo * p_lo, -inf), nextafter(d_hi * p_hi, inf)
-        i_lo, i_hi = _add(i_lo, i_hi, w_lo, w_hi)
+        i_lo, i_hi = nextafter(i_lo + w_lo, -inf), nextafter(i_hi + w_hi, inf)
         if i_lo <= 0.0:
             raise ValueError("1 - u x^2 enclosure touches 0; x too close to 1")
         a_lo, a_hi = _widen(_log(i_lo), _LIBM_ULPS)

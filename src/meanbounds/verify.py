@@ -291,8 +291,9 @@ def _in_margin_order(margins: np.ndarray, candidates: np.ndarray):
 
 
 @lru_cache(maxsize=1)
-def _grid_points_and_pieces(spec: GridSpec) -> tuple[np.ndarray, _Pieces]:
-    """Read-only points of ``spec`` and their t-independent pieces.
+def _grid_points_and_pieces(spec: GridSpec) -> tuple[np.ndarray, _Pieces, dict]:
+    """Read-only points of ``spec``, their t-independent pieces and its
+    report entry.
 
     Kept for the last spec asked only: the steps of a bisection and the
     checks of a sweep row share one grid, and memory holds at most one,
@@ -300,14 +301,14 @@ def _grid_points_and_pieces(spec: GridSpec) -> tuple[np.ndarray, _Pieces]:
     """
     xs = grid_points(spec)
     xs.flags.writeable = False
-    return xs, _Pieces(xs)
+    return xs, _Pieces(xs), asdict(spec)
 
 
 def _grid(grid: GridSpec | None) -> tuple[np.ndarray, _Pieces, dict]:
-    """Points of ``grid`` (default ``GridSpec()``), their pieces and its
-    report entry."""
-    spec = grid if grid is not None else GridSpec()
-    return (*_grid_points_and_pieces(spec), asdict(spec))
+    """Points of ``grid`` (default ``GridSpec()``), their pieces and a copy
+    of its report entry, the report's own."""
+    xs, pieces, entry = _grid_points_and_pieces(grid if grid is not None else GridSpec())
+    return xs, pieces, dict(entry)
 
 
 def _family_side(t: float, s: float, side: str, pieces: _Pieces,

@@ -8,14 +8,16 @@ moved to float pairs, so that the kernel's bounds can be compared with
 ``==`` against an independent composition of the same outward-rounded
 steps, each widening taken one ``nextafter`` at a time.
 :func:`taylor_enclosure` does the same for the series enclosure of nodes
-inside ``[0, TAYLOR_X0]``.
+inside ``[0, TAYLOR_X0]``, and :func:`taylor_coefficients_loop` runs the
+kernel's coefficient loop with every step taken, the reference for its
+early stop.
 """
 
 import math
 from dataclasses import dataclass
 
-from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, _add, _div, _mul, _one_minus_u, _sub,
-                                  _u_enclosure)
+from meanbounds.intervals import (_H_COEFFICIENTS, _LIBM_ULPS, TAYLOR_K, _add, _div, _mul,
+                                  _one_minus_u, _sub, _u_enclosure)
 
 
 @dataclass(frozen=True)
@@ -124,3 +126,21 @@ def taylor_enclosure(params, a, b):
     for c in reversed(coefficients[:-1]):
         g = g * x2 + c
     return g, x2 * g
+
+
+def taylor_coefficients_loop(params):
+    """The Horner coefficients ``c_K .. c_1`` and the tail ends of the
+    kernel's series enclosure, with every one of the ``K + 1`` steps taken:
+    the reference for the early stop of ``_taylor_enclosure``."""
+    nextafter, inf = math.nextafter, math.inf
+    u_lo, u_hi = _u_enclosure(params)
+    w_lo = w_hi = 0.5 * params.s
+    coefficients = []
+    for k, (h_lo, h_hi) in enumerate(_H_COEFFICIENTS[:TAYLOR_K + 1], 1):
+        w_lo = nextafter(w_lo * (u_lo if w_lo >= 0.0 else u_hi), -inf)
+        w_hi = nextafter(w_hi * (u_hi if w_hi >= 0.0 else u_lo), inf)
+        m_lo, m_hi = nextafter(w_lo / k, -inf), nextafter(w_hi / k, inf)
+        coefficients.append((nextafter(h_lo - m_hi, -inf), nextafter(h_hi - m_lo, inf)))
+    coefficients.pop()
+    coefficients.reverse()
+    return coefficients, (-m_hi, h_hi)

@@ -1,6 +1,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,22 @@ class TestVerify:
         assert payload["verdict"] == "holds_on_grid"
         assert payload["worst_margin"] == pytest.approx(
             float(oracles.family_log_ratio_t(0.5, 1e308, 1e-9)), rel=1e-14)
+
+    def test_largest_s_writes_nothing_to_stderr(self):
+        # (s/2) ln(1 - u x^2) rounds to -inf next to x = 1 at s = DBL_MAX,
+        # without a numpy overflow warning; a fresh interpreter, since the
+        # suite's own warning filters would hide what the command writes.
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("MEANBOUNDS_GRID", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "meanbounds", "verify", "--s", repr(sys.float_info.max),
+             "--t", "0.01", "--side", "upper"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert "worst margin: -inf" in lines
+        assert any(line.startswith("witness margin: -inf ") for line in lines)
 
     def test_grid_env_var_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MEANBOUNDS_GRID", "500")

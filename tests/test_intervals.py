@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -133,26 +134,76 @@ class TestWiden:
         assert _bits(intervals._widen(x, n)) == _bits(reference.widen_loop(x, n))
 
 
+@pytest.fixture
+def cold_x_pieces():
+    """``_x_pieces`` with an empty cache, before and after the test: a patched
+    libm or ``nextafter`` is then called, and what it returned does not
+    outlive the test."""
+    intervals._x_pieces.cache_clear()
+    yield
+    intervals._x_pieces.cache_clear()
+
+
+def _count_nextafter(monkeypatch, f, *args):
+    """The number of ``nextafter`` calls ``f(*args)`` makes in the kernel."""
+    counted = []
+
+    def counting(a, b):
+        counted.append(a)
+        return math.nextafter(a, b)
+    with monkeypatch.context() as patch:
+        patch.setattr(intervals, "nextafter", counting)
+        f(*args)
+    return len(counted)
+
+
+@pytest.mark.usefixtures("cold_x_pieces")
 class TestEndpointStepCount:
     """An endpoint enclosure's widenings take their ulps in one step each.
 
     Counted, not timed: at x = 0.7 the products, sums and quotients round
-    outward by 22 ``nextafter`` calls (12 for h, 10 for m2), and x < 1/2
-    adds two for ``1 - x``; the four ``_LIBM_ULPS`` widenings of libm
-    results take none.  Taken one step at a time they would add 32.
+    outward by 22 ``nextafter`` calls, 14 for h and ``(1 - x)(1 + x)`` and 8
+    for the rest of m2, and x < 1/2 adds two for ``1 - x``; the four
+    ``_LIBM_ULPS`` widenings of libm results take none.  Taken one step at a
+    time they would add 32.  Once ``_x_pieces`` holds x, only the 8 remain.
     """
 
     @pytest.mark.parametrize("x, calls", [(0.7, 22), (0.3, 24)])
     def test_nextafter_calls_per_enclosure(self, monkeypatch, x, calls):
         enclose = _endpoint_enclosure(FamilyParams.from_t(0.2, 2.0))
-        counted = []
+        assert _count_nextafter(monkeypatch, enclose, x) == calls
 
-        def counting(a, b):
-            counted.append(a)
-            return math.nextafter(a, b)
-        monkeypatch.setattr(intervals, "nextafter", counting)
-        enclose(x)
-        assert len(counted) == calls
+    @pytest.mark.parametrize("x", [0.7, 0.3])
+    def test_nextafter_calls_per_warm_enclosure(self, monkeypatch, x):
+        _endpoint_enclosure(FamilyParams.from_t(0.3, 5.0))(x)
+        enclose = _endpoint_enclosure(FamilyParams.from_t(0.2, 2.0))
+        assert _count_nextafter(monkeypatch, enclose, x) == 8
+
+
+@pytest.mark.usefixtures("cold_x_pieces")
+class TestXPiecesCache:
+    """The x-only pieces of an endpoint are cached per process, within a
+    bound, and a cached endpoint is the enclosure taken without the cache."""
+
+    def test_holds_at_most_its_bound(self):
+        bound = intervals._x_pieces.cache_info().maxsize
+        enclose = _endpoint_enclosure(FamilyParams.from_t(0.2, 2.0))
+        for i in range(1, bound + 200):
+            enclose(i / (bound + 200))
+            assert intervals._x_pieces.cache_info().currsize <= bound
+        assert intervals._x_pieces.cache_info().currsize == bound
+
+    def test_warm_equals_cold(self):
+        rng = random.Random(13)
+        params = _endpoint_params(rng)
+        for x in _endpoint_xs(rng, 2000):
+            p, other = next(params), next(params)
+            intervals._x_pieces.cache_clear()
+            cold = _endpoint_enclosure(p)(x)
+            intervals._x_pieces.cache_clear()
+            _endpoint_enclosure(other)(x)
+            warm = _endpoint_enclosure(p)(x)
+            assert _bits(warm) == _bits(cold), (x, p)
 
 
 class TestOneMinusU:
@@ -247,6 +298,56 @@ class TestTaylorEnclosure:
     def test_zero_endpoint_is_exact(self):
         e = _endpoint_enclosure(FamilyParams.from_t(0.2, 2.0))(0.0)
         assert (e.x, e.h_lo, e.h_hi, e.m2_lo, e.m2_hi) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _kernel_coefficients(params):
+    """The Horner coefficients and tail ends that ``_taylor_enclosure`` sets up."""
+    cells = inspect.getclosurevars(_taylor_enclosure(params)).nonlocals
+    return cells["coefficients"], (cells["tail_lo"], cells["tail_hi"])
+
+
+class TestTaylorEarlyStop:
+    """``_taylor_enclosure`` stops its coefficient loop once ``s u^k / 2`` can
+    no longer move ``c_k``; its coefficients and tail are those of the full
+    loop in ``tests/interval_reference.py``, bit for bit."""
+
+    EDGE_PARAMS = [FamilyParams.from_t(t, s)
+                   for t in (0.0, 1e-300, math.nextafter(0.5, 0.0), 0.5)
+                   for s in (1.0, 50.0, 1e308, _MAX)]
+    # u_lo = 0 below u = 0: u a few subnormals, whose widening reaches 0.
+    EDGE_PARAMS += [FamilyParams.from_u(u, s) for u in (5e-324, 1e-320)
+                    for s in (1.0, 50.0, _MAX)]
+
+    def _assert_equal(self, params):
+        coefficients, tail = _kernel_coefficients(params)
+        ref_coefficients, ref_tail = reference.taylor_coefficients_loop(params)
+        assert [_bits(c) for c in coefficients] == [_bits(c) for c in ref_coefficients], params
+        assert _bits(tail) == _bits(ref_tail), params
+
+    def test_edges(self):
+        for params in self.EDGE_PARAMS:
+            self._assert_equal(params)
+
+    def test_seeded_pairs(self):
+        rng = random.Random(14)
+        for _ in range(2_000):
+            s = 10.0 ** rng.uniform(0.0, 3.0)
+            ts = sharp_thresholds(s)
+            for t in (rng.uniform(0.0, 0.5), ts.p - 10.0 ** rng.uniform(-12.0, -1.0),
+                      ts.q + 10.0 ** rng.uniform(-12.0, -1.0)):
+                self._assert_equal(FamilyParams.from_t(min(max(t, 0.0), 0.5), s))
+
+    def test_stops_early_near_the_cutoffs_above_s_1(self, monkeypatch):
+        # A NaN-marked copy of the widened h pairs shows which c_k the early
+        # stop set: none at s = 1 near the cutoffs, many at s = 5 and 50.
+        monkeypatch.setattr(intervals, "_H_WIDENED",
+                            tuple((math.nan, math.nan) for _ in intervals._H_WIDENED))
+        for s, stopped in ((1.0, False), (5.0, True), (50.0, True)):
+            ts = sharp_thresholds(s)
+            for t in (ts.p - 1e-3, ts.q + 1e-3):
+                coefficients, _ = _kernel_coefficients(FamilyParams.from_t(t, s))
+                marked = sum(math.isnan(c_lo) for c_lo, _ in coefficients)
+                assert (marked > 0) == stopped, (s, t, marked)
 
 
 @st.composite
@@ -369,6 +470,7 @@ def _mp_pieces(params, x):
         return h, mp.mpf(params.s) / 2 * mp.log1p(-u * x * x)
 
 
+@pytest.mark.usefixtures("cold_x_pieces")
 class TestLibmAllowance:
     """Each libm log and log1p result may be off by ``_LIBM_ULPS`` ulps: with
     both shifted that far, up or down, the pieces still hold the truth."""
