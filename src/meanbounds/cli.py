@@ -54,8 +54,8 @@ def __getattr__(name: str):
 
 GRID_ENV_VAR = "MEANBOUNDS_GRID"
 
-# Work is bounded before it starts: a sweep runs 180-200 rows/s on the
-# default grid (2 cores), so the row limit is about a minute, and 1M grid
+# Work is bounded before it starts: a sweep runs about 700 rows/s on the
+# default grid (2 cores), so the row limit is about 15 s, and 1M grid
 # points take about 0.05 s for the first check and 0.01 s for each later
 # check on the same grid.
 _MAX_SWEEP_ROWS = 10_000

@@ -56,6 +56,11 @@ Taylor set-up stops its coefficient loop once ``s u^k / 2`` falls below an
 eighth of the least ulp of ``h``'s coefficients: the full loop would round
 every later ``c_k`` to its ``h`` pair widened one ulp, which is taken from
 a tuple built at import.
+
+:func:`_membership_enclosure` decides ``membership`` from the same
+enclosures of ``u`` and ``1 - u`` wherever float pairs suffice, under the
+same libm assumption; the far steps of ``verify.empirical_threshold`` read
+it in place of a grid check.
 """
 
 from __future__ import annotations
@@ -183,6 +188,42 @@ def _u_enclosure(params: FamilyParams) -> tuple[float, float]:
     """
     lo, hi = _widen(params.u, 4)
     return max(lo, 0.0), min(hi, 1.0)
+
+
+def _membership_enclosure(params: FamilyParams) -> str | None:
+    """:func:`meanbounds.thresholds.membership` of ``params`` from float
+    pairs, or None where they cannot decide it.
+
+    "upper_bound_holds" when ``3 s u``, rounded up from
+    :func:`_u_enclosure`, is < 1.  When it is > 1 rounded down, the
+    enclosure of ``L = 1 - ln 2 + (s/2) ln(1 - u)`` from
+    :func:`_one_minus_u` gives "lower_bound_holds" below 0 and "neither"
+    above.  The logs are libm's widened by ``_LIBM_ULPS``, the kernel's
+    assumption, where ``membership`` needs none.  None within a few ulps
+    of a cutoff, where an enclosure meets its bound, and at ``t = 0``
+    (``1 - u = 0`` has no log) and ``t = 1/2`` (``u = 0``).  ``3 s``
+    overflows for s > 6e307: rounded up it stays inf, which no test
+    passes, and rounded down it is the largest double, still below it.
+    """
+    if params.u == 0.0 or params.one_minus_u == 0.0:
+        return None
+    u_lo, u_hi = _u_enclosure(params)
+    three_s = 3.0 * params.s
+    if nextafter(nextafter(three_s, inf) * u_hi, inf) < 1.0:
+        return "upper_bound_holds"
+    c_lo, c_hi = _one_minus_u(params)
+    if not (nextafter(nextafter(three_s, -inf) * u_lo, -inf) > 1.0 and c_lo > 0.0):
+        return None
+    # L's ends, its product by the point s/2 >= 0 and its sums rounded outward.
+    half_s = 0.5 * params.s
+    ln2_lo, ln2_hi = _widen(_log(2.0), _LIBM_ULPS)
+    l_hi = nextafter(nextafter(1.0 - ln2_lo, inf)
+                     + nextafter(half_s * _widen(_log(c_hi), _LIBM_ULPS)[1], inf), inf)
+    if l_hi < 0.0:
+        return "lower_bound_holds"
+    l_lo = nextafter(nextafter(1.0 - ln2_hi, -inf)
+                     + nextafter(half_s * _widen(_log(c_lo), _LIBM_ULPS)[0], -inf), -inf)
+    return "neither" if l_lo > 0.0 else None
 
 
 # Enclosures of h's series coefficients 1/(2k(2k+1)), k = 1 .. K + 1, which

@@ -20,6 +20,14 @@ honest at machine precision:
   certificates, and calls mpmath only when that enclosure straddles 0.
   A candidate that fails its recheck is a rounding artifact and is
   dropped.
+* A bisection step evaluates no margin where its verdict is forced
+  (:func:`_forced_verdict`).  It holds where float pairs prove the exact
+  side holding, under the kernel's libm assumption (``_LIBM_ULPS``): every
+  candidate would be dropped.  It is violated where the sign rule puts the
+  margin at one grid point below ``-_FAR_T (1 + s)``, a thousandfold any
+  noise floor plus two evaluation errors: that point would be flagged and
+  the least margin confirmed.  Either way the grid check's verdict, when
+  correct, is unchanged, and so is the recovered threshold.
 
 Sign certificates are proved by :func:`meanbounds.intervals.certify_sign`,
 beside the interval kernel they run on; its names, and ``FamilyParams`` and
@@ -39,9 +47,11 @@ from .family import (
     _exp_bound_margin_with_scale,
     _log_ratio_with_scale,
     _lr_with_error_scale,
+    _series_coefficients,
 )
 from .intervals import (
     CertificateNode,
+    _membership_enclosure,
     _node_bounds,
     certificate_leaves,
     certificate_succeeded,
@@ -70,6 +80,9 @@ _EPS = float(np.finfo(float).eps)
 _NOISE_C = 64.0  # multiplier on the rounding-error scale for noise floors
 _RECHECK_DPS = 40  # roughly twice the 16 significant digits of binary64
 _MAX_RECHECKS = 32
+# A bisection step is violated once its margin at one grid point is enclosed
+# below -_FAR_T (1 + s); see _forced_verdict.
+_FAR_T = 1e-9
 
 _SIDES = ("lower", "upper")
 
@@ -390,6 +403,54 @@ def falsify(t: float, s: float, side: str) -> FalsificationResult:
     )
 
 
+def _sentinel(params: FamilyParams, side: str, xs: np.ndarray) -> float:
+    """The grid point of ``xs`` where a failing ``side`` fails by most, about.
+
+    The last point for "lower", whose failure grows toward ``x = 1``.  For
+    "upper", the point nearest the least ``c1 x^2 + c2 x^4`` of the
+    series, at ``x^2 = -c1 / (2 c2)``, when ``c1 < 0 < c2``; else the last.
+    """
+    if side == "upper":
+        c1, c2 = _series_coefficients(params)[:2]
+        if c1 < 0.0 < c2:
+            x = math.sqrt(-c1 / (2.0 * c2))
+            k = int(xs.searchsorted(x))
+            if k < xs.size:
+                return float(xs[k - 1] if k and x - xs[k - 1] < xs[k] - x else xs[k])
+    return float(xs[-1])
+
+
+def _forced_verdict(params: FamilyParams, side: str, xs: np.ndarray) -> str | None:
+    """The grid verdict of a bisection step on ``xs`` where it is forced,
+    else None; in O(1), before any margin is evaluated.
+
+    * "holds_on_grid" where :func:`meanbounds.intervals._membership_enclosure`
+      finds the exact ``side`` holding.  Every candidate of the grid check
+      is then a rounding artifact, with a true margin > 0, and its recheck,
+      the sign rule with mpmath on a straddle, drops it.
+    * "violated" where the sign rule, :func:`meanbounds.intervals._node_bounds`
+      at ``[x, x]``, encloses the margin at :func:`_sentinel` ``x`` below
+      ``-T``, ``T = _FAR_T (1 + s)``.  A noise floor is at most
+      ``64 eps 4 (2 + 13.5 s) < 7.7e-13 (1 + s)`` (``|m2| <= 13.5 s`` up to
+      ``EVAL_LIMIT``), and an evaluation error at most ``eps`` times the
+      same scale plus the omitted ``(s/2)``-fold rounding of ``1 - u x^2``,
+      under ``1.3e-14 (1 + s)``: ``T`` exceeds a floor plus two errors a
+      thousandfold.  So the grid check flags ``x``, its least-margin
+      candidate has a true margin below 0, and that recheck confirms it.
+
+    Either way the grid check would return the same verdict, as long as it
+    returns the correct one, so the bisection ends on the same double.
+    """
+    if _membership_enclosure(params) == f"{side}_bound_holds":
+        return "holds_on_grid"
+    x = _sentinel(params, side, xs)
+    _, bound_lo, bound_hi = _node_bounds(params)(x, x)
+    # The lower side's margin is minus the log-ratio, the upper side's itself.
+    if (bound_lo if side == "lower" else -bound_hi) > _FAR_T * (1.0 + params.s):
+        return "violated"
+    return None
+
+
 def empirical_threshold(
     s: float,
     side: str,
@@ -399,13 +460,19 @@ def empirical_threshold(
     """Recover the sharp cutoff in ``t`` by bisection on the grid verdict.
 
     Bisects ``t`` over [0, 1/2] with the verdict of
-    ``verify_family_inequality`` as the predicate.  All steps share the
-    grid and the t-independent pieces of the log-ratio, which the next
-    check on the same grid reuses too, and a step rechecks its candidates
-    by interval enclosure, with mpmath only where the enclosure cannot
-    decide.  The result carries a one-sided bias
-    of the order of the grid's endpoint resolution (far below ``tol`` for
-    the default grid).
+    ``verify_family_inequality`` as the predicate.  A step far from the
+    cutoff takes its verdict in O(1) from :func:`_forced_verdict`: from
+    float pairs where the exact side holds (under the kernel's libm
+    assumption, ``_LIBM_ULPS``), and from the sign rule at one grid point
+    where the margin there lies below ``-_FAR_T (1 + s)``, far past any
+    floor plus the evaluation error.  Both give the grid check's own
+    verdict whenever that verdict is correct, so the threshold does not
+    move.  The other steps run the grid check.  They share the grid and
+    the t-independent pieces of the log-ratio, which the next check on the
+    same grid reuses too, and recheck their candidates by interval
+    enclosure, with mpmath only where the enclosure cannot decide.  The
+    result carries a one-sided bias of the order of the grid's endpoint
+    resolution (far below ``tol`` for the default grid).
     """
     _check_side(side)
     s = float(s)
@@ -419,9 +486,11 @@ def empirical_threshold(
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        side_at_mid = _family_side(mid, s, side, pieces, verdict_only=True)
-        report = _run_grid_check(xs, [side_at_mid], {})[0]
-        if (report.verdict == "holds_on_grid") == (side == "lower"):
+        verdict = _forced_verdict(FamilyParams.from_t(mid, s), side, xs)
+        if verdict is None:
+            side_at_mid = _family_side(mid, s, side, pieces, verdict_only=True)
+            verdict = _run_grid_check(xs, [side_at_mid], {})[0].verdict
+        if (verdict == "holds_on_grid") == (side == "lower"):
             lo = mid
         else:
             hi = mid

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from meanbounds import (
     sharp_thresholds,
 )
 from meanbounds import thresholds
+from meanbounds.intervals import _membership_enclosure
 
 from oracles import membership_class
 
@@ -146,6 +149,62 @@ class TestMembershipExact:
             assert iv.prec == 123
         finally:
             iv.prec = saved
+
+
+def _enclosed(t, s):
+    return _membership_enclosure(FamilyParams.from_t(t, s))
+
+
+class TestMembershipEnclosure:
+    """The float-pair twin of ``membership`` that decides far bisection
+    steps: it may leave a double undecided, never decide it wrongly."""
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.7, 5.0, 10.0, 20.0, 50.0])
+    def test_agrees_near_cutoffs(self, s):
+        ts = sharp_thresholds(s)
+        decided = 0
+        for cutoff in (ts.p, ts.q):
+            for t in ulps_around(cutoff, 64):
+                got = _enclosed(t, s)
+                if got is not None:
+                    decided += 1
+                    assert got == membership(t, s), (s, t.hex())
+        # At most some 35 doubles around p and 12 around q are left open.
+        assert decided > 180, decided
+
+    def test_agrees_at_random_points(self):
+        rng = random.Random(24)
+        for _ in range(2000):
+            top = sys.float_info.max if rng.random() < 0.1 else 1e4
+            s = math.exp(rng.uniform(0.0, math.log(top)))
+            t = rng.uniform(0.0, 0.5)
+            got = _enclosed(t, s)
+            assert got is None or got == membership(t, s), (t, s)
+
+    def test_decides_away_from_cutoffs(self):
+        rng = random.Random(25)
+        for _ in range(3000):
+            s = math.exp(rng.uniform(0.0, math.log(1e4)))
+            ts = sharp_thresholds(s)
+            cutoff = rng.choice((ts.p, ts.q))
+            t = cutoff * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 0.0))
+            if not 0.0 < t < 0.5 or min(abs(t - c) / c for c in (ts.p, ts.q)) < 1e-12:
+                continue
+            assert _enclosed(t, s) is not None, (t, s)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 1e300, sys.float_info.max])
+    def test_leaves_t_zero_and_half_undecided(self, s):
+        # At t = 0, 1 - u = 0 has no log; at t = 1/2, u = 0.
+        assert _enclosed(0.0, s) is None
+        assert _enclosed(0.5, s) is None
+
+    def test_largest_s_neither_raises_nor_guesses(self):
+        # 3 s overflows; every t in (0, 1/2) lies below p.
+        s = sys.float_info.max
+        for t in (5e-324, 1e-300, 1e-10, 0.1, 0.25, 0.4, 0.5 - 2.0 ** -40,
+                  math.nextafter(0.5, 0.0)):
+            got = _enclosed(t, s)
+            assert got is None or got == membership(t, s) == "lower_bound_holds", t
 
 
 class TestExponentialConstants:

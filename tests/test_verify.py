@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +31,7 @@ from meanbounds import (
 from meanbounds import verify
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import TAYLOR_X0
+from meanbounds.thresholds import EVAL_LIMIT
 from meanbounds.verify import _EPS, _NOISE_C, CertificateNode, FalsificationResult
 from interval_reference import enclose_log_ratio as reference_enclosure
 from interval_reference import taylor_enclosure as reference_taylor
@@ -365,6 +367,122 @@ class TestEnclosureRecheck:
         report = verify_family_inequality(0.25, 2.0, "lower", SMALL_GRID)
         w = report.witness
         assert w.margin_recheck == verify._mp_family_margin(0.25, 2.0, "lower", w.x)
+
+
+_FORCED_GRIDS = (None, GridSpec(count=512), GridSpec(count=2000, spacing="uniform"),
+                 GridSpec(count=64, x_min=1e-6, x_max=0.3),
+                 GridSpec(count=64, x_min=0.6, x_max=EVAL_LIMIT))
+
+
+def _forced_cases(rng, count):
+    """``count`` seeded ``(t, s, side)``: ``s`` log-uniform on [1, 1e4], one
+    in ten on [1e4, DBL_MAX]; ``t`` 1e-9 to 0.3 (log-uniform) from ``p`` or
+    ``q``, on whichever side stays inside (0, 1/2)."""
+    cases = []
+    while len(cases) < count:
+        top = sys.float_info.max if rng.random() < 0.1 else 1e4
+        s = math.exp(rng.uniform(0.0 if top == 1e4 else math.log(1e4), math.log(top)))
+        ts = sharp_thresholds(s)
+        step = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, math.log10(0.3))
+        cutoff = rng.choice((ts.p, ts.q))
+        for t in (cutoff + step, cutoff - step):
+            if 0.0 < t < 0.5:
+                cases.append((t, s, rng.choice(("lower", "upper"))))
+                break
+    return cases
+
+
+class TestForcedVerdict:
+    """A bisection step decided without the grid takes the grid's verdict."""
+
+    def test_equals_the_grid_check_wherever_it_decides(self):
+        rng = random.Random(2024)
+        decided = {"holds_on_grid": 0, "violated": 0}
+        for grid in _FORCED_GRIDS:
+            xs, pieces, _ = verify._grid(grid)
+            for t, s, side in _forced_cases(rng, 1000):
+                forced = verify._forced_verdict(FamilyParams.from_t(t, s), side, xs)
+                if forced is None:
+                    continue
+                decided[forced] += 1
+                report = verify._run_grid_check(
+                    xs, [verify._family_side(t, s, side, pieces, verdict_only=True)], {})[0]
+                assert forced == report.verdict, (grid, t, s, side)
+        # Both rules carry weight: about a third and a half of the 5,000.
+        assert min(decided.values()) > 1000, decided
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("grid", [None, GridSpec(count=512)])
+    def test_failing_rule_starts_past_the_noise_floor(self, s, side, grid):
+        # Random t almost never lands where the sentinel's margin is just
+        # past -_FAR_T (1 + s): find that edge by bisection in t and check
+        # the grid verdicts there.  A _FAR_T inside the floor fails here.
+        xs, pieces, _ = verify._grid(grid)
+        ts = sharp_thresholds(s)
+        cutoff = ts.p if side == "lower" else ts.q
+        near, far = cutoff, (ts.p + 0.05 if side == "lower" else ts.q - 0.2 * (ts.q - ts.p))
+
+        def forced(t):
+            return verify._forced_verdict(FamilyParams.from_t(t, s), side, xs)
+
+        assert forced(far) == "violated"
+        for _ in range(60):
+            mid = 0.5 * (near + far)
+            near, far = (near, mid) if forced(mid) == "violated" else (mid, far)
+        for k in range(4):
+            t = far + k * 1e-6 * (far - cutoff)
+            report = verify._run_grid_check(
+                xs, [verify._family_side(t, s, side, pieces, verdict_only=True)], {})[0]
+            assert forced(t) in (None, report.verdict), (t, k)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
+    def test_sweep_row_runs_few_grid_checks(self, s, monkeypatch):
+        # A sweep row ran 40 grid checks when every bisection step ran one.
+        calls = []
+        run = verify._run_grid_check
+
+        def counting(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(verify, "_run_grid_check", counting)
+        ts = sharp_thresholds(s)
+        empirical_threshold(s, "lower")
+        empirical_threshold(s, "upper")
+        verify_family_inequality(ts.p, s, "lower")
+        verify_family_inequality(ts.q, s, "upper")
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    @pytest.mark.parametrize("s", [1.0, sys.float_info.max])
+    def test_holding_rule_leaves_t_zero_and_half_to_the_grid(self, t, s):
+        # Neither end is a bisection midpoint.  Only the sign rule at the
+        # sentinel may decide there, and only a side that fails.
+        xs = verify._grid(None)[0]
+        for side in ("lower", "upper"):
+            params = FamilyParams.from_t(t, s)
+            forced = verify._forced_verdict(params, side, xs)
+            assert forced in (None, "violated")
+            if forced:
+                assert membership(t, s) != f"{side}_bound_holds"
+
+
+class TestEmpiricalThresholdEdgeIdentity:
+    """Far steps decided without the grid leave the threshold at the
+    reference bisection's double on sparse and narrow grids, at huge s."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize("s", [1e6, 1e300, sys.float_info.max])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("grid", [GridSpec(count=2),
+                                      GridSpec(count=3, spacing="uniform"),
+                                      GridSpec(count=50, x_min=0.4, x_max=0.45),
+                                      GridSpec(count=50, x_min=1e-9, x_max=1e-3),
+                                      GridSpec(count=50, x_min=0.9, x_max=0.999)])
+    def test_equals_reference_bisection(self, tol, s, side, grid):
+        assert empirical_threshold(s, side, grid, tol=tol) \
+            == _reference_threshold(s, side, grid, tol)
 
 
 _CACHE_SPECS = (GridSpec(), GridSpec(count=512),
