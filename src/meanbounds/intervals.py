@@ -59,8 +59,8 @@ a tuple built at import.
 
 :func:`_membership_enclosure` decides ``membership`` from the same
 enclosures of ``u`` and ``1 - u`` wherever float pairs suffice, under the
-same libm assumption; the far steps of ``verify.empirical_threshold`` read
-it in place of a grid check.
+same libm assumption; the bisection steps of ``verify.empirical_threshold``
+read it in place of a grid check.
 """
 
 from __future__ import annotations

@@ -24,10 +24,14 @@ honest at machine precision:
   (:func:`_forced_verdict`).  It holds where float pairs prove the exact
   side holding, under the kernel's libm assumption (``_LIBM_ULPS``): every
   candidate would be dropped.  It is violated where the sign rule puts the
-  margin at one grid point below ``-_FAR_T (1 + s)``, a thousandfold any
-  noise floor plus two evaluation errors: that point would be flagged and
-  the least margin confirmed.  Either way the grid check's verdict, when
-  correct, is unchanged, and so is the recovered threshold.
+  margin at one grid point ``x`` below ``-T(x, s)``, eight times the sum of
+  the noise floor and the evaluation error there and the grid's largest
+  evaluation error, each bounded over every ``t``: that point would be
+  flagged and the least margin confirmed.  Either way the grid check's
+  verdict, when correct, is unchanged, and so is the recovered threshold.
+  Both verdicts carry over in ``t``, away from the cutoff: a bisection
+  decides two probes beside the closed-form cutoff first, and every step
+  past a decided probe takes its verdict.
 
 Sign certificates are proved by :func:`meanbounds.intervals.certify_sign`,
 beside the interval kernel they run on; its names, and ``FamilyParams`` and
@@ -43,6 +47,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .family import (
+    SERIES_CROSSOVER,
     _Pieces,
     _exp_bound_margin_with_scale,
     _log_ratio_with_scale,
@@ -57,7 +62,7 @@ from .intervals import (
     certificate_succeeded,
     certify_sign,
 )
-from .thresholds import EVAL_LIMIT, FamilyParams, membership
+from .thresholds import EVAL_LIMIT, FamilyParams, membership, sharp_thresholds
 
 __all__ = [
     "GridSpec",
@@ -80,9 +85,15 @@ _EPS = float(np.finfo(float).eps)
 _NOISE_C = 64.0  # multiplier on the rounding-error scale for noise floors
 _RECHECK_DPS = 40  # roughly twice the 16 significant digits of binary64
 _MAX_RECHECKS = 32
-# A bisection step is violated once its margin at one grid point is enclosed
-# below -_FAR_T (1 + s); see _forced_verdict.
-_FAR_T = 1e-9
+# A bisection step is violated once its margin at one grid point x is
+# enclosed below -T(x, s), this factor times a floor plus two evaluation
+# errors; see _failing_bound.
+_FAIL_SAFETY = 8.0
+# The bisection's probes beside the closed-form cutoff, relative to it: one
+# inside, where the side holds, and the first of these outside that the
+# failing rule decides.
+_HOLD_PROBE = 1e-12
+_FAIL_PROBES = (1e-7, 1e-6, 1e-5)
 
 _SIDES = ("lower", "upper")
 
@@ -373,6 +384,15 @@ _FALSIFY_LOWER_LADDER = tuple(1.0 - 10.0 ** (-k) for k in range(3, 13))
 _FALSIFY_UPPER_LADDER = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 2e-2, 5e-2)
 
 
+@lru_cache(maxsize=None)
+def _ladder(side: str) -> tuple[np.ndarray, _Pieces]:
+    """Read-only points of ``side``'s search ladder and their pieces, built
+    once per process."""
+    xs = np.array(_FALSIFY_LOWER_LADDER if side == "lower" else _FALSIFY_UPPER_LADDER)
+    xs.flags.writeable = False
+    return xs, _Pieces(xs)
+
+
 def falsify(t: float, s: float, side: str) -> FalsificationResult:
     """Search for a concrete gap where the inequality at ``(t, s)`` reverses.
 
@@ -385,10 +405,8 @@ def falsify(t: float, s: float, side: str) -> FalsificationResult:
     """
     _check_side(side)
     t, s = float(t), float(s)
-    ladder = _FALSIFY_LOWER_LADDER if side == "lower" else _FALSIFY_UPPER_LADDER
-    xs = np.asarray(ladder)
-    report, rechecks = _run_grid_check(
-        xs, [_family_side(t, s, side, _Pieces(xs))], {})
+    xs, pieces = _ladder(side)
+    report, rechecks = _run_grid_check(xs, [_family_side(t, s, side, pieces)], {})
     if report.witness is not None:
         return FalsificationResult(found=True, witness=report.witness,
                                    attempts=rechecks, note="")
@@ -396,7 +414,7 @@ def falsify(t: float, s: float, side: str) -> FalsificationResult:
         raise ValueError(f"the {side} side holds at t = {t}, s = {s}; "
                          "nothing to falsify")
     return FalsificationResult(
-        found=False, witness=None, attempts=len(ladder),
+        found=False, witness=None, attempts=xs.size,
         note="no grid point on the search ladder crossed its noise floor "
              "and survived the extended-precision recheck; the margin is "
              "below the double-precision resolution at these parameters",
@@ -420,6 +438,55 @@ def _sentinel(params: FamilyParams, side: str, xs: np.ndarray) -> float:
     return float(xs[-1])
 
 
+def _scale_bound(x: float) -> tuple[float, float]:
+    """``(a, b)`` such that the log-ratio's error scale at the grid point
+    ``x`` is at most ``a + s b`` for every ``t``.
+
+    On the series points the scale is ``x^2 (1 + 3su) / 3 <= x^2 / 3 +
+    s x^2``; on the direct points it is ``4 (2 + |m2|)``, with ``|m2| = (s/2)
+    |ln(1 - u x^2)| <= (s/2) |ln(1 - x^2)|``, since ``u <= 1``.
+    """
+    if x < SERIES_CROSSOVER:
+        w = x * x
+        return w / 3.0, w
+    return 8.0, -2.0 * math.log((1.0 - x) * (1.0 + x))
+
+
+def _failing_bound(x: float, s: float, xs: np.ndarray) -> float:
+    """``T(x, s)``: the failing rule's bound at the grid point ``x`` of ``xs``,
+    the same for every ``t``.
+
+    The grid check at ``t`` flags a grid point ``y`` whose computed margin
+    lies below its floor ``64 eps S(y)``, ``S`` the error scale of
+    :func:`meanbounds.family._log_ratio_with_scale`, and the computed margin
+    lies within ``E(y) = eps (S(y) + 1.5 s)`` of the exact one: ``S``
+    covers ``h`` and the log in ``m2``, and ``1.5 s eps`` the ``(s/2)``-fold
+    rounding of ``1 - u x^2``, which ``S`` omits (that positive sum is off
+    by about 2.5 eps relative, so its log by as much absolute).  By
+    :func:`_scale_bound`, ``S(y) <= a(y) + s b(y)`` for every ``t``, a bound
+    that grows with ``y``, so ``E``'s bound is largest at the last grid
+    point.  With ``S`` and ``E`` at their bounds,
+
+        T = 8 (64 eps S(x) + E(x) + E(xs[-1])),
+
+    where the factor 8 is the margin of safety, which also covers the
+    rounding of the bounds themselves.  If the exact margin at ``x`` lies
+    below ``-T``, the computed one lies below ``-T + E(x)``, under the
+    floor, so ``x`` is a candidate.  The least computed margin is no
+    larger, so the exact margin at its point lies below ``-T + E(x) +
+    E(xs[-1]) < 0``, and its recheck, the first, confirms it.  ``T`` is
+    formed as ``A + s B`` with ``B`` far below 1, so it stays finite up to
+    the largest double ``s``.
+    """
+    a, b = _scale_bound(x)
+    a_last, b_last = _scale_bound(float(xs[-1]))
+    k = _FAIL_SAFETY * _EPS
+    floor_and_error = _NOISE_C + 1.0
+    # 3 s: the 1.5 s of E(x) and of E(xs[-1]).
+    return (k * (floor_and_error * a + a_last)
+            + s * (k * (floor_and_error * b + b_last + 3.0)))
+
+
 def _forced_verdict(params: FamilyParams, side: str, xs: np.ndarray) -> str | None:
     """The grid verdict of a bisection step on ``xs`` where it is forced,
     else None; in O(1), before any margin is evaluated.
@@ -430,13 +497,9 @@ def _forced_verdict(params: FamilyParams, side: str, xs: np.ndarray) -> str | No
       the sign rule with mpmath on a straddle, drops it.
     * "violated" where the sign rule, :func:`meanbounds.intervals._node_bounds`
       at ``[x, x]``, encloses the margin at :func:`_sentinel` ``x`` below
-      ``-T``, ``T = _FAR_T (1 + s)``.  A noise floor is at most
-      ``64 eps 4 (2 + 13.5 s) < 7.7e-13 (1 + s)`` (``|m2| <= 13.5 s`` up to
-      ``EVAL_LIMIT``), and an evaluation error at most ``eps`` times the
-      same scale plus the omitted ``(s/2)``-fold rounding of ``1 - u x^2``,
-      under ``1.3e-14 (1 + s)``: ``T`` exceeds a floor plus two errors a
-      thousandfold.  So the grid check flags ``x``, its least-margin
-      candidate has a true margin below 0, and that recheck confirms it.
+      ``-T(x, s)`` of :func:`_failing_bound`: the grid check flags ``x``,
+      its least-margin candidate has a true margin below 0, and that
+      recheck confirms it.
 
     Either way the grid check would return the same verdict, as long as it
     returns the correct one, so the bisection ends on the same double.
@@ -446,9 +509,38 @@ def _forced_verdict(params: FamilyParams, side: str, xs: np.ndarray) -> str | No
     x = _sentinel(params, side, xs)
     _, bound_lo, bound_hi = _node_bounds(params)(x, x)
     # The lower side's margin is minus the log-ratio, the upper side's itself.
-    if (bound_lo if side == "lower" else -bound_hi) > _FAR_T * (1.0 + params.s):
+    if (bound_lo if side == "lower" else -bound_hi) > _failing_bound(x, params.s, xs):
         return "violated"
     return None
+
+
+def _probes(s: float, side: str, xs: np.ndarray) -> tuple[float, float]:
+    """The bisection's decided probes beside the closed-form cutoff of
+    ``side``, on the axis ``out * t`` along which the side fails (``out`` 1
+    for "lower", -1 for "upper").
+
+    Returns ``(holds_to, fails_from)``: a step at ``t`` holds on the grid
+    where ``out * t <= holds_to`` and is violated where ``out * t >=
+    fails_from``, by :func:`empirical_threshold`'s argument; -inf and inf
+    where a probe leaves (0, 1/2) or :func:`_forced_verdict` does not decide
+    it.
+    """
+    ts = sharp_thresholds(s)
+    out, cutoff = (1.0, ts.p) if side == "lower" else (-1.0, ts.q)
+    holds_to, fails_from = -math.inf, math.inf
+
+    def decides(t: float, verdict: str) -> bool:
+        return 0.0 < t < 0.5 and _forced_verdict(FamilyParams.from_t(t, s), side, xs) == verdict
+
+    probe = cutoff * (1.0 - out * _HOLD_PROBE)
+    if decides(probe, "holds_on_grid"):
+        holds_to = out * probe
+    for rel in _FAIL_PROBES:
+        probe = cutoff * (1.0 + out * rel)
+        if decides(probe, "violated"):
+            fails_from = out * probe
+            break
+    return holds_to, fails_from
 
 
 def empirical_threshold(
@@ -460,19 +552,33 @@ def empirical_threshold(
     """Recover the sharp cutoff in ``t`` by bisection on the grid verdict.
 
     Bisects ``t`` over [0, 1/2] with the verdict of
-    ``verify_family_inequality`` as the predicate.  A step far from the
-    cutoff takes its verdict in O(1) from :func:`_forced_verdict`: from
-    float pairs where the exact side holds (under the kernel's libm
-    assumption, ``_LIBM_ULPS``), and from the sign rule at one grid point
-    where the margin there lies below ``-_FAR_T (1 + s)``, far past any
-    floor plus the evaluation error.  Both give the grid check's own
-    verdict whenever that verdict is correct, so the threshold does not
-    move.  The other steps run the grid check.  They share the grid and
-    the t-independent pieces of the log-ratio, which the next check on the
-    same grid reuses too, and recheck their candidates by interval
-    enclosure, with mpmath only where the enclosure cannot decide.  The
-    result carries a one-sided bias of the order of the grid's endpoint
-    resolution (far below ``tol`` for the default grid).
+    ``verify_family_inequality`` as the predicate, and takes the forced
+    verdicts of :func:`_forced_verdict` where it can, which give the grid
+    check's own verdict whenever that verdict is correct, so the threshold
+    does not move:
+
+    * First two probes beside ``sharp_thresholds(s)``'s cutoff: one
+      ``1e-12`` relative inside it, decided where float pairs prove the
+      exact side holding (under the kernel's libm assumption,
+      ``_LIBM_ULPS``), and the first of ``1e-7``, ``1e-6``, ``1e-5``
+      relative outside it that the sign rule decides failing, at one grid
+      point ``x``.
+    * A step past a decided probe takes its verdict and evaluates nothing.
+      Both rules carry over in ``t``, away from the cutoff: the exact
+      criterion (``3su <= 1`` for "upper", ``3su > 1`` and ``L <= 0`` for
+      "lower") holds on the inner side of a point where it holds, and the
+      exact margin at ``x`` only falls farther out, while the failing
+      rule's bound ``T(x, s)`` is the same for every ``t``.
+    * A step between the probes asks :func:`_forced_verdict` at its own
+      ``t``, and runs the grid check when that is None.  Those checks share
+      the grid and the t-independent pieces of the log-ratio, which the
+      next check on the same grid reuses too, and recheck their candidates
+      by interval enclosure, with mpmath only where the enclosure cannot
+      decide.
+
+    The bisection's midpoints are its own, so the result is the same
+    double.  It carries a one-sided bias of the order of the grid's
+    endpoint resolution (far below ``tol`` for the default grid).
     """
     _check_side(side)
     s = float(s)
@@ -481,15 +587,23 @@ def empirical_threshold(
         raise ValueError(f"tol must be finite and >= 1e-8, got {tol}")
 
     xs, pieces, _ = _grid(grid)
-    # The check holds on [0, p] for "lower" and on [q, 1/2] for "upper":
-    # a verdict that agrees with the side puts mid left of the cutoff.
+    # The check holds on [0, p] for "lower" and on [q, 1/2] for "upper", and
+    # fails along out * t: a verdict that agrees with the side puts mid left
+    # of the cutoff.
+    out = 1.0 if side == "lower" else -1.0
+    holds_to, fails_from = _probes(s, side, xs)
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        verdict = _forced_verdict(FamilyParams.from_t(mid, s), side, xs)
-        if verdict is None:
-            side_at_mid = _family_side(mid, s, side, pieces, verdict_only=True)
-            verdict = _run_grid_check(xs, [side_at_mid], {})[0].verdict
+        if out * mid <= holds_to:
+            verdict = "holds_on_grid"
+        elif out * mid >= fails_from:
+            verdict = "violated"
+        else:
+            verdict = _forced_verdict(FamilyParams.from_t(mid, s), side, xs)
+            if verdict is None:
+                side_at_mid = _family_side(mid, s, side, pieces, verdict_only=True)
+                verdict = _run_grid_check(xs, [side_at_mid], {})[0].verdict
         if (verdict == "holds_on_grid") == (side == "lower"):
             lo = mid
         else:

@@ -208,6 +208,17 @@ class TestFalsify:
         assert result.witness is None
         assert "precision" in result.note or "resolution" in result.note
 
+    def test_ladders_are_built_once(self, monkeypatch):
+        first = [verify._ladder(side) for side in ("lower", "upper")]
+
+        def rebuilt(xs):
+            raise AssertionError("a ladder's pieces were built again")
+
+        monkeypatch.setattr(verify, "_Pieces", rebuilt)
+        assert falsify(0.3, 2.0, "lower").found and falsify(0.2, 2.0, "upper").found
+        for side, (xs, pieces) in zip(("lower", "upper"), first):
+            assert verify._ladder(side)[1] is pieces and not xs.flags.writeable
+
     def test_attempts_count_rechecks_when_found(self):
         ts = sharp_thresholds(1.0)
         assert falsify(ts.p + 1e-2, 1.0, "lower").attempts == 1
@@ -416,8 +427,9 @@ class TestForcedVerdict:
     @pytest.mark.parametrize("grid", [None, GridSpec(count=512)])
     def test_failing_rule_starts_past_the_noise_floor(self, s, side, grid):
         # Random t almost never lands where the sentinel's margin is just
-        # past -_FAR_T (1 + s): find that edge by bisection in t and check
-        # the grid verdicts there.  A _FAR_T inside the floor fails here.
+        # past -T(x, s) (verify._failing_bound): find that edge by bisection
+        # in t and check the grid verdicts there.  A T inside the floor fails
+        # here.
         xs, pieces, _ = verify._grid(grid)
         ts = sharp_thresholds(s)
         cutoff = ts.p if side == "lower" else ts.q
@@ -452,7 +464,32 @@ class TestForcedVerdict:
         empirical_threshold(s, "upper")
         verify_family_inequality(ts.p, s, "lower")
         verify_family_inequality(ts.q, s, "upper")
-        assert len(calls) <= 12
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
+    def test_sweep_row_asks_few_forced_verdicts(self, s, monkeypatch):
+        # Every step asked _forced_verdict, 38 a row, before the probes.
+        calls = []
+        forced = verify._forced_verdict
+
+        def counting(*args):
+            calls.append(args)
+            return forced(*args)
+
+        monkeypatch.setattr(verify, "_forced_verdict", counting)
+        empirical_threshold(s, "lower")
+        empirical_threshold(s, "upper")
+        assert len(calls) <= 10
+
+    @pytest.mark.filterwarnings("error")
+    def test_failing_rule_stays_finite_at_the_largest_s(self):
+        # T(x, s) = s * (eps * c) keeps a verdict that s * eps * c, inf here,
+        # would lose.
+        s = sys.float_info.max
+        xs = verify._grid(None)[0]
+        t = 0.9 * sharp_thresholds(s).q
+        assert verify._forced_verdict(FamilyParams.from_t(t, s), "upper", xs) == "violated"
+        assert math.isfinite(verify._failing_bound(float(xs[-1]), s, xs))
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     @pytest.mark.parametrize("s", [1.0, sys.float_info.max])
@@ -475,7 +512,7 @@ class TestEmpiricalThresholdEdgeIdentity:
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     @pytest.mark.parametrize("s", [1e6, 1e300, sys.float_info.max])
     @pytest.mark.parametrize("side", ["lower", "upper"])
-    @pytest.mark.parametrize("grid", [GridSpec(count=2),
+    @pytest.mark.parametrize("grid", [None, GridSpec(count=2),
                                       GridSpec(count=3, spacing="uniform"),
                                       GridSpec(count=50, x_min=0.4, x_max=0.45),
                                       GridSpec(count=50, x_min=1e-9, x_max=1e-3),
@@ -483,6 +520,59 @@ class TestEmpiricalThresholdEdgeIdentity:
     def test_equals_reference_bisection(self, tol, s, side, grid):
         assert empirical_threshold(s, side, grid, tol=tol) \
             == _reference_threshold(s, side, grid, tol)
+
+
+def _bisection_mids(threshold, tol):
+    """The midpoints of the bisection over [0, 1/2] that ended on ``threshold``."""
+    lo, hi = 0.0, 0.5
+    mids = []
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        lo, hi = (mid, hi) if mid < threshold else (lo, mid)
+    assert 0.5 * (lo + hi) == threshold
+    return mids
+
+
+class TestProbes:
+    """A bisection step past a decided probe takes the grid's verdict."""
+
+    def test_steps_past_a_probe_equal_the_grid_check(self):
+        rng = random.Random(2025)
+        decided = {"holds_on_grid": 0, "violated": 0}
+        for grid in _FORCED_GRIDS:
+            xs, pieces, _ = verify._grid(grid)
+            for k in range(12):
+                # s log-uniform on [1, 1e4], one in four on [1e4, DBL_MAX].
+                lo, hi = (1e4, sys.float_info.max) if k % 4 == 3 else (1.0, 1e4)
+                s = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                for side in ("lower", "upper"):
+                    out = 1.0 if side == "lower" else -1.0
+                    holds_to, fails_from = verify._probes(s, side, xs)
+                    ts = _bisection_mids(empirical_threshold(s, side, grid), 1e-6)
+                    # Each decided probe and points just past it: inward of
+                    # the holding one, outward of the failing one.
+                    for edge, away in ((holds_to, -out), (fails_from, out)):
+                        if math.isfinite(edge):
+                            probe = out * edge
+                            ts += [probe] + [probe * (1.0 + away * 10.0 ** -e)
+                                             for e in (14, 11, 8)]
+                    for t in ts:
+                        if not 0.0 < t < 0.5:
+                            continue
+                        if out * t <= holds_to:
+                            want = "holds_on_grid"
+                        elif out * t >= fails_from:
+                            want = "violated"
+                        else:
+                            continue
+                        decided[want] += 1
+                        report = verify._run_grid_check(
+                            xs, [verify._family_side(t, s, side, pieces, verdict_only=True)],
+                            {})[0]
+                        assert report.verdict == want, (grid, t, s, side)
+        # About 1,100 held and 1,300 violated of the steps checked.
+        assert min(decided.values()) > 1000, decided
 
 
 _CACHE_SPECS = (GridSpec(), GridSpec(count=512),
