@@ -58,11 +58,11 @@ def _validate_x(arr: np.ndarray) -> None:
 
 
 def _evaluate(x, fn, validate=_validate_x):
-    """``fn`` applied to the validated ``x``: a float for a scalar, else an array."""
+    """``fn`` on the validated, flattened ``x``: a float for a scalar, else ``x``'s shape."""
     arr = np.asarray(x, dtype=float)
     validate(arr)
-    out = fn(np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
+    out = fn(arr.ravel())
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _split(x: np.ndarray):

@@ -49,13 +49,13 @@ for the nodes of a certificate and, at ``[x, x]``, a bisection's rechecks.
 What depends on neither ``t`` nor ``s`` is enclosed once per process, and
 no bound moves by a bit for it.  :func:`_x_pieces` encloses ``h(x)`` and
 ``(1 - x)(1 + x)`` at an endpoint under an ``lru_cache`` of at most 1024
-entries (a certificate run meets a few dozen distinct endpoints, a sweep
-a few hundred), so an endpoint enclosure pays only for ``m2``; the cache
-returns the doubles that the same operations gave the first time.  The
-Taylor set-up stops its coefficient loop once ``s u^k / 2`` falls below an
-eighth of the least ulp of ``h``'s coefficients: the full loop would round
-every later ``c_k`` to its ``h`` pair widened one ulp, which is taken from
-a tuple built at import.
+entries (a certificate meets a few distinct endpoints, the bisections of a
+thousand sweep rows one), so an endpoint enclosure pays only for ``m2``;
+the cache returns the doubles that the same operations gave the first
+time.  The Taylor set-up stops its coefficient loop once ``s u^k / 2``
+falls below an eighth of the least ulp of ``h``'s coefficients: the full
+loop would round every later ``c_k`` to its ``h`` pair widened one ulp,
+which is taken from a tuple built at import.
 
 :func:`_membership_enclosure` decides ``membership`` from the same
 enclosures of ``u`` and ``1 - u`` wherever float pairs suffice, under the

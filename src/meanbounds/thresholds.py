@@ -92,8 +92,10 @@ class ThresholdSet:
     """Sharp cutoffs for one value of ``s``.
 
     ``p`` ends the interval of t-values whose mean stays below the
-    identric mean; ``q`` starts the interval staying above.  Always
-    ``0 < p < q < 1/2``.
+    identric mean; ``q`` starts the interval staying above.  The exact
+    cutoffs satisfy ``0 < p < q < 1/2``, their doubles ``0 < p <= q <=
+    1/2``: they round to one double from ``s ~ 4.1e30``, and to 1/2 from
+    ``s ~ 1.1e32`` (``q``) and ``s ~ 2e32`` (``p``).
     """
 
     s: float

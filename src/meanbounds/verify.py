@@ -12,13 +12,13 @@ honest at machine precision:
   floor is indistinguishable from zero; it is clamped rather than being
   promoted to a counterexample, so parameters sitting exactly on a sharp
   threshold report ``holds_on_grid`` with a zero margin column.
-* Any candidate violation is rechecked before it counts.  A reported
-  witness is re-evaluated with mpmath at roughly twice the working
-  precision, and that value is printed.  A bisection step of
-  :func:`empirical_threshold` reads only the verdict, so it first
-  bounds the margin at the candidate by the interval enclosure of the
-  certificates, and calls mpmath only when that enclosure straddles 0.
-  A candidate that fails its recheck is a rounding artifact and is
+* Any candidate violation is rechecked before it counts, in order of
+  margin.  A reported witness is re-evaluated with mpmath at roughly twice
+  the working precision, and that value is printed.  A bisection step of
+  :func:`empirical_threshold` reads only the verdict (:func:`_grid_verdict`),
+  so it first bounds the margin at the candidate by the interval enclosure
+  of the certificates, and calls mpmath only when that enclosure straddles
+  0.  A candidate that fails its recheck is a rounding artifact and is
   dropped.
 * A bisection step evaluates no margin where its verdict is forced
   (:func:`_forced_verdict`).  It holds where float pairs prove the exact
@@ -260,9 +260,9 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
     point, whose sign decides the candidate (the extended-precision
     margin, for a report).  Negative margins beyond the noise floor
     ``_NOISE_C * eps * scale`` become candidates, rechecked in order of
-    margin over all sides together (at most ``_MAX_RECHECKS``); the first
-    confirmed one is the witness.  Returns the report and the number of
-    rechecks run.
+    margin over all sides together, ties by index (at most
+    ``_MAX_RECHECKS``); the first confirmed one is the witness.  Returns
+    the report and the number of rechecks run.
     """
     if len(sides) == 1:  # skips two array copies on the common path
         margins, scale = sides[0][1], sides[0][2]
@@ -273,9 +273,11 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
     # Written over the scale: one step temporary fewer.
     neg_floors = np.multiply(scale, -_NOISE_C * _EPS, out=scale)
     candidates = np.flatnonzero(margins < neg_floors)
+    if candidates.size:  # a holding report has none: skip the sort's set-up
+        candidates = candidates[np.argsort(margins[candidates], kind="stable")]
     witness = None
     rechecks = 0
-    for idx in _in_margin_order(margins, candidates):
+    for idx in candidates[:_MAX_RECHECKS].tolist():
         label, _, _, recheck = sides[idx // xs.size]
         x = float(xs[idx % xs.size])
         confirmed = recheck(x)
@@ -299,21 +301,6 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
                                parameters), rechecks)
 
 
-def _in_margin_order(margins: np.ndarray, candidates: np.ndarray):
-    """The first ``_MAX_RECHECKS`` candidates by margin, ties by index.
-
-    The first one almost always confirms, so it comes from ``argmin`` (the
-    first least margin, the head of the stable order); the stable sort of
-    all candidates is paid only when a recheck asks past it.
-    """
-    if not candidates.size:
-        return
-    values = margins[candidates]
-    yield int(candidates[np.argmin(values)])
-    order = candidates[np.argsort(values, kind="stable")]
-    yield from (int(idx) for idx in order[1:_MAX_RECHECKS])
-
-
 @lru_cache(maxsize=1)
 def _grid_points_and_pieces(spec: GridSpec) -> tuple[np.ndarray, _Pieces, dict]:
     """Read-only points of ``spec``, their t-independent pieces and its
@@ -335,27 +322,11 @@ def _grid(grid: GridSpec | None) -> tuple[np.ndarray, _Pieces, dict]:
     return xs, pieces, dict(entry)
 
 
-def _family_side(t: float, s: float, side: str, pieces: _Pieces,
-                 verdict_only: bool = False):
-    """The margin side of the family check at ``(t, s)`` on ``pieces``.
-
-    A report's recheck is the mpmath margin.  A verdict-only recheck is the
-    margin's sign, -1.0 or 1.0, where the sign rule of the certificates,
-    :func:`meanbounds.intervals._node_bounds` at ``[x, x]``, proves the
-    log-ratio's sign, and the mpmath margin where it leaves the sign 0.
-    """
-    params = FamilyParams.from_t(t, s)
+def _family_side(params: FamilyParams, side: str, pieces: _Pieces, recheck):
+    """The margin side of the family check at ``params`` on ``pieces``,
+    rechecked by ``recheck``."""
     vals, scale = _log_ratio_with_scale(params, pieces)
     margins = np.negative(vals, out=vals) if side == "lower" else vals
-    if not verdict_only:
-        return ("", margins, scale, lambda x: _mp_family_margin(t, s, side, x))
-    bounds = _node_bounds(params)
-    flip = -1.0 if side == "lower" else 1.0
-
-    def recheck(x: float) -> float:
-        sign = bounds(x, x)[0]
-        return flip * sign if sign else _mp_family_margin(t, s, side, x)
-
     return ("", margins, scale, recheck)
 
 
@@ -376,8 +347,9 @@ def verify_family_inequality(
     xs, pieces, grid_entry = _grid(grid)
     parameters = {"check": "family", "t": t, "s": s,
                   "side": side, "grid": grid_entry}
-    return _run_grid_check(xs, [_family_side(t, s, side, pieces)],
-                           parameters)[0]
+    margin_side = _family_side(FamilyParams.from_t(t, s), side, pieces,
+                               partial(_mp_family_margin, t, s, side))
+    return _run_grid_check(xs, [margin_side], parameters)[0]
 
 
 _FALSIFY_LOWER_LADDER = tuple(1.0 - 10.0 ** (-k) for k in range(3, 13))
@@ -406,7 +378,9 @@ def falsify(t: float, s: float, side: str) -> FalsificationResult:
     _check_side(side)
     t, s = float(t), float(s)
     xs, pieces = _ladder(side)
-    report, rechecks = _run_grid_check(xs, [_family_side(t, s, side, pieces)], {})
+    margin_side = _family_side(FamilyParams.from_t(t, s), side, pieces,
+                               partial(_mp_family_margin, t, s, side))
+    report, rechecks = _run_grid_check(xs, [margin_side], {})
     if report.witness is not None:
         return FalsificationResult(found=True, witness=report.witness,
                                    attempts=rechecks, note="")
@@ -514,6 +488,25 @@ def _forced_verdict(params: FamilyParams, side: str, xs: np.ndarray) -> str | No
     return None
 
 
+def _grid_verdict(params: FamilyParams, side: str, xs: np.ndarray, pieces: _Pieces) -> str:
+    """The verdict of the family check at ``params`` on ``xs``, whose
+    ``pieces`` it reads.
+
+    A candidate's recheck is the margin's sign, -1.0 or 1.0, where the sign
+    rule of the certificates, :func:`meanbounds.intervals._node_bounds` at
+    ``[x, x]``, proves the log-ratio's sign, and the mpmath margin where it
+    leaves the sign 0.
+    """
+    bounds = _node_bounds(params)
+    flip = -1.0 if side == "lower" else 1.0
+
+    def recheck(x: float) -> float:
+        sign = bounds(x, x)[0]
+        return flip * sign if sign else _mp_family_margin(params.t, params.s, side, x)
+
+    return _run_grid_check(xs, [_family_side(params, side, pieces, recheck)], {})[0].verdict
+
+
 def _probes(s: float, side: str, xs: np.ndarray) -> tuple[float, float]:
     """The bisection's decided probes beside the closed-form cutoff of
     ``side``, on the axis ``out * t`` along which the side fails (``out`` 1
@@ -570,11 +563,11 @@ def empirical_threshold(
       exact margin at ``x`` only falls farther out, while the failing
       rule's bound ``T(x, s)`` is the same for every ``t``.
     * A step between the probes asks :func:`_forced_verdict` at its own
-      ``t``, and runs the grid check when that is None.  Those checks share
-      the grid and the t-independent pieces of the log-ratio, which the
-      next check on the same grid reuses too, and recheck their candidates
-      by interval enclosure, with mpmath only where the enclosure cannot
-      decide.
+      ``t``, and runs the grid check, :func:`_grid_verdict`, when that is
+      None.  Those checks share the grid and the t-independent pieces of
+      the log-ratio, which the next check on the same grid reuses too, and
+      recheck their candidates by interval enclosure, with mpmath only
+      where the enclosure cannot decide.
 
     The bisection's midpoints are its own, so the result is the same
     double.  It carries a one-sided bias of the order of the grid's
@@ -600,10 +593,9 @@ def empirical_threshold(
         elif out * mid >= fails_from:
             verdict = "violated"
         else:
-            verdict = _forced_verdict(FamilyParams.from_t(mid, s), side, xs)
-            if verdict is None:
-                side_at_mid = _family_side(mid, s, side, pieces, verdict_only=True)
-                verdict = _run_grid_check(xs, [side_at_mid], {})[0].verdict
+            params = FamilyParams.from_t(mid, s)
+            verdict = (_forced_verdict(params, side, xs)
+                       or _grid_verdict(params, side, xs, pieces))
         if (verdict == "holds_on_grid") == (side == "lower"):
             lo = mid
         else:

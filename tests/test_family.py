@@ -450,3 +450,24 @@ class TestExpBoundMargin:
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValueError):
             exp_bound_margin(0.0, 0.5)
+
+
+class TestArrayShapes:
+    """Every evaluator takes an array of any shape, element by element."""
+
+    EVALUATORS = (
+        lambda x: log_ratio_q_over_i(FamilyParams.from_t(0.2, 2.0), x),
+        lambda x: derivative_kernel(FamilyParams.from_t(0.2, 2.0), x),
+        lambda x: exp_bound_margin(0.2, x),
+        log_identric_over_arithmetic,
+    )
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS)
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1, 2), (0, 3)])
+    def test_equals_scalar_calls(self, evaluate, shape):
+        xs = np.array([1e-9, 3e-3, 0.02, 0.5, 0.9, EVAL_LIMIT])[:math.prod(shape)]
+        xs = xs.reshape(shape)
+        got = evaluate(xs)
+        assert got.shape == shape
+        want = np.array([evaluate(float(x)) for x in xs.ravel()]).reshape(shape)
+        np.testing.assert_array_equal(got, want)

@@ -229,6 +229,16 @@ class TestStructure:
             ts = sharp_thresholds(float(s))
             assert ts.p < ts.q
 
+    def test_doubles_ordered_up_to_the_largest_s(self):
+        # The exact cutoffs keep 0 < p < q < 1/2; their doubles meet, and
+        # reach 1/2, at huge s.
+        top = math.log(sys.float_info.max)
+        for s in [math.exp(top * k / 100_000) for k in range(100_000)] + [sys.float_info.max]:
+            ts = sharp_thresholds(s)
+            assert 0.0 < ts.p <= ts.q <= 0.5, s
+        ts = sharp_thresholds(1e31)
+        assert ts.p == ts.q == 0.4999999999999999
+
     def test_large_s_limit_forms(self):
         # The bounds at (p_s, q_s) converge to exp-type bounds as s grows:
         # (1 - v^2/(3s))^(-s/2) -> exp(v^2/6) and the p-side counterpart

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import sys
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -345,6 +346,53 @@ class TestReportDigest:
         assert digest.hexdigest() == _REPORT_DIGEST
 
 
+class TestRecheckOrder:
+    """Candidates are rechecked by margin, ties by index, over all sides."""
+
+    def _run(self, rejected):
+        # Two sides of 40 points with margins tied in five values; every
+        # negative one is a candidate, and the first ``rejected`` rechecks
+        # fail to confirm.
+        rng = random.Random(7)
+        xs = np.linspace(0.01, 0.99, 40)
+        values = [[rng.choice((-3.0, -2.0, -1.0, -0.5, 0.25)) for _ in xs]
+                  for _ in "ab"]
+        asked = []
+
+        def recheck(label, x):
+            asked.append((label, x))
+            return 1.0 if len(asked) <= rejected else -1.0
+
+        sides = [(label, np.array(vals), np.ones(xs.size), partial(recheck, label))
+                 for label, vals in zip("ab", values)]
+        report, rechecks = verify._run_grid_check(xs, sides, {})
+        flat = values[0] + values[1]
+        order = sorted((m, k) for k, m in enumerate(flat) if m < 0.0)
+        assert len(order) > verify._MAX_RECHECKS
+        expected = [("ab"[k // xs.size], float(xs[k % xs.size])) for _, k in order]
+        return report, rechecks, asked, expected, order, flat
+
+    @pytest.mark.parametrize("rejected", [0, 1, 5, 31])
+    def test_witness_is_first_confirmed_in_margin_index_order(self, rejected):
+        report, rechecks, asked, expected, order, flat = self._run(rejected)
+        assert asked == expected[:rejected + 1]
+        assert rechecks == rejected + 1 <= verify._MAX_RECHECKS
+        w = report.witness
+        assert report.verdict == "violated"
+        assert (w.label, w.x) == expected[rejected]
+        assert w.margin == order[rejected][0]
+        assert report.worst_margin == min(flat)
+
+    @pytest.mark.parametrize("rejected", [32, 1000])
+    def test_all_rejected_holds_with_margin_clamped(self, rejected):
+        report, rechecks, asked, expected, _, _ = self._run(rejected)
+        assert rechecks == len(asked) == verify._MAX_RECHECKS
+        assert asked == expected[:verify._MAX_RECHECKS]
+        assert report.verdict == "holds_on_grid"
+        assert report.witness is None
+        assert report.worst_margin == 0.0
+
+
 class TestEnclosureRecheck:
     """A bisection step decides a candidate by enclosure as mpmath would."""
 
@@ -416,9 +464,8 @@ class TestForcedVerdict:
                 if forced is None:
                     continue
                 decided[forced] += 1
-                report = verify._run_grid_check(
-                    xs, [verify._family_side(t, s, side, pieces, verdict_only=True)], {})[0]
-                assert forced == report.verdict, (grid, t, s, side)
+                verdict = verify._grid_verdict(FamilyParams.from_t(t, s), side, xs, pieces)
+                assert forced == verdict, (grid, t, s, side)
         # Both rules carry weight: about a third and a half of the 5,000.
         assert min(decided.values()) > 1000, decided
 
@@ -444,9 +491,8 @@ class TestForcedVerdict:
             near, far = (near, mid) if forced(mid) == "violated" else (mid, far)
         for k in range(4):
             t = far + k * 1e-6 * (far - cutoff)
-            report = verify._run_grid_check(
-                xs, [verify._family_side(t, s, side, pieces, verdict_only=True)], {})[0]
-            assert forced(t) in (None, report.verdict), (t, k)
+            verdict = verify._grid_verdict(FamilyParams.from_t(t, s), side, xs, pieces)
+            assert forced(t) in (None, verdict), (t, k)
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
     def test_sweep_row_runs_few_grid_checks(self, s, monkeypatch):
@@ -567,10 +613,9 @@ class TestProbes:
                         else:
                             continue
                         decided[want] += 1
-                        report = verify._run_grid_check(
-                            xs, [verify._family_side(t, s, side, pieces, verdict_only=True)],
-                            {})[0]
-                        assert report.verdict == want, (grid, t, s, side)
+                        verdict = verify._grid_verdict(FamilyParams.from_t(t, s), side,
+                                                       xs, pieces)
+                        assert verdict == want, (grid, t, s, side)
         # About 1,100 held and 1,300 violated of the steps checked.
         assert min(decided.values()) > 1000, decided
 
