@@ -14,7 +14,8 @@ honest at machine precision:
   threshold report ``holds_on_grid`` with a zero margin column.
 * Any candidate violation is rechecked before it counts, in order of
   margin.  A reported witness is re-evaluated with mpmath at roughly twice
-  the working precision, and that value is printed.  A bisection step of
+  the working precision, with more digits where those leave the margin
+  unresolved, and that value is printed.  A bisection step of
   :func:`empirical_threshold` reads only the verdict (:func:`_grid_verdict`),
   so it first bounds the margin at the candidate by the interval enclosure
   of the certificates, and calls mpmath only when that enclosure straddles
@@ -128,18 +129,28 @@ class GridSpec:
 
 
 def grid_points(spec: GridSpec) -> np.ndarray:
-    """Strictly increasing sample array for ``spec``."""
+    """Strictly increasing sample array for ``spec``, inside (0, 1).
+
+    Raises ValueError where the doubles cannot give that: the refined upper
+    half spaces ``1 - x``, which rounds when ``x_max`` is small, and a
+    narrow ``[x_min, x_max]`` holds fewer than ``count`` doubles.
+    """
     if spec.spacing == "uniform":
-        return np.linspace(spec.x_min, spec.x_max, spec.count)
-    if spec.x_min < 0.5 < spec.x_max:
-        mid = 0.5
+        xs = np.linspace(spec.x_min, spec.x_max, spec.count)
     else:
-        mid = 0.5 * (spec.x_min + spec.x_max)
-    n_low = spec.count // 2
-    n_high = spec.count - n_low
-    low = np.geomspace(spec.x_min, mid, n_low)
-    high = 1.0 - np.geomspace(1.0 - spec.x_max, 1.0 - mid, n_high, endpoint=False)
-    return np.concatenate([low, high[::-1]])
+        if spec.x_min < 0.5 < spec.x_max:
+            mid = 0.5
+        else:
+            mid = 0.5 * (spec.x_min + spec.x_max)
+        n_low = spec.count // 2
+        n_high = spec.count - n_low
+        low = np.geomspace(spec.x_min, mid, n_low)
+        high = 1.0 - np.geomspace(1.0 - spec.x_max, 1.0 - mid, n_high, endpoint=False)
+        xs = np.concatenate([low, high[::-1]])
+    if not (0.0 < xs[0] and xs[-1] < 1.0 and (xs[1:] > xs[:-1]).all()):
+        raise ValueError(f"{spec} does not give {spec.count} strictly increasing "
+                         "points inside (0, 1) in double precision")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -205,46 +216,113 @@ def _check_side(side: str) -> None:
 # ----------------------------------------------------------------------
 # Extended-precision margin rechecks (mpmath, ~2x working precision).
 # mpmath is imported here, on the first recheck, so that a check which
-# finds no candidate violation never loads it.
+# finds no candidate violation never loads it.  What depends on the gap
+# alone, X = x, 1 - X^2 and h = ln(A/I), is computed once per process and
+# number of digits (_mp_gap_pieces, at most 1,024 entries: witnesses
+# gather at a few gaps near x = 0 and x = 1), by the same operations, so a
+# recheck's value does not depend on what was rechecked before it.
+#
+# A margin's terms are O(1), or O(s) and O(p), while the margin can be
+# O(x^2) or O(p): 40 digits resolve it only down to about 1e-40 times its
+# largest term.  A value below 10**(_RESOLVED_DIGITS - dps) times that
+# term is computed again with twice the digits, up to _RECHECK_MAX_DPS,
+# which resolves any double margin against terms up to the largest double.
+# A value that 40 digits resolve is kept as it is.
 # ----------------------------------------------------------------------
 
-def _mp_log_ratio_q_over_i(t: float, s: float, x: float) -> mp.mpf:
+_RESOLVED_DIGITS = 10
+_RECHECK_MAX_DPS = 1280
+
+
+@lru_cache(maxsize=1024)
+def _mp_gap_pieces(x: float, dps: int):
+    """``(X, 1 - X^2, h, log_scale)`` at the gap ``x`` with ``dps`` digits:
+    ``h = 1 - atanh(X)/X - ln(1 - X^2)/2 = ln(A/I)`` and ``log_scale`` the
+    base-10 log of its largest term (``X^2`` and ``1 - X^2`` are exact)."""
     import mpmath as mp
 
-    x = mp.mpf(x)
-    val = 1 - mp.atanh(x) / x - mp.log(1 - x * x) / 2
-    if t != 0.5:  # u = (1 - 2t)^2 vanishes only at t = 1/2
-        u = (1 - 2 * mp.mpf(t)) ** 2
-        val += mp.mpf(s) / 2 * mp.log(1 - u * x * x)
-    return val
+    with mp.workdps(dps):
+        big_x = mp.mpf(x)
+        one_minus_sq = 1 - big_x * big_x
+        atanh_over_x = mp.atanh(big_x) / big_x
+        log_sq = mp.log(one_minus_sq)
+        h = 1 - atanh_over_x - log_sq / 2
+    log_scale = math.log10(max(float(atanh_over_x), -float(log_sq)))
+    return big_x, one_minus_sq, h, log_scale
+
+
+def _resolved_margin(margin, x: float) -> float:
+    """The float of ``margin(x, dps)``, a ``(value, log_scale)`` pair, at
+    ``_RECHECK_DPS`` digits, or at twice the digits while the value is not
+    resolved, up to ``_RECHECK_MAX_DPS``."""
+    dps = _RECHECK_DPS
+    while True:
+        value, log_scale = margin(x, dps)
+        if (dps >= _RECHECK_MAX_DPS or value != 0.0
+                and math.log10(abs(value)) > log_scale + _RESOLVED_DIGITS - dps):
+            return value
+        dps *= 2
+
+
+def _log10(value: float) -> float:
+    """``log10(value)`` for ``value >= 0``, -inf at 0."""
+    return math.log10(value) if value > 0.0 else -math.inf
+
+
+def _family_margin_at(t: float, s: float, side: str, x: float, dps: int):
+    import mpmath as mp
+
+    big_x, _, h, log_scale = _mp_gap_pieces(x, dps)
+    with mp.workdps(dps):
+        val = h
+        if t != 0.5:  # u = (1 - 2t)^2 vanishes only at t = 1/2
+            u = (1 - 2 * mp.mpf(t)) ** 2
+            arg = 1 - u * big_x * big_x
+            val += mp.mpf(s) / 2 * mp.log(arg)
+            # m2's log carries the rounding of arg = 1 - u X^2 over arg:
+            # (s/2)(|ln arg| + 1/arg) <= s / arg.
+            log_scale = max(log_scale, math.log10(s) - math.log10(float(arg)))
+        return float(-val if side == "lower" else val), log_scale
 
 
 def _mp_family_margin(t: float, s: float, side: str, x: float) -> float:
-    import mpmath as mp
-
-    with mp.workdps(_RECHECK_DPS):
-        val = _mp_log_ratio_q_over_i(t, s, x)
-        return float(-val if side == "lower" else val)
+    return _resolved_margin(partial(_family_margin_at, t, s, side), x)
 
 
 # ln(A/I) is the family log-ratio at t = 1/2 (u = 0), where Q(t, s) = A.
-def _mp_exp_margin(coef: float, side: str, x: float) -> float:
+def _exp_margin_at(coef: float, side: str, x: float, dps: int):
     import mpmath as mp
 
-    with mp.workdps(_RECHECK_DPS):
-        g = _mp_log_ratio_q_over_i(0.5, 1.0, x) - mp.mpf(coef) * mp.mpf(x) ** 2
-        return float(g if side == "lower" else -g)
+    big_x, _, h, log_scale = _mp_gap_pieces(x, dps)
+    with mp.workdps(dps):
+        g = h - mp.mpf(coef) * big_x ** 2
+        return (float(g if side == "lower" else -g),
+                max(log_scale, math.log10(coef) + 2.0 * math.log10(x)))
+
+
+def _mp_exp_margin(coef: float, side: str, x: float) -> float:
+    return _resolved_margin(partial(_exp_margin_at, coef, side), x)
+
+
+def _power_margin_at(p: float, alpha: float, side: str, x: float, dps: int):
+    import mpmath as mp
+
+    _, one_minus_sq, h, log_scale = _mp_gap_pieces(x, dps)
+    with mp.workdps(dps):
+        big_p, big_alpha = mp.mpf(p), mp.mpf(alpha)
+        i_pow = mp.e ** (-big_p * h)
+        g_pow = one_minus_sq ** (big_p / 2)
+        lower = i_pow - big_alpha - (1 - big_alpha) * g_pow
+        # Both powers are exp(p * a log): the error of h, and of the log in
+        # the power, comes back times p, so they count (1 + p) 10**log_scale.
+        growth = math.log10(1.0 + p) + log_scale
+        i_f, g_f = float(i_pow), (1.0 - alpha) * float(g_pow)
+        return (float(lower if side == "lower" else -lower),
+                max(_log10(i_f) + growth, _log10(alpha), _log10(g_f) + growth))
 
 
 def _mp_power_margin(p: float, alpha: float, side: str, x: float) -> float:
-    import mpmath as mp
-
-    with mp.workdps(_RECHECK_DPS):
-        p, alpha, x = mp.mpf(p), mp.mpf(alpha), mp.mpf(x)
-        i_pow = mp.e ** (-p * _mp_log_ratio_q_over_i(0.5, 1.0, x))
-        g_pow = (1 - x * x) ** (p / 2)
-        lower = i_pow - alpha - (1 - alpha) * g_pow
-        return float(lower if side == "lower" else -lower)
+    return _resolved_margin(partial(_power_margin_at, p, alpha, side), x)
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +386,25 @@ def _grid_points_and_pieces(spec: GridSpec) -> tuple[np.ndarray, _Pieces, dict]:
 
     Kept for the last spec asked only: the steps of a bisection and the
     checks of a sweep row share one grid, and memory holds at most one,
-    even at the CLI's largest.
+    even at the CLI's largest.  Beside it, :func:`_grid_logs` keeps the
+    ``ln(I/A)`` arrays of the last grid that an exponential or power check
+    asked for; a family check never builds them.
     """
     xs = grid_points(spec)
     xs.flags.writeable = False
     return xs, _Pieces(xs), asdict(spec)
+
+
+@lru_cache(maxsize=1)
+def _grid_logs(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``ln(I/A)``, its error scale and ``ln(1 - x^2)`` on the
+    points of ``spec``, which depend on the grid alone; kept for the last
+    spec asked only, like the grid."""
+    xs, pieces, _ = _grid_points_and_pieces(spec)
+    logs = (*_lr_with_error_scale(pieces), _ln_one_minus_sq(xs))
+    for arr in logs:
+        arr.flags.writeable = False
+    return logs
 
 
 def _grid(grid: GridSpec | None) -> tuple[np.ndarray, _Pieces, dict]:
@@ -320,6 +412,14 @@ def _grid(grid: GridSpec | None) -> tuple[np.ndarray, _Pieces, dict]:
     of its report entry, the report's own."""
     xs, pieces, entry = _grid_points_and_pieces(grid if grid is not None else GridSpec())
     return xs, pieces, dict(entry)
+
+
+def _log_grid(grid: GridSpec | None) -> tuple[np.ndarray, tuple, dict]:
+    """Points of ``grid`` (default ``GridSpec()``), their :func:`_grid_logs`
+    and a copy of its report entry, the report's own."""
+    spec = grid if grid is not None else GridSpec()
+    xs, _, entry = _grid_points_and_pieces(spec)
+    return xs, _grid_logs(spec), dict(entry)
 
 
 def _family_side(params: FamilyParams, side: str, pieces: _Pieces, recheck):
@@ -618,10 +718,9 @@ def verify_exponential_bounds(
     if not (0.0 < p_coef < math.inf and 0.0 < q_coef < math.inf):
         raise ValueError(f"both coefficients must be finite and > 0, got "
                          f"({p_coef}, {q_coef})")
-    xs, pieces, grid_entry = _grid(grid)
-    lr = _lr_with_error_scale(pieces)
-    g_p, scale_p = _exp_bound_margin_with_scale(p_coef, *lr, xs)
-    g_q, scale_q = _exp_bound_margin_with_scale(q_coef, *lr, xs)
+    xs, (lr, scale_lr, _), grid_entry = _log_grid(grid)
+    g_p, scale_p = _exp_bound_margin_with_scale(p_coef, lr, scale_lr, xs)
+    g_q, scale_q = _exp_bound_margin_with_scale(q_coef, lr, scale_lr, xs)
     parameters = {"check": "exponential_bounds", "p_coef": p_coef,
                   "q_coef": q_coef, "grid": grid_entry}
     sides = [("lower", g_p, scale_p, lambda x: _mp_exp_margin(p_coef, "lower", x)),
@@ -649,10 +748,10 @@ def _ln_one_minus_sq(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_sides(p: float, alpha: float, xs: np.ndarray, pieces: _Pieces, sides) -> list:
-    """The ``sides`` of the power comparison on ``xs`` from one margin evaluation."""
-    lr, scale_lr = _lr_with_error_scale(pieces)
-    ln_sq = _ln_one_minus_sq(xs)    # 2 ln(G/A)
+def _power_sides(p: float, alpha: float, logs: tuple, sides) -> list:
+    """The ``sides`` of the power comparison from one margin evaluation on
+    a grid's :func:`_grid_logs`."""
+    lr, scale_lr, ln_sq = logs      # ln_sq = 2 ln(G/A)
     t_i = np.expm1(p * lr)          # I^p/A^p - 1, fully cancellation-free
     t_g = np.expm1((0.5 * p) * ln_sq)  # G^p/A^p - 1
     weighted_g = (1.0 - alpha) * t_g
@@ -689,11 +788,10 @@ def verify_convex_power_bound(
         raise ValueError(f"p_exp must be finite and >= 1, got {p_exp}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    xs, pieces, grid_entry = _grid(grid)
+    xs, logs, grid_entry = _log_grid(grid)
     parameters = {"check": "convex_power", "p_exp": p_exp, "alpha": alpha,
                   "side": side, "grid": grid_entry}
-    return _run_grid_check(xs, _power_sides(p_exp, alpha, xs, pieces, (side,)),
-                           parameters)[0]
+    return _run_grid_check(xs, _power_sides(p_exp, alpha, logs, (side,)), parameters)[0]
 
 
 def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoThirdsPowerReport:
@@ -706,8 +804,8 @@ def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoTh
     p_exp = float(p_exp)
     if not 0.0 < p_exp < math.inf:
         raise ValueError(f"p_exp must be finite and > 0, got {p_exp}")
-    xs, pieces, grid_entry = _grid(grid)
-    sides = _power_sides(p_exp, 2.0 / 3.0, xs, pieces, ("upper", "lower"))
+    xs, logs, grid_entry = _log_grid(grid)
+    sides = _power_sides(p_exp, 2.0 / 3.0, logs, ("upper", "lower"))
     reports = {}
     for direction, side in zip(("forward", "reverse"), sides):
         parameters = {"check": "two_thirds_power", "p_exp": p_exp,

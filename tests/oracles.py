@@ -9,9 +9,9 @@ import mpmath as mp
 DPS = 40
 
 
-def lr_gap(v):
+def lr_gap(v, dps=DPS):
     """ln(I/A) as a function of the gap, direct formula."""
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         v = mp.mpf(v)
         return -1 + mp.atanh(v) / v + mp.log(1 - v * v) / 2
 
@@ -142,18 +142,18 @@ def identric_raw(a, b):
         return mp.exp(-1) * (a ** a / b ** b) ** (1 / (a - b))
 
 
-def power_margin(p, alpha, side, x):
+def power_margin(p, alpha, side, x, dps=DPS):
     """I^p - alpha A^p - (1-alpha) G^p on the pair (1+x, 1-x), A = 1."""
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         p, alpha, x = mp.mpf(p), mp.mpf(alpha), mp.mpf(x)
-        i_pow = mp.exp(p * lr_gap(x))
+        i_pow = mp.exp(p * lr_gap(x, dps))
         g_pow = (1 - x * x) ** (p / 2)
         lower = i_pow - alpha - (1 - alpha) * g_pow
         return lower if side == "lower" else -lower
 
 
-def exp_margin(coef, side, x):
+def exp_margin(coef, side, x, dps=DPS):
     """ln(A/I) - coef x^2, negated for the upper side."""
-    with mp.workdps(DPS):
-        g = -lr_gap(x) - mp.mpf(coef) * mp.mpf(x) ** 2
+    with mp.workdps(dps):
+        g = -lr_gap(x, dps) - mp.mpf(coef) * mp.mpf(x) ** 2
         return g if side == "lower" else -g

@@ -669,6 +669,265 @@ class TestGridCache:
         info = verify._grid_points_and_pieces.cache_info()
         assert info.maxsize == 1 and info.currsize == 1
 
+    def test_cached_logs_are_read_only(self):
+        for arr in verify._log_grid(GridSpec(count=512))[1]:
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    def test_family_checks_build_no_logs(self, monkeypatch):
+        monkeypatch.setattr(verify, "_grid_logs", None)
+        ts = sharp_thresholds(2.0)
+        verify_family_inequality(ts.p, 2.0, "lower")
+        falsify(ts.q - 1e-2, 2.0, "upper")
+        empirical_threshold(2.0, "upper")
+
+
+def _log_grid_reports(spec):
+    """Exponential, power and two-thirds reports on ``spec``, as one string."""
+    return repr([verify_exponential_bounds(0.17, 0.3, spec).to_dict(),
+                 verify_exponential_bounds(0.16, 0.31, spec).to_dict(),
+                 verify_convex_power_bound(1.0, 0.7, "lower", spec).to_dict(),
+                 verify_convex_power_bound(2.5, 0.6, "upper", spec).to_dict(),
+                 verify_two_thirds_power(1.25, spec).to_dict()])
+
+
+class TestGridLogsCache:
+    """``ln(I/A)``, its scale and ``ln(1 - x^2)`` are built once per grid."""
+
+    @pytest.mark.parametrize("spec", [GridSpec(count=512),
+                                      GridSpec(count=300, spacing="uniform")])
+    def test_reports_equal_first_repeated_and_after_eviction(self, spec):
+        verify._grid_logs.cache_clear()
+        verify._grid_points_and_pieces.cache_clear()
+        first = _log_grid_reports(spec)
+        assert _log_grid_reports(spec) == first
+        _log_grid_reports(GridSpec(count=64))
+        assert verify._grid_logs.cache_info().currsize == 1
+        assert _log_grid_reports(spec) == first
+
+    def test_twenty_checks_evaluate_ln_i_over_a_once(self, monkeypatch):
+        calls = []
+        lr = verify._lr_with_error_scale
+
+        def counting(*args):
+            calls.append(args)
+            return lr(*args)
+
+        monkeypatch.setattr(verify, "_lr_with_error_scale", counting)
+        verify._grid_logs.cache_clear()
+        rng = random.Random(27)
+        grid = GridSpec(count=512)
+        for _ in range(7):
+            verify_exponential_bounds(rng.uniform(0.1, 0.2), rng.uniform(0.25, 0.4), grid)
+            verify_convex_power_bound(rng.choice((1.0, rng.uniform(2.0, 4.0))),
+                                      rng.uniform(0.5, 0.8), rng.choice(("lower", "upper")),
+                                      grid)
+            verify_two_thirds_power(rng.uniform(1.0, 1.5), grid)
+        assert len(calls) == 1
+
+
+def _uncached_log_ratio(t, s, x):
+    """The log-ratio as the rechecks formed it before the gap cache."""
+    x = mp.mpf(x)
+    val = 1 - mp.atanh(x) / x - mp.log(1 - x * x) / 2
+    if t != 0.5:
+        u = (1 - 2 * mp.mpf(t)) ** 2
+        val += mp.mpf(s) / 2 * mp.log(1 - u * x * x)
+    return val
+
+
+def _uncached_family_margin(t, s, side, x):
+    with mp.workdps(40):
+        val = _uncached_log_ratio(t, s, x)
+        return float(-val if side == "lower" else val)
+
+
+def _uncached_exp_margin(coef, side, x):
+    with mp.workdps(40):
+        g = _uncached_log_ratio(0.5, 1.0, x) - mp.mpf(coef) * mp.mpf(x) ** 2
+        return float(g if side == "lower" else -g)
+
+
+def _uncached_power_margin(p, alpha, side, x):
+    with mp.workdps(40):
+        p, alpha, x = mp.mpf(p), mp.mpf(alpha), mp.mpf(x)
+        i_pow = mp.e ** (-p * _uncached_log_ratio(0.5, 1.0, x))
+        g_pow = (1 - x * x) ** (p / 2)
+        lower = i_pow - alpha - (1 - alpha) * g_pow
+        return float(lower if side == "lower" else -lower)
+
+
+_RECHECK_POINTS = (grid_points(GridSpec(count=512)).tolist()
+                   + list(verify._FALSIFY_LOWER_LADDER) + list(verify._FALSIFY_UPPER_LADDER))
+
+
+def _recheck_cases():
+    """Seeded ``(recheck, uncached twin, args)`` at every point of the
+    512-point grid and of both ``falsify`` ladders, three per point."""
+    rng = random.Random(2027)
+    for x in _RECHECK_POINTS:
+        side = rng.choice(("lower", "upper"))
+        t, s = rng.choice((rng.uniform(0.0, 0.5), 0.5)), math.exp(rng.uniform(0.0, 4.0))
+        yield verify._mp_family_margin, _uncached_family_margin, (t, s, side, x)
+        yield verify._mp_exp_margin, _uncached_exp_margin, (rng.uniform(0.1, 0.4), side, x)
+        p = rng.choice((1.0, rng.uniform(0.5, 4.0)))
+        yield (verify._mp_power_margin, _uncached_power_margin,
+               (p, rng.uniform(0.0, 1.0), side, x))
+
+
+class TestRecheckCache:
+    """The per-gap recheck pieces change no recheck value."""
+
+    @pytest.mark.parametrize("caller_dps", [None, 15, 100])
+    def test_equals_the_uncached_formulas_on_miss_and_hit(self, caller_dps):
+        saved = mp.mp.dps
+        verify._mp_gap_pieces.cache_clear()
+        try:
+            if caller_dps is not None:
+                mp.mp.dps = caller_dps
+            for recheck, uncached, args in _recheck_cases():
+                expected = uncached(*args)
+                assert recheck(*args) == expected, (recheck.__name__, args)  # miss
+                assert recheck(*args) == expected, (recheck.__name__, args)  # hit
+                assert mp.mp.dps == (saved if caller_dps is None else caller_dps)
+        finally:
+            mp.mp.dps = saved
+
+    def test_gap_pieces_equal_the_uncached_formula(self):
+        # To the last of the 40 digits, which a float rounds away.
+        for x in _RECHECK_POINTS:
+            big_x, one_minus_sq, h, _ = verify._mp_gap_pieces(x, 40)
+            with mp.workdps(40):
+                assert (big_x, one_minus_sq, h) == (mp.mpf(x), 1 - mp.mpf(x) ** 2,
+                                                    _uncached_log_ratio(0.5, 1.0, x))
+
+    def test_misses_equal_the_distinct_gaps(self, monkeypatch):
+        gaps = []
+        for name in ("_mp_exp_margin", "_mp_power_margin"):
+            def recording(*args, recheck=getattr(verify, name)):
+                gaps.append(args[-1])
+                return recheck(*args)
+            monkeypatch.setattr(verify, name, recording)
+        verify._mp_gap_pieces.cache_clear()
+        rng = random.Random(11)
+        grid = GridSpec(count=512)
+        for _ in range(7):
+            verify_exponential_bounds(rng.uniform(0.17, 0.2), rng.uniform(0.25, 0.3), grid)
+            alpha = rng.uniform(0.7, 0.8)
+            verify_convex_power_bound(1.0, alpha, rng.choice(("lower", "upper")), grid)
+            verify_two_thirds_power(rng.uniform(1.0, 1.5), grid)
+        assert len(gaps) > len(set(gaps)) > 1
+        assert verify._mp_gap_pieces.cache_info().misses == len(set(gaps))
+
+    def test_holding_checks_load_no_mpmath(self):
+        proc = python("-c", """
+import sys
+from meanbounds import GridSpec, verify_convex_power_bound, verify_exponential_bounds
+grid = GridSpec(count=512)
+assert verify_exponential_bounds(0.16, 0.31, grid).verdict == "holds_on_grid"
+assert verify_convex_power_bound(2.0, 0.5, "lower", grid).verdict == "holds_on_grid"
+assert verify_convex_power_bound(2.0, 0.7, "upper", grid).verdict == "holds_on_grid"
+assert "mpmath" not in sys.modules
+""")
+        assert proc.returncode == 0, proc.stderr
+
+
+def _digits(*smalls):
+    """Digits that resolve a margin of about the product of ``smalls``
+    against O(1) terms, with 40 to spare."""
+    return 40 + sum(int(-math.log10(v)) for v in smalls)
+
+
+_TINY_GRID = GridSpec(count=64, spacing="uniform", x_min=1e-24, x_max=1e-22)
+
+
+class TestRecheckResolution:
+    """A recheck carries the digits its margin needs; 40 resolve it only to
+    about 1e-40 of its largest term."""
+
+    @pytest.mark.parametrize("x_max", [1e-22, 1e-20])
+    def test_family_margin_of_order_x_squared(self, x_max):
+        s = 2.0
+        t = sharp_thresholds(s).q / 2
+        assert membership(t, s) != "upper_bound_holds"
+        grid = GridSpec(count=64, spacing="uniform", x_min=1e-24, x_max=x_max)
+        report = verify_family_inequality(t, s, "upper", grid)
+        assert report.verdict == "violated"
+        w = report.witness
+        exact = family_log_ratio_and_quotient_t(t, s, w.x)[0]
+        assert w.margin_recheck == pytest.approx(float(exact), rel=1e-10, abs=0.0)
+
+    def test_exponential_margin_of_order_x_squared(self):
+        report = verify_exponential_bounds(0.2, 0.4, _TINY_GRID)
+        w = report.witness
+        assert (report.verdict, w.label) == ("violated", "lower")
+        exact = exp_margin(0.2, "lower", w.x, dps=_digits(w.x, w.x))
+        assert w.margin_recheck == pytest.approx(float(exact), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1e-45, 1e-100, 1e-300])
+    def test_two_thirds_margin_of_order_p(self, p):
+        # The forward side fails for every p below its cutoff, by O(p).
+        report = verify_two_thirds_power(p, GridSpec(count=512))
+        assert report.classification == "reverse_holds"
+        w = report.forward.witness
+        exact = power_margin(p, 2.0 / 3.0, "upper", w.x, dps=_digits(p, w.x, w.x))
+        assert w.margin_recheck == pytest.approx(float(exact), rel=1e-10, abs=0.0)
+
+    def test_escalation_stops_at_the_cap(self):
+        asked = []
+
+        def unresolved(x, dps):
+            asked.append(dps)
+            return 0.0, 0.0
+
+        assert verify._resolved_margin(unresolved, 0.5) == 0.0
+        assert asked == [40, 80, 160, 320, 640, 1280]
+        assert asked[-1] == verify._RECHECK_MAX_DPS
+
+    def test_cap_resolves_a_double_margin_against_the_largest_terms(self):
+        # The smallest double against the largest terms: the family's
+        # s / (1 - u x^2) at s = DBL_MAX and x = EVAL_LIMIT.
+        smallest = math.log10(5e-324)
+        largest = (math.log10(sys.float_info.max)
+                   - math.log10((1.0 - EVAL_LIMIT) * (1.0 + EVAL_LIMIT)))
+        assert smallest > largest + verify._RESOLVED_DIGITS - verify._RECHECK_MAX_DPS
+
+
+class TestGridPointsValidity:
+    """``grid_points`` returns strictly increasing points inside (0, 1), or
+    raises."""
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec(count=64, x_min=1e-25, x_max=1e-22),
+        GridSpec(count=512, x_min=1e-20, x_max=1e-14),
+        GridSpec(count=64, spacing="uniform", x_min=0.5, x_max=0.5 + 1e-15),
+    ])
+    def test_unresolvable_specs_raise(self, spec):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            grid_points(spec)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            verify_family_inequality(0.24, 2.0, "lower", spec)
+
+    def test_seeded_log_uniform_specs_raise_or_increase(self):
+        rng = random.Random(31)
+        raised = 0
+        for _ in range(400):
+            lo = rng.uniform(-300.0, -0.5)
+            x_min = 10.0 ** lo
+            x_max = min(10.0 ** rng.uniform(lo, 0.0), EVAL_LIMIT)
+            if not x_min < x_max:
+                continue
+            spec = GridSpec(count=rng.randint(2, 2000), x_min=x_min, x_max=x_max,
+                            spacing=rng.choice(("uniform", "endpoint_refined")))
+            try:
+                xs = grid_points(spec)
+            except ValueError:
+                raised += 1
+                continue
+            assert xs.size == spec.count
+            assert 0.0 < xs[0] and xs[-1] < 1.0 and np.all(np.diff(xs) > 0.0), spec
+        assert 0 < raised < 400
+
 
 class TestExponentialBounds:
     def test_sharp_constants_hold(self):
