@@ -22,10 +22,15 @@ built from the same ``d = 1 - x``, ``log1p`` terms and series coefficients,
 on the same domain, up to ``EVAL_LIMIT``.  ``FamilyParams`` and
 ``EVAL_LIMIT`` come from :mod:`meanbounds.thresholds`, which owns the domain
 of ``(t, s)``, and stay importable from here.
+
+Every array of gaps inside the package is non-decreasing, so its series
+points are a prefix, split off by one slice.  The public evaluators sort
+their input first and return the values in the input's order and shape.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -58,22 +63,26 @@ def _validate_x(arr: np.ndarray) -> None:
 
 
 def _evaluate(x, fn, validate=_validate_x):
-    """``fn`` on the validated, flattened ``x``: a float for a scalar, else ``x``'s shape."""
+    """``fn`` on the validated ``x``, flattened and sorted: a float for a
+    scalar, else ``x``'s shape and order.
+
+    ``fn`` takes non-decreasing gaps (:func:`_split`).  Each of its values
+    depends on its own gap alone, so the order changes no bit.
+    """
     arr = np.asarray(x, dtype=float)
     validate(arr)
-    out = fn(arr.ravel())
+    flat = arr.ravel()
+    order = np.argsort(flat, kind="stable")
+    out = np.empty_like(flat)
+    out[order] = fn(flat[order])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _split(x: np.ndarray):
-    """Indexers of the series points (``x < SERIES_CROSSOVER``) and of the
-    direct points of ``x``: slices when the series points are a prefix, as
-    on every increasing grid, else boolean masks."""
-    small = x < SERIES_CROSSOVER
-    k = int(np.count_nonzero(small))
-    if k in (0, small.size) or small[:k].all():
-        return slice(0, k), slice(k, None)
-    return small, ~small
+def _split(x: np.ndarray) -> tuple[slice, slice]:
+    """Slices of the series points (``x < SERIES_CROSSOVER``) and of the
+    direct points of the non-decreasing gaps ``x``."""
+    k = int(x.searchsorted(SERIES_CROSSOVER))
+    return slice(0, k), slice(k, None)
 
 
 def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, float]:
@@ -114,6 +123,12 @@ def _h(v, d, ln_d):
     return 1.0 - ((1.0 + v) * np.log1p(v) - d * ln_d) / (2.0 * v)
 
 
+def _overflow_rounds(possible: bool):
+    """A context in which an overflow, which only ``possible`` allows,
+    rounds to inf without a warning; a no-op otherwise."""
+    return np.errstate(over="ignore") if possible else contextlib.nullcontext()
+
+
 def _m2(params: FamilyParams, x: np.ndarray, one_minus_sq: np.ndarray,
         out: np.ndarray) -> None:
     """The t-dependent piece (s/2) ln(1 - u x^2), as (1 - x^2) + (1 - u) x^2,
@@ -122,22 +137,20 @@ def _m2(params: FamilyParams, x: np.ndarray, one_minus_sq: np.ndarray,
     out *= x
     out += one_minus_sq
     np.log(out, out=out)
-    if params.s > 1e306:
-        # |m2| <= 13.5 s up to EVAL_LIMIT, so only such s can overflow
-        # here, to -inf next to x = 1: that is the rounded value.
-        with np.errstate(over="ignore"):
-            out *= 0.5 * params.s
-    else:
+    # |m2| <= 13.5 s up to EVAL_LIMIT, so only s > 1e306 can overflow here,
+    # to -inf next to x = 1: that is the rounded value.
+    with _overflow_rounds(params.s > 1e306):
         out *= 0.5 * params.s
 
 
 class _Pieces:
     """The t-independent pieces of the log-ratio on ``x``.
 
-    Built once per array of gaps; :func:`_log_ratio_with_scale` adds the
-    t-dependent ``m2`` piece and the series for each parameter pair.  The
-    gaps are split once, by :func:`_split`, into the series points
-    ``small`` and the direct points ``direct``.  ``w_small`` is ``x^2`` on
+    Built once per array of non-decreasing gaps;
+    :func:`_log_ratio_with_scale` adds the t-dependent ``m2`` piece and the
+    series for each parameter pair.  The gaps are split once, by
+    :func:`_split`, into the slices ``small`` of the series points and
+    ``direct`` of the direct points.  ``w_small`` is ``x^2`` on
     the series points; ``x_direct``, ``h`` and ``one_minus_sq``
     (``1 - x^2``) are taken on the direct points only.  The arrays are
     read-only, so one instance can serve any number of checks.
@@ -176,11 +189,9 @@ def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
     overflows).
     """
     vals, scale = np.empty(len(pieces)), np.empty(len(pieces))
-    # A slice indexes a view, so each part is written in place; a mask
-    # indexes a copy, which is written back at the end.
-    direct, small = pieces.direct, pieces.small
-    direct_vals, direct_scale = vals[direct], scale[direct]
-    series_vals, series_scale = vals[small], scale[small]
+    # Views of the two slices: each part is written in place.
+    direct_vals, direct_scale = vals[pieces.direct], scale[pieces.direct]
+    series_vals, series_scale = vals[pieces.small], scale[pieces.small]
     if params.u == 0.0:
         direct_vals[...] = pieces.h
         direct_scale.fill(8.0)
@@ -204,9 +215,6 @@ def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
         else:
             np.multiply(w, 1.0 + three_su, out=series_scale)
             series_scale /= 3.0
-    if not isinstance(small, slice):
-        vals[direct], scale[direct] = direct_vals, direct_scale
-        vals[small], scale[small] = series_vals, series_scale
     return vals, scale
 
 
@@ -242,18 +250,27 @@ def _kernel(params: FamilyParams, x: np.ndarray) -> np.ndarray:
     """The kernel on ``x``: below the crossover its series; above, the twin
     of :func:`_h`, with ``atanh(x) = (log1p(x) - log1p(-x)) / 2`` and
     ``1 - u x^2 = d (1 + x) + (1 - u) x^2``, ``d = 1 - x``, a sum of
-    nonnegative terms."""
+    nonnegative terms.
+
+    ``s u x^3 / (1 - u x^2) <= 1e12 s`` up to ``EVAL_LIMIT``, so only
+    ``s > 1e296`` can overflow it, to -inf next to ``x = 1``: the rounded
+    value.  The series' terms ``2k c_k`` and their Horner sums come near
+    ``-s u``, which overflows for ``s u`` near the top of the double range;
+    there the sum is formed over ``s u`` and scaled back at the end."""
     small, direct = _split(x)
     out = np.empty_like(x)
     xd = x[direct]
     d = 1.0 - xd
-    out[direct] = (-xd + 0.5 * (np.log1p(xd) - np.log1p(-xd))
-                   - params.s * params.u * xd ** 3
-                   / (d * (1.0 + xd) + params.one_minus_u * xd * xd))
+    with _overflow_rounds(params.s > 1e296):
+        out[direct] = (-xd + 0.5 * (np.log1p(xd) - np.log1p(-xd))
+                       - params.s * params.u * xd ** 3
+                       / (d * (1.0 + xd) + params.one_minus_u * xd * xd))
     x_small = x[small]
     w = x_small * x_small
-    c1, c2, c3, c4 = _series_coefficients(params)
-    out[small] = x_small * w * (2.0 * c1 + w * (4.0 * c2 + w * (6.0 * c3 + w * 8.0 * c4)))
+    big = params.s * params.u if params.s * params.u > 1e306 else 1.0
+    b1, b2, b3, b4 = (2.0 * k * (c / big)
+                      for k, c in enumerate(_series_coefficients(params), 1))
+    out[small] = x_small * w * (b1 + w * (b2 + w * (b3 + w * b4))) * big
     return out
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .family import (
     _exp_bound_margin_with_scale,
     _log_ratio_with_scale,
     _lr_with_error_scale,
+    _overflow_rounds,
     _series_coefficients,
 )
 from .intervals import (
@@ -131,9 +132,10 @@ class GridSpec:
 def grid_points(spec: GridSpec) -> np.ndarray:
     """Strictly increasing sample array for ``spec``, inside (0, 1).
 
-    Raises ValueError where the doubles cannot give that: the refined upper
-    half spaces ``1 - x``, which rounds when ``x_max`` is small, and a
-    narrow ``[x_min, x_max]`` holds fewer than ``count`` doubles.
+    The first point is ``x_min`` and the last ``x_max``.  Raises ValueError
+    where the doubles cannot give that: the refined upper half spaces
+    ``1 - x``, which rounds when ``x_max`` is small, and a narrow
+    ``[x_min, x_max]`` holds fewer than ``count`` doubles.
     """
     if spec.spacing == "uniform":
         xs = np.linspace(spec.x_min, spec.x_max, spec.count)
@@ -147,6 +149,7 @@ def grid_points(spec: GridSpec) -> np.ndarray:
         low = np.geomspace(spec.x_min, mid, n_low)
         high = 1.0 - np.geomspace(1.0 - spec.x_max, 1.0 - mid, n_high, endpoint=False)
         xs = np.concatenate([low, high[::-1]])
+        xs[-1] = spec.x_max  # 1 - (1 - x_max) rounds where x_max < 1/2
     if not (0.0 < xs[0] and xs[-1] < 1.0 and (xs[1:] > xs[:-1]).all()):
         raise ValueError(f"{spec} does not give {spec.count} strictly increasing "
                          "points inside (0, 1) in double precision")
@@ -379,47 +382,36 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
                                parameters), rechecks)
 
 
-@lru_cache(maxsize=1)
-def _grid_points_and_pieces(spec: GridSpec) -> tuple[np.ndarray, _Pieces, dict]:
-    """Read-only points of ``spec``, their t-independent pieces and its
-    report entry.
+class _Grid:
+    """The read-only, increasing points ``xs`` of a grid, their
+    t-independent ``pieces`` and its report ``entry``, which a report
+    copies.
 
-    Kept for the last spec asked only: the steps of a bisection and the
-    checks of a sweep row share one grid, and memory holds at most one,
-    even at the CLI's largest.  Beside it, :func:`_grid_logs` keeps the
-    ``ln(I/A)`` arrays of the last grid that an exponential or power check
-    asked for; a family check never builds them.
+    :attr:`logs` holds the ``ln(I/A)`` arrays of the exponential and power
+    checks, built on the first such check; a family check never builds
+    them.
     """
-    xs = grid_points(spec)
-    xs.flags.writeable = False
-    return xs, _Pieces(xs), asdict(spec)
+
+    def __init__(self, xs: np.ndarray, entry: dict):
+        xs.flags.writeable = False
+        self.xs, self.pieces, self.entry = xs, _Pieces(xs), entry
+
+    @cached_property
+    def logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``ln(I/A)``, its error scale and ``ln(1 - x^2)`` on
+        the points, which depend on them alone."""
+        logs = (*_lr_with_error_scale(self.pieces), _ln_one_minus_sq(self.xs))
+        for arr in logs:
+            arr.flags.writeable = False
+        return logs
 
 
 @lru_cache(maxsize=1)
-def _grid_logs(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``ln(I/A)``, its error scale and ``ln(1 - x^2)`` on the
-    points of ``spec``, which depend on the grid alone; kept for the last
-    spec asked only, like the grid."""
-    xs, pieces, _ = _grid_points_and_pieces(spec)
-    logs = (*_lr_with_error_scale(pieces), _ln_one_minus_sq(xs))
-    for arr in logs:
-        arr.flags.writeable = False
-    return logs
-
-
-def _grid(grid: GridSpec | None) -> tuple[np.ndarray, _Pieces, dict]:
-    """Points of ``grid`` (default ``GridSpec()``), their pieces and a copy
-    of its report entry, the report's own."""
-    xs, pieces, entry = _grid_points_and_pieces(grid if grid is not None else GridSpec())
-    return xs, pieces, dict(entry)
-
-
-def _log_grid(grid: GridSpec | None) -> tuple[np.ndarray, tuple, dict]:
-    """Points of ``grid`` (default ``GridSpec()``), their :func:`_grid_logs`
-    and a copy of its report entry, the report's own."""
-    spec = grid if grid is not None else GridSpec()
-    xs, _, entry = _grid_points_and_pieces(spec)
-    return xs, _grid_logs(spec), dict(entry)
+def _grid(spec: GridSpec) -> _Grid:
+    """The :class:`_Grid` of ``spec``, kept for the last spec asked only:
+    the steps of a bisection and the checks of a sweep row share one grid,
+    and memory holds at most one, even at the CLI's largest."""
+    return _Grid(grid_points(spec), asdict(spec))
 
 
 def _family_side(params: FamilyParams, side: str, pieces: _Pieces, recheck):
@@ -444,12 +436,12 @@ def verify_family_inequality(
     """
     _check_side(side)
     t, s = float(t), float(s)
-    xs, pieces, grid_entry = _grid(grid)
+    g = _grid(grid or GridSpec())
     parameters = {"check": "family", "t": t, "s": s,
-                  "side": side, "grid": grid_entry}
-    margin_side = _family_side(FamilyParams.from_t(t, s), side, pieces,
+                  "side": side, "grid": dict(g.entry)}
+    margin_side = _family_side(FamilyParams.from_t(t, s), side, g.pieces,
                                partial(_mp_family_margin, t, s, side))
-    return _run_grid_check(xs, [margin_side], parameters)[0]
+    return _run_grid_check(g.xs, [margin_side], parameters)[0]
 
 
 _FALSIFY_LOWER_LADDER = tuple(1.0 - 10.0 ** (-k) for k in range(3, 13))
@@ -457,12 +449,11 @@ _FALSIFY_UPPER_LADDER = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 2e-2, 5e-2)
 
 
 @lru_cache(maxsize=None)
-def _ladder(side: str) -> tuple[np.ndarray, _Pieces]:
-    """Read-only points of ``side``'s search ladder and their pieces, built
-    once per process."""
-    xs = np.array(_FALSIFY_LOWER_LADDER if side == "lower" else _FALSIFY_UPPER_LADDER)
-    xs.flags.writeable = False
-    return xs, _Pieces(xs)
+def _ladder(side: str) -> _Grid:
+    """The :class:`_Grid` of ``side``'s search ladder, built once per
+    process."""
+    return _Grid(np.array(_FALSIFY_LOWER_LADDER if side == "lower"
+                          else _FALSIFY_UPPER_LADDER), {})
 
 
 def falsify(t: float, s: float, side: str) -> FalsificationResult:
@@ -477,10 +468,10 @@ def falsify(t: float, s: float, side: str) -> FalsificationResult:
     """
     _check_side(side)
     t, s = float(t), float(s)
-    xs, pieces = _ladder(side)
-    margin_side = _family_side(FamilyParams.from_t(t, s), side, pieces,
+    ladder = _ladder(side)
+    margin_side = _family_side(FamilyParams.from_t(t, s), side, ladder.pieces,
                                partial(_mp_family_margin, t, s, side))
-    report, rechecks = _run_grid_check(xs, [margin_side], {})
+    report, rechecks = _run_grid_check(ladder.xs, [margin_side], {})
     if report.witness is not None:
         return FalsificationResult(found=True, witness=report.witness,
                                    attempts=rechecks, note="")
@@ -488,7 +479,7 @@ def falsify(t: float, s: float, side: str) -> FalsificationResult:
         raise ValueError(f"the {side} side holds at t = {t}, s = {s}; "
                          "nothing to falsify")
     return FalsificationResult(
-        found=False, witness=None, attempts=xs.size,
+        found=False, witness=None, attempts=ladder.xs.size,
         note="no grid point on the search ladder crossed its noise floor "
              "and survived the extended-precision recheck; the margin is "
              "below the double-precision resolution at these parameters",
@@ -679,7 +670,8 @@ def empirical_threshold(
     if not 1e-8 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 1e-8, got {tol}")
 
-    xs, pieces, _ = _grid(grid)
+    g = _grid(grid or GridSpec())
+    xs = g.xs
     # The check holds on [0, p] for "lower" and on [q, 1/2] for "upper", and
     # fails along out * t: a verdict that agrees with the side puts mid left
     # of the cutoff.
@@ -695,7 +687,7 @@ def empirical_threshold(
         else:
             params = FamilyParams.from_t(mid, s)
             verdict = (_forced_verdict(params, side, xs)
-                       or _grid_verdict(params, side, xs, pieces))
+                       or _grid_verdict(params, side, xs, g.pieces))
         if (verdict == "holds_on_grid") == (side == "lower"):
             lo = mid
         else:
@@ -718,14 +710,15 @@ def verify_exponential_bounds(
     if not (0.0 < p_coef < math.inf and 0.0 < q_coef < math.inf):
         raise ValueError(f"both coefficients must be finite and > 0, got "
                          f"({p_coef}, {q_coef})")
-    xs, (lr, scale_lr, _), grid_entry = _log_grid(grid)
-    g_p, scale_p = _exp_bound_margin_with_scale(p_coef, lr, scale_lr, xs)
-    g_q, scale_q = _exp_bound_margin_with_scale(q_coef, lr, scale_lr, xs)
+    g = _grid(grid or GridSpec())
+    lr, scale_lr, _ = g.logs
+    g_p, scale_p = _exp_bound_margin_with_scale(p_coef, lr, scale_lr, g.xs)
+    g_q, scale_q = _exp_bound_margin_with_scale(q_coef, lr, scale_lr, g.xs)
     parameters = {"check": "exponential_bounds", "p_coef": p_coef,
-                  "q_coef": q_coef, "grid": grid_entry}
+                  "q_coef": q_coef, "grid": dict(g.entry)}
     sides = [("lower", g_p, scale_p, lambda x: _mp_exp_margin(p_coef, "lower", x)),
              ("upper", -g_q, scale_q, lambda x: _mp_exp_margin(q_coef, "upper", x))]
-    return _run_grid_check(xs, sides, parameters)[0]
+    return _run_grid_check(g.xs, sides, parameters)[0]
 
 
 def _ln_one_minus_sq(xs: np.ndarray) -> np.ndarray:
@@ -737,28 +730,26 @@ def _ln_one_minus_sq(xs: np.ndarray) -> np.ndarray:
     (Sterbenz) while ``x^2`` would lose the digits of ``1 - x^2`` near 1.
     """
     k = int(xs.searchsorted(0.5))
-    out = np.empty_like(xs)
-    small, large, x_large = out[:k], out[k:], xs[k:]
-    np.multiply(xs[:k], xs[:k], out=small)
-    np.negative(small, out=small)
-    np.log1p(small, out=small)
-    np.subtract(1.0, x_large, out=large)
-    large *= 1.0 + x_large
-    np.log(large, out=large)
-    return out
+    small, large = xs[:k], xs[k:]
+    return np.concatenate([np.log1p(-(small * small)),
+                           np.log((1.0 - large) * (1.0 + large))])
 
 
 def _power_sides(p: float, alpha: float, logs: tuple, sides) -> list:
     """The ``sides`` of the power comparison from one margin evaluation on
-    a grid's :func:`_grid_logs`."""
+    a grid's :attr:`_Grid.logs`."""
     lr, scale_lr, ln_sq = logs      # ln_sq = 2 ln(G/A)
     t_i = np.expm1(p * lr)          # I^p/A^p - 1, fully cancellation-free
-    t_g = np.expm1((0.5 * p) * ln_sq)  # G^p/A^p - 1
+    # |ln_sq| <= 27 up to EVAL_LIMIT, so only p > 1e306 can overflow the
+    # product, to -inf, where expm1 gives -1: the rounded value.
+    with _overflow_rounds(p > 1e306):
+        t_g = np.expm1((0.5 * p) * ln_sq)  # G^p/A^p - 1
     weighted_g = (1.0 - alpha) * t_g
     lower = t_i - weighted_g
     # An error e in a log argument moves its expm1 term by exp(arg) e =
-    # (1 + t) e, a slope <= 1, taken before the factor p so that p up to
-    # 1e307 overflows nothing; the expm1 terms add their own ulps.
+    # (1 + t) e, a slope <= 1, taken before the factor p; the expm1 terms
+    # add their own ulps.  At p near the top of the double range, 1 + t
+    # is 0 wherever p |arg| is large, so the scale stays finite.
     scale = (np.abs(t_i) + np.abs(weighted_g)
              + p * ((1.0 + t_i) * scale_lr)
              + p * ((1.0 - alpha) * (1.0 + t_g) * (1.5 * np.abs(ln_sq) + 1.0)))
@@ -788,10 +779,10 @@ def verify_convex_power_bound(
         raise ValueError(f"p_exp must be finite and >= 1, got {p_exp}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    xs, logs, grid_entry = _log_grid(grid)
+    g = _grid(grid or GridSpec())
     parameters = {"check": "convex_power", "p_exp": p_exp, "alpha": alpha,
-                  "side": side, "grid": grid_entry}
-    return _run_grid_check(xs, _power_sides(p_exp, alpha, logs, (side,)), parameters)[0]
+                  "side": side, "grid": dict(g.entry)}
+    return _run_grid_check(g.xs, _power_sides(p_exp, alpha, g.logs, (side,)), parameters)[0]
 
 
 def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoThirdsPowerReport:
@@ -804,13 +795,13 @@ def verify_two_thirds_power(p_exp: float, grid: GridSpec | None = None) -> TwoTh
     p_exp = float(p_exp)
     if not 0.0 < p_exp < math.inf:
         raise ValueError(f"p_exp must be finite and > 0, got {p_exp}")
-    xs, logs, grid_entry = _log_grid(grid)
-    sides = _power_sides(p_exp, 2.0 / 3.0, logs, ("upper", "lower"))
+    g = _grid(grid or GridSpec())
+    sides = _power_sides(p_exp, 2.0 / 3.0, g.logs, ("upper", "lower"))
     reports = {}
     for direction, side in zip(("forward", "reverse"), sides):
         parameters = {"check": "two_thirds_power", "p_exp": p_exp,
-                      "direction": direction, "grid": grid_entry}
-        reports[direction] = _run_grid_check(xs, [side], parameters)[0]
+                      "direction": direction, "grid": dict(g.entry)}
+        reports[direction] = _run_grid_check(g.xs, [side], parameters)[0]
     fwd_ok = reports["forward"].verdict == "holds_on_grid"
     rev_ok = reports["reverse"].verdict == "holds_on_grid"
     if fwd_ok and not rev_ok:

@@ -110,19 +110,19 @@ class TestLogRatio:
 
     @pytest.mark.parametrize("u", [0.0, 0.3])
     def test_any_order_gives_the_same_bits(self, u):
-        # Increasing gaps split into two slices, any other order into two
-        # masks; each point's value and error scale must not depend on that.
+        # The evaluator sorts the gaps, which the pieces take increasing;
+        # each point's value must not depend on the input's order.
         params = FamilyParams.from_u(u, 2.0)
         xs = np.concatenate([np.geomspace(1e-9, 0.5, 40),
                              1.0 - np.geomspace(1e-9, 0.5, 40)[::-1]])
         shuffled = np.random.default_rng(3).permutation(xs)
-        by_order = [_log_ratio_with_scale(params, _Pieces(arr))
-                    for arr in (xs, shuffled)]
+        by_order = [log_ratio_q_over_i(params, arr) for arr in (xs, shuffled)]
         order = np.argsort(shuffled)
-        for sorted_part, shuffled_part in zip(*by_order):
-            np.testing.assert_array_equal(shuffled_part[order], sorted_part)
+        np.testing.assert_array_equal(by_order[1][order], by_order[0])
+        np.testing.assert_array_equal(_log_ratio_with_scale(params, _Pieces(xs))[0],
+                                      by_order[0])
         scalars = [log_ratio_q_over_i(params, float(x)) for x in xs]
-        np.testing.assert_array_equal(by_order[0][0], scalars)
+        np.testing.assert_array_equal(by_order[0], scalars)
 
     @pytest.mark.parametrize("s", [6e307, 1e308, 1.7976931348623157e308])
     def test_u_zero_is_finite_at_extreme_s(self, s):
@@ -282,6 +282,20 @@ class TestDerivativeKernel:
             gate = 4.0 * EPS * (1.0 + atanh + rational)
             got = derivative_kernel(params, x)
             assert abs(got - kernel_near_one_u(u, s, e)) <= gate, e
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e297, 1e306, sys.float_info.max])
+    @pytest.mark.parametrize("t", [0.0, 0.1])
+    def test_huge_s_raises_no_overflow(self, t, s):
+        # s u x^3 / (1 - u x^2) passes DBL_MAX next to x = 1 from s = 4e296
+        # at t = 0, where -inf is the rounded value; at s u = DBL_MAX the
+        # series' 6 c3 and its Horner sums would overflow far from 1.
+        params = FamilyParams.from_t(t, s)
+        xs = np.array([1e-9, 1e-6, 1e-3, 5e-3, 0.0099, 0.01, 0.1, 0.5, 0.9,
+                       1.0 - 1e-6, EVAL_LIMIT])
+        got = derivative_kernel(params, xs)
+        want = [float(kernel_u(params.u, s, x)) for x in xs]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=1.0, max_value=10.0),
@@ -471,3 +485,19 @@ class TestArrayShapes:
         assert got.shape == shape
         want = np.array([evaluate(float(x)) for x in xs.ravel()]).reshape(shape)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS)
+    def test_any_order_gives_the_bits_of_the_sorted_call(self, evaluate):
+        # Shuffled, reversed, repeated and 2-D gaps, in both regions and up
+        # to EVAL_LIMIT, against the increasing 1-D call.
+        xs = np.concatenate([np.geomspace(1e-9, 0.5, 50),
+                             1.0 - np.geomspace(0.5, 1.0 - EVAL_LIMIT, 50)])
+        assert np.all(xs[1:] >= xs[:-1])
+        want = evaluate(xs)
+        perm = np.random.default_rng(28).permutation(xs.size)
+        np.testing.assert_array_equal(evaluate(xs[perm]), want[perm])
+        np.testing.assert_array_equal(evaluate(xs[::-1]), want[::-1])
+        np.testing.assert_array_equal(evaluate(np.concatenate([xs[perm], xs])),
+                                      np.concatenate([want[perm], want]))
+        np.testing.assert_array_equal(evaluate(xs[perm].reshape(10, 10)),
+                                      want[perm].reshape(10, 10))

@@ -15,6 +15,7 @@ from meanbounds import (
     certificate_succeeded,
     certify_sign,
     empirical_threshold,
+    derivative_kernel,
     exp_bound_margin,
     exponential_bound_constants,
     falsify,
@@ -29,7 +30,7 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
-from meanbounds import verify
+from meanbounds import family, means, verify
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import TAYLOR_X0
 from meanbounds.thresholds import EVAL_LIMIT
@@ -217,8 +218,9 @@ class TestFalsify:
 
         monkeypatch.setattr(verify, "_Pieces", rebuilt)
         assert falsify(0.3, 2.0, "lower").found and falsify(0.2, 2.0, "upper").found
-        for side, (xs, pieces) in zip(("lower", "upper"), first):
-            assert verify._ladder(side)[1] is pieces and not xs.flags.writeable
+        for side, ladder in zip(("lower", "upper"), first):
+            assert verify._ladder(side).pieces is ladder.pieces
+            assert not ladder.xs.flags.writeable
 
     def test_attempts_count_rechecks_when_found(self):
         ts = sharp_thresholds(1.0)
@@ -458,7 +460,8 @@ class TestForcedVerdict:
         rng = random.Random(2024)
         decided = {"holds_on_grid": 0, "violated": 0}
         for grid in _FORCED_GRIDS:
-            xs, pieces, _ = verify._grid(grid)
+            g = verify._grid(grid or GridSpec())
+            xs, pieces = g.xs, g.pieces
             for t, s, side in _forced_cases(rng, 1000):
                 forced = verify._forced_verdict(FamilyParams.from_t(t, s), side, xs)
                 if forced is None:
@@ -477,7 +480,8 @@ class TestForcedVerdict:
         # past -T(x, s) (verify._failing_bound): find that edge by bisection
         # in t and check the grid verdicts there.  A T inside the floor fails
         # here.
-        xs, pieces, _ = verify._grid(grid)
+        g = verify._grid(grid or GridSpec())
+        xs, pieces = g.xs, g.pieces
         ts = sharp_thresholds(s)
         cutoff = ts.p if side == "lower" else ts.q
         near, far = cutoff, (ts.p + 0.05 if side == "lower" else ts.q - 0.2 * (ts.q - ts.p))
@@ -532,7 +536,7 @@ class TestForcedVerdict:
         # T(x, s) = s * (eps * c) keeps a verdict that s * eps * c, inf here,
         # would lose.
         s = sys.float_info.max
-        xs = verify._grid(None)[0]
+        xs = verify._grid(GridSpec()).xs
         t = 0.9 * sharp_thresholds(s).q
         assert verify._forced_verdict(FamilyParams.from_t(t, s), "upper", xs) == "violated"
         assert math.isfinite(verify._failing_bound(float(xs[-1]), s, xs))
@@ -542,7 +546,7 @@ class TestForcedVerdict:
     def test_holding_rule_leaves_t_zero_and_half_to_the_grid(self, t, s):
         # Neither end is a bisection midpoint.  Only the sign rule at the
         # sentinel may decide there, and only a side that fails.
-        xs = verify._grid(None)[0]
+        xs = verify._grid(GridSpec()).xs
         for side in ("lower", "upper"):
             params = FamilyParams.from_t(t, s)
             forced = verify._forced_verdict(params, side, xs)
@@ -587,7 +591,8 @@ class TestProbes:
         rng = random.Random(2025)
         decided = {"holds_on_grid": 0, "violated": 0}
         for grid in _FORCED_GRIDS:
-            xs, pieces, _ = verify._grid(grid)
+            g = verify._grid(grid or GridSpec())
+            xs, pieces = g.xs, g.pieces
             for k in range(12):
                 # s log-uniform on [1, 1e4], one in four on [1e4, DBL_MAX].
                 lo, hi = (1e4, sys.float_info.max) if k % 4 == 3 else (1.0, 1e4)
@@ -620,6 +625,48 @@ class TestProbes:
         assert min(decided.values()) > 1000, decided
 
 
+class TestIncreasingGaps:
+    """Every array of gaps that the evaluation core splits is non-decreasing,
+    so two slices split it."""
+
+    def test_pieces_see_non_decreasing_gaps_only(self, monkeypatch):
+        seen = []
+        pieces, split = family._Pieces, family._split
+
+        def recording(build):
+            def record(x):
+                seen.append(np.array(x))
+                return build(x)
+            return record
+
+        for module in (family, means, verify):
+            monkeypatch.setattr(module, "_Pieces", recording(pieces))
+        monkeypatch.setattr(family, "_split", recording(split))
+        verify._grid.cache_clear()
+        verify._ladder.cache_clear()
+        s, grid = 2.0, GridSpec(count=512)
+        ts = sharp_thresholds(s)
+        # A sweep row.
+        empirical_threshold(s, "lower", grid)
+        empirical_threshold(s, "upper", grid)
+        verify_family_inequality(ts.p, s, "lower", grid)
+        verify_family_inequality(ts.q, s, "upper", grid)
+        assert falsify(ts.p + 1e-2, s, "lower").found
+        assert falsify(ts.q - 1e-2, s, "upper").found
+        verify_exponential_bounds(0.17, 0.3, grid)
+        verify_convex_power_bound(2.0, 0.5, "lower", grid)
+        verify_two_thirds_power(1.25, grid)
+        shuffled = np.random.default_rng(28).permutation(grid_points(grid))
+        params = FamilyParams.from_t(0.2, s)
+        log_ratio_q_over_i(params, shuffled)
+        derivative_kernel(params, shuffled)
+        exp_bound_margin(0.2, shuffled)
+        log_identric_over_arithmetic(shuffled)
+        assert len(seen) > 10
+        for x in seen:
+            assert np.all(x[1:] >= x[:-1])
+
+
 _CACHE_SPECS = (GridSpec(), GridSpec(count=512),
                 GridSpec(count=2000, spacing="uniform"))
 
@@ -637,7 +684,8 @@ class TestGridCache:
     """The grid cache holds one read-only grid and changes no report."""
 
     def test_cached_arrays_are_read_only(self):
-        xs, pieces, _ = verify._grid(None)
+        g = verify._grid(GridSpec())
+        xs, pieces = g.xs, g.pieces
         for arr in (xs, pieces.h, pieces.one_minus_sq, pieces.w_small,
                     pieces.x_direct):
             with pytest.raises(ValueError):
@@ -666,20 +714,23 @@ class TestGridCache:
     def test_holds_one_grid(self):
         for spec in _CACHE_SPECS:
             verify_family_inequality(0.24, 2.0, "lower", spec)
-        info = verify._grid_points_and_pieces.cache_info()
+        info = verify._grid.cache_info()
         assert info.maxsize == 1 and info.currsize == 1
 
     def test_cached_logs_are_read_only(self):
-        for arr in verify._log_grid(GridSpec(count=512))[1]:
+        for arr in verify._grid(GridSpec(count=512)).logs:
             with pytest.raises(ValueError):
                 arr[0] = 0.5
 
     def test_family_checks_build_no_logs(self, monkeypatch):
-        monkeypatch.setattr(verify, "_grid_logs", None)
+        verify._grid.cache_clear()
+        monkeypatch.setattr(verify, "_lr_with_error_scale", None)
+        monkeypatch.setattr(verify, "_ln_one_minus_sq", None)
         ts = sharp_thresholds(2.0)
         verify_family_inequality(ts.p, 2.0, "lower")
         falsify(ts.q - 1e-2, 2.0, "upper")
         empirical_threshold(2.0, "upper")
+        assert "logs" not in vars(verify._grid(GridSpec()))
 
 
 def _log_grid_reports(spec):
@@ -697,12 +748,11 @@ class TestGridLogsCache:
     @pytest.mark.parametrize("spec", [GridSpec(count=512),
                                       GridSpec(count=300, spacing="uniform")])
     def test_reports_equal_first_repeated_and_after_eviction(self, spec):
-        verify._grid_logs.cache_clear()
-        verify._grid_points_and_pieces.cache_clear()
+        verify._grid.cache_clear()
         first = _log_grid_reports(spec)
         assert _log_grid_reports(spec) == first
         _log_grid_reports(GridSpec(count=64))
-        assert verify._grid_logs.cache_info().currsize == 1
+        assert verify._grid.cache_info().currsize == 1
         assert _log_grid_reports(spec) == first
 
     def test_twenty_checks_evaluate_ln_i_over_a_once(self, monkeypatch):
@@ -714,7 +764,7 @@ class TestGridLogsCache:
             return lr(*args)
 
         monkeypatch.setattr(verify, "_lr_with_error_scale", counting)
-        verify._grid_logs.cache_clear()
+        verify._grid.cache_clear()
         rng = random.Random(27)
         grid = GridSpec(count=512)
         for _ in range(7):
@@ -926,7 +976,18 @@ class TestGridPointsValidity:
                 continue
             assert xs.size == spec.count
             assert 0.0 < xs[0] and xs[-1] < 1.0 and np.all(np.diff(xs) > 0.0), spec
+            assert xs[0] == x_min and xs[-1] == x_max, spec
         assert 0 < raised < 400
+
+    @pytest.mark.parametrize("x_max", [0.3, 1e-3, 0.45])
+    def test_refined_grid_ends_at_x_max(self, x_max):
+        # 1 - (1 - x_max) rounds to 0.30000000000000004, 0.0010000000000000009
+        # and 0.44999999999999996: the last point would leave the range that
+        # the report's grid entry names.
+        spec = GridSpec(count=64, x_min=1e-6, x_max=x_max)
+        assert grid_points(spec)[-1] == x_max
+        report = verify_family_inequality(0.24, 2.0, "lower", spec)
+        assert report.parameters["grid"]["x_max"] == x_max
 
 
 class TestExponentialBounds:
@@ -1012,6 +1073,19 @@ class TestConvexPowerBounds:
         report = verify_convex_power_bound(p, 0.5, "lower", grid)
         truth = min(float(power_margin(p, 0.5, "lower", x)) for x in grid_points(grid))
         assert report.worst_margin == pytest.approx(truth, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [2e307, sys.float_info.max])
+    def test_huge_exponent_raises_no_overflow(self, p):
+        # (p/2) ln(1 - x^2) overflows to -inf next to x = 1 from about
+        # p = 1.3e307; its expm1, -1, is the rounded value, so the verdicts
+        # are those at p = 1e307.
+        for side in ("lower", "upper"):
+            assert (verify_convex_power_bound(p, 0.5, side).verdict
+                    == verify_convex_power_bound(1e307, 0.5, side).verdict)
+        got, want = verify_two_thirds_power(p), verify_two_thirds_power(1e307)
+        assert (got.classification, got.forward.verdict, got.reverse.verdict) \
+            == (want.classification, want.forward.verdict, want.reverse.verdict)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
