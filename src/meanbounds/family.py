@@ -52,6 +52,7 @@ __all__ = [
 SERIES_CROSSOVER = 1e-2
 
 _LN2 = math.log(2.0)
+_DBL_MAX = float(np.finfo(float).max)
 
 
 def _validate_x(arr: np.ndarray) -> None:
@@ -88,7 +89,7 @@ def _split(x: np.ndarray) -> tuple[slice, slice]:
 def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, float]:
     """``c_k = 1/(2k(2k+1)) - s u^k / (2k)``, k = 1..4: the log-ratio is
     ``sum c_k x^(2k)``, so the kernel ``x^2 f'`` is ``sum 2k c_k x^(2k+1)``.
-    Interval twin, to ``TAYLOR_K`` terms: ``intervals._taylor_enclosure``."""
+    Interval twin, to at most ``TAYLOR_K`` terms: ``intervals._taylor_terms``."""
     u, s = params.u, params.s
     if u == 0.0:  # the s-free values, where 3 s u would be inf * 0 for s near the top
         return 1.0 / 6.0, 1.0 / 20.0, 1.0 / 42.0, 1.0 / 72.0
@@ -309,6 +310,11 @@ def exp_bound_margin(coef: float, x):
 
 def _exp_bound_margin_with_scale(coef: float, lr: np.ndarray,
                                  scale_lr: np.ndarray, x: np.ndarray):
-    """The margin and its error scale from ``ln(I/A)`` and its scale on ``x``."""
+    """The margin and its error scale from ``ln(I/A)`` and its scale on ``x``.
+
+    ``2 coef`` overflows for ``coef > DBL_MAX / 2``; ``DBL_MAX`` in its place
+    keeps the scale finite (``w < 1``) and still above ``coef w``, so the
+    noise floor stays over 32 times the error bound.
+    """
     w = x * x
-    return -lr - coef * w, scale_lr + 2.0 * coef * w
+    return -lr - coef * w, scale_lr + min(2.0 * coef, _DBL_MAX) * w

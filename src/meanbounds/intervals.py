@@ -38,13 +38,16 @@ as small as the distance of ``t`` from a cutoff, so a node inside
 ``[0, TAYLOR_X0]`` is enclosed from the series instead:
 :func:`_taylor_enclosure` encloses ``g = f / x^2``, a polynomial in
 ``X = x^2`` plus a bounded tail.  Such a Taylor node takes its sign from
-``g`` (``X > 0`` on ``(0, b]``) and reports ``X g`` as its bounds.  The
-series is cut after ``TAYLOR_K = 35`` terms with a bounded tail, enough for
-``TAYLOR_X0 = 0.5`` (the rule is derived beside the constants); ``h``'s
-coefficients, which depend on neither ``t`` nor ``s``, are enclosed once at
-import.  :func:`_node_bounds` is the one place that applies this rule and
-decides whether a node's sign enclosure clears 0 (sign -1 or 1, else 0),
-for the nodes of a certificate and, at ``[x, x]``, a bisection's rechecks.
+``g`` (``X > 0`` on ``(0, b]``) and reports ``X g`` as its bounds.  A
+node ``[a, b]`` cuts the series after the fewest terms ``K`` whose tail
+factor ``X^K / (1 - X)`` at ``X = b^2`` stays below 1.4e-21, with a bounded
+tail: at most ``TAYLOR_K = 35``, the count that ``TAYLOR_X0 = 0.5`` needs,
+and 3 to 5 at the points a bisection rechecks (the rule is derived beside
+the constants).  ``h``'s coefficients, which depend on neither ``t`` nor
+``s``, are enclosed once at import.  :func:`_node_bounds` is the one place
+that applies this rule and decides whether a node's sign enclosure clears
+0 (sign -1 or 1, else 0), for the nodes of a certificate and, at
+``[x, x]``, a bisection's rechecks.
 
 What depends on neither ``t`` nor ``s`` is enclosed once per process, and
 no bound moves by a bit for it.  :func:`_x_pieces` encloses ``h(x)`` and
@@ -52,10 +55,11 @@ no bound moves by a bit for it.  :func:`_x_pieces` encloses ``h(x)`` and
 entries (a certificate meets a few distinct endpoints, the bisections of a
 thousand sweep rows one), so an endpoint enclosure pays only for ``m2``;
 the cache returns the doubles that the same operations gave the first
-time.  The Taylor set-up stops its coefficient loop once ``s u^k / 2``
-falls below an eighth of the least ulp of ``h``'s coefficients: the full
-loop would round every later ``c_k`` to its ``h`` pair widened one ulp,
-which is taken from a tuple built at import.
+time.  The series of each ``K`` is set up once per ``(t, s)``, when a node
+first needs it, and its coefficient loop stops once ``s u^k / 2`` falls
+below an eighth of the least ulp of ``h``'s coefficients: the full loop
+would round every later ``c_k`` to its ``h`` pair widened one ulp, which is
+taken from a tuple built at import.
 
 :func:`_membership_enclosure` decides ``membership`` from the same
 enclosures of ``u`` and ``1 - u`` wherever float pairs suffice, under the
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from collections.abc import Callable
 from functools import lru_cache
 from math import inf, nextafter, ulp
@@ -88,17 +93,21 @@ __all__ = [
 # points in (0, 2) were within 0.58 ulp of mpmath, evidence but not proof.
 _LIBM_ULPS = 4
 
-# The Taylor node (see _taylor_enclosure).  On [0, TAYLOR_X0], X <= 1/4, so the
-# tail factor X^K / (1 - X) is below 0.25^35 / 0.75 < 1.4e-21 and the tail of
-# g below 1.6e-23 s (its s u^(K+1) / (2K+2) end dominates 1/(72 * 73)).  The
-# enclosed c_1 alone is 4e-16 to 9e-16 wide near the cutoffs, mostly from the
-# widening of u, so the tail sits five orders of magnitude below what
-# rounding already costs, even at s = 50.  The rule is X0^(2K) / (1 - X0^2)
-# < 1.4e-21, so K grows as about 24 / ln(1 / X0) with X0: 20 at 0.3, 35 at
-# 0.5.  A larger X0 leaves fewer nodes to the monotone enclosure, which needs
-# many where f is O(x^2) and nearly cancels, and at TAYLOR_X0 = 0.5 the
-# interval Horner over X in [0, 1/4] still proves (0, 0.5] in one node at
-# q + 1e-15 and p - 1e-15 for s in {1, 2, 10, 50}.
+# The Taylor node (see _taylor_enclosure).  A node [a, b] takes the least K
+# with X^K / (1 - X) < 1.4e-21 at X = b^2 rounded up (_series_terms), at most
+# TAYLOR_K.  The tail of g is that factor times s u^(K+1) / (2K + 2) below and
+# 1 / ((2K + 2)(2K + 3)) above, so it stays below 1.4e-21 max(s, 1) / (2K + 2):
+# 1.6e-23 s at K = 35 on [0, TAYLOR_X0], where X <= 1/4 and the factor is
+# below 0.25^35 / 0.75.  Near the cutoffs u is about 1 / (3s) and the upper
+# end leads: below 1.4e-21 / 20 = 7e-23 at any K.  The enclosed c_1 alone is
+# 3e-16 to 8e-16 wide there, mostly from the widening of u, so the tail sits
+# six orders of magnitude below what rounding already costs.  K grows as about
+# 24 / ln(1 / b): 3 to 5 at the points from 2e-4 to 6e-3 that a bisection
+# rechecks, 20 at 0.3, and 35 = TAYLOR_K above b = 0.4915 up to TAYLOR_X0,
+# which caps it.  A larger X0 leaves fewer nodes to the monotone enclosure,
+# which needs many where f is O(x^2) and nearly cancels, and at TAYLOR_X0 =
+# 0.5 the interval Horner over X in [0, 1/4] still proves (0, 0.5] in one
+# node at q + 1e-15 and p - 1e-15 for s in {1, 2, 10, 50}.
 TAYLOR_X0 = 0.5
 TAYLOR_K = 35
 
@@ -236,28 +245,54 @@ _H_WIDENED = tuple((nextafter(lo, -inf), nextafter(hi, inf)) for lo, hi in _H_CO
 _W_NEGLIGIBLE = min(ulp(lo) for lo, _ in _H_COEFFICIENTS) / 8.0
 
 
-def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[float, ...]]:
-    """The function enclosing the log-ratio over ``[a, b]`` in [0, TAYLOR_X0].
+def _tail_edge(terms: int) -> float:
+    """The largest double ``X`` in (0, 1) with ``X^K / (1 - X) < 1.4e-21``,
+    ``K = terms``: the least ``X`` that needs more than ``K`` terms lies one
+    ulp above it.
 
-    With ``X = x^2`` the log-ratio is ``f = X g``, where
+    A fixed-point iteration in floats lands within a few ulps; the exact
+    test, in integers on ``X = n / d``, then steps it onto the edge.
+    """
+    def meets(x: float) -> bool:
+        n, d = x.as_integer_ratio()
+        return n ** terms * 10 ** 22 < 14 * d ** (terms - 1) * (d - n)
 
-        g = sum_{k<=K} c_k X^(k-1) + R,  c_k = 1/(2k(2k+1)) - s u^k / (2k),
-        R in [-s u^(K+1) / (2K+2), 1/((2K+2)(2K+3))] X^K / (1 - X),
+    x = 0.0
+    for _ in range(12):
+        x = (1.4e-21 * (1.0 - x)) ** (1.0 / terms)
+    while not meets(x):
+        x = nextafter(x, 0.0)
+    while meets(nextafter(x, 1.0)):
+        x = nextafter(x, 1.0)
+    return x
 
-    since ``h``'s coefficients fall and ``u X <= X``.  The ``c_k`` and the
-    two ends of the tail factor are enclosed here, once, from
-    :func:`_u_enclosure` and the first ``TAYLOR_K + 1`` entries of
-    ``_H_COEFFICIENTS``.  Once ``s u^k / 2`` falls below ``_W_NEGLIGIBLE``
-    the rest of the ``c_k`` are those entries widened one ulp, the doubles
-    the full loop would give, so the loop stops there.  The returned
-    function evaluates ``g`` by interval Horner over ``[a^2, b^2]`` with the
-    tail as the innermost term, and returns ``(g_lo, g_hi, f_lo, f_hi)``
-    with ``f = X g``.  Every product and sum is rounded outward as by the
-    float-pair primitives; the two loops inline them.
+
+# _TAIL_EDGES[K - 1] is the largest X that K terms serve, K = 1 .. TAYLOR_K;
+# the edges rise with K.
+_TAIL_EDGES = tuple(_tail_edge(k) for k in range(1, TAYLOR_K + 1))
+
+
+def _series_terms(x2: float) -> int:
+    """The number of series terms of a node whose ``X = x^2`` reaches
+    ``x2``: the least ``K`` with ``x2^K / (1 - x2) < 1.4e-21``, capped at
+    ``TAYLOR_K``, which is read at each call."""
+    return min(bisect_left(_TAIL_EDGES, x2) + 1, TAYLOR_K)
+
+
+def _taylor_terms(params: FamilyParams,
+                  terms: int) -> tuple[list[tuple[float, float]], float, float]:
+    """The Horner coefficients ``c_K .. c_1`` and the tail ends of the
+    series with ``K = terms``, from :func:`_u_enclosure` and the first
+    ``K + 1`` entries of ``_H_COEFFICIENTS``.
+
+    Once ``s u^k / 2`` falls below ``_W_NEGLIGIBLE`` the rest of the ``c_k``
+    are those entries widened one ulp, the doubles the full loop would
+    give, so the loop stops there.  Each step depends only on the ones
+    before it, so the ``c_k`` of a shorter series are those of a longer one.
     """
     u_lo, u_hi = _u_enclosure(params)
     w_lo = w_hi = 0.5 * params.s
-    n, negligible = TAYLOR_K + 1, _W_NEGLIGIBLE
+    n, negligible = terms + 1, _W_NEGLIGIBLE
     coefficients = []
     for k, (h_lo, h_hi) in enumerate(_H_COEFFICIENTS[:n], 1):
         # w = s u^k / 2 by _mul_nonneg (u >= 0; w_lo is -5e-324 once u_lo = 0
@@ -284,12 +319,40 @@ def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[fl
     # Horner runs from c_K down to c_1; the k = K + 1 terms bound the tail.
     coefficients.pop()
     coefficients.reverse()
-    tail_lo, tail_hi = -m_hi, h_hi
+    return coefficients, -m_hi, h_hi
+
+
+def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[float, ...]]:
+    """The function enclosing the log-ratio over ``[a, b]`` in [0, TAYLOR_X0].
+
+    With ``X = x^2`` the log-ratio is ``f = X g``, where
+
+        g = sum_{k<=K} c_k X^(k-1) + R,  c_k = 1/(2k(2k+1)) - s u^k / (2k),
+        R in [-s u^(K+1) / (2K+2), 1/((2K+2)(2K+3))] X^K / (1 - X),
+
+    for every ``K``, since ``h``'s coefficients fall and ``u X <= X``.  A
+    node takes ``K = _series_terms(b^2 rounded up)`` terms, the fewest that
+    keep its tail factor below 1.4e-21, at most ``TAYLOR_K``: 35 above
+    ``b = 0.4915``, 3 to 5 at the points a bisection rechecks.  The series
+    of each ``K`` is set up by :func:`_taylor_terms` once per ``params``,
+    the first time a node asks for it.  The returned function evaluates
+    ``g`` by interval Horner over ``[a^2, b^2]`` with the tail as the
+    innermost term, and returns ``(g_lo, g_hi, f_lo, f_hi)`` with
+    ``f = X g``.  Every product, quotient and sum is rounded outward
+    as by the float-pair primitives, which the function inlines but for the
+    four-corner products next to ``a = 0``.
+    """
+    series: dict[int, tuple[list[tuple[float, float]], float, float]] = {}
 
     def enclose(a: float, b: float) -> tuple[float, ...]:
         x2_lo, x2_hi = nextafter(a * a, -inf), nextafter(b * b, inf)
-        d_lo, d_hi = _sub(1.0, 1.0, x2_lo, x2_hi)
-        g_lo, g_hi = _div(tail_lo, tail_hi, d_lo, d_hi)
+        terms = _series_terms(x2_hi)
+        coefficients, tail_lo, tail_hi = (series.get(terms)
+                                          or series.setdefault(terms, _taylor_terms(params, terms)))
+        # The tail over 1 - X by _sub and _div: tail_lo < 0 < tail_hi (m_hi > 0,
+        # as u_hi > 0) and 1 - X > 0, so both ends divide by the least 1 - X.
+        d_lo = nextafter(1.0 - x2_hi, -inf)
+        g_lo, g_hi = nextafter(tail_lo / d_lo, -inf), nextafter(tail_hi / d_lo, inf)
         if x2_lo < 0.0:
             # a * a rounded to 0 (a = 0 or below about 1.5e-162), so X reaches
             # one subnormal below 0 and each product needs all four corners.
@@ -300,7 +363,8 @@ def _taylor_enclosure(params: FamilyParams) -> Callable[[float, float], tuple[fl
         for c_lo, c_hi in coefficients:
             g_lo = nextafter(nextafter(g_lo * (x2_lo if g_lo >= 0.0 else x2_hi), -inf) + c_lo, -inf)
             g_hi = nextafter(nextafter(g_hi * (x2_hi if g_hi >= 0.0 else x2_lo), inf) + c_hi, inf)
-        return (g_lo, g_hi) + _mul_nonneg(g_lo, g_hi, x2_lo, x2_hi)
+        return (g_lo, g_hi, nextafter(g_lo * (x2_lo if g_lo >= 0.0 else x2_hi), -inf),
+                nextafter(g_hi * (x2_hi if g_hi >= 0.0 else x2_lo), inf))
 
     return enclose
 

@@ -8,16 +8,23 @@ moved to float pairs, so that the kernel's bounds can be compared with
 ``==`` against an independent composition of the same outward-rounded
 steps, each widening taken one ``nextafter`` at a time.
 :func:`taylor_enclosure` does the same for the series enclosure of nodes
-inside ``[0, TAYLOR_X0]``, and :func:`taylor_coefficients_loop` runs the
-kernel's coefficient loop with every step taken, the reference for its
-early stop.
+inside ``[0, TAYLOR_X0]``, with the number of terms that
+:func:`series_terms` computes in ``Fraction``s.  :func:`taylor_steps` runs
+the kernel's coefficient loop with every step taken, and
+:func:`taylor_coefficients_loop` cuts it to any number of terms: the
+reference for the kernel's early stop.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from meanbounds.intervals import (_H_COEFFICIENTS, _LIBM_ULPS, TAYLOR_K, _add, _div, _mul,
-                                  _one_minus_u, _sub, _u_enclosure)
+from meanbounds import intervals
+from meanbounds.intervals import (_H_COEFFICIENTS, _LIBM_ULPS, _add, _div, _mul, _one_minus_u,
+                                  _sub, _u_enclosure)
+
+# The bound on the tail factor X^K / (1 - X) that sets a node's K.
+TAIL_FACTOR_LIMIT = Fraction("1.4e-21")
 
 
 @dataclass(frozen=True)
@@ -104,43 +111,64 @@ def enclose_log_ratio(params, lo, hi):
             + Interval(m2_point(params, hi).lo, m2_point(params, lo).hi))
 
 
+def series_terms(x2):
+    """The least ``K`` with ``X^K / (1 - X) < 1.4e-21`` at the double
+    ``X = x2`` in [0, 1), exact in ``Fraction``s, capped at the
+    ``TAYLOR_K`` that ``meanbounds.intervals`` holds at the call."""
+    cap = intervals.TAYLOR_K
+    x = Fraction(x2)
+    power = x
+    for k in range(1, cap):
+        if power / (1 - x) < TAIL_FACTOR_LIMIT:
+            return k
+        power *= x
+    return cap
+
+
 def taylor_enclosure(params, a, b):
     """``(g, x^2 g)`` over [a, b] in [0, TAYLOR_X0], where ``g = f / x^2``.
 
     ``g = sum_{k<=K} c_k X^(k-1) + R`` with ``X = x^2``,
     ``c_k = 1/(2k(2k+1)) - s u^k / (2k)`` and the tail
     ``R in [-s u^(K+1) / (2K+2), 1/((2K+2)(2K+3))] X^K / (1 - X)``, by
-    Horner from ``c_K`` down, with the tail innermost.
+    Horner from ``c_K`` down, with the tail innermost.  ``K`` is
+    :func:`series_terms` of ``b^2`` rounded up.
     """
+    x2 = Interval(math.nextafter(a * a, -math.inf), math.nextafter(b * b, math.inf))
     u = Interval(*_u_enclosure(params))
     half_s_power = Interval.point(0.5 * params.s)
     coefficients = []
-    for k in range(1, TAYLOR_K + 2):
+    for k in range(1, series_terms(x2.hi) + 2):
         half_s_power = half_s_power * u
         negative = half_s_power / Interval.point(k)
         positive = Interval.point(1.0) / Interval.point(2.0 * k * (2 * k + 1))
         coefficients.append(positive - negative)
     tail = Interval(-negative.hi, positive.hi)
-    x2 = Interval(math.nextafter(a * a, -math.inf), math.nextafter(b * b, math.inf))
     g = tail / (Interval.point(1.0) - x2)
     for c in reversed(coefficients[:-1]):
         g = g * x2 + c
     return g, x2 * g
 
 
-def taylor_coefficients_loop(params):
-    """The Horner coefficients ``c_K .. c_1`` and the tail ends of the
-    kernel's series enclosure, with every one of the ``K + 1`` steps taken:
-    the reference for the early stop of ``_taylor_enclosure``."""
+def taylor_steps(params):
+    """The pair ``c_k`` and the upper end of ``s u^k / (2k)`` of each step
+    ``k = 1 .. TAYLOR_K + 1`` of the kernel's coefficient loop, every step
+    taken."""
     nextafter, inf = math.nextafter, math.inf
     u_lo, u_hi = _u_enclosure(params)
     w_lo = w_hi = 0.5 * params.s
-    coefficients = []
-    for k, (h_lo, h_hi) in enumerate(_H_COEFFICIENTS[:TAYLOR_K + 1], 1):
+    steps = []
+    for k, (h_lo, h_hi) in enumerate(_H_COEFFICIENTS[:intervals.TAYLOR_K + 1], 1):
         w_lo = nextafter(w_lo * (u_lo if w_lo >= 0.0 else u_hi), -inf)
         w_hi = nextafter(w_hi * (u_hi if w_hi >= 0.0 else u_lo), inf)
         m_lo, m_hi = nextafter(w_lo / k, -inf), nextafter(w_hi / k, inf)
-        coefficients.append((nextafter(h_lo - m_hi, -inf), nextafter(h_hi - m_lo, inf)))
-    coefficients.pop()
-    coefficients.reverse()
-    return coefficients, (-m_hi, h_hi)
+        steps.append(((nextafter(h_lo - m_hi, -inf), nextafter(h_hi - m_lo, inf)), m_hi))
+    return steps
+
+
+def taylor_coefficients_loop(steps, terms):
+    """The Horner coefficients ``c_K .. c_1`` and the tail ends of the
+    series with ``K = terms`` from :func:`taylor_steps`: the reference for
+    the early stop of ``intervals._taylor_terms``."""
+    coefficients = [c for c, _ in steps[terms - 1::-1]]
+    return coefficients, (-steps[terms][1], _H_COEFFICIENTS[terms][1])

@@ -1,7 +1,7 @@
 import hashlib
-import inspect
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,7 +13,8 @@ from meanbounds import (FamilyParams, certificate_succeeded, certify_sign, inter
                         sharp_thresholds)
 from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, TAYLOR_X0, _add, _div, _endpoint_enclosure,
                                   _monotone_bounds, _mul, _mul_nonneg, _one_minus_u, _sub,
-                                  _taylor_enclosure, _u_enclosure)
+                                  _series_terms, _taylor_enclosure, _taylor_terms,
+                                  _u_enclosure)
 from meanbounds.thresholds import EVAL_LIMIT
 
 import interval_reference as reference
@@ -76,6 +77,12 @@ nonneg_double = (st.sampled_from([v for v in _EDGES if v >= 0.0])
 
 def _bits(pair):
     return tuple(v.hex() for v in pair)
+
+
+def _packed(pairs):
+    """The bytes of a list of float pairs: equal exactly when every double
+    is, sign of zero and NaN payload included."""
+    return array("d", [v for pair in pairs for v in pair]).tobytes()
 
 
 class TestTwoCornerProduct:
@@ -300,16 +307,88 @@ class TestTaylorEnclosure:
         assert (e.x, e.h_lo, e.h_hi, e.m2_lo, e.m2_hi) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _kernel_coefficients(params):
-    """The Horner coefficients and tail ends that ``_taylor_enclosure`` sets up."""
-    cells = inspect.getclosurevars(_taylor_enclosure(params)).nonlocals
-    return cells["coefficients"], (cells["tail_lo"], cells["tail_hi"])
+def _terms_edge(k):
+    """The last node end ``b`` that ``k`` terms serve: ``b^2`` rounded up is
+    ``_TAIL_EDGES[k - 1]`` or just below, and the next double needs ``k + 1``."""
+    b = math.sqrt(intervals._TAIL_EDGES[k - 1])
+    while _series_terms(math.nextafter(b * b, math.inf)) > k:
+        b = math.nextafter(b, 0.0)
+    while _series_terms(math.nextafter(math.nextafter(b, 1.0) ** 2, math.inf)) == k:
+        b = math.nextafter(b, 1.0)
+    return b
+
+
+class TestSeriesTerms:
+    """A node ``[a, b]`` takes the least ``K`` whose tail factor
+    ``X^K / (1 - X)`` at ``X = b^2`` rounded up stays below 1.4e-21, at most
+    ``TAYLOR_K``: the kernel's ``K`` against ``tests/interval_reference.py``,
+    exact in ``Fraction``s."""
+
+    def test_least_k_either_side_of_each_boundary(self):
+        # The last X that k terms serve needs k, the next double k + 1.
+        for k, edge in enumerate(intervals._TAIL_EDGES, 1):
+            above = math.nextafter(edge, 1.0)
+            assert reference.series_terms(edge) == k
+            assert reference.series_terms(above) == min(k + 1, TAYLOR_K)
+            for x2 in (math.nextafter(edge, 0.0), edge, above):
+                assert _series_terms(x2) == reference.series_terms(x2), (k, x2)
+
+    def test_seeded_points(self):
+        rng = random.Random(15)
+        for _ in range(500):
+            x2 = math.nextafter(10.0 ** rng.uniform(-25.0, 0.0) * TAYLOR_X0 ** 2, math.inf)
+            assert _series_terms(x2) == reference.series_terms(x2), x2
+        assert _series_terms(5e-324) == 1
+
+    def test_x0_takes_taylor_k(self):
+        x2 = math.nextafter(TAYLOR_X0 * TAYLOR_X0, math.inf)
+        assert _series_terms(x2) == reference.series_terms(x2) == TAYLOR_K
+
+    def test_patched_taylor_k_caps_the_terms(self, monkeypatch):
+        asked = []
+        taylor_terms = intervals._taylor_terms
+
+        def recording(params, terms):
+            asked.append(terms)
+            return taylor_terms(params, terms)
+
+        monkeypatch.setattr(intervals, "_taylor_terms", recording)
+        monkeypatch.setattr(intervals, "TAYLOR_K", 3)
+        assert _series_terms(0.01) == reference.series_terms(0.01) == 3
+        assert _series_terms(1e-30) == reference.series_terms(1e-30) == 1
+        enclose = _taylor_enclosure(FamilyParams.from_t(0.2, 2.0))
+        enclose(0.0, TAYLOR_X0)
+        enclose(0.0, 1e-3)
+        assert asked == [3]
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
+    def test_nodes_contain_high_precision_values(self, s):
+        # Point nodes [x, x] for x in [1e-4, 1e-2], where a bisection
+        # rechecks, and nodes on both sides of each boundary and across it.
+        rng = random.Random(f"terms-{s}")
+        nodes = [(x, x) for x in (10.0 ** rng.uniform(-4.0, -2.0) for _ in range(20))]
+        for k in range(1, TAYLOR_K):
+            b = _terms_edge(k)
+            above = math.nextafter(b, 1.0)
+            assert reference.series_terms(math.nextafter(b * b, math.inf)) == k
+            assert reference.series_terms(math.nextafter(above * above, math.inf)) == k + 1
+            nodes += [(0.5 * b, b), (0.5 * b, above), (b, above), (b, b), (above, above)]
+        ts = sharp_thresholds(s)
+        for t in (ts.p - 1e-3, ts.q + 1e-3, rng.uniform(0.0, 0.5)):
+            enclose = _taylor_enclosure(FamilyParams.from_t(t, s))
+            for a, b in nodes:
+                g_lo, g_hi, f_lo, f_hi = enclose(a, b)
+                for x in (a, 0.5 * (a + b), b):
+                    f, g = family_log_ratio_and_quotient_t(t, s, x)
+                    assert g_lo <= g <= g_hi, (t, a, b, x)
+                    assert f_lo <= f <= f_hi, (t, a, b, x)
 
 
 class TestTaylorEarlyStop:
-    """``_taylor_enclosure`` stops its coefficient loop once ``s u^k / 2`` can
-    no longer move ``c_k``; its coefficients and tail are those of the full
-    loop in ``tests/interval_reference.py``, bit for bit."""
+    """``_taylor_terms`` stops its coefficient loop once ``s u^k / 2`` can no
+    longer move ``c_k``; its coefficients and tail are those of the full
+    loop in ``tests/interval_reference.py``, bit for bit, at ``TAYLOR_K``
+    and at every smaller ``K``."""
 
     EDGE_PARAMS = [FamilyParams.from_t(t, s)
                    for t in (0.0, 1e-300, math.nextafter(0.5, 0.0), 0.5)
@@ -319,10 +398,12 @@ class TestTaylorEarlyStop:
                     for s in (1.0, 50.0, _MAX)]
 
     def _assert_equal(self, params):
-        coefficients, tail = _kernel_coefficients(params)
-        ref_coefficients, ref_tail = reference.taylor_coefficients_loop(params)
-        assert [_bits(c) for c in coefficients] == [_bits(c) for c in ref_coefficients], params
-        assert _bits(tail) == _bits(ref_tail), params
+        steps = reference.taylor_steps(params)
+        for terms in range(1, TAYLOR_K + 1):
+            coefficients, tail_lo, tail_hi = _taylor_terms(params, terms)
+            ref_coefficients, ref_tail = reference.taylor_coefficients_loop(steps, terms)
+            assert _packed(coefficients) == _packed(ref_coefficients), (params, terms)
+            assert _bits((tail_lo, tail_hi)) == _bits(ref_tail), (params, terms)
 
     def test_edges(self):
         for params in self.EDGE_PARAMS:
@@ -345,7 +426,7 @@ class TestTaylorEarlyStop:
         for s, stopped in ((1.0, False), (5.0, True), (50.0, True)):
             ts = sharp_thresholds(s)
             for t in (ts.p - 1e-3, ts.q + 1e-3):
-                coefficients, _ = _kernel_coefficients(FamilyParams.from_t(t, s))
+                coefficients, _, _ = _taylor_terms(FamilyParams.from_t(t, s), TAYLOR_K)
                 marked = sum(math.isnan(c_lo) for c_lo, _ in coefficients)
                 assert (marked > 0) == stopped, (s, t, marked)
 

@@ -30,7 +30,7 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
-from meanbounds import family, means, verify
+from meanbounds import family, intervals, means, verify
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import TAYLOR_X0
 from meanbounds.thresholds import EVAL_LIMIT
@@ -515,6 +515,37 @@ class TestForcedVerdict:
         verify_family_inequality(ts.p, s, "lower")
         verify_family_inequality(ts.q, s, "upper")
         assert len(calls) <= 4
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
+    def test_sweep_row_takes_few_series_terms(self, s, monkeypatch):
+        # Each Taylor call of a row, at a sentinel point of 2e-4 to 6e-3,
+        # ran all 35 Horner terms when the series had one length: 315 over
+        # the 9 calls of these three rows.
+        calls, terms = [], []
+        taylor_enclosure, taylor_terms = intervals._taylor_enclosure, intervals._taylor_terms
+
+        def counting_enclosure(params):
+            enclose = taylor_enclosure(params)
+
+            def counted(a, b):
+                calls.append(b)
+                return enclose(a, b)
+            return counted
+
+        def counting_terms(params, k):
+            coefficients, tail_lo, tail_hi = taylor_terms(params, k)
+            terms.append(len(coefficients))
+            return coefficients, tail_lo, tail_hi
+
+        monkeypatch.setattr(intervals, "_taylor_enclosure", counting_enclosure)
+        monkeypatch.setattr(intervals, "_taylor_terms", counting_terms)
+        ts = sharp_thresholds(s)
+        empirical_threshold(s, "lower")
+        empirical_threshold(s, "upper")
+        verify_family_inequality(ts.p, s, "lower")
+        verify_family_inequality(ts.q, s, "upper")
+        assert calls and terms
+        assert max(terms) <= 6, (calls, terms)
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
     def test_sweep_row_asks_few_forced_verdicts(self, s, monkeypatch):
@@ -1027,6 +1058,17 @@ class TestExponentialBounds:
         assert report.witness.x == 0.999999999
         assert report.worst_margin == pytest.approx(-9.9999e-4, rel=1e-4)
         assert report.samples == 20_000
+
+    @pytest.mark.parametrize("p_coef", [9e307, sys.float_info.max])
+    def test_huge_lower_coefficient_is_violated(self, p_coef):
+        # 2 p_coef overflows here: an infinite scale and noise floor once hid
+        # every point, and the report read holds_on_grid.  A RuntimeWarning
+        # fails the test (pyproject's filterwarnings).
+        report = verify_exponential_bounds(p_coef, 0.31)
+        assert report.verdict == "violated"
+        assert report.witness.label == "lower"
+        assert report.worst_margin < -0.5 * p_coef
+        assert math.isfinite(report.witness.margin_recheck)
 
 
 class TestConvexPowerBounds:
