@@ -54,9 +54,9 @@ def __getattr__(name: str):
 
 GRID_ENV_VAR = "MEANBOUNDS_GRID"
 
-# Work is bounded before it starts: a sweep runs about 3,300 to 4,100 rows/s
+# Work is bounded before it starts: a sweep runs about 4,600 to 5,300 rows/s
 # on the default grid for s in [1, 50] (2 cores, 4,901 rows in process), so
-# the row limit is about 3 s, and 1M grid points take about 0.05 s for the
+# the row limit is about 2 s, and 1M grid points take about 0.05 s for the
 # first check and 0.01 s for each later check on the same grid.
 _MAX_SWEEP_ROWS = 10_000
 _MAX_GRID = 10_000_000

@@ -11,7 +11,9 @@ honest at machine precision:
   evaluation's rounding-error model.  A negative margin smaller than its
   floor is indistinguishable from zero; it is clamped rather than being
   promoted to a counterexample, so parameters sitting exactly on a sharp
-  threshold report ``holds_on_grid`` with a zero margin column.
+  threshold report ``holds_on_grid`` with a zero margin column.  Every
+  error scale is a sum of terms >= 0, so the floors are formed only where
+  some margin of the check is negative.
 * Any candidate violation is rechecked before it counts, in order of
   margin.  A reported witness is re-evaluated with mpmath at roughly twice
   the working precision, with more digits where those leave the margin
@@ -31,8 +33,9 @@ honest at machine precision:
   flagged and the least margin confirmed.  Either way the grid check's
   verdict, when correct, is unchanged, and so is the recovered threshold.
   Both verdicts carry over in ``t``, away from the cutoff: a bisection
-  decides two probes beside the closed-form cutoff first, and every step
-  past a decided probe takes its verdict.
+  decides two probes beside the closed-form cutoff first, each by the one
+  rule that can decide it, and every step past a decided probe takes its
+  verdict.
 
 Sign certificates are proved by :func:`meanbounds.intervals.certify_sign`,
 beside the interval kernel they run on; its names, and ``FamilyParams`` and
@@ -92,10 +95,15 @@ _MAX_RECHECKS = 32
 # errors; see _failing_bound.
 _FAIL_SAFETY = 8.0
 # The bisection's probes beside the closed-form cutoff, relative to it: one
-# inside, where the side holds, and the first of these outside that the
-# failing rule decides.
+# inside, where the side holds, and the first of its side's ladder outside
+# that the failing rule decides.  The upper ladder starts at 1e-6: 1e-7
+# outside q the margin at the sentinel, 0.7e-14 s to 1.7e-14 s, lies below
+# the failing rule's bound on a grid that ends near x = 1, as the default
+# does, where its grid-error term 8 E(xs[-1]) alone is about 7.4e-14 s.
+# On a grid that ends far below 1 the probe can decide; without it, a step
+# there takes the rules at its own t or the grid check, and the same verdict.
 _HOLD_PROBE = 1e-12
-_FAIL_PROBES = (1e-7, 1e-6, 1e-5)
+_FAIL_PROBES = {"lower": (1e-7, 1e-6, 1e-5), "upper": (1e-6, 1e-5)}
 
 _SIDES = ("lower", "upper")
 
@@ -342,23 +350,28 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
     margin, for a report).  Negative margins beyond the noise floor
     ``_NOISE_C * eps * scale`` become candidates, rechecked in order of
     margin over all sides together, ties by index (at most
-    ``_MAX_RECHECKS``); the first confirmed one is the witness.  Returns
-    the report and the number of rechecks run.
+    ``_MAX_RECHECKS``); the first confirmed one is the witness.  Where no
+    margin is negative there is none, and the scale is neither read nor
+    written.  Returns the report and the number of rechecks run.
     """
-    if len(sides) == 1:  # skips two array copies on the common path
-        margins, scale = sides[0][1], sides[0][2]
-    else:
-        margins = np.concatenate([side[1] for side in sides])
-        scale = np.concatenate([side[2] for side in sides])
-    # 64 eps is a power of two, so this is -(64 eps * scale) bit for bit.
-    # Written over the scale: one step temporary fewer.
-    neg_floors = np.multiply(scale, -_NOISE_C * _EPS, out=scale)
-    candidates = np.flatnonzero(margins < neg_floors)
-    if candidates.size:  # a holding report has none: skip the sort's set-up
-        candidates = candidates[np.argsort(margins[candidates], kind="stable")]
+    one = len(sides) == 1  # skips the array copies on the common path
+    margins = sides[0][1] if one else np.concatenate([side[1] for side in sides])
+    worst = float(margins.min())
+    candidates = []
+    # Every scale is a sum of terms >= 0, so no margin >= 0 lies below its
+    # floor, and none is formed then.  A NaN minimum takes the full path.
+    if not worst >= 0.0:
+        scale = sides[0][2] if one else np.concatenate([side[2] for side in sides])
+        # 64 eps is a power of two, so this is -(64 eps * scale) bit for bit.
+        # Written over the scale: one step temporary fewer.
+        neg_floors = np.multiply(scale, -_NOISE_C * _EPS, out=scale)
+        candidates = np.flatnonzero(margins < neg_floors)
+        if candidates.size:  # a holding report has none: skip the sort's set-up
+            candidates = candidates[np.argsort(margins[candidates], kind="stable")]
+        candidates = candidates[:_MAX_RECHECKS].tolist()
     witness = None
     rechecks = 0
-    for idx in candidates[:_MAX_RECHECKS].tolist():
+    for idx in candidates:
         label, _, _, recheck = sides[idx // xs.size]
         x = float(xs[idx % xs.size])
         confirmed = recheck(x)
@@ -372,7 +385,6 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
                 label=label,
             )
             break
-    worst = float(margins.min())
     if witness is None:
         # Any remaining negatives sit below their noise floors (or failed the
         # recheck): indistinguishable from zero.
@@ -552,31 +564,37 @@ def _failing_bound(x: float, s: float, xs: np.ndarray) -> float:
             + s * (k * (floor_and_error * b + b_last + 3.0)))
 
 
+def _holding_rule(params: FamilyParams, side: str) -> bool:
+    """Whether :func:`meanbounds.intervals._membership_enclosure` finds the
+    exact ``side`` holding at ``params``.  Every candidate of the grid check
+    is then a rounding artifact, with a true margin > 0, and its recheck,
+    the sign rule with mpmath on a straddle, drops it: the check holds."""
+    return _membership_enclosure(params) == f"{side}_bound_holds"
+
+
+def _failing_rule(params: FamilyParams, side: str, xs: np.ndarray) -> bool:
+    """Whether the sign rule, :func:`meanbounds.intervals._node_bounds` at
+    ``[x, x]``, encloses the margin at :func:`_sentinel` ``x`` of ``xs``
+    below ``-T(x, s)`` of :func:`_failing_bound`.  The grid check then
+    flags ``x``, its least-margin candidate has a true margin below 0, and
+    that recheck confirms it: the check is violated."""
+    x = _sentinel(params, side, xs)
+    _, bound_lo, bound_hi = _node_bounds(params)(x, x)
+    # The lower side's margin is minus the log-ratio, the upper side's itself.
+    return (bound_lo if side == "lower" else -bound_hi) > _failing_bound(x, params.s, xs)
+
+
 def _forced_verdict(params: FamilyParams, side: str, xs: np.ndarray) -> str | None:
     """The grid verdict of a bisection step on ``xs`` where it is forced,
-    else None; in O(1), before any margin is evaluated.
-
-    * "holds_on_grid" where :func:`meanbounds.intervals._membership_enclosure`
-      finds the exact ``side`` holding.  Every candidate of the grid check
-      is then a rounding artifact, with a true margin > 0, and its recheck,
-      the sign rule with mpmath on a straddle, drops it.
-    * "violated" where the sign rule, :func:`meanbounds.intervals._node_bounds`
-      at ``[x, x]``, encloses the margin at :func:`_sentinel` ``x`` below
-      ``-T(x, s)`` of :func:`_failing_bound`: the grid check flags ``x``,
-      its least-margin candidate has a true margin below 0, and that
-      recheck confirms it.
+    else None; in O(1), before any margin is evaluated: "holds_on_grid" by
+    :func:`_holding_rule`, "violated" by :func:`_failing_rule`.
 
     Either way the grid check would return the same verdict, as long as it
     returns the correct one, so the bisection ends on the same double.
     """
-    if _membership_enclosure(params) == f"{side}_bound_holds":
+    if _holding_rule(params, side):
         return "holds_on_grid"
-    x = _sentinel(params, side, xs)
-    _, bound_lo, bound_hi = _node_bounds(params)(x, x)
-    # The lower side's margin is minus the log-ratio, the upper side's itself.
-    if (bound_lo if side == "lower" else -bound_hi) > _failing_bound(x, params.s, xs):
-        return "violated"
-    return None
+    return "violated" if _failing_rule(params, side, xs) else None
 
 
 def _grid_verdict(params: FamilyParams, side: str, xs: np.ndarray, pieces: _Pieces) -> str:
@@ -606,22 +624,21 @@ def _probes(s: float, side: str, xs: np.ndarray) -> tuple[float, float]:
     Returns ``(holds_to, fails_from)``: a step at ``t`` holds on the grid
     where ``out * t <= holds_to`` and is violated where ``out * t >=
     fails_from``, by :func:`empirical_threshold`'s argument; -inf and inf
-    where a probe leaves (0, 1/2) or :func:`_forced_verdict` does not decide
-    it.
+    where a probe leaves (0, 1/2) or its rule does not decide it.  The
+    holding probe asks :func:`_holding_rule` alone and each failing probe
+    :func:`_failing_rule` alone: while both enclosures are correct the
+    other rule could not decide the probe the other way, so each decision
+    is the one :func:`_forced_verdict` would make.
     """
     ts = sharp_thresholds(s)
     out, cutoff = (1.0, ts.p) if side == "lower" else (-1.0, ts.q)
     holds_to, fails_from = -math.inf, math.inf
-
-    def decides(t: float, verdict: str) -> bool:
-        return 0.0 < t < 0.5 and _forced_verdict(FamilyParams.from_t(t, s), side, xs) == verdict
-
     probe = cutoff * (1.0 - out * _HOLD_PROBE)
-    if decides(probe, "holds_on_grid"):
+    if 0.0 < probe < 0.5 and _holding_rule(FamilyParams.from_t(probe, s), side):
         holds_to = out * probe
-    for rel in _FAIL_PROBES:
+    for rel in _FAIL_PROBES[side]:
         probe = cutoff * (1.0 + out * rel)
-        if decides(probe, "violated"):
+        if 0.0 < probe < 0.5 and _failing_rule(FamilyParams.from_t(probe, s), side, xs):
             fails_from = out * probe
             break
     return holds_to, fails_from
@@ -645,8 +662,9 @@ def empirical_threshold(
       ``1e-12`` relative inside it, decided where float pairs prove the
       exact side holding (under the kernel's libm assumption,
       ``_LIBM_ULPS``), and the first of ``1e-7``, ``1e-6``, ``1e-5``
-      relative outside it that the sign rule decides failing, at one grid
-      point ``x``.
+      ("lower") or ``1e-6``, ``1e-5`` ("upper") relative outside it that
+      the sign rule decides failing, at one grid point ``x``.  Each probe
+      asks only that one rule (:func:`_probes`).
     * A step past a decided probe takes its verdict and evaluates nothing.
       Both rules carry over in ``t``, away from the cutoff: the exact
       criterion (``3su <= 1`` for "upper", ``3su > 1`` and ``L <= 0`` for

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meanbounds import (FamilyParams, certificate_succeeded, certify_sign, intervals,
-                        sharp_thresholds)
+                        membership, sharp_thresholds)
 from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, TAYLOR_X0, _add, _div, _endpoint_enclosure,
                                   _monotone_bounds, _mul, _mul_nonneg, _one_minus_u, _sub,
                                   _series_terms, _taylor_enclosure, _taylor_terms,
@@ -19,6 +19,7 @@ from meanbounds.thresholds import EVAL_LIMIT
 
 import interval_reference as reference
 from oracles import family_log_ratio_and_quotient_t, family_log_ratio_u
+from test_thresholds import ulps_around
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 
@@ -571,6 +572,23 @@ class TestLibmAllowance:
             if not (e.h_lo <= h <= e.h_hi and e.m2_lo <= m2 <= e.m2_hi):
                 failures.append((x, p))
         assert not failures, (len(failures), failures[:3])
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.7, 5.0, 10.0, 20.0, 50.0])
+    def test_membership_enclosure_agrees_with_shifted_libm(self, monkeypatch, direction, s):
+        # A bisection's holding probe rests on _membership_enclosure alone:
+        # with libm's log off by _LIBM_ULPS it may leave a double within 64
+        # ulps of p or q undecided, never decide it against membership.
+        monkeypatch.setattr(intervals, "_log", _shifted(math.log, direction * _LIBM_ULPS))
+        ts = sharp_thresholds(s)
+        decided = 0
+        for cutoff in (ts.p, ts.q):
+            for t in ulps_around(cutoff, 64):
+                got = intervals._membership_enclosure(FamilyParams.from_t(t, s))
+                if got is not None:
+                    decided += 1
+                    assert got == membership(t, s), (s, t.hex())
+        assert decided > 180, decided
 
 
 def _digest_cases():

@@ -395,6 +395,58 @@ class TestRecheckOrder:
         assert report.worst_margin == 0.0
 
 
+class TestFloorSkip:
+    """Noise floors are formed only where some margin is negative: no
+    margin >= 0 lies below its floor, as every scale is >= 0."""
+
+    def _sides(self, margins, writeable):
+        asked = []
+
+        def recheck(x):
+            asked.append(x)
+            return -1.0
+
+        scale = np.ones(len(margins))
+        scale.flags.writeable = writeable
+        return [("", np.array(margins), scale, recheck)], asked
+
+    @pytest.mark.parametrize("margins", [[0.5, 0.0, 2.0, 1e-300], [-0.0, 3.0], [0.0, 0.0]])
+    def test_nonnegative_margins_leave_a_read_only_scale_unread(self, margins):
+        xs = np.linspace(0.1, 0.9, len(margins))
+        sides, asked = self._sides(margins, writeable=False)
+        report, rechecks = verify._run_grid_check(xs, sides, {})
+        assert report.verdict == "holds_on_grid" and report.witness is None
+        assert report.worst_margin == min(margins)
+        assert rechecks == 0 and asked == []
+
+    def test_a_margin_below_its_floor_is_still_flagged_and_rechecked(self):
+        # The margin at index 3 lies below its floor 64 eps; the one at
+        # index 1 is negative but inside its floor, and is not rechecked.
+        xs = np.linspace(0.1, 0.9, 5)
+        sides, asked = self._sides([1.0, -_NOISE_C * _EPS / 2.0, 2.0, -1e-3, 0.5],
+                                   writeable=True)
+        report, rechecks = verify._run_grid_check(xs, sides, {})
+        assert rechecks == 1 and asked == [float(xs[3])]
+        assert report.verdict == "violated"
+        assert (report.witness.x, report.witness.margin) == (float(xs[3]), -1e-3)
+        assert report.worst_margin == -1e-3
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 5.0, 50.0])
+    def test_report_at_p_forms_no_floor(self, s, monkeypatch):
+        # No margin at the closed-form p is negative on the default grid,
+        # so the report check there never writes its scale.
+        family_side = verify._family_side
+
+        def read_only(*args):
+            side = family_side(*args)
+            side[2].flags.writeable = False
+            return side
+
+        monkeypatch.setattr(verify, "_family_side", read_only)
+        report = verify_family_inequality(sharp_thresholds(s).p, s, "lower")
+        assert report.verdict == "holds_on_grid" and report.worst_margin >= 0.0
+
+
 class TestEnclosureRecheck:
     """A bisection step decides a candidate by enclosure as mpmath would."""
 
@@ -549,18 +601,22 @@ class TestForcedVerdict:
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
     def test_sweep_row_asks_few_forced_verdicts(self, s, monkeypatch):
-        # Every step asked _forced_verdict, 38 a row, before the probes.
+        # Every step asked both rules, 38 times a row each, before the
+        # probes; up to 10 rule evaluations a row while each probe asked
+        # both rules.  Every rule evaluation counts here, probes included.
         calls = []
-        forced = verify._forced_verdict
+        for name in ("_holding_rule", "_failing_rule"):
+            rule = getattr(verify, name)
 
-        def counting(*args):
-            calls.append(args)
-            return forced(*args)
+            def counting(*args, rule=rule):
+                calls.append(args)
+                return rule(*args)
 
-        monkeypatch.setattr(verify, "_forced_verdict", counting)
+            monkeypatch.setattr(verify, name, counting)
         empirical_threshold(s, "lower")
         empirical_threshold(s, "upper")
-        assert len(calls) <= 10
+        assert calls
+        assert len(calls) <= 6
 
     @pytest.mark.filterwarnings("error")
     def test_failing_rule_stays_finite_at_the_largest_s(self):
@@ -654,6 +710,24 @@ class TestProbes:
                         assert verdict == want, (grid, t, s, side)
         # About 1,100 held and 1,300 violated of the steps checked.
         assert min(decided.values()) > 1000, decided
+
+    def test_first_failing_probe_of_each_side_decides(self):
+        # s log-uniform on [1, 1e7], the default grid: the lower side's
+        # first probe, 1e-7 outside p, and the upper side's, 1e-6 outside q,
+        # each decide.  1e-7 outside q, dropped from the upper ladder, the
+        # sentinel's margin lies below the failing rule's bound: it decides
+        # at none of them.
+        assert verify._FAIL_PROBES == {"lower": (1e-7, 1e-6, 1e-5), "upper": (1e-6, 1e-5)}
+        xs = verify._grid(GridSpec()).xs
+        rng = random.Random(2030)
+        for _ in range(100):
+            s = math.exp(rng.uniform(0.0, math.log(1e7)))
+            ts = sharp_thresholds(s)
+            p_probe, q_probe = ts.p * (1.0 + 1e-7), ts.q * (1.0 - 1e-6)
+            assert verify._probes(s, "lower", xs)[1] == p_probe, s
+            assert verify._probes(s, "upper", xs)[1] == -q_probe, s
+            dropped = FamilyParams.from_t(ts.q * (1.0 - 1e-7), s)
+            assert not verify._failing_rule(dropped, "upper", xs), s
 
 
 class TestIncreasingGaps:
