@@ -7,7 +7,9 @@ checks around the cutoffs of one s).
 
 Exit codes are a stable contract: 0 means the checked inequality holds
 (or the command is informational), 1 means violated / witness search
-exhausted, 2 means usage or domain error or an unwritable ``--out``.  Each
+exhausted, 2 means usage or domain error or an unwritable ``--out``, and
+141 (``EXIT_BROKEN_PIPE``) means stdout was closed before all of the
+output was written, as by ``| head``.  Each
 command computes its result and :func:`_render` alone turns it into text
 for ``--format``.  Output files are written once, after all computation,
 so invalid input never leaves a partial file.
@@ -53,6 +55,9 @@ def __getattr__(name: str):
 
 
 GRID_ENV_VAR = "MEANBOUNDS_GRID"
+
+# 128 + SIGPIPE: what a shell reports for a process that signal ended.
+EXIT_BROKEN_PIPE = 141
 
 # Work is bounded before it starts: a sweep runs about 4,600 to 5,300 rows/s
 # on the default grid for s in [1, 50] (2 cores, 4,901 rows in process), so
@@ -359,4 +364,12 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointed at devnull, that
+        # flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)

@@ -16,12 +16,14 @@ decides the sharp cutoffs is carried out exactly in
 :func:`meanbounds.thresholds.membership`.
 
 The log-ratio is the one evaluation core of the package: ``ln(I/A)`` is its
-``u = 0`` case, ``-h``, so :mod:`meanbounds.means` evaluates it here, and
-:mod:`meanbounds.intervals` encloses the same two pieces.  The kernel is
-built from the same ``d = 1 - x``, ``log1p`` terms and series coefficients,
-on the same domain, up to ``EVAL_LIMIT``.  ``FamilyParams`` and
-``EVAL_LIMIT`` come from :mod:`meanbounds.thresholds`, which owns the domain
-of ``(t, s)``, and stay importable from here.
+``u = 0`` case, ``-h``, so :mod:`meanbounds.means` evaluates arrays of it
+here, and :mod:`meanbounds.intervals` encloses the same two pieces.  ``h``
+(``means._h``), the ``u = 0`` series coefficients and ``SERIES_CROSSOVER``
+are defined in :mod:`meanbounds.means`, which needs no numpy for a single
+pair.  The kernel is built from the same ``d = 1 - x``, ``log1p`` terms and
+series coefficients, on the same domain, up to ``EVAL_LIMIT``.
+``FamilyParams`` and ``EVAL_LIMIT`` come from :mod:`meanbounds.thresholds`,
+which owns the domain of ``(t, s)``, and stay importable from here.
 
 Every array of gaps inside the package is non-decreasing, so its series
 points are a prefix, split off by one slice.  The public evaluators sort
@@ -35,6 +37,7 @@ import math
 
 import numpy as np
 
+from .means import _H_SERIES, SERIES_CROSSOVER, _h
 from .thresholds import EVAL_LIMIT, FamilyParams
 
 __all__ = [
@@ -43,13 +46,6 @@ __all__ = [
     "log_ratio_limit_at_one",
     "exp_bound_margin",
 ]
-
-# Below this gap the direct form keeps only absolute (not relative)
-# accuracy: its few-ulp error on the O(1) quotient in h divided by x^2 swamps
-# quantities like ln(A/I)/x^2 - 1/6 once x^2 is small.  The degree-8 series
-# still truncates below 6e-18 relative at 1e-2, so it owns everything
-# beneath that point.
-SERIES_CROSSOVER = 1e-2
 
 _LN2 = math.log(2.0)
 _DBL_MAX = float(np.finfo(float).max)
@@ -61,6 +57,11 @@ def _validate_x(arr: np.ndarray) -> None:
     if np.any(arr > EVAL_LIMIT):
         raise ValueError(f"x is only evaluated up to {EVAL_LIMIT!r}; "
                          "use log_ratio_limit_at_one for the x -> 1 behavior")
+
+
+def _validate_gap(arr: np.ndarray) -> None:
+    if not np.all((arr >= 0.0) & (arr < 1.0)):  # NaN fails both tests
+        raise ValueError("gap values must lie in [0, 1)")
 
 
 def _evaluate(x, fn, validate=_validate_x):
@@ -92,14 +93,15 @@ def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, flo
     Interval twin, to at most ``TAYLOR_K`` terms: ``intervals._taylor_terms``."""
     u, s = params.u, params.s
     if u == 0.0:  # the s-free values, where 3 s u would be inf * 0 for s near the top
-        return 1.0 / 6.0, 1.0 / 20.0, 1.0 / 42.0, 1.0 / 72.0
+        return _H_SERIES
+    h1, h2, h3, h4 = _H_SERIES
     three_su = 3.0 * s * u
     # 3 s overflows for s > 6e307, while s u <= s stays finite.
-    c1 = 1.0 / 6.0 - s * u / 2.0 if math.isinf(three_su) else (1.0 - three_su) / 6.0
+    c1 = h1 - s * u / 2.0 if math.isinf(three_su) else (1.0 - three_su) / 6.0
     return (c1,
-            1.0 / 20.0 - s * u * u / 4.0,
-            1.0 / 42.0 - s * u ** 3 / 6.0,
-            1.0 / 72.0 - s * u ** 4 / 8.0)
+            h2 - s * u * u / 4.0,
+            h3 - s * u ** 3 / 6.0,
+            h4 - s * u ** 4 / 8.0)
 
 
 def _log_ratio_series(params: FamilyParams, w: np.ndarray,
@@ -111,17 +113,6 @@ def _log_ratio_series(params: FamilyParams, w: np.ndarray,
         out += c
         out *= w
     return out
-
-
-def _h(v, d, ln_d):
-    """``h = 1 - [(1+v) ln(1+v) - d ln d] / (2v)`` given ``d = 1 - v`` and ``ln d``.
-
-    Both products are >= 0 and their quotient by ``2v`` lies in [ln 2, 1], so
-    nothing cancels.  The grid passes ``(x, 1 - x, log1p(-x))``, the identric
-    mean ``d`` and ``ln d`` from the pair.  Interval twin: the ``h`` enclosure
-    of ``intervals._endpoint_enclosure``.
-    """
-    return 1.0 - ((1.0 + v) * np.log1p(v) - d * ln_d) / (2.0 * v)
 
 
 def _overflow_rounds(possible: bool):
@@ -167,7 +158,7 @@ class _Pieces:
         # (1-x)(1+x): the subtraction is exact for x >= 1/2 and one rounding
         # below, so 1 - x^2 keeps a few-ulp relative error up to x = 1 - 1e-9.
         self.one_minus_sq = one_minus_x * (1.0 + self.x_direct)
-        self.h = _h(self.x_direct, one_minus_x, np.log1p(-self.x_direct))
+        self.h = _h(self.x_direct, one_minus_x, np.log1p(-self.x_direct), np.log1p)
         for arr in (self.w_small, self.x_direct, self.one_minus_sq, self.h):
             arr.flags.writeable = False
 
@@ -249,9 +240,9 @@ def _lr_with_error_scale(pieces: _Pieces) -> tuple[np.ndarray, np.ndarray]:
 
 def _kernel(params: FamilyParams, x: np.ndarray) -> np.ndarray:
     """The kernel on ``x``: below the crossover its series; above, the twin
-    of :func:`_h`, with ``atanh(x) = (log1p(x) - log1p(-x)) / 2`` and
-    ``1 - u x^2 = d (1 + x) + (1 - u) x^2``, ``d = 1 - x``, a sum of
-    nonnegative terms.
+    of :func:`meanbounds.means._h`, with ``atanh(x) = (log1p(x) -
+    log1p(-x)) / 2`` and ``1 - u x^2 = d (1 + x) + (1 - u) x^2``,
+    ``d = 1 - x``, a sum of nonnegative terms.
 
     ``s u x^3 / (1 - u x^2) <= 1e12 s`` up to ``EVAL_LIMIT``, so only
     ``s > 1e296`` can overflow it, to -inf next to ``x = 1``: the rounded

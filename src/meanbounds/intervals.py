@@ -391,7 +391,7 @@ def _x_pieces(x: float) -> tuple[float, float, float, float]:
     enclosure stays O(eps) wide as x -> 0.  The products take two corners,
     by ``_mul_nonneg`` with the factor ``1 +- x`` second: for subnormal x
     the widened ``log1p(x)`` can cross 0, so the first factor may take
-    either sign.  The float twin of ``h`` is :func:`meanbounds.family._h`.
+    either sign.  The float twin of ``h`` is :func:`meanbounds.means._h`.
     """
     # 1 - x is exact for x >= 1/2 (Sterbenz), else one ulp wide.
     d_lo = d_hi = 1.0 - x

@@ -3,11 +3,15 @@
 All means here are symmetric, homogeneous of degree one, and extend
 continuously to equal arguments.  Every comparison between them reduces to
 a one-variable function of the normalized gap ``v = |a - b| / (a + b)``,
-so the numerically delicate work is concentrated in
-:func:`log_identric_over_arithmetic`, which evaluates ``ln(I/A)`` as a
-function of ``v`` with a series path near the removable singularity at
-``v = 0`` and the bounded form ``-h(v)`` elsewhere.  Both paths are the
-``u = 0`` case of the family log-ratio in :mod:`meanbounds.family`.
+so the numerically delicate work is concentrated in ``ln(I/A) = -h(v)``,
+with a series path near the removable singularity at ``v = 0`` and the
+bounded form ``-h(v)`` elsewhere.  This module defines both, :func:`_h` and
+the series coefficients ``_H_SERIES`` below ``SERIES_CROSSOVER``, once for
+the package: :func:`identric_mean` evaluates them on one pair in
+:mod:`math`, so it loads neither numpy nor mpmath, and
+:func:`log_identric_over_arithmetic` evaluates them on arrays as the
+``u = 0`` case of the family log-ratio in :mod:`meanbounds.family`, which
+it imports on first call.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .family import SERIES_CROSSOVER, _Pieces, _evaluate, _h, _lr_with_error_scale
 from .thresholds import FamilyParams
 
 __all__ = [
@@ -33,6 +34,30 @@ __all__ = [
     "log_identric_over_arithmetic",
     "SERIES_CROSSOVER",
 ]
+
+# Below this gap the direct form keeps only absolute (not relative)
+# accuracy: its few-ulp error on the O(1) quotient in h divided by x^2 swamps
+# quantities like ln(A/I)/x^2 - 1/6 once x^2 is small.  The degree-8 series
+# still truncates below 6e-18 relative at 1e-2, so it owns everything
+# beneath that point.
+SERIES_CROSSOVER = 1e-2
+
+# h(v) = sum 1/(2k(2k+1)) v^(2k), k = 1..4, below SERIES_CROSSOVER: the
+# s-free parts of the family's series coefficients.
+_H_SERIES = (1.0 / 6.0, 1.0 / 20.0, 1.0 / 42.0, 1.0 / 72.0)
+
+
+def _h(v, d, ln_d, log1p):
+    """``h = 1 - [(1+v) ln(1+v) - d ln d] / (2v)`` given ``d = 1 - v`` and ``ln d``.
+
+    Both products are >= 0 and their quotient by ``2v`` lies in [ln 2, 1], so
+    nothing cancels.  ``log1p`` is ``math.log1p`` on a float and
+    ``np.log1p`` on an array.  The family grid passes ``(x, 1 - x,
+    log1p(-x))``, the identric mean ``d`` and ``ln d`` from the pair for
+    ``v >= 1/2``.  Interval twin: the ``h`` enclosure of
+    ``intervals._x_pieces``.
+    """
+    return 1.0 - ((1.0 + v) * log1p(v) - d * ln_d) / (2.0 * v)
 
 
 @dataclass(frozen=True)
@@ -113,18 +138,24 @@ def pair_from_gap(v: float, scale: float = 1.0) -> PositivePair:
 def identric_mean(pair: PositivePair) -> float:
     """Identric mean ``(1/e) * (a^a / b^b)^(1/(a-b))``, extended by I(a, a) = a.
 
-    Evaluated as ``A * exp(ln(I/A))`` through the gap reduction; the raw
-    power form overflows once ``a**a`` leaves the double range.  For
-    ``v >= 1/2``, ``-h`` takes ``1 - v`` from the pair, as :func:`q_mean` does.
+    Evaluated as ``A * exp(-h(v))`` through the gap reduction; the raw
+    power form overflows once ``a**a`` leaves the double range.  Below
+    ``SERIES_CROSSOVER`` ``h`` is its series, by Horner's rule in the order
+    of ``family._log_ratio_series``.  For ``v >= 1/2``, ``h`` takes
+    ``1 - v`` from the pair, as :func:`q_mean` does.
     """
     if pair.a == pair.b:
         return pair.a
     v = gap(pair)
-    if v >= 0.5:
-        lr = -float(_h(v, *_one_minus_gap(pair)))
+    if v < SERIES_CROSSOVER:
+        c1, c2, c3, c4 = _H_SERIES
+        w = v * v
+        h = (((w * c4 + c3) * w + c2) * w + c1) * w
+    elif v < 0.5:
+        h = _h(v, 1.0 - v, math.log1p(-v), math.log1p)
     else:
-        lr = float(log_identric_over_arithmetic(v))
-    return arithmetic_mean(pair) * math.exp(lr)
+        h = _h(v, *_one_minus_gap(pair), math.log1p)
+    return arithmetic_mean(pair) * math.exp(-h)
 
 
 def q_mean(pair: PositivePair, t: float, s: float) -> float:
@@ -160,11 +191,6 @@ def q_mean(pair: PositivePair, t: float, s: float) -> float:
     return arithmetic_mean(pair) * math.exp(e)
 
 
-def _validate_gap(arr: np.ndarray) -> None:
-    if not np.all((arr >= 0.0) & (arr < 1.0)):  # NaN fails both tests
-        raise ValueError("gap values must lie in [0, 1)")
-
-
 def log_identric_over_arithmetic(v):
     """``ln(I/A)`` as a function of the gap ``v`` alone.
 
@@ -174,6 +200,10 @@ def log_identric_over_arithmetic(v):
     relative accuracy below ``SERIES_CROSSOVER``; above it ``-h`` keeps
     absolute accuracy near machine epsilon up to ``v -> 1``.
 
-    Accepts a scalar or array; rejects any value outside [0, 1).
+    Accepts a scalar or array; rejects any value outside [0, 1).  A scalar
+    takes the array path too, so its value is the array's bit for bit.
     """
-    return _evaluate(v, lambda arr: _lr_with_error_scale(_Pieces(arr))[0], _validate_gap)
+    from .family import _Pieces, _evaluate, _lr_with_error_scale, _validate_gap
+
+    return _evaluate(v, lambda arr: _lr_with_error_scale(_Pieces(arr))[0],
+                     _validate_gap)

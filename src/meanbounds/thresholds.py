@@ -41,7 +41,9 @@ EVAL_LIMIT = 1.0 - 1e-12
 
 def _checked_s(s: float) -> float:
     s = float(s)
-    if not (math.isfinite(s) and s >= 1.0):
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    if s < 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
     return s
 

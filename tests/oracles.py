@@ -4,6 +4,8 @@ Everything here is written directly from the defining expressions in
 mpmath, deliberately sharing no code with the library paths under test.
 """
 
+import math
+
 import mpmath as mp
 
 DPS = 40
@@ -142,6 +144,20 @@ def identric_raw(a, b):
         return mp.exp(-1) * (a ** a / b ** b) ** (1 / (a - b))
 
 
+def identric(a, b, dps=50):
+    """I(a, b) to ``dps`` digits, from ``ln I = (a ln a - b ln b)/(a - b) - 1``.
+
+    The quotient cancels about ``log10((a + b) / |a - b|)`` digits, which
+    are carried on top; the difference of two doubles is exact there.
+    """
+    a, b = mp.mpf(a), mp.mpf(b)
+    if a == b:
+        return a
+    extra = 10 + int(mp.log10((a + b) / abs(a - b)))
+    with mp.workdps(dps + extra):
+        return mp.exp((a * mp.log(a) - b * mp.log(b)) / (a - b) - 1)
+
+
 def power_margin(p, alpha, side, x, dps=DPS):
     """I^p - alpha A^p - (1-alpha) G^p on the pair (1+x, 1-x), A = 1."""
     with mp.workdps(dps):
@@ -157,3 +173,13 @@ def exp_margin(coef, side, x, dps=DPS):
     with mp.workdps(dps):
         g = -lr_gap(x, dps) - mp.mpf(coef) * mp.mpf(x) ** 2
         return g if side == "lower" else -g
+
+
+def ulps_around(x, n):
+    """The 2n + 1 doubles from n ulps below ``x`` to n ulps above, in order."""
+    for _ in range(n):
+        x = math.nextafter(x, -math.inf)
+    out = [x]
+    for _ in range(2 * n):
+        out.append(math.nextafter(out[-1], math.inf))
+    return out

@@ -121,6 +121,15 @@ class TestThresholds:
         assert code == 2
         assert "must be >= 1" in err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (("thresholds", "1e309"), "inf"), (("thresholds", "nan"), "nan"),
+        (("eval", "1", "2", "--t", "0.2", "--s", "inf"), "inf"),
+        (("verify", "--s", "nan", "--t", "0.2", "--side", "lower"), "nan")])
+    def test_non_finite_s_is_named_as_such(self, capsys, argv, shown):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"meanbounds {argv[0]}: error: s must be finite, got {shown}\n"
+
 
 class TestVerify:
     def test_holds_exit_zero(self, capsys):
@@ -255,6 +264,25 @@ class TestSweep:
     def test_row_limit_is_inclusive(self):
         limit = cli._MAX_SWEEP_ROWS
         assert len(cli._parse_range(f"1:{limit}:1")) == limit
+
+    def test_reader_closing_the_pipe_leaves_no_traceback(self):
+        # About 500 KB of csv, more than a pipe holds, so the command is
+        # still writing when its reader closes after the first line.
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("MEANBOUNDS_GRID", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "meanbounds", "sweep", "--s", "1:40:0.01",
+             "--grid", "64", "--format", "csv"],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert first.startswith(b"s,p_closed,q_closed,")
+        assert err == b""
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE
 
 
 class TestGridLimit:

@@ -81,10 +81,24 @@ for name in ("certify_sign", "certificate_succeeded", "CertificateNode"):
 
 @pytest.mark.parametrize("argv", [
     ("eval", "1", "2"),
+    ("eval", "1", "2", "--format", "structured"),
+    ("eval", "1", "2", "--t", "0.3", "--s", "2"),
+    ("eval", "3", "3"),
+])
+def test_eval_loads_neither_numpy_nor_mpmath(argv):
+    # identric_mean evaluates ln(I/A) in math; fractions would pull in
+    # decimal, and only membership needs it.
+    proc, names = imported_packages("-m", "meanbounds", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(("pair: a = ", "{"))
+    assert not names & {"numpy", "mpmath", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv", [
     ("verify", "--s", "2", "--t", "0.24", "--side", "lower"),
     ("sweep", "--s", "1:2:1"),
 ])
-def test_eval_and_holding_verify_load_no_mpmath(argv):
+def test_holding_verify_and_sweep_load_no_mpmath(argv):
     proc, names = imported_packages("-m", "meanbounds", *argv)
     assert proc.returncode == 0, proc.stderr
     assert "numpy" in names

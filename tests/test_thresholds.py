@@ -15,7 +15,7 @@ from meanbounds import (
 from meanbounds import thresholds
 from meanbounds.intervals import _membership_enclosure
 
-from oracles import membership_class
+from oracles import membership_class, ulps_around
 
 # Frozen with mpmath at 40 digits.
 FROZEN = {
@@ -26,16 +26,6 @@ FROZEN = {
     5.0: (0.330068104445984533974, 0.3709005551264194371607),
     10.0: (0.3780109320944714905653, 0.4087129070824723144238),
 }
-
-
-def ulps_around(x, n):
-    """The 2n + 1 doubles from n ulps below ``x`` to n ulps above, in order."""
-    for _ in range(n):
-        x = math.nextafter(x, -math.inf)
-    out = [x]
-    for _ in range(2 * n):
-        out.append(math.nextafter(out[-1], math.inf))
-    return out
 
 
 class TestClosedForms:
@@ -65,6 +55,20 @@ class TestClosedForms:
     def test_rejects_s_below_one(self):
         with pytest.raises(ValueError):
             sharp_thresholds(0.5)
+
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    def test_non_finite_s_message_names_finiteness(self, s):
+        for check in (sharp_thresholds, lambda s: FamilyParams.from_t(0.2, s),
+                      lambda s: FamilyParams.from_u(0.0, s)):
+            with pytest.raises(ValueError) as caught:
+                check(s)
+            assert str(caught.value) == f"s must be finite, got {s}"
+
+    def test_finite_s_below_one_message_unchanged(self):
+        for s in (0.5, -3.0, math.nextafter(1.0, 0.0)):
+            with pytest.raises(ValueError) as caught:
+                FamilyParams.from_t(0.2, s)
+            assert str(caught.value) == f"s must be >= 1, got {s}"
 
 
 class TestMembership:

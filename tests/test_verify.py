@@ -30,7 +30,7 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
-from meanbounds import family, intervals, means, verify
+from meanbounds import family, intervals, verify
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import TAYLOR_X0
 from meanbounds.thresholds import EVAL_LIMIT
@@ -744,7 +744,8 @@ class TestIncreasingGaps:
                 return build(x)
             return record
 
-        for module in (family, means, verify):
+        # means looks _Pieces up in family on each call.
+        for module in (family, verify):
             monkeypatch.setattr(module, "_Pieces", recording(pieces))
         monkeypatch.setattr(family, "_split", recording(split))
         verify._grid.cache_clear()
