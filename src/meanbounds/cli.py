@@ -22,6 +22,7 @@ import importlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -83,6 +84,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative float, ``-1e5``,
+    ``-inf`` and ``-nan`` included, as a value, not as an option.
+
+    argparse takes a token that starts with ``-`` for a value only where
+    its pattern of negative numbers matches, which in Python 3.11 covers
+    integers and plain decimals alone; this one matches what :func:`float`
+    reads.  No option of the CLI looks like a number.  The subcommands'
+    parsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=int, metavar="N",
                         help=f"grid point count (default: ${GRID_ENV_VAR} "
@@ -96,7 +117,7 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meanbounds",
         description="Bivariate means, sharp comparison thresholds, and "
                     "grid verification of the related inequalities.")

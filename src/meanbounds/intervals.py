@@ -63,8 +63,8 @@ taken from a tuple built at import.
 
 :func:`_membership_enclosure` decides ``membership`` from the same
 enclosures of ``u`` and ``1 - u`` wherever float pairs suffice, under the
-same libm assumption; the bisection steps of ``verify.empirical_threshold``
-read it in place of a grid check.
+same libm assumption.  Nothing in the package reads it yet: it is the
+float-pair first path of a ``membership`` without mpmath.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ condition on the log-ratio's limit at 1, ``1 - ln 2 + (s/2) ln(4t(1-t))
 <= 0``, by an interval enclosure, both exactly for the caller's doubles.
 Its float-pair twin, ``intervals._membership_enclosure``, decides the same
 verdict without ``fractions`` or mpmath where it can, under the interval
-kernel's libm assumption; bisection steps read it, never a report.
+kernel's libm assumption; no verdict reads it yet.
 """
 
 from __future__ import annotations

@@ -23,45 +23,37 @@ honest at machine precision:
   of the certificates, and calls mpmath only when that enclosure straddles
   0.  A candidate that fails its recheck is a rounding artifact and is
   dropped.
-* A bisection step evaluates no margin where its verdict is forced
-  (:func:`_forced_verdict`).  It holds where float pairs prove the exact
-  side holding, under the kernel's libm assumption (``_LIBM_ULPS``): every
-  candidate would be dropped.  It is violated where the sign rule puts the
-  margin at one grid point ``x`` below ``-T(x, s)``, eight times the sum of
-  the noise floor and the evaluation error there and the grid's largest
-  evaluation error, each bounded over every ``t``: that point would be
-  flagged and the least margin confirmed.  Either way the grid check's
-  verdict, when correct, is unchanged, and so is the recovered threshold.
-  Both verdicts carry over in ``t``, away from the cutoff: a bisection
-  decides two probes beside the closed-form cutoff first, each by the one
-  rule that can decide it, and every step past a decided probe takes its
-  verdict.
+* A bisection step evaluates no margin outside a rounding band around the
+  grid's cutoffs: the sign of ``u - F_s(x)``, ``u = (1 - 2t)^2`` and
+  ``F_s(x) = -expm1(-2h/s) / x^2``, is that of the exact margin at ``x``,
+  so comparing ``u`` with ``F_s`` on the grid gives the grid check's own
+  verdict, when correct (:func:`empirical_threshold`).
 
 Sign certificates are proved by :func:`meanbounds.intervals.certify_sign`,
-beside the interval kernel they run on; its names, and ``FamilyParams`` and
-``EVAL_LIMIT`` from :mod:`meanbounds.thresholds`, stay importable from here.
+beside the interval kernel; its names, and ``FamilyParams``, ``EVAL_LIMIT``
+and ``sharp_thresholds`` from :mod:`meanbounds.thresholds`, stay importable.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .family import (
+    _H_SERIES,
     SERIES_CROSSOVER,
     _Pieces,
     _exp_bound_margin_with_scale,
     _log_ratio_with_scale,
     _lr_with_error_scale,
     _overflow_rounds,
-    _series_coefficients,
 )
 from .intervals import (
     CertificateNode,
-    _membership_enclosure,
     _node_bounds,
     certificate_leaves,
     certificate_succeeded,
@@ -90,20 +82,11 @@ _EPS = float(np.finfo(float).eps)
 _NOISE_C = 64.0  # multiplier on the rounding-error scale for noise floors
 _RECHECK_DPS = 40  # roughly twice the 16 significant digits of binary64
 _MAX_RECHECKS = 32
-# A bisection step is violated once its margin at one grid point x is
-# enclosed below -T(x, s), this factor times a floor plus two evaluation
-# errors; see _failing_bound.
-_FAIL_SAFETY = 8.0
-# The bisection's probes beside the closed-form cutoff, relative to it: one
-# inside, where the side holds, and the first of its side's ladder outside
-# that the failing rule decides.  The upper ladder starts at 1e-6: 1e-7
-# outside q the margin at the sentinel, 0.7e-14 s to 1.7e-14 s, lies below
-# the failing rule's bound on a grid that ends near x = 1, as the default
-# does, where its grid-error term 8 E(xs[-1]) alone is about 7.4e-14 s.
-# On a grid that ends far below 1 the probe can decide; without it, a step
-# there takes the rules at its own t or the grid check, and the same verdict.
-_HOLD_PROBE = 1e-12
-_FAIL_PROBES = {"lower": (1e-7, 1e-6, 1e-5), "upper": (1e-6, 1e-5)}
+# Twice the relative error of the bisection's (s/2) F_s and (s/2) u: h's
+# 8 eps is at most 48 eps / SERIES_CROSSOVER^2 relative (h >= x^2 / 6), and
+# (s/2) F_s moves by at most as much relative as h; other roundings,
+# expm1's _LIBM_ULPS ulps included, add under 16 eps.
+_BAND = 2.0 * (48.0 / SERIES_CROSSOVER ** 2 + 16.0) * _EPS
 
 _SIDES = ("lower", "upper")
 
@@ -401,7 +384,7 @@ class _Grid:
 
     :attr:`logs` holds the ``ln(I/A)`` arrays of the exponential and power
     checks, built on the first such check; a family check never builds
-    them.
+    them.  :attr:`band` holds those of a bisection's cutoffs.
     """
 
     def __init__(self, xs: np.ndarray, entry: dict):
@@ -416,6 +399,23 @@ class _Grid:
         for arr in logs:
             arr.flags.writeable = False
         return logs
+
+    @cached_property
+    def band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``h``, ``h/x^2``, ``A/x^2`` and ``B/x^2`` on the
+        points, which :func:`_grid_cutoffs` reads, with ``A`` and ``B`` of
+        :func:`_failing_bound`.  ``h/x^2`` is the series' own quotient on
+        the series points, which no subnormal ``x^2`` spoils; where ``A/x^2``
+        overflows, or ``x^2`` is 0, it is inf, and the point fails no step."""
+        pieces = self.pieces
+        w = self.xs * self.xs
+        ratio = np.concatenate([np.polyval(_H_SERIES[::-1], pieces.w_small),
+                                pieces.h / w[pieces.direct]])
+        with np.errstate(divide="ignore", over="ignore"):
+            band = (ratio * w, ratio, *(bound / w for bound in _failing_bound(pieces)))
+        for arr in band:
+            arr.flags.writeable = False
+        return band
 
 
 @lru_cache(maxsize=1)
@@ -498,103 +498,68 @@ def falsify(t: float, s: float, side: str) -> FalsificationResult:
     )
 
 
-def _sentinel(params: FamilyParams, side: str, xs: np.ndarray) -> float:
-    """The grid point of ``xs`` where a failing ``side`` fails by most, about.
+def _failing_bound(pieces: _Pieces) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, B)`` on the points of ``pieces``: ``T(x, s) = A + s B`` bounds
+    how far below 0 the exact margin at ``x`` must lie for the grid check
+    at any ``t`` to be violated.
 
-    The last point for "lower", whose failure grows toward ``x = 1``.  For
-    "upper", the point nearest the least ``c1 x^2 + c2 x^4`` of the
-    series, at ``x^2 = -c1 / (2 c2)``, when ``c1 < 0 < c2``; else the last.
+    The check flags a point ``y`` whose computed margin lies below its floor
+    ``64 eps S(y)``, ``S`` the error scale of
+    :func:`meanbounds.family._log_ratio_with_scale`, and that margin lies
+    within ``E(y) = eps (S(y) + 1.5 s)`` of the exact one (``1.5 s eps`` is
+    the ``(s/2)``-fold rounding of ``1 - u x^2``, which ``S`` omits).  For
+    every ``t``, ``S <= a + s b``, growing with ``y``: ``a = x^2 / 3`` and
+    ``b = x^2`` on the series points, ``a = 8`` and ``b = -2 ln(1 - x^2)``
+    on the direct ones, as ``|m2| <= (s/2) |ln(1 - x^2)|``.  With ``S`` and
+    ``E`` at their bounds, ``T = 8 (64 eps S(x) + E(x) + E(xs[-1]))``, the
+    factor 8 a margin of safety that also covers the rounding of the bounds.
+    An exact margin at ``x`` below ``-T`` leaves the computed one below
+    ``-T + E(x)``, under the floor, so ``x`` is a candidate; the least
+    computed margin is no larger, so the exact one at its point lies below
+    ``-T + E(x) + E(xs[-1]) < 0``, and its recheck, the first, confirms it.
     """
-    if side == "upper":
-        c1, c2 = _series_coefficients(params)[:2]
-        if c1 < 0.0 < c2:
-            x = math.sqrt(-c1 / (2.0 * c2))
-            k = int(xs.searchsorted(x))
-            if k < xs.size:
-                return float(xs[k - 1] if k and x - xs[k - 1] < xs[k] - x else xs[k])
-    return float(xs[-1])
-
-
-def _scale_bound(x: float) -> tuple[float, float]:
-    """``(a, b)`` such that the log-ratio's error scale at the grid point
-    ``x`` is at most ``a + s b`` for every ``t``.
-
-    On the series points the scale is ``x^2 (1 + 3su) / 3 <= x^2 / 3 +
-    s x^2``; on the direct points it is ``4 (2 + |m2|)``, with ``|m2| = (s/2)
-    |ln(1 - u x^2)| <= (s/2) |ln(1 - x^2)|``, since ``u <= 1``.
-    """
-    if x < SERIES_CROSSOVER:
-        w = x * x
-        return w / 3.0, w
-    return 8.0, -2.0 * math.log((1.0 - x) * (1.0 + x))
-
-
-def _failing_bound(x: float, s: float, xs: np.ndarray) -> float:
-    """``T(x, s)``: the failing rule's bound at the grid point ``x`` of ``xs``,
-    the same for every ``t``.
-
-    The grid check at ``t`` flags a grid point ``y`` whose computed margin
-    lies below its floor ``64 eps S(y)``, ``S`` the error scale of
-    :func:`meanbounds.family._log_ratio_with_scale`, and the computed margin
-    lies within ``E(y) = eps (S(y) + 1.5 s)`` of the exact one: ``S``
-    covers ``h`` and the log in ``m2``, and ``1.5 s eps`` the ``(s/2)``-fold
-    rounding of ``1 - u x^2``, which ``S`` omits (that positive sum is off
-    by about 2.5 eps relative, so its log by as much absolute).  By
-    :func:`_scale_bound`, ``S(y) <= a(y) + s b(y)`` for every ``t``, a bound
-    that grows with ``y``, so ``E``'s bound is largest at the last grid
-    point.  With ``S`` and ``E`` at their bounds,
-
-        T = 8 (64 eps S(x) + E(x) + E(xs[-1])),
-
-    where the factor 8 is the margin of safety, which also covers the
-    rounding of the bounds themselves.  If the exact margin at ``x`` lies
-    below ``-T``, the computed one lies below ``-T + E(x)``, under the
-    floor, so ``x`` is a candidate.  The least computed margin is no
-    larger, so the exact margin at its point lies below ``-T + E(x) +
-    E(xs[-1]) < 0``, and its recheck, the first, confirms it.  ``T`` is
-    formed as ``A + s B`` with ``B`` far below 1, so it stays finite up to
-    the largest double ``s``.
-    """
-    a, b = _scale_bound(x)
-    a_last, b_last = _scale_bound(float(xs[-1]))
-    k = _FAIL_SAFETY * _EPS
-    floor_and_error = _NOISE_C + 1.0
+    w = pieces.w_small
+    a = np.concatenate([w / 3.0, np.full(pieces.x_direct.size, 8.0)])
+    b = np.concatenate([w, -2.0 * np.log(pieces.one_minus_sq)])
+    k, floor_and_error = 8.0 * _EPS, _NOISE_C + 1.0  # 8: the margin of safety
     # 3 s: the 1.5 s of E(x) and of E(xs[-1]).
-    return (k * (floor_and_error * a + a_last)
-            + s * (k * (floor_and_error * b + b_last + 3.0)))
+    return (k * (floor_and_error * a + a[-1]),
+            k * (floor_and_error * b + (b[-1] + 3.0)))
 
 
-def _holding_rule(params: FamilyParams, side: str) -> bool:
-    """Whether :func:`meanbounds.intervals._membership_enclosure` finds the
-    exact ``side`` holding at ``params``.  Every candidate of the grid check
-    is then a rounding artifact, with a true margin > 0, and its recheck,
-    the sign rule with mpmath on a straddle, drops it: the check holds."""
-    return _membership_enclosure(params) == f"{side}_bound_holds"
+@lru_cache(maxsize=1)
+def _grid_cutoffs(s: float, spec: GridSpec) -> dict[str, tuple[float, float]]:
+    """``(hold, fail)`` of each side at ``s`` on the grid of ``spec``: a
+    bisection step holds where ``out (s/2) u >= hold`` and is violated where
+    it is ``< fail`` (``out`` 1 for "lower", -1 for "upper").  Kept for the
+    last ``(s, spec)``, which both sides of a sweep row ask.
 
-
-def _failing_rule(params: FamilyParams, side: str, xs: np.ndarray) -> bool:
-    """Whether the sign rule, :func:`meanbounds.intervals._node_bounds` at
-    ``[x, x]``, encloses the margin at :func:`_sentinel` ``x`` of ``xs``
-    below ``-T(x, s)`` of :func:`_failing_bound`.  The grid check then
-    flags ``x``, its least-margin candidate has a true margin below 0, and
-    that recheck confirms it: the check is violated."""
-    x = _sentinel(params, side, xs)
-    _, bound_lo, bound_hi = _node_bounds(params)(x, x)
-    # The lower side's margin is minus the log-ratio, the upper side's itself.
-    return (bound_lo if side == "lower" else -bound_hi) > _failing_bound(x, params.s, xs)
-
-
-def _forced_verdict(params: FamilyParams, side: str, xs: np.ndarray) -> str | None:
-    """The grid verdict of a bisection step on ``xs`` where it is forced,
-    else None; in O(1), before any margin is evaluated: "holds_on_grid" by
-    :func:`_holding_rule`, "violated" by :func:`_failing_rule`.
-
-    Either way the grid check would return the same verdict, as long as it
-    returns the correct one, so the bisection ends on the same double.
+    ``K = (s/2) F_s = (h/x^2) g(2h/s)`` with ``g(y) = -expm1(-y)/y`` lies
+    in [1/8, 1/3] for every ``s >= 1``, so nothing underflows at the largest
+    ``s``.  The lower side holds where ``(s/2) u >= max K (1 + _BAND)`` and
+    fails where ``(s/2) u < K(x) (1 - _BAND) - T/x^2`` at some ``x``, ``T``
+    of :func:`_failing_bound`, which puts the exact margin at ``x`` below
+    ``-T (1 - T/s)``, ``T/s < 1e-11`` within ``T``'s margin of safety; the
+    upper side mirrors both.  A ``T/x^2`` that overflows rounds to inf,
+    and its point decides nothing.
     """
-    if _holding_rule(params, side):
-        return "holds_on_grid"
-    return "violated" if _failing_rule(params, side, xs) else None
+    h, ratio, a_w, b_w = _grid(spec).band
+    y = np.multiply(h, -2.0 / s)  # -2h/s
+    # g is 1 to within |y| below the least normal double: no 0/0 at underflow.
+    np.minimum(y, -sys.float_info.min, out=y)
+    cut = np.expm1(y)
+    cut /= y
+    cut *= ratio  # K
+    top = float(cut.max())
+    with np.errstate(over="ignore"):
+        beta = np.multiply(b_w, s, out=y)
+        beta += a_w  # T/x^2
+    # K (1 - _BAND) - beta >= K - beta - _BAND max K, and so on: one scaling.
+    slack = _BAND * top
+    fail_lower = float(np.subtract(cut, beta).max()) - slack
+    fail_upper = float(np.add(cut, beta, out=beta).min()) + slack
+    return {"lower": (top * (1.0 + _BAND), fail_lower),
+            "upper": (-(float(cut.min()) * (1.0 - _BAND)), -fail_upper)}
 
 
 def _grid_verdict(params: FamilyParams, side: str, xs: np.ndarray, pieces: _Pieces) -> str:
@@ -616,34 +581,6 @@ def _grid_verdict(params: FamilyParams, side: str, xs: np.ndarray, pieces: _Piec
     return _run_grid_check(xs, [_family_side(params, side, pieces, recheck)], {})[0].verdict
 
 
-def _probes(s: float, side: str, xs: np.ndarray) -> tuple[float, float]:
-    """The bisection's decided probes beside the closed-form cutoff of
-    ``side``, on the axis ``out * t`` along which the side fails (``out`` 1
-    for "lower", -1 for "upper").
-
-    Returns ``(holds_to, fails_from)``: a step at ``t`` holds on the grid
-    where ``out * t <= holds_to`` and is violated where ``out * t >=
-    fails_from``, by :func:`empirical_threshold`'s argument; -inf and inf
-    where a probe leaves (0, 1/2) or its rule does not decide it.  The
-    holding probe asks :func:`_holding_rule` alone and each failing probe
-    :func:`_failing_rule` alone: while both enclosures are correct the
-    other rule could not decide the probe the other way, so each decision
-    is the one :func:`_forced_verdict` would make.
-    """
-    ts = sharp_thresholds(s)
-    out, cutoff = (1.0, ts.p) if side == "lower" else (-1.0, ts.q)
-    holds_to, fails_from = -math.inf, math.inf
-    probe = cutoff * (1.0 - out * _HOLD_PROBE)
-    if 0.0 < probe < 0.5 and _holding_rule(FamilyParams.from_t(probe, s), side):
-        holds_to = out * probe
-    for rel in _FAIL_PROBES[side]:
-        probe = cutoff * (1.0 + out * rel)
-        if 0.0 < probe < 0.5 and _failing_rule(FamilyParams.from_t(probe, s), side, xs):
-            fails_from = out * probe
-            break
-    return holds_to, fails_from
-
-
 def empirical_threshold(
     s: float,
     side: str,
@@ -653,34 +590,24 @@ def empirical_threshold(
     """Recover the sharp cutoff in ``t`` by bisection on the grid verdict.
 
     Bisects ``t`` over [0, 1/2] with the verdict of
-    ``verify_family_inequality`` as the predicate, and takes the forced
-    verdicts of :func:`_forced_verdict` where it can, which give the grid
-    check's own verdict whenever that verdict is correct, so the threshold
-    does not move:
-
-    * First two probes beside ``sharp_thresholds(s)``'s cutoff: one
-      ``1e-12`` relative inside it, decided where float pairs prove the
-      exact side holding (under the kernel's libm assumption,
-      ``_LIBM_ULPS``), and the first of ``1e-7``, ``1e-6``, ``1e-5``
-      ("lower") or ``1e-6``, ``1e-5`` ("upper") relative outside it that
-      the sign rule decides failing, at one grid point ``x``.  Each probe
-      asks only that one rule (:func:`_probes`).
-    * A step past a decided probe takes its verdict and evaluates nothing.
-      Both rules carry over in ``t``, away from the cutoff: the exact
-      criterion (``3su <= 1`` for "upper", ``3su > 1`` and ``L <= 0`` for
-      "lower") holds on the inner side of a point where it holds, and the
-      exact margin at ``x`` only falls farther out, while the failing
-      rule's bound ``T(x, s)`` is the same for every ``t``.
-    * A step between the probes asks :func:`_forced_verdict` at its own
-      ``t``, and runs the grid check, :func:`_grid_verdict`, when that is
-      None.  Those checks share the grid and the t-independent pieces of
-      the log-ratio, which the next check on the same grid reuses too, and
-      recheck their candidates by interval enclosure, with mpmath only
-      where the enclosure cannot decide.
-
-    The bisection's midpoints are its own, so the result is the same
-    double.  It carries a one-sided bias of the order of the grid's
-    endpoint resolution (far below ``tol`` for the default grid).
+    ``verify_family_inequality`` as the predicate.  With ``u = (1 - 2t)^2``
+    and ``F_s(x) = -expm1(-2h/s) / x^2``, ``h = ln(A/I)``, the log-ratio is
+    ``(s/2) ln((1 - u x^2) / (1 - F_s(x) x^2))``: the exact lower margin at
+    ``x`` is > 0 iff ``u > F_s(x)``, the upper one iff ``u < F_s(x)``.  So a
+    step whose ``u`` clears every ``F_s`` on the grid by the rounding band
+    ``_BAND`` holds, as a correct recheck drops every candidate, and a step
+    whose ``u`` lies ``2T(x, s) / (s x^2)`` beyond one ``F_s(x)`` on the
+    failing side is violated, as its exact margin at ``x`` lies below
+    ``-T`` (:func:`_failing_bound`); :func:`_grid_cutoffs` compares both on
+    ``(s/2) u``.  Each decided step thus gets the grid check's own verdict,
+    whenever that verdict is correct, provided libm's ``log1p`` and
+    ``expm1`` are within ``_LIBM_ULPS`` ulps, the kernel's allowance for its
+    logarithms, so the threshold is the same double.  A step inside the
+    band runs the grid check, :func:`_grid_verdict`, on the shared grid and
+    its t-independent pieces, which rechecks candidates by interval
+    enclosure, with mpmath only where the enclosure cannot decide.  The
+    result carries a one-sided bias of the order of the grid's endpoint
+    resolution (far below ``tol`` for the default grid).
     """
     _check_side(side)
     s = float(s)
@@ -688,28 +615,21 @@ def empirical_threshold(
     if not 1e-8 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 1e-8, got {tol}")
 
-    g = _grid(grid or GridSpec())
-    xs = g.xs
-    # The check holds on [0, p] for "lower" and on [q, 1/2] for "upper", and
-    # fails along out * t: a verdict that agrees with the side puts mid left
-    # of the cutoff.
-    out = 1.0 if side == "lower" else -1.0
-    holds_to, fails_from = _probes(s, side, xs)
+    spec = grid or GridSpec()
+    g = _grid(spec)
+    hold, fail = _grid_cutoffs(s, spec)[side]
+    # out (s/2) u grows where the side holds: on [0, p] for "lower", on
+    # [q, 1/2] for "upper".
+    scale = (0.5 if side == "lower" else -0.5) * s
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if out * mid <= holds_to:
-            verdict = "holds_on_grid"
-        elif out * mid >= fails_from:
-            verdict = "violated"
-        else:
-            params = FamilyParams.from_t(mid, s)
-            verdict = (_forced_verdict(params, side, xs)
-                       or _grid_verdict(params, side, xs, g.pieces))
-        if (verdict == "holds_on_grid") == (side == "lower"):
-            lo = mid
-        else:
-            hi = mid
+        one_minus_2t = 1.0 - 2.0 * mid
+        v = one_minus_2t * one_minus_2t * scale  # FamilyParams.from_t's u
+        holds = v >= hold or v >= fail and _grid_verdict(
+            FamilyParams.from_t(mid, s), side, g.xs, g.pieces) == "holds_on_grid"
+        # A verdict that agrees with the side puts mid left of the cutoff.
+        lo, hi = (mid, hi) if holds == (side == "lower") else (lo, mid)
     return 0.5 * (lo + hi)
 
 

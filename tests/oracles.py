@@ -70,6 +70,22 @@ def family_log_ratio_iv(t, s, x, prec=80):
         iv.prec = saved
 
 
+def family_cutoff(s, x, dps=50):
+    """``F_s(x) = -expm1(-2h/s) / x^2`` to ``dps`` digits, ``h = ln(A/I)``.
+
+    The exact lower margin at ``x`` is > 0 iff ``u > F_s(x)``.  ``h`` is
+    O(x^2) while its terms are O(1), so 2 log10(1/x) more digits are
+    carried; ``x`` is read at the working precision, so an mpf near 1 keeps
+    its digits.
+    """
+    with mp.workdps(dps + 10):
+        extra = max(0, int(-2 * mp.log10(mp.mpf(x))))
+    with mp.workdps(dps + 10 + extra):
+        x, s = mp.mpf(x), mp.mpf(s)
+        h = 1 - mp.atanh(x) / x - mp.log(1 - x * x) / 2
+        return -mp.expm1(-2 * h / s) / (x * x)
+
+
 def membership_class(t, s):
     """The sharp-cutoff class of the double t, from the paper's theorem.
 

@@ -131,6 +131,22 @@ class TestThresholds:
         assert err == f"meanbounds {argv[0]}: error: s must be finite, got {shown}\n"
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (("thresholds", "-1e5"), "s must be >= 1, got -100000.0"),
+        (("thresholds", "-inf"), "s must be finite, got -inf"),
+        (("verify", "--s", "2", "--t", "-1e-3", "--side", "lower"),
+         "t must lie in [0, 1/2], got -0.001"),
+        (("eval", "-nan", "2"), "pair entries must be finite, got (nan, 2.0)"),
+        (("eval", "1", "2", "--t", "0.2", "--s", "-Infinity"), "s must be finite, got -inf"),
+        (("falsify", "--s", "-1E+3", "--t", "0.2", "--side", "upper"),
+         "s must be >= 1, got -1000.0")])
+    def test_negative_exponent_and_non_finite_values_reach_the_domain_check(
+            self, capsys, argv, message):
+        # argparse read these as option flags: "expected one argument".
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"meanbounds {argv[0]}: error: {message}\n"
+
 class TestVerify:
     def test_holds_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--s", "2", "--t", "0.24",

@@ -23,7 +23,10 @@ from meanbounds import (
 
 from meanbounds.family import _m2, _Pieces, _log_ratio_with_scale, _series_coefficients
 from meanbounds.thresholds import EVAL_LIMIT
-from oracles import family_log_ratio_and_quotient_t, family_log_ratio_u, kernel_near_one_u, kernel_u
+import mpmath as mp
+
+from oracles import (family_cutoff, family_log_ratio_and_quotient_t, family_log_ratio_u,
+                     kernel_near_one_u, kernel_u)
 
 LN_E_OVER_2 = 0.3068528194400546905828  # 1 - ln 2
 
@@ -434,6 +437,44 @@ class TestLimitAtOne:
 
     def test_u_one_is_minus_infinity(self):
         assert log_ratio_limit_at_one(FamilyParams.from_u(1.0, 3.0)) == -math.inf
+
+
+class TestCutoffCriterion:
+    """The exact margin at ``x`` has the sign of ``u - F_s(x)``, the
+    criterion bisection steps compare (``verify._grid_cutoffs``); 50-digit
+    oracles on both sides."""
+
+    def test_lower_margin_has_the_sign_of_u_minus_f(self):
+        rng = random.Random(2032)
+        signs = set()
+        for k in range(400):
+            s = 1e300 if k % 10 == 9 else 10.0 ** rng.uniform(0.0, 6.0)
+            x = (10.0 ** rng.uniform(-6.0, -2.0) if k % 2
+                 else rng.uniform(0.01, 1.0 - 1e-9))
+            f_s = family_cutoff(s, x)
+            if k % 4 < 2:
+                t = rng.uniform(0.0, 0.5)
+            else:  # near the crossing, 1e-12 to 1e-2 relative from it
+                crossing = float((1 - mp.sqrt(f_s)) / 2)
+                t = min(0.5, crossing * (1.0 + rng.choice((-1.0, 1.0))
+                                         * 10.0 ** rng.uniform(-12.0, -2.0)))
+            with mp.workdps(60):
+                u = (1 - 2 * mp.mpf(t)) ** 2
+                sign = mp.sign(u - f_s)
+            lower_margin = -family_log_ratio_and_quotient_t(t, s, x)[0]
+            assert mp.sign(lower_margin) == sign != 0, (t, s, x)
+            signs.add(int(sign))
+        assert signs == {-1, 1}
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 5.0, 1e3, 1e6, 1e300])
+    def test_limits_at_zero_and_one(self, s):
+        # F_s(0+) = 1/(3s) and F_s(1-) = 1 - (2/e)^(2/s), to 40 digits.
+        with mp.workdps(80):
+            near_one = 1 - mp.mpf("1e-50")
+            at_zero = 1 / (3 * mp.mpf(s))
+            at_one = -mp.expm1(2 / mp.mpf(s) * (mp.log(2) - 1))
+            assert abs(family_cutoff(s, "1e-30") / at_zero - 1) < mp.mpf("1e-40")
+            assert abs(family_cutoff(s, near_one) / at_one - 1) < mp.mpf("1e-40")
 
 
 class TestExpBoundMargin:

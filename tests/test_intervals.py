@@ -576,7 +576,7 @@ class TestLibmAllowance:
     @pytest.mark.parametrize("direction", [1, -1])
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.7, 5.0, 10.0, 20.0, 50.0])
     def test_membership_enclosure_agrees_with_shifted_libm(self, monkeypatch, direction, s):
-        # A bisection's holding probe rests on _membership_enclosure alone:
+        # A float-pair membership path rests on _membership_enclosure alone:
         # with libm's log off by _LIBM_ULPS it may leave a double within 64
         # ulps of p or q undecided, never decide it against membership.
         monkeypatch.setattr(intervals, "_log", _shifted(math.log, direction * _LIBM_ULPS))

@@ -7,6 +7,7 @@ running the suite has long since imported the whole package.
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -18,25 +19,57 @@ CLI_HOOK_NAMES = ("verify_family_inequality", "falsify", "empirical_threshold",
                   "sharp_thresholds")
 
 
-def python(*args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def python(*args: str, **environ: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **environ}
     env.pop("MEANBOUNDS_GRID", None)
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
 
 
+# Runs the child's command and, at exit, writes the top-level names in its
+# sys.modules to the file named in its environment.
+_REPORT_LOADED = """
+import atexit, os, runpy, sys
+
+def _report(path=os.environ.pop("MEANBOUNDS_LOADED_OUT")):
+    with open(path, "w") as out:
+        out.write(" ".join(sorted({name.split(".")[0] for name in sys.modules})))
+
+atexit.register(_report)
+mode, target, *rest = sys.argv[1:]
+if mode == "-m":
+    sys.argv = [target, *rest]
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    sys.argv = ["-c", *rest]
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+"""
+
+
 def imported_packages(*args: str) -> tuple[subprocess.CompletedProcess, set]:
-    """Run with ``-X importtime``; the top-level packages it imported."""
-    proc = python("-X", "importtime", *args)
-    names = {line.rsplit("|", 1)[1].strip().split(".")[0]
-             for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
+    """Run ``python -m MODULE ...`` or ``python -c CODE ...``; the top-level
+    packages in the child's ``sys.modules`` once it has run.
+
+    ``sys.modules`` holds what ``importlib.import_module`` loaded too, as
+    ``meanbounds.__getattr__`` and ``cli._load`` do, which ``-X importtime``
+    does not report.
+    """
+    fd, path = tempfile.mkstemp(prefix="loaded-", suffix=".txt")
+    os.close(fd)
+    try:
+        proc = python("-c", _REPORT_LOADED, *args, MEANBOUNDS_LOADED_OUT=path)
+        names = set(Path(path).read_text().split())
+    finally:
+        os.unlink(path)
     return proc, names
 
 
-def test_import_time_report_is_parsed():
+def test_loaded_packages_are_read():
     _, names = imported_packages("-c", "import json")
     assert "json" in names
+    # -X importtime lists the modules fractions imports, never fractions.
+    _, names = imported_packages("-c", "import importlib; importlib.import_module('fractions')")
+    assert "fractions" in names
 
 
 def test_bare_import_loads_neither_numpy_nor_mpmath():

@@ -30,7 +30,7 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
-from meanbounds import family, intervals, verify
+from meanbounds import family, verify
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import TAYLOR_X0
 from meanbounds.thresholds import EVAL_LIMIT
@@ -455,6 +455,9 @@ class TestEnclosureRecheck:
     @pytest.mark.parametrize("grid", [None, GridSpec(count=512),
                                       GridSpec(count=2000, spacing="uniform")])
     def test_decisions_agree_with_mpmath(self, s, side, grid, monkeypatch):
+        # The grid check of a step at seeded t from 1e-9 to 1e-3 relative
+        # on either side of the cutoff, where candidates exist: most
+        # bisection steps are decided without it (TestGridCutoffs).
         decided = []
         node_bounds = verify._node_bounds
 
@@ -469,7 +472,14 @@ class TestEnclosureRecheck:
             return bounds
 
         monkeypatch.setattr(verify, "_node_bounds", recording)
-        empirical_threshold(s, side, grid, tol=1e-6)
+        g = verify._grid(grid or GridSpec())
+        ts = sharp_thresholds(s)
+        cutoff = ts.p if side == "lower" else ts.q
+        rng = random.Random(f"{s} {side} {grid}")
+        for _ in range(4):
+            for sign in (-1.0, 1.0):
+                t = cutoff * (1.0 + sign * 10.0 ** rng.uniform(-9.0, -3.0))
+                verify._grid_verdict(FamilyParams.from_t(t, s), side, g.xs, g.pieces)
         assert decided
         for t, x, sign in decided:
             confirmed = (sign > 0) if side == "lower" else (sign < 0)
@@ -505,50 +515,97 @@ def _forced_cases(rng, count):
     return cases
 
 
-class TestForcedVerdict:
-    """A bisection step decided without the grid takes the grid's verdict."""
+def _comparison(t, s, side, spec):
+    """The verdict a bisection step at ``t`` takes from the grid cutoffs of
+    ``spec``, as :func:`verify.empirical_threshold` forms it, or None inside
+    the band."""
+    hold, fail = verify._grid_cutoffs(s, spec)[side]
+    one_minus_2t = 1.0 - 2.0 * t
+    v = one_minus_2t * one_minus_2t * ((1.0 if side == "lower" else -1.0) * (0.5 * s))
+    if v >= hold:
+        return "holds_on_grid"
+    return "violated" if v < fail else None
 
-    def test_equals_the_grid_check_wherever_it_decides(self):
+
+def _grid_check(t, s, side, spec):
+    g = verify._grid(spec)
+    return verify._grid_verdict(FamilyParams.from_t(t, s), side, g.xs, g.pieces)
+
+
+def _bisection_mids(threshold, tol):
+    """The midpoints of the bisection over [0, 1/2] that ended on ``threshold``."""
+    lo, hi = 0.0, 0.5
+    mids = []
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        lo, hi = (mid, hi) if mid < threshold else (lo, mid)
+    assert 0.5 * (lo + hi) == threshold
+    return mids
+
+
+class TestGridCutoffs:
+    """A bisection step decided by the grid cutoffs takes the grid's verdict."""
+
+    def test_comparison_equals_the_grid_check_wherever_it_decides(self):
         rng = random.Random(2024)
         decided = {"holds_on_grid": 0, "violated": 0}
         for grid in _FORCED_GRIDS:
-            g = verify._grid(grid or GridSpec())
-            xs, pieces = g.xs, g.pieces
+            spec = grid or GridSpec()
             for t, s, side in _forced_cases(rng, 1000):
-                forced = verify._forced_verdict(FamilyParams.from_t(t, s), side, xs)
-                if forced is None:
+                verdict = _comparison(t, s, side, spec)
+                if verdict is None:
                     continue
-                decided[forced] += 1
-                verdict = verify._grid_verdict(FamilyParams.from_t(t, s), side, xs, pieces)
-                assert forced == verdict, (grid, t, s, side)
-        # Both rules carry weight: about a third and a half of the 5,000.
+                decided[verdict] += 1
+                assert _grid_check(t, s, side, spec) == verdict, (grid, t, s, side)
+        # About 1,700 held and 3,100 violated of the 5,000.
         assert min(decided.values()) > 1000, decided
+
+    def test_bisection_steps_equal_the_grid_check(self):
+        rng = random.Random(2025)
+        decided = {"holds_on_grid": 0, "violated": 0, None: 0}
+        for grid in _FORCED_GRIDS:
+            spec = grid or GridSpec()
+            for k in range(12):
+                # s log-uniform on [1, 1e4], one in four on [1e4, DBL_MAX].
+                lo, hi = (1e4, sys.float_info.max) if k % 4 == 3 else (1.0, 1e4)
+                s = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                for side in ("lower", "upper"):
+                    for t in _bisection_mids(empirical_threshold(s, side, grid), 1e-6):
+                        verdict = _comparison(t, s, side, spec)
+                        decided[verdict] += 1
+                        if verdict is not None:
+                            assert _grid_check(t, s, side, spec) == verdict, (grid, t, s, side)
+        # About 1,100 held and 1,160 violated; 6 ran the grid check.
+        assert min(decided["holds_on_grid"], decided["violated"]) > 1000, decided
+        assert decided[None] < 100, decided
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("grid", [None, GridSpec(count=512)])
-    def test_failing_rule_starts_past_the_noise_floor(self, s, side, grid):
-        # Random t almost never lands where the sentinel's margin is just
-        # past -T(x, s) (verify._failing_bound): find that edge by bisection
-        # in t and check the grid verdicts there.  A T inside the floor fails
-        # here.
-        g = verify._grid(grid or GridSpec())
-        xs, pieces = g.xs, g.pieces
+    def test_decisions_at_their_edges_equal_the_grid_check(self, s, side, grid):
+        # Random t almost never lands where a decision starts: find each
+        # edge by bisection in t and check the grid verdicts just on its
+        # deciding side, where the failing side's margins come nearest the
+        # noise floor.
+        spec = grid or GridSpec()
         ts = sharp_thresholds(s)
-        cutoff = ts.p if side == "lower" else ts.q
-        near, far = cutoff, (ts.p + 0.05 if side == "lower" else ts.q - 0.2 * (ts.q - ts.p))
-
-        def forced(t):
-            return verify._forced_verdict(FamilyParams.from_t(t, s), side, xs)
-
-        assert forced(far) == "violated"
-        for _ in range(60):
-            mid = 0.5 * (near + far)
-            near, far = (near, mid) if forced(mid) == "violated" else (mid, far)
-        for k in range(4):
-            t = far + k * 1e-6 * (far - cutoff)
-            verdict = verify._grid_verdict(FamilyParams.from_t(t, s), side, xs, pieces)
-            assert forced(t) in (None, verdict), (t, k)
+        # t_hold holds, t_fail is violated; the band lies between them.
+        t_hold, t_fail = ((0.5 * ts.p, ts.p + 0.05) if side == "lower"
+                          else (0.5 * (ts.q + 0.5), ts.q - 0.2 * (ts.q - ts.p)))
+        for verdict, inside, outside in (("holds_on_grid", t_hold, t_fail),
+                                         ("violated", t_fail, t_hold)):
+            assert _comparison(inside, s, side, spec) == verdict
+            for _ in range(60):
+                mid = 0.5 * (inside + outside)
+                if _comparison(mid, s, side, spec) == verdict:
+                    inside = mid
+                else:
+                    outside = mid
+            for k in range(4):
+                t = inside + k * 1e-6 * (inside - outside)
+                assert _comparison(t, s, side, spec) == verdict, (t, k)
+                assert _grid_check(t, s, side, spec) == verdict, (t, k)
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
     def test_sweep_row_runs_few_grid_checks(self, s, monkeypatch):
@@ -569,77 +626,40 @@ class TestForcedVerdict:
         assert len(calls) <= 4
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
-    def test_sweep_row_takes_few_series_terms(self, s, monkeypatch):
-        # Each Taylor call of a row, at a sentinel point of 2e-4 to 6e-3,
-        # ran all 35 Horner terms when the series had one length: 315 over
-        # the 9 calls of these three rows.
-        calls, terms = [], []
-        taylor_enclosure, taylor_terms = intervals._taylor_enclosure, intervals._taylor_terms
-
-        def counting_enclosure(params):
-            enclose = taylor_enclosure(params)
-
-            def counted(a, b):
-                calls.append(b)
-                return enclose(a, b)
-            return counted
-
-        def counting_terms(params, k):
-            coefficients, tail_lo, tail_hi = taylor_terms(params, k)
-            terms.append(len(coefficients))
-            return coefficients, tail_lo, tail_hi
-
-        monkeypatch.setattr(intervals, "_taylor_enclosure", counting_enclosure)
-        monkeypatch.setattr(intervals, "_taylor_terms", counting_terms)
+    def test_sweep_row_computes_the_cutoffs_once(self, s):
+        # Both sides of a row share one computation of F_s on the grid.
+        verify._grid_cutoffs.cache_clear()
         ts = sharp_thresholds(s)
         empirical_threshold(s, "lower")
         empirical_threshold(s, "upper")
         verify_family_inequality(ts.p, s, "lower")
         verify_family_inequality(ts.q, s, "upper")
-        assert calls and terms
-        assert max(terms) <= 6, (calls, terms)
-
-    @pytest.mark.parametrize("s", [1.0, 2.0, 50.0])
-    def test_sweep_row_asks_few_forced_verdicts(self, s, monkeypatch):
-        # Every step asked both rules, 38 times a row each, before the
-        # probes; up to 10 rule evaluations a row while each probe asked
-        # both rules.  Every rule evaluation counts here, probes included.
-        calls = []
-        for name in ("_holding_rule", "_failing_rule"):
-            rule = getattr(verify, name)
-
-            def counting(*args, rule=rule):
-                calls.append(args)
-                return rule(*args)
-
-            monkeypatch.setattr(verify, name, counting)
-        empirical_threshold(s, "lower")
-        empirical_threshold(s, "upper")
-        assert calls
-        assert len(calls) <= 6
+        assert verify._grid_cutoffs.cache_info().misses == 1
 
     @pytest.mark.filterwarnings("error")
-    def test_failing_rule_stays_finite_at_the_largest_s(self):
-        # T(x, s) = s * (eps * c) keeps a verdict that s * eps * c, inf here,
-        # would lose.
+    @pytest.mark.parametrize("grid", [None, GridSpec(count=64, x_min=1e-300, x_max=0.3)])
+    def test_cutoffs_stay_finite_at_the_largest_s(self, grid):
+        # (s/2) F_s stays in [1/8, 1/3] where F_s itself is subnormal, and
+        # 2h/s, which underflows, leaves no 0/0.
         s = sys.float_info.max
-        xs = verify._grid(GridSpec()).xs
+        spec = grid or GridSpec()
+        cutoffs = verify._grid_cutoffs(s, spec)
+        assert all(math.isfinite(c) for side in cutoffs.values() for c in side), cutoffs
         t = 0.9 * sharp_thresholds(s).q
-        assert verify._forced_verdict(FamilyParams.from_t(t, s), "upper", xs) == "violated"
-        assert math.isfinite(verify._failing_bound(float(xs[-1]), s, xs))
+        assert _comparison(t, s, "upper", spec) == "violated"
+        assert _comparison(t, s, "lower", spec) == "holds_on_grid"
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     @pytest.mark.parametrize("s", [1.0, sys.float_info.max])
-    def test_holding_rule_leaves_t_zero_and_half_to_the_grid(self, t, s):
-        # Neither end is a bisection midpoint.  Only the sign rule at the
-        # sentinel may decide there, and only a side that fails.
-        xs = verify._grid(GridSpec()).xs
+    def test_endpoint_decisions_agree_with_membership_and_the_grid(self, t, s):
+        # Neither end is a bisection midpoint, and u = 1 or u = 0 there.
+        spec = GridSpec()
         for side in ("lower", "upper"):
-            params = FamilyParams.from_t(t, s)
-            forced = verify._forced_verdict(params, side, xs)
-            assert forced in (None, "violated")
-            if forced:
-                assert membership(t, s) != f"{side}_bound_holds"
+            verdict = _comparison(t, s, side, spec)
+            if verdict is None:
+                continue
+            assert verdict == _grid_check(t, s, side, spec)
+            assert (verdict == "holds_on_grid") == (membership(t, s) == f"{side}_bound_holds")
 
 
 class TestEmpiricalThresholdEdgeIdentity:
@@ -657,77 +677,6 @@ class TestEmpiricalThresholdEdgeIdentity:
     def test_equals_reference_bisection(self, tol, s, side, grid):
         assert empirical_threshold(s, side, grid, tol=tol) \
             == _reference_threshold(s, side, grid, tol)
-
-
-def _bisection_mids(threshold, tol):
-    """The midpoints of the bisection over [0, 1/2] that ended on ``threshold``."""
-    lo, hi = 0.0, 0.5
-    mids = []
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        lo, hi = (mid, hi) if mid < threshold else (lo, mid)
-    assert 0.5 * (lo + hi) == threshold
-    return mids
-
-
-class TestProbes:
-    """A bisection step past a decided probe takes the grid's verdict."""
-
-    def test_steps_past_a_probe_equal_the_grid_check(self):
-        rng = random.Random(2025)
-        decided = {"holds_on_grid": 0, "violated": 0}
-        for grid in _FORCED_GRIDS:
-            g = verify._grid(grid or GridSpec())
-            xs, pieces = g.xs, g.pieces
-            for k in range(12):
-                # s log-uniform on [1, 1e4], one in four on [1e4, DBL_MAX].
-                lo, hi = (1e4, sys.float_info.max) if k % 4 == 3 else (1.0, 1e4)
-                s = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-                for side in ("lower", "upper"):
-                    out = 1.0 if side == "lower" else -1.0
-                    holds_to, fails_from = verify._probes(s, side, xs)
-                    ts = _bisection_mids(empirical_threshold(s, side, grid), 1e-6)
-                    # Each decided probe and points just past it: inward of
-                    # the holding one, outward of the failing one.
-                    for edge, away in ((holds_to, -out), (fails_from, out)):
-                        if math.isfinite(edge):
-                            probe = out * edge
-                            ts += [probe] + [probe * (1.0 + away * 10.0 ** -e)
-                                             for e in (14, 11, 8)]
-                    for t in ts:
-                        if not 0.0 < t < 0.5:
-                            continue
-                        if out * t <= holds_to:
-                            want = "holds_on_grid"
-                        elif out * t >= fails_from:
-                            want = "violated"
-                        else:
-                            continue
-                        decided[want] += 1
-                        verdict = verify._grid_verdict(FamilyParams.from_t(t, s), side,
-                                                       xs, pieces)
-                        assert verdict == want, (grid, t, s, side)
-        # About 1,100 held and 1,300 violated of the steps checked.
-        assert min(decided.values()) > 1000, decided
-
-    def test_first_failing_probe_of_each_side_decides(self):
-        # s log-uniform on [1, 1e7], the default grid: the lower side's
-        # first probe, 1e-7 outside p, and the upper side's, 1e-6 outside q,
-        # each decide.  1e-7 outside q, dropped from the upper ladder, the
-        # sentinel's margin lies below the failing rule's bound: it decides
-        # at none of them.
-        assert verify._FAIL_PROBES == {"lower": (1e-7, 1e-6, 1e-5), "upper": (1e-6, 1e-5)}
-        xs = verify._grid(GridSpec()).xs
-        rng = random.Random(2030)
-        for _ in range(100):
-            s = math.exp(rng.uniform(0.0, math.log(1e7)))
-            ts = sharp_thresholds(s)
-            p_probe, q_probe = ts.p * (1.0 + 1e-7), ts.q * (1.0 - 1e-6)
-            assert verify._probes(s, "lower", xs)[1] == p_probe, s
-            assert verify._probes(s, "upper", xs)[1] == -q_probe, s
-            dropped = FamilyParams.from_t(ts.q * (1.0 - 1e-7), s)
-            assert not verify._failing_rule(dropped, "upper", xs), s
 
 
 class TestIncreasingGaps:
