@@ -59,6 +59,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "CertificateNode",
         "certify_sign",
+        "certify_phi",
         "certificate_leaves",
         "certificate_succeeded",
     ), "intervals"),

@@ -60,9 +60,9 @@ GRID_ENV_VAR = "MEANBOUNDS_GRID"
 # 128 + SIGPIPE: what a shell reports for a process that signal ended.
 EXIT_BROKEN_PIPE = 141
 
-# Work is bounded before it starts: a sweep runs about 4,600 to 5,300 rows/s
+# Work is bounded before it starts: a sweep runs about 6,000 to 6,200 rows/s
 # on the default grid for s in [1, 50] (2 cores, 4,901 rows in process), so
-# the row limit is about 2 s, and 1M grid points take about 0.05 s for the
+# the row limit is under 2 s, and 1M grid points take about 0.05 s for the
 # first check and 0.01 s for each later check on the same grid.
 _MAX_SWEEP_ROWS = 10_000
 _MAX_GRID = 10_000_000
@@ -86,7 +86,8 @@ def _fmt(x: float) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads every negative float, ``-1e5``,
-    ``-inf`` and ``-nan`` included, as a value, not as an option.
+    ``-inf`` and ``-nan`` included, and every ``sweep`` range that starts
+    with one, ``-5:10:1``, as a value, not as an option.
 
     argparse takes a token that starts with ``-`` for a value only where
     its pattern of negative numbers matches, which in Python 3.11 covers
@@ -100,8 +101,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+# A negative float, or a START:STOP:STEP range whose START is one.
 _NEGATIVE_NUMBER = re.compile(
-    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)(?::.*)?$", re.IGNORECASE)
 
 
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:

@@ -3,7 +3,9 @@
 This is deliberately not a general interval library: it provides exactly
 the operations needed to enclose the family log-ratio over a compact
 subinterval of [0, 1), and :func:`certify_sign`, which proves its sign by
-subdivision.  The primitives work on ``(lo, hi)`` float pairs: ``_add``,
+subdivision, and :func:`certify_phi`, which proves by the same subdivision
+(:func:`_certify`) the lemma that makes both closed-form cutoffs sharp for
+every ``s >= 5/9``.  The primitives work on ``(lo, hi)`` float pairs: ``_add``,
 ``_sub``, ``_mul`` (four products, min/max), ``_mul_nonneg`` (two products,
 for a second factor ``>= 0``) and ``_div`` each round once in IEEE
 arithmetic and step the result out by one ``math.nextafter`` in each
@@ -84,6 +86,7 @@ __all__ = [
     "TAYLOR_K",
     "CertificateNode",
     "certify_sign",
+    "certify_phi",
     "certificate_leaves",
     "certificate_succeeded",
 ]
@@ -501,38 +504,26 @@ class CertificateNode(NamedTuple):
     status: str  # proved_negative | proved_positive | split | inconclusive
 
 
-def certify_sign(
-    t: float,
-    s: float,
-    x_lo: float,
-    x_hi: float,
-    sign: str,
-    budget: int = 100_000,
-) -> list[CertificateNode]:
-    """Certify the family log-ratio's sign on ``[x_lo, x_hi]`` by subdivision.
-
-    Adaptive depth-first bisection; ``x_lo`` may be 0, the open left end,
-    where the log-ratio vanishes: the sign is then proved on ``(0, x_hi]``.
-    Each node ``[a, b]`` is bounded by one :func:`_node_bounds` for the
-    call, so a split encloses only its midpoint, and its sign decides the
-    node: -1 / 1 make a ``proved_negative`` / ``proved_positive`` leaf, 0 a
-    split.  ``sign`` is validated but does not shape the tree: a disproof
-    shows up as a proved leaf of the opposite sign.  ``budget`` caps the
-    splits, not the nodes: a node splits only while fewer than
-    ``budget - 1`` nodes came before it, so at most ``budget - 1`` nodes
-    split and the tree holds at most ``2 budget - 1``.  An undecided node
-    that may not split is ``inconclusive``.  Returns the full tree in
-    processing order.
-    """
-    if sign not in ("negative", "positive"):
-        raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
-    if not 0.0 <= x_lo < x_hi < 1.0 or x_hi > EVAL_LIMIT:
-        raise ValueError(f"need 0 <= x_lo < x_hi <= {EVAL_LIMIT!r}")
+def _checked_budget(budget: int) -> None:
     if not (math.isfinite(budget) and budget == int(budget) >= 1):
         raise ValueError(f"budget must be an integer >= 1, got {budget}")
-    bounds = _node_bounds(FamilyParams.from_t(float(t), float(s)))
+
+
+def _certify(bounds: Callable[[float, float], tuple[int, float, float]],
+             x_lo: float, x_hi: float, budget: int) -> list[CertificateNode]:
+    """The certificate of the sign that ``bounds`` gives its nodes on
+    ``[x_lo, x_hi]``, by adaptive depth-first bisection.
+
+    ``bounds(a, b)`` returns ``(sign, bound_lo, bound_hi)``, as
+    :func:`_node_bounds` does: -1 / 1 make a ``proved_negative`` /
+    ``proved_positive`` leaf, 0 a split.  A node splits only while fewer
+    than ``budget - 1`` nodes came before it, so at most ``budget - 1``
+    nodes split and the tree holds at most ``2 budget - 1``; an undecided
+    node that may not split is ``inconclusive``.  Returns the full tree in
+    processing order.
+    """
     nodes: list[CertificateNode] = []
-    stack = [(float(x_lo), float(x_hi))]
+    stack = [(x_lo, x_hi)]
     while stack:
         a, b = stack.pop()
         node_sign, bound_lo, bound_hi = bounds(a, b)
@@ -548,6 +539,163 @@ def certify_sign(
                 status = "inconclusive"
         nodes.append(CertificateNode(a, b, bound_lo, bound_hi, status))
     return nodes
+
+
+def certify_sign(
+    t: float,
+    s: float,
+    x_lo: float,
+    x_hi: float,
+    sign: str,
+    budget: int = 100_000,
+) -> list[CertificateNode]:
+    """Certify the family log-ratio's sign on ``[x_lo, x_hi]`` by subdivision.
+
+    Adaptive depth-first bisection (:func:`_certify`); ``x_lo`` may be 0,
+    the open left end, where the log-ratio vanishes: the sign is then
+    proved on ``(0, x_hi]``.  Each node ``[a, b]`` is bounded by one
+    :func:`_node_bounds` for the call, so a split encloses only its
+    midpoint, and its sign decides the node.  ``sign`` is validated but
+    does not shape the tree: a disproof shows up as a proved leaf of the
+    opposite sign.  ``budget`` caps the splits, not the nodes: at most
+    ``budget - 1`` nodes split and the tree holds at most
+    ``2 budget - 1``.  Returns the full tree in processing order.
+    """
+    if sign not in ("negative", "positive"):
+        raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
+    if not 0.0 <= x_lo < x_hi < 1.0 or x_hi > EVAL_LIMIT:
+        raise ValueError(f"need 0 <= x_lo < x_hi <= {EVAL_LIMIT!r}")
+    _checked_budget(budget)
+    return _certify(_node_bounds(FamilyParams.from_t(float(t), float(s))),
+                    float(x_lo), float(x_hi), budget)
+
+
+# ----------------------------------------------------------------------
+# The lemma behind the closed forms.  With h = ln(A/I) and u = (1 - 2t)^2
+# the log-ratio at the gap x is (s/2) ln((1 - u x^2) / (1 - F_s(x) x^2)),
+# F_s(x) = -expm1(-2h/s) / x^2, so the lower side holds iff u >= sup F_s and
+# the upper side iff u <= inf F_s.  F_s(0+) = 1/(3s) gives q and
+# F_s(1-) = 1 - (2/e)^(2/s) gives p, so both closed forms are sharp where F_s
+# increases.  With lambda = 1/s, F_s' >= 0 iff
+# G(x, lambda) = lambda a(x) - expm1(2 lambda h(x)) >= 0, where
+# a(x) = x h'(x) = atanh(x)/x - 1.  G(x, .) is concave with G(x, 0) = 0, so
+# G(x, 9/5) >= 0 gives G >= 0 for every lambda in [0, 9/5]: the one lemma
+#
+#     phi(x) = (9/5) a(x) - expm1((18/5) h(x)) >= 0 on (0, 1)
+#
+# makes F_s increasing for every s >= 5/9.  5/9 is sharp:
+# F_s = 1/(3s) + (1/(10s) - 1/(18s^2)) x^2 + O(x^4).  certify_phi proves it.
+# ----------------------------------------------------------------------
+
+# The Taylor node of phi takes PHI_TAYLOR_N series terms and nodes up to
+# PHI_TAYLOR_X0; the dyadic node [0.875, 0.9375] needs N >= 52.
+PHI_TAYLOR_X0 = 0.9375
+PHI_TAYLOR_N = 60
+
+
+@lru_cache(maxsize=None)
+def _phi_coefficients(terms: int) -> tuple:
+    """The exact ``Fraction`` coefficients ``d_1 .. d_N`` of
+    ``phi = sum_k d_k w^k``, ``w = x^2``, ``N = terms``:
+    ``d_k = (9/5) / (2k + 1) - e_k``, with ``e_k`` those of
+    ``expm1((18/5) h)`` from ``h``'s ``1/(2k(2k+1))`` by the exp-of-series
+    recurrence ``k E_k = c sum_{j<=k} j h_j E_(k-j)``, ``E_0 = 1``."""
+    from fractions import Fraction
+
+    c = Fraction(18, 5)
+    h = [Fraction(1, 2 * j * (2 * j + 1)) for j in range(1, terms + 1)]
+    e = [Fraction(1)]
+    for k in range(1, terms + 1):
+        e.append(c * sum(j * h[j - 1] * e[k - j] for j in range(1, k + 1)) / k)
+    return tuple(Fraction(9, 5) / (2 * k + 1) - e[k] for k in range(1, terms + 1))
+
+
+def _phi_bounds() -> Callable[[float, float], tuple[int, float, float]]:
+    """The function bounding ``phi`` over a node ``[a, b]`` of [0, 1], as
+    :func:`_node_bounds` bounds the log-ratio: ``(sign, bound_lo, bound_hi)``.
+
+    * Taylor node, ``b <= PHI_TAYLOR_X0``: ``phi / w^3 = sum_{k>=3} d_k
+      w^(k-3)`` with every ``d_k >= 0`` up to ``PHI_TAYLOR_N``, exactly
+      (:func:`_phi_coefficients`).  The ``e_k`` are >= 0 and sum to
+      ``E = expm1((18/5)(1 - ln 2))``, ``h``'s limit at 1 being
+      ``1 - ln 2``, so each is at most ``E`` and ``phi / w^3 >= d_3 -
+      E w^(N-2) / (1 - w)``, taken at ``w = b^2``.  Where that is > 0 the
+      node is proved, and ``bound_lo`` is the larger of it times ``a^6``
+      and the monotone bound below.
+    * Monotone node: ``a`` and ``h`` increase, so ``phi`` lies in
+      ``[(9/5) a(a) - expm1((18/5) h(b)), (9/5) a(b) - expm1((18/5) h(a))]``
+      from endpoint enclosures: ``h`` and ``(1 - x)(1 + x)`` from
+      :func:`_x_pieces`, and ``a = -h - ln((1 - x)(1 + x)) / 2``.
+    * Right-open node, ``b = 1``: ``h < 1 - ln 2`` and ``a`` grows without
+      bound, so ``phi > (9/5) a(a) - E``, and ``bound_hi`` is inf.
+
+    Library ``log`` and ``expm1`` values are widened by ``_LIBM_ULPS``, the
+    kernel's assumption; each widened value bounds the exact one, so
+    neither need be monotone.
+    """
+    nine_fifths, eighteen_fifths = _div(9.0, 9.0, 5.0, 5.0), _div(18.0, 18.0, 5.0, 5.0)
+    # d_3 = 24/875, below it the double under it; no Taylor node proves
+    # anything should some d_k < 0.
+    d = _phi_coefficients(PHI_TAYLOR_N)
+    d3_lo = nextafter(float(d[2]), -inf) if min(d) >= 0 else -inf
+    ln2_lo, ln2_hi = _widen(_log(2.0), _LIBM_ULPS)
+    # h's limit at 1, 1 - ln 2, enclosed; a's is inf.
+    at_one = (inf, inf, nextafter(1.0 - ln2_hi, -inf), nextafter(1.0 - ln2_lo, inf))
+
+    def ends(x: float) -> tuple[float, float, float, float]:
+        """``(a_lo, a_hi, h_lo, h_hi)`` at ``x`` in [0, 1]."""
+        if x == 0.0:
+            return 0.0, 0.0, 0.0, 0.0
+        if x == 1.0:
+            return at_one
+        h_lo, h_hi, i_lo, i_hi = _x_pieces(x)
+        half_ln_lo = 0.5 * _widen(_log(i_lo), _LIBM_ULPS)[0]
+        half_ln_hi = 0.5 * _widen(_log(i_hi), _LIBM_ULPS)[1]
+        return (nextafter(-h_hi - half_ln_hi, -inf), nextafter(-h_lo - half_ln_lo, inf),
+                h_lo, h_hi)
+
+    def expm1_of(h_lo: float, h_hi: float) -> tuple[float, float]:
+        """``expm1((18/5) h)`` over ``[h_lo, h_hi]``, ``h_lo >= 0``."""
+        v_lo, v_hi = _mul_nonneg(h_lo, h_hi, *eighteen_fifths)
+        return _widen(math.expm1(v_lo), _LIBM_ULPS)[0], _widen(math.expm1(v_hi), _LIBM_ULPS)[1]
+
+    big_e = expm1_of(0.0, at_one[3])[1]
+
+    def bounds(a: float, b: float) -> tuple[int, float, float]:
+        a_lo, _, h_lo, _ = ends(a)
+        _, a_hi, _, h_hi = ends(b)
+        e_lo, e_hi = expm1_of(max(h_lo, 0.0), h_hi)
+        lo = nextafter(_mul_nonneg(a_lo, a_lo, *nine_fifths)[0] - e_hi, -inf)
+        hi = nextafter(_mul_nonneg(a_hi, a_hi, *nine_fifths)[1] - e_lo, inf)
+        if b <= PHI_TAYLOR_X0:
+            w_hi = nextafter(b * b, inf)
+            power = w_hi  # w^(N - 2), rounded up
+            for _ in range(PHI_TAYLOR_N - 3):
+                power = nextafter(power * w_hi, inf)
+            tail = nextafter(nextafter(big_e * power, inf) / nextafter(1.0 - w_hi, -inf), inf)
+            g_lo = nextafter(d3_lo - tail, -inf)  # phi / w^3 >= g_lo
+            if g_lo > 0.0:
+                w_lo = max(nextafter(a * a, -inf), 0.0)
+                w3_lo = nextafter(nextafter(w_lo * w_lo, -inf) * w_lo, -inf)
+                return 1, max(lo, nextafter(w3_lo * g_lo, -inf)), hi
+        return (1 if lo > 0.0 else -1 if hi < 0.0 else 0), lo, hi
+
+    return bounds
+
+
+def certify_phi(budget: int = 64) -> list[CertificateNode]:
+    """Certify ``phi(x) = (9/5)(atanh(x)/x - 1) - expm1((18/5) h(x)) > 0``
+    on (0, 1), open at both ends, and with it that ``F_s`` increases, so
+    that both closed-form cutoffs are sharp, for every ``s >= 5/9`` (the
+    reduction is derived above :data:`PHI_TAYLOR_X0`).
+
+    The nodes bisect ``[0, 1)`` (:func:`_certify`), bounded by
+    :func:`_phi_bounds`: Taylor nodes up to ``PHI_TAYLOR_X0``, monotone ones
+    above, and one right-open node ``[x, 1)``, whose ``x_hi`` is 1.0.
+    ``budget`` caps the splits as in :func:`certify_sign`.
+    """
+    _checked_budget(budget)
+    return _certify(_phi_bounds(), 0.0, 1.0, budget)
 
 
 def certificate_leaves(nodes: list[CertificateNode]) -> list[CertificateNode]:

@@ -26,8 +26,9 @@ honest at machine precision:
 * A bisection step evaluates no margin outside a rounding band around the
   grid's cutoffs: the sign of ``u - F_s(x)``, ``u = (1 - 2t)^2`` and
   ``F_s(x) = -expm1(-2h/s) / x^2``, is that of the exact margin at ``x``,
-  so comparing ``u`` with ``F_s`` on the grid gives the grid check's own
-  verdict, when correct (:func:`empirical_threshold`).
+  and ``F_s`` increases, so comparing ``u`` with ``F_s`` at the grid's ends
+  gives the grid check's own verdict, when correct
+  (:func:`empirical_threshold`).
 
 Sign certificates are proved by :func:`meanbounds.intervals.certify_sign`,
 beside the interval kernel; its names, and ``FamilyParams``, ``EVAL_LIMIT``
@@ -59,7 +60,7 @@ from .intervals import (
     certificate_succeeded,
     certify_sign,
 )
-from .thresholds import EVAL_LIMIT, FamilyParams, membership, sharp_thresholds
+from .thresholds import EVAL_LIMIT, FamilyParams, _checked_s, membership, sharp_thresholds
 
 __all__ = [
     "GridSpec",
@@ -87,6 +88,7 @@ _MAX_RECHECKS = 32
 # (s/2) F_s moves by at most as much relative as h; other roundings,
 # expm1's _LIBM_ULPS ulps included, add under 16 eps.
 _BAND = 2.0 * (48.0 / SERIES_CROSSOVER ** 2 + 16.0) * _EPS
+_BAND_POINTS = 250  # a bisection's failing cutoffs read about this many points
 
 _SIDES = ("lower", "upper")
 
@@ -402,17 +404,24 @@ class _Grid:
 
     @cached_property
     def band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``h``, ``h/x^2``, ``A/x^2`` and ``B/x^2`` on the
-        points, which :func:`_grid_cutoffs` reads, with ``A`` and ``B`` of
-        :func:`_failing_bound`.  ``h/x^2`` is the series' own quotient on
-        the series points, which no subnormal ``x^2`` spoils; where ``A/x^2``
-        overflows, or ``x^2`` is 0, it is inf, and the point fails no step."""
-        pieces = self.pieces
+        """Read-only ``h``, ``h/x^2``, ``A/x^2`` and ``B/x^2`` on the first
+        ``k`` points, every ``k``-th and the last, ``k = ceil(n /
+        _BAND_POINTS)`` for ``n`` points, which :func:`_grid_cutoffs`
+        reads, with ``A`` and ``B`` of :func:`_failing_bound`.  ``h/x^2``
+        is the series' own quotient on the series points, which no subnormal
+        ``x^2`` spoils; where ``A/x^2`` overflows, or ``x^2`` is 0, it is
+        inf, and the point fails no step."""
+        pieces, n = self.pieces, self.xs.size
         w = self.xs * self.xs
         ratio = np.concatenate([np.polyval(_H_SERIES[::-1], pieces.w_small),
                                 pieces.h / w[pieces.direct]])
         with np.errstate(divide="ignore", over="ignore"):
-            band = (ratio * w, ratio, *(bound / w for bound in _failing_bound(pieces)))
+            full = (ratio * w, ratio, *(bound / w for bound in _failing_bound(pieces)))
+        # The first k points too: on a uniform grid the upper side's failing
+        # cutoff comes from a point among them.
+        k = -(-n // _BAND_POINTS)
+        keep = np.concatenate([np.arange(k), np.arange(k, n - 1, k), [n - 1]])
+        band = tuple(arr[keep] for arr in full)
         for arr in band:
             arr.flags.writeable = False
         return band
@@ -536,12 +545,18 @@ def _grid_cutoffs(s: float, spec: GridSpec) -> dict[str, tuple[float, float]]:
 
     ``K = (s/2) F_s = (h/x^2) g(2h/s)`` with ``g(y) = -expm1(-y)/y`` lies
     in [1/8, 1/3] for every ``s >= 1``, so nothing underflows at the largest
-    ``s``.  The lower side holds where ``(s/2) u >= max K (1 + _BAND)`` and
-    fails where ``(s/2) u < K(x) (1 - _BAND) - T/x^2`` at some ``x``, ``T``
-    of :func:`_failing_bound`, which puts the exact margin at ``x`` below
+    ``s``.  ``F_s`` increases for every ``s >= 5/9``
+    (:func:`meanbounds.intervals.certify_phi`), so the exact ``K`` on the
+    grid is largest at its last point and least at its first: the lower
+    side holds where ``(s/2) u >= K(xs[-1]) (1 + _BAND)``, the upper side
+    where ``(s/2) u <= K(xs[0]) (1 - _BAND)``.  The lower side fails where
+    ``(s/2) u < K(x) (1 - _BAND) - T/x^2`` at some ``x``, ``T`` of
+    :func:`_failing_bound`, which puts the exact margin at ``x`` below
     ``-T (1 - T/s)``, ``T/s < 1e-11`` within ``T``'s margin of safety; the
-    upper side mirrors both.  A ``T/x^2`` that overflows rounds to inf,
-    and its point decides nothing.
+    upper side mirrors it.  Any grid point gives a sound failing cutoff, so
+    ``K`` is formed on :attr:`_Grid.band`'s few hundred points only: a point
+    left out can send a step to the grid check, never change its verdict.
+    A ``T/x^2`` that overflows rounds to inf, and its point decides nothing.
     """
     h, ratio, a_w, b_w = _grid(spec).band
     y = np.multiply(h, -2.0 / s)  # -2h/s
@@ -550,16 +565,13 @@ def _grid_cutoffs(s: float, spec: GridSpec) -> dict[str, tuple[float, float]]:
     cut = np.expm1(y)
     cut /= y
     cut *= ratio  # K
-    top = float(cut.max())
     with np.errstate(over="ignore"):
         beta = np.multiply(b_w, s, out=y)
         beta += a_w  # T/x^2
-    # K (1 - _BAND) - beta >= K - beta - _BAND max K, and so on: one scaling.
-    slack = _BAND * top
-    fail_lower = float(np.subtract(cut, beta).max()) - slack
-    fail_upper = float(np.add(cut, beta, out=beta).min()) + slack
-    return {"lower": (top * (1.0 + _BAND), fail_lower),
-            "upper": (-(float(cut.min()) * (1.0 - _BAND)), -fail_upper)}
+    fail_lower = float((cut * (1.0 - _BAND) - beta).max())
+    fail_upper = float((cut * (1.0 + _BAND) + beta).min())
+    return {"lower": (float(cut[-1]) * (1.0 + _BAND), fail_lower),
+            "upper": (-(float(cut[0]) * (1.0 - _BAND)), -fail_upper)}
 
 
 def _grid_verdict(params: FamilyParams, side: str, xs: np.ndarray, pieces: _Pieces) -> str:
@@ -590,11 +602,14 @@ def empirical_threshold(
     """Recover the sharp cutoff in ``t`` by bisection on the grid verdict.
 
     Bisects ``t`` over [0, 1/2] with the verdict of
-    ``verify_family_inequality`` as the predicate.  With ``u = (1 - 2t)^2``
+    ``verify_family_inequality`` as the predicate, for ``s >= 1`` (the
+    messages of ``sharp_thresholds`` otherwise).  With ``u = (1 - 2t)^2``
     and ``F_s(x) = -expm1(-2h/s) / x^2``, ``h = ln(A/I)``, the log-ratio is
     ``(s/2) ln((1 - u x^2) / (1 - F_s(x) x^2))``: the exact lower margin at
-    ``x`` is > 0 iff ``u > F_s(x)``, the upper one iff ``u < F_s(x)``.  So a
-    step whose ``u`` clears every ``F_s`` on the grid by the rounding band
+    ``x`` is > 0 iff ``u > F_s(x)``, the upper one iff ``u < F_s(x)``, and
+    ``F_s`` increases (:func:`meanbounds.intervals.certify_phi`).  So a
+    step whose ``u`` clears ``F_s`` at the grid's far end, and with it every
+    ``F_s`` on the grid, by the rounding band
     ``_BAND`` holds, as a correct recheck drops every candidate, and a step
     whose ``u`` lies ``2T(x, s) / (s x^2)`` beyond one ``F_s(x)`` on the
     failing side is violated, as its exact margin at ``x`` lies below
@@ -610,7 +625,7 @@ def empirical_threshold(
     resolution (far below ``tol`` for the default grid).
     """
     _check_side(side)
-    s = float(s)
+    s = _checked_s(s)
     tol = float(tol)
     if not 1e-8 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 1e-8, got {tol}")

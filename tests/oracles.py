@@ -86,6 +86,29 @@ def family_cutoff(s, x, dps=50):
         return -mp.expm1(-2 * h / s) / (x * x)
 
 
+def family_cutoff_ends(s, dps=60):
+    """``(F_s(0+), F_s(1-)) = (1/(3s), 1 - (2/e)^(2/s))`` to ``dps`` digits:
+    the upper side holds iff ``u <= F_s(0+)`` and the lower side iff
+    ``u >= F_s(1-)`` wherever ``F_s`` increases."""
+    with mp.workdps(dps):
+        s = mp.mpf(s)
+        return 1 / (3 * s), -mp.expm1(2 / s * (mp.log(2) - 1))
+
+
+def phi(x, dps=DPS):
+    """``(9/5)(atanh(x)/x - 1) - expm1((18/5) h)``, ``h = ln(A/I)``, to
+    ``dps`` digits: ``F_s`` increases for every ``s >= 5/9`` where it is
+    >= 0.  It is O(x^6) while its terms are O(x^2), so 4 log10(1/x) more
+    digits are carried."""
+    with mp.workdps(dps + 10):
+        extra = max(0, int(-4 * mp.log10(mp.mpf(x))))
+    with mp.workdps(dps + 10 + extra):
+        x = mp.mpf(x)
+        a = mp.atanh(x) / x - 1
+        h = -a - mp.log(1 - x * x) / 2
+        return mp.mpf(9) / 5 * a - mp.expm1(mp.mpf(18) / 5 * h)
+
+
 def membership_class(t, s):
     """The sharp-cutoff class of the double t, from the paper's theorem.
 

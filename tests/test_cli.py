@@ -270,6 +270,18 @@ class TestSweep:
             assert out == ""
             assert "finite" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("-5:10:1", "s must be >= 1, got -5.0"),
+        ("-inf:1:1", "bad range '-inf:1:1': START, STOP and STEP must be finite"),
+        ("-1e5:1:1", "range '-1e5:1:1' has more than 10000 rows"),
+        ("-5:10", "range must look like START:STOP:STEP, got '-5:10'")])
+    def test_negative_start_reaches_the_range_and_domain_checks(self, capsys, spec, message):
+        # argparse read a range starting with "-" as an option flag:
+        # "argument --s: expected one argument".
+        code, out, err = run(capsys, "sweep", "--s", spec)
+        assert (code, out) == (2, "")
+        assert err == f"meanbounds sweep: error: {message}\n"
+
     def test_oversized_range_is_usage_error(self, capsys):
         for spec in ("1:1e9:1e-9", "-1e308:1e308:1e-300", "1:10001:1"):
             code, out, err = run(capsys, "sweep", f"--s={spec}")

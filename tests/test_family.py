@@ -25,8 +25,9 @@ from meanbounds.family import _m2, _Pieces, _log_ratio_with_scale, _series_coeff
 from meanbounds.thresholds import EVAL_LIMIT
 import mpmath as mp
 
-from oracles import (family_cutoff, family_log_ratio_and_quotient_t, family_log_ratio_u,
-                     kernel_near_one_u, kernel_u)
+from meanbounds.thresholds import membership
+from oracles import (family_cutoff, family_cutoff_ends, family_log_ratio_and_quotient_t,
+                     family_log_ratio_u, kernel_near_one_u, kernel_u, membership_class)
 
 LN_E_OVER_2 = 0.3068528194400546905828  # 1 - ln 2
 
@@ -475,6 +476,54 @@ class TestCutoffCriterion:
             at_one = -mp.expm1(2 / mp.mpf(s) * (mp.log(2) - 1))
             assert abs(family_cutoff(s, "1e-30") / at_zero - 1) < mp.mpf("1e-40")
             assert abs(family_cutoff(s, near_one) / at_one - 1) < mp.mpf("1e-40")
+
+
+class TestMonotoneCutoff:
+    """``F_s`` increases for every ``s >= 5/9`` (``intervals.certify_phi``),
+    so the criterion of :class:`TestCutoffCriterion` reads only its end
+    values ``F_s(0+) = 1/(3s)`` and ``F_s(1-) = 1 - (2/e)^(2/s)``: the
+    closed forms ``q`` and ``p``.  40- to 60-digit oracles."""
+
+    def test_membership_equals_the_end_value_criterion(self):
+        rng = random.Random(2034)
+        verdicts = set()
+        for k in range(300):
+            s = math.exp(rng.uniform(math.log(5 / 9), math.log(1e6)))
+            ends = family_cutoff_ends(s)
+            if k % 3 == 0:
+                t = rng.uniform(0.0, 0.5)
+            else:  # near p or q, 1e-12 to 1e-2 relative from it
+                cutoff = float((1 - mp.sqrt(ends[k % 3 - 1])) / 2)
+                t = min(0.5, cutoff * (1.0 + rng.choice((-1.0, 1.0))
+                                       * 10.0 ** rng.uniform(-12.0, -2.0)))
+            with mp.workdps(60):
+                u = (1 - 2 * mp.mpf(t)) ** 2
+            expected = ("upper_bound_holds" if u <= ends[0] else
+                        "lower_bound_holds" if u >= ends[1] else "neither")
+            assert membership_class(t, s) == expected, (t, s)
+            if s >= 1.0:  # membership's domain
+                assert membership(t, s) == expected, (t, s)
+            # The ends bound F_s: u clears F_s wherever it clears both ends.
+            for x in (10.0 ** rng.uniform(-6.0, -1.0), rng.uniform(0.1, 1.0 - 1e-9)):
+                assert ends[0] < family_cutoff(s, x, dps=40) < ends[1], (s, x)
+            verdicts.add(expected)
+        assert verdicts == {"upper_bound_holds", "lower_bound_holds", "neither"}
+
+    def test_f_increases_at_seeded_x(self):
+        rng = random.Random(2035)
+        for k in range(40):
+            s = 5 / 9 if k == 0 else math.exp(rng.uniform(math.log(5 / 9), math.log(1e6)))
+            xs = sorted([10.0 ** rng.uniform(-4.0, -0.3) for _ in range(6)]
+                        + [1.0 - 10.0 ** rng.uniform(-9.0, -0.3) for _ in range(6)])
+            values = [family_cutoff(s, x, dps=40) for x in xs]
+            assert all(a < b for a, b in zip(values, values[1:])), (s, xs)
+
+    @pytest.mark.parametrize("s", [0.5, 0.55])
+    def test_below_five_ninths_f_first_falls(self, s):
+        # F_s = 1/(3s) + (1/(10s) - 1/(18s^2)) x^2 + O(x^4): the x^2 term
+        # vanishes at s = 5/9 and is < 0 below it, so 5/9 is sharp.
+        assert family_cutoff(s, 1e-2, dps=40) < family_cutoff(s, 1e-3, dps=40) \
+            < family_cutoff_ends(s)[0]
 
 
 class TestExpBoundMargin:

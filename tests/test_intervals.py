@@ -9,16 +9,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meanbounds import (FamilyParams, certificate_succeeded, certify_sign, intervals,
-                        membership, sharp_thresholds)
-from meanbounds.intervals import (_LIBM_ULPS, TAYLOR_K, TAYLOR_X0, _add, _div, _endpoint_enclosure,
+from meanbounds import (FamilyParams, certificate_leaves, certificate_succeeded, certify_sign,
+                        intervals, membership, sharp_thresholds)
+from meanbounds.intervals import (_LIBM_ULPS, PHI_TAYLOR_N, TAYLOR_K, TAYLOR_X0, _add, _div,
+                                  _endpoint_enclosure, certify_phi,
                                   _monotone_bounds, _mul, _mul_nonneg, _one_minus_u, _sub,
                                   _series_terms, _taylor_enclosure, _taylor_terms,
                                   _u_enclosure)
 from meanbounds.thresholds import EVAL_LIMIT
 
 import interval_reference as reference
-from oracles import family_log_ratio_and_quotient_t, family_log_ratio_u
+from oracles import family_log_ratio_and_quotient_t, family_log_ratio_u, phi
 from test_thresholds import ulps_around
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
@@ -678,3 +679,62 @@ class TestPointSign:
                 assert got == _reference_point_sign(p, x), (p, x)
                 seen.add(got)
         assert seen == {-1, 0, 1}
+
+
+class TestPhiCertificate:
+    """``phi = (9/5)(atanh(x)/x - 1) - expm1((18/5) h) > 0`` on (0, 1), the
+    lemma that makes ``F_s`` increase for every ``s >= 5/9``."""
+
+    def test_proves_the_open_interval_within_its_budget(self):
+        # 6 splits, 7 proved leaves: 4 Taylor nodes up to 0.9375, 2 monotone
+        # ones and the right-open [0.96875, 1).  The last split is the 10th
+        # node, which a budget of 11 allows and one of 10 does not.
+        nodes = certify_phi(budget=11)
+        leaves = certificate_leaves(nodes)
+        assert certificate_succeeded(nodes, "positive")
+        assert (len(nodes), len(leaves)) == (13, 7)
+        assert leaves[0].x_lo == 0.0 and leaves[-1].x_hi == 1.0
+        assert all(a.x_hi == b.x_lo for a, b in zip(leaves, leaves[1:]))
+        assert leaves[-1].bound_hi == math.inf
+        assert certify_phi() == nodes
+
+    def test_a_smaller_budget_is_inconclusive(self):
+        nodes = certify_phi(budget=10)
+        assert not certificate_succeeded(nodes, "positive")
+        assert {n.status for n in certificate_leaves(nodes)} == {"proved_positive", "inconclusive"}
+
+    def test_leaf_bounds_hold_phi(self):
+        rng = random.Random(2036)
+        for leaf in certificate_leaves(certify_phi()):
+            for _ in range(20):
+                x = rng.uniform(leaf.x_lo, leaf.x_hi)
+                if 0.0 < x < 1.0:
+                    value = phi(x)
+                    assert 0 < value and leaf.bound_lo <= value <= leaf.bound_hi, (leaf, x)
+
+    def test_series_coefficients(self):
+        # phi = sum_k d_k x^(2k): the x^2 and x^4 terms cancel, the x^6 term
+        # is 24/875, and every d_k the Taylor node reads is >= 0.
+        d = intervals._phi_coefficients(PHI_TAYLOR_N)
+        assert len(d) == PHI_TAYLOR_N
+        assert d[:3] == (0, 0, Fraction(24, 875))
+        assert min(d) >= 0
+        # The first 16 again, from expm1(c H) = sum_m (c H)^m / m!, truncated.
+        n = 16
+        c_h = [Fraction(0)] + [Fraction(18, 5 * 2 * k * (2 * k + 1)) for k in range(1, n + 1)]
+        term, total = [Fraction(1)] + [Fraction(0)] * n, [Fraction(0)] * (n + 1)
+        for m in range(1, n + 1):
+            term = [sum(term[j] * c_h[k - j] for j in range(k + 1)) / m for k in range(n + 1)]
+            total = [a + b for a, b in zip(total, term)]
+        assert d[:n] == tuple(Fraction(9, 5 * (2 * k + 1)) - total[k] for k in range(1, n + 1))
+
+    def test_a_negative_coefficient_leaves_the_taylor_nodes_unproved(self, monkeypatch):
+        coefficients = intervals._phi_coefficients(PHI_TAYLOR_N)
+        monkeypatch.setattr(intervals, "_phi_coefficients",
+                            lambda n: coefficients[:-1] + (Fraction(-1, 10**30),))
+        assert not certificate_succeeded(certify_phi(), "positive")
+
+    @pytest.mark.parametrize("budget", [0, 2.5, math.nan])
+    def test_budget_validation(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            certify_phi(budget)

@@ -267,6 +267,16 @@ class TestEmpiricalThreshold:
         with pytest.raises(ValueError):
             empirical_threshold(2.0, "lower", tol=1e-9)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -1.0, 0.3, 0.5])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_bad_s_is_refused_as_sharp_thresholds_refuses_it(self, s, side):
+        # These once came back as numbers: 4.77e-07 at s = nan (lower).
+        with pytest.raises(ValueError) as expected:
+            sharp_thresholds(s)
+        with pytest.raises(ValueError) as got:
+            empirical_threshold(s, side, SMALL_GRID)
+        assert str(got.value) == str(expected.value)
+
 
 def _reference_threshold(s, side, grid, tol):
     """Bisection in t with the public grid check as the predicate."""
@@ -660,6 +670,57 @@ class TestGridCutoffs:
                 continue
             assert verdict == _grid_check(t, s, side, spec)
             assert (verdict == "holds_on_grid") == (membership(t, s) == f"{side}_bound_holds")
+
+    def test_ends_and_subset_stay_inside_the_band(self, monkeypatch):
+        # The holding cutoffs read K = (s/2) F_s at the grid's ends, as the
+        # exact K increases, and the failing ones a subset of the points:
+        # rounding keeps the ends within _BAND/100 of the extremes of K over
+        # every point, and no subset cutoff decides a step that the full one
+        # leaves to the grid check.
+        rng = random.Random(2033)
+        ss = [1.0, 2.0, 1e300, sys.float_info.max]
+        ss += [math.exp(rng.uniform(0.0, math.log(1e12))) for _ in range(16)]
+        ss += [math.exp(rng.uniform(math.log(1e12), math.log(sys.float_info.max)))
+               for _ in range(4)]
+
+        def k_of(band, s):
+            h, ratio = band[:2]
+            y = np.minimum(h * (-2.0 / s), -sys.float_info.min)
+            return np.expm1(y) / y * ratio
+
+        def cutoffs(grid, s, spec):
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_grid", lambda _: grid)
+                return verify._grid_cutoffs.__wrapped__(s, spec)
+
+        for spec in _CUTOFF_GRIDS:
+            xs = grid_points(spec)
+            subset = verify._Grid(xs, {})
+            full = verify._Grid(xs, {})
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_BAND_POINTS", xs.size)  # every point
+                assert full.band[0].size == xs.size
+            assert subset.band[0].size <= min(xs.size, 2 * verify._BAND_POINTS)
+            for s in ss:
+                top, bottom = k_of(full.band, s).max(), k_of(full.band, s).min()
+                k_sub = k_of(subset.band, s)
+                assert abs(k_sub[-1] - top) <= verify._BAND / 100 * top, (spec, s)
+                assert abs(k_sub[0] - bottom) <= verify._BAND / 100 * bottom, (spec, s)
+                got, every = cutoffs(subset, s, spec), cutoffs(full, s, spec)
+                for side in ("lower", "upper"):
+                    assert got[side][0] == every[side][0], (spec, s, side)
+                    assert got[side][1] <= every[side][1], (spec, s, side)
+
+
+# The grids of the threshold identity measurements: the five above, the
+# sparse and narrow ones of TestEmpiricalThresholdEdgeIdentity, and three
+# that reach down to subnormal x.
+_CUTOFF_GRIDS = (
+    *(grid or GridSpec() for grid in _FORCED_GRIDS),
+    GridSpec(count=2), GridSpec(count=3, spacing="uniform"),
+    GridSpec(count=50, x_min=0.4, x_max=0.45), GridSpec(count=50, x_min=1e-9, x_max=1e-3),
+    GridSpec(count=50, x_min=0.9, x_max=0.999), GridSpec(count=100, x_min=1e-200, x_max=0.5),
+    GridSpec(count=64, x_min=3e-162, x_max=0.3), GridSpec(count=40, x_min=5e-324, x_max=0.9))
 
 
 class TestEmpiricalThresholdEdgeIdentity:
