@@ -59,7 +59,6 @@ _EXPORTS = {
     **dict.fromkeys((
         "CertificateNode",
         "certify_sign",
-        "certify_phi",
         "certificate_leaves",
         "certificate_succeeded",
     ), "intervals"),

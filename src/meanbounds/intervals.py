@@ -504,11 +504,6 @@ class CertificateNode(NamedTuple):
     status: str  # proved_negative | proved_positive | split | inconclusive
 
 
-def _checked_budget(budget: int) -> None:
-    if not (math.isfinite(budget) and budget == int(budget) >= 1):
-        raise ValueError(f"budget must be an integer >= 1, got {budget}")
-
-
 def _certify(bounds: Callable[[float, float], tuple[int, float, float]],
              x_lo: float, x_hi: float, budget: int) -> list[CertificateNode]:
     """The certificate of the sign that ``bounds`` gives its nodes on
@@ -565,7 +560,8 @@ def certify_sign(
         raise ValueError(f"sign must be 'negative' or 'positive', got {sign!r}")
     if not 0.0 <= x_lo < x_hi < 1.0 or x_hi > EVAL_LIMIT:
         raise ValueError(f"need 0 <= x_lo < x_hi <= {EVAL_LIMIT!r}")
-    _checked_budget(budget)
+    if not (math.isfinite(budget) and budget == int(budget) >= 1):
+        raise ValueError(f"budget must be an integer >= 1, got {budget}")
     return _certify(_node_bounds(FamilyParams.from_t(float(t), float(s))),
                     float(x_lo), float(x_hi), budget)
 
@@ -683,7 +679,11 @@ def _phi_bounds() -> Callable[[float, float], tuple[int, float, float]]:
     return bounds
 
 
-def certify_phi(budget: int = 64) -> list[CertificateNode]:
+# Split cap of certify_phi; its tree takes 13 nodes, 6 of them splits.
+_PHI_BUDGET = 64
+
+
+def certify_phi() -> list[CertificateNode]:
     """Certify ``phi(x) = (9/5)(atanh(x)/x - 1) - expm1((18/5) h(x)) > 0``
     on (0, 1), open at both ends, and with it that ``F_s`` increases, so
     that both closed-form cutoffs are sharp, for every ``s >= 5/9`` (the
@@ -692,10 +692,9 @@ def certify_phi(budget: int = 64) -> list[CertificateNode]:
     The nodes bisect ``[0, 1)`` (:func:`_certify`), bounded by
     :func:`_phi_bounds`: Taylor nodes up to ``PHI_TAYLOR_X0``, monotone ones
     above, and one right-open node ``[x, 1)``, whose ``x_hi`` is 1.0.
-    ``budget`` caps the splits as in :func:`certify_sign`.
+    At most ``_PHI_BUDGET - 1`` nodes split, as in :func:`certify_sign`.
     """
-    _checked_budget(budget)
-    return _certify(_phi_bounds(), 0.0, 1.0, budget)
+    return _certify(_phi_bounds(), 0.0, 1.0, _PHI_BUDGET)
 
 
 def certificate_leaves(nodes: list[CertificateNode]) -> list[CertificateNode]:

@@ -404,9 +404,9 @@ class _Grid:
 
     @cached_property
     def band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``h``, ``h/x^2``, ``A/x^2`` and ``B/x^2`` on the first
-        ``k`` points, every ``k``-th and the last, ``k = ceil(n /
-        _BAND_POINTS)`` for ``n`` points, which :func:`_grid_cutoffs`
+        """Read-only ``h``, ``h/x^2``, ``A/x^2`` and ``B/x^2`` on every
+        ``k``-th point and the last, ``k = ceil(n / _BAND_POINTS)`` for
+        ``n`` points, which :func:`_grid_cutoffs`
         reads, with ``A`` and ``B`` of :func:`_failing_bound`.  ``h/x^2``
         is the series' own quotient on the series points, which no subnormal
         ``x^2`` spoils; where ``A/x^2`` overflows, or ``x^2`` is 0, it is
@@ -417,10 +417,7 @@ class _Grid:
                                 pieces.h / w[pieces.direct]])
         with np.errstate(divide="ignore", over="ignore"):
             full = (ratio * w, ratio, *(bound / w for bound in _failing_bound(pieces)))
-        # The first k points too: on a uniform grid the upper side's failing
-        # cutoff comes from a point among them.
-        k = -(-n // _BAND_POINTS)
-        keep = np.concatenate([np.arange(k), np.arange(k, n - 1, k), [n - 1]])
+        keep = np.append(np.arange(0, n - 1, -(-n // _BAND_POINTS)), n - 1)
         band = tuple(arr[keep] for arr in full)
         for arr in band:
             arr.flags.writeable = False

@@ -687,21 +687,16 @@ class TestPhiCertificate:
 
     def test_proves_the_open_interval_within_its_budget(self):
         # 6 splits, 7 proved leaves: 4 Taylor nodes up to 0.9375, 2 monotone
-        # ones and the right-open [0.96875, 1).  The last split is the 10th
-        # node, which a budget of 11 allows and one of 10 does not.
-        nodes = certify_phi(budget=11)
+        # ones and the right-open [0.96875, 1), well inside _PHI_BUDGET.
+        nodes = certify_phi()
         leaves = certificate_leaves(nodes)
         assert certificate_succeeded(nodes, "positive")
+        assert {n.status for n in leaves} == {"proved_positive"}
         assert (len(nodes), len(leaves)) == (13, 7)
+        assert len(nodes) - len(leaves) < intervals._PHI_BUDGET - 1
         assert leaves[0].x_lo == 0.0 and leaves[-1].x_hi == 1.0
         assert all(a.x_hi == b.x_lo for a, b in zip(leaves, leaves[1:]))
         assert leaves[-1].bound_hi == math.inf
-        assert certify_phi() == nodes
-
-    def test_a_smaller_budget_is_inconclusive(self):
-        nodes = certify_phi(budget=10)
-        assert not certificate_succeeded(nodes, "positive")
-        assert {n.status for n in certificate_leaves(nodes)} == {"proved_positive", "inconclusive"}
 
     def test_leaf_bounds_hold_phi(self):
         rng = random.Random(2036)
@@ -733,8 +728,3 @@ class TestPhiCertificate:
         monkeypatch.setattr(intervals, "_phi_coefficients",
                             lambda n: coefficients[:-1] + (Fraction(-1, 10**30),))
         assert not certificate_succeeded(certify_phi(), "positive")
-
-    @pytest.mark.parametrize("budget", [0, 2.5, math.nan])
-    def test_budget_validation(self, budget):
-        with pytest.raises(ValueError, match="budget"):
-            certify_phi(budget)
