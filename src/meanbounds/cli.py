@@ -60,7 +60,7 @@ GRID_ENV_VAR = "MEANBOUNDS_GRID"
 # 128 + SIGPIPE: what a shell reports for a process that signal ended.
 EXIT_BROKEN_PIPE = 141
 
-# Work is bounded before it starts: a sweep runs about 6,000 to 6,200 rows/s
+# Work is bounded before it starts: a sweep runs about 6,600 to 7,100 rows/s
 # on the default grid for s in [1, 50] (2 cores, 4,901 rows in process), so
 # the row limit is under 2 s, and 1M grid points take about 0.05 s for the
 # first check and 0.01 s for each later check on the same grid.

@@ -167,7 +167,11 @@ class _Pieces:
 
 
 def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
-    """Values plus absolute-error scale (error <= scale * eps) on ``pieces``.
+    """Values on ``pieces`` plus their absolute-error scale (error <= scale
+    * eps), formed only where it is read: ``scale(lo, hi)`` is a new array
+    of its entries at the indices ``lo`` to ``hi - 1``, each formed by the
+    same IEEE operations as on the whole array, so bit for bit that array's
+    entry.
 
     Direct path, ``4 (2 + |m2|)`` (Higham, *Accuracy and Stability of
     Numerical Algorithms*, ch. 3): h's quotient in [ln 2, 1] comes from two
@@ -178,35 +182,48 @@ def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
     region, ``w (1 + 3su) / 3`` with ``w = x^2``, the size of its terms
     (``w / 3`` at ``u = 0``, where ``3su`` would be ``inf * 0`` for s near
     the top of the double range, and ``w (su + 1/3)`` where ``3su``
-    overflows).
+    overflows).  The values take one buffer; ``m2`` keeps its own on the
+    direct points, which the scale reads.
     """
-    vals, scale = np.empty(len(pieces)), np.empty(len(pieces))
+    vals = np.empty(len(pieces))
     # Views of the two slices: each part is written in place.
-    direct_vals, direct_scale = vals[pieces.direct], scale[pieces.direct]
-    series_vals, series_scale = vals[pieces.small], scale[pieces.small]
+    direct_vals = vals[pieces.direct]
+    m2 = None  # the direct scale is 8 where m2 is 0, or where no point is direct
     if params.u == 0.0:
         direct_vals[...] = pieces.h
-        direct_scale.fill(8.0)
     elif direct_vals.size:  # a scalar call has one of the two parts only
-        _m2(params, pieces.x_direct, pieces.one_minus_sq, out=direct_scale)
-        np.add(pieces.h, direct_scale, out=direct_vals)
-        np.abs(direct_scale, out=direct_scale)
-        direct_scale += 2.0
-        # |m2| <= 13.5 s up to EVAL_LIMIT, so only s > 1e306 can overflow
-        # 4 (2 + |m2|); there it is capped at DBL_MAX, still >= 2 + |m2|, so
-        # the noise floor stays at least 16 times the error bound.
-        if params.s > 1e306:
-            np.minimum(direct_scale, np.finfo(float).max / 4.0, out=direct_scale)
-        direct_scale *= 4.0
+        m2 = np.empty_like(direct_vals)
+        _m2(params, pieces.x_direct, pieces.one_minus_sq, out=m2)
+        np.add(pieces.h, m2, out=direct_vals)
     w = pieces.w_small
     if w.size:
-        _log_ratio_series(params, w, out=series_vals)
-        three_su = 3.0 * params.s * params.u if params.u else 0.0
-        if math.isinf(three_su):
-            np.multiply(w, params.s * params.u + 1.0 / 3.0, out=series_scale)
+        _log_ratio_series(params, w, out=vals[pieces.small])
+    three_su = 3.0 * params.s * params.u if params.u else 0.0
+    overflows = math.isinf(three_su)
+    series_coef = params.s * params.u + 1.0 / 3.0 if overflows else 1.0 + three_su
+    k = w.size
+
+    def scale(lo: int, hi: int) -> np.ndarray:
+        mid = min(max(k, lo), hi)  # the series points come first
+        if mid > lo:
+            series = np.multiply(w[lo:mid], series_coef)
+            if not overflows:
+                series /= 3.0
+            if mid == hi:
+                return series
+        if m2 is None:
+            direct = np.full(hi - mid, 8.0)
         else:
-            np.multiply(w, 1.0 + three_su, out=series_scale)
-            series_scale /= 3.0
+            direct = np.abs(m2[mid - k:hi - k])
+            direct += 2.0
+            # |m2| <= 13.5 s up to EVAL_LIMIT, so only s > 1e306 can overflow
+            # 4 (2 + |m2|); there it is capped at DBL_MAX, still >= 2 + |m2|,
+            # so the noise floor stays at least 16 times the error bound.
+            if params.s > 1e306:
+                np.minimum(direct, _DBL_MAX / 4.0, out=direct)
+            direct *= 4.0
+        return direct if mid == lo else np.concatenate((series, direct))
+
     return vals, scale
 
 
@@ -226,13 +243,14 @@ def log_ratio_q_over_i(params: FamilyParams, x):
 _IDENTRIC = FamilyParams.from_u(0.0, 1.0)
 
 
-def _lr_with_error_scale(pieces: _Pieces) -> tuple[np.ndarray, np.ndarray]:
+def _lr_with_error_scale(pieces: _Pieces):
     """ln(I/A) on the gaps of ``pieces`` plus a per-point scale for its error.
 
-    The returned ``scale`` is such that the evaluation error is below
-    ``scale * eps``; used by the verification layer to build noise floors.
-    Inputs are assumed validated, in [0, 1).  It is the family's value and
-    scale at ``u = 0``, negated.
+    The returned ``scale``, read by index range as that of
+    :func:`_log_ratio_with_scale`, is such that the evaluation error is
+    below ``scale * eps``; used by the verification layer to build noise
+    floors.  Inputs are assumed validated, in [0, 1).  It is the
+    family's value and scale at ``u = 0``, the value negated.
     """
     vals, scale = _log_ratio_with_scale(_IDENTRIC, pieces)
     return -vals, scale
@@ -300,12 +318,15 @@ def exp_bound_margin(coef: float, x):
 
 
 def _exp_bound_margin_with_scale(coef: float, lr: np.ndarray,
-                                 scale_lr: np.ndarray, x: np.ndarray):
-    """The margin and its error scale from ``ln(I/A)`` and its scale on ``x``.
+                                 scale_lr, x: np.ndarray):
+    """The margin and its error scale from ``ln(I/A)`` and its scale on
+    ``x``, both scales read by index range as that of
+    :func:`_log_ratio_with_scale`.
 
     ``2 coef`` overflows for ``coef > DBL_MAX / 2``; ``DBL_MAX`` in its place
     keeps the scale finite (``w < 1``) and still above ``coef w``, so the
     noise floor stays over 32 times the error bound.
     """
     w = x * x
-    return -lr - coef * w, scale_lr + min(2.0 * coef, _DBL_MAX) * w
+    two_coef = min(2.0 * coef, _DBL_MAX)
+    return -lr - coef * w, lambda lo, hi: scale_lr(lo, hi) + two_coef * w[lo:hi]

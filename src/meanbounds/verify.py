@@ -12,8 +12,11 @@ honest at machine precision:
   floor is indistinguishable from zero; it is clamped rather than being
   promoted to a counterexample, so parameters sitting exactly on a sharp
   threshold report ``holds_on_grid`` with a zero margin column.  Every
-  error scale is a sum of terms >= 0, so the floors are formed only where
-  some margin of the check is negative.
+  error scale is a sum of terms >= 0, so only a negative margin can lie
+  below its floor: a check with none reads no scale.  Otherwise it tests
+  its least margin against its floor first, and forms the other floors,
+  from a side's first negative margin to its last, only when a recheck
+  asks past it.
 * Any candidate violation is rechecked before it counts, in order of
   margin.  A reported witness is re-evaluated with mpmath at roughly twice
   the working precision, with more digits where those leave the margin
@@ -329,31 +332,23 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
     """Check one or more margin sides on the grid ``xs``.
 
     Each side is ``(label, margins, scale, recheck)``: the margins on
-    ``xs``, their rounding-error scale (overwritten here, so each check
-    needs its own), and a one-argument recheck of the margin at a grid
-    point, whose sign decides the candidate (the extended-precision
-    margin, for a report).  Negative margins beyond the noise floor
-    ``_NOISE_C * eps * scale`` become candidates, rechecked in order of
-    margin over all sides together, ties by index (at most
-    ``_MAX_RECHECKS``); the first confirmed one is the witness.  Where no
-    margin is negative there is none, and the scale is neither read nor
-    written.  Returns the report and the number of rechecks run.
+    ``xs``, their rounding-error scale, read by index range (``scale(lo,
+    hi)`` is an array of its entries at ``lo`` to ``hi - 1``, which is not
+    written here, as :func:`meanbounds.family._log_ratio_with_scale` gives),
+    and a one-argument recheck of the margin at a grid point, whose sign
+    decides the candidate (the extended-precision margin, for a report).
+    Negative margins beyond the noise floor ``_NOISE_C * eps * scale``
+    become candidates, rechecked in order of margin over all sides
+    together, ties by index (at most ``_MAX_RECHECKS``); the first
+    confirmed one is the witness.  Every scale is a sum of terms >= 0, so
+    no margin >= 0 lies below its floor: where none is negative no scale is
+    read, and :func:`_candidates` reads the others.  Returns the report and
+    the number of rechecks run.
     """
     one = len(sides) == 1  # skips the array copies on the common path
     margins = sides[0][1] if one else np.concatenate([side[1] for side in sides])
     worst = float(margins.min())
-    candidates = []
-    # Every scale is a sum of terms >= 0, so no margin >= 0 lies below its
-    # floor, and none is formed then.  A NaN minimum takes the full path.
-    if not worst >= 0.0:
-        scale = sides[0][2] if one else np.concatenate([side[2] for side in sides])
-        # 64 eps is a power of two, so this is -(64 eps * scale) bit for bit.
-        # Written over the scale: one step temporary fewer.
-        neg_floors = np.multiply(scale, -_NOISE_C * _EPS, out=scale)
-        candidates = np.flatnonzero(margins < neg_floors)
-        if candidates.size:  # a holding report has none: skip the sort's set-up
-            candidates = candidates[np.argsort(margins[candidates], kind="stable")]
-        candidates = candidates[:_MAX_RECHECKS].tolist()
+    candidates = () if worst >= 0.0 else _candidates(xs.size, sides, margins, worst)
     witness = None
     rechecks = 0
     for idx in candidates:
@@ -379,6 +374,51 @@ def _run_grid_check(xs: np.ndarray, sides, parameters: dict):
                                parameters), rechecks)
 
 
+def _candidates(n: int, sides, margins: np.ndarray, worst: float):
+    """The grid indices of the ``n``-point ``sides`` whose margin lies below
+    its noise floor, in order of margin over all sides, ties by index, at
+    most ``_MAX_RECHECKS``: a generator, for a check whose least margin
+    ``worst`` is negative or NaN.
+
+    Every scale is a sum of terms >= 0, so no margin >= 0 (nor a NaN one)
+    lies below its floor: a side's scale is read from its first negative
+    margin to its last.  The least margin comes first when it lies below its
+    floor, and that floor is formed before any other, as a violated check
+    usually confirms it; the other floors are formed only when a recheck
+    asks past it.  64 eps is a power of two, so each floor is
+    ``-(64 eps * scale)`` bit for bit.
+    """
+    runs = []  # (k, lo, hi): side k's first negative margin and one past its last
+    for k, side in enumerate(sides):
+        # The mask's bytes give both ends without a pass over a reversed view.
+        neg = (side[1] < 0.0).tobytes()
+        lo = neg.find(1)
+        if lo >= 0:
+            runs.append((k, lo, neg.rfind(1) + 1))
+    if not runs:  # every margin is NaN or >= 0
+        return
+    # argmin and min take the lowest index among ties, as the stable sort
+    # does; a NaN worst leaves the least margin to that sort.
+    first = min((k * n + lo + int(sides[k][1][lo:hi].argmin()) for k, lo, hi in runs),
+                key=margins.__getitem__)
+    k, i = divmod(first, n)
+    first_below = int(margins[first] == worst
+                      and margins[first] < sides[k][2](i, i + 1)[0] * (-_NOISE_C * _EPS))
+    if first_below:
+        yield first
+    found = []
+    for k, lo, hi in runs:
+        floors = np.multiply(sides[k][2](lo, hi), -_NOISE_C * _EPS)
+        below = np.flatnonzero(sides[k][1][lo:hi] < floors)
+        if k or lo:
+            below += k * n + lo
+        found.append(below)
+    candidates = found[0] if len(found) == 1 else np.concatenate(found)
+    if candidates.size:  # a holding report has none: skip the sort's set-up
+        order = candidates[np.argsort(margins[candidates], kind="stable")]
+        yield from order[first_below:_MAX_RECHECKS].tolist()
+
+
 class _Grid:
     """The read-only, increasing points ``xs`` of a grid, their
     t-independent ``pieces`` and its report ``entry``, which a report
@@ -396,8 +436,10 @@ class _Grid:
     @cached_property
     def logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``ln(I/A)``, its error scale and ``ln(1 - x^2)`` on
-        the points, which depend on them alone."""
-        logs = (*_lr_with_error_scale(self.pieces), _ln_one_minus_sq(self.xs))
+        the points, which depend on them alone: formed once per grid, and
+        the checks' scales read them by index range."""
+        lr, scale = _lr_with_error_scale(self.pieces)
+        logs = (lr, scale(0, lr.size), _ln_one_minus_sq(self.xs))
         for arr in logs:
             arr.flags.writeable = False
         return logs
@@ -662,8 +704,12 @@ def verify_exponential_bounds(
                          f"({p_coef}, {q_coef})")
     g = _grid(grid or GridSpec())
     lr, scale_lr, _ = g.logs
-    g_p, scale_p = _exp_bound_margin_with_scale(p_coef, lr, scale_lr, g.xs)
-    g_q, scale_q = _exp_bound_margin_with_scale(q_coef, lr, scale_lr, g.xs)
+
+    def read_lr(lo: int, hi: int) -> np.ndarray:
+        return scale_lr[lo:hi]
+
+    g_p, scale_p = _exp_bound_margin_with_scale(p_coef, lr, read_lr, g.xs)
+    g_q, scale_q = _exp_bound_margin_with_scale(q_coef, lr, read_lr, g.xs)
     parameters = {"check": "exponential_bounds", "p_coef": p_coef,
                   "q_coef": q_coef, "grid": dict(g.entry)}
     sides = [("lower", g_p, scale_p, lambda x: _mp_exp_margin(p_coef, "lower", x)),
@@ -696,18 +742,26 @@ def _power_sides(p: float, alpha: float, logs: tuple, sides) -> list:
         t_g = np.expm1((0.5 * p) * ln_sq)  # G^p/A^p - 1
     weighted_g = (1.0 - alpha) * t_g
     lower = t_i - weighted_g
-    # An error e in a log argument moves its expm1 term by exp(arg) e =
-    # (1 + t) e, a slope <= 1, taken before the factor p; the expm1 terms
-    # add their own ulps.  At p near the top of the double range, 1 + t
-    # is 0 wherever p |arg| is large, so the scale stays finite.
-    scale = (np.abs(t_i) + np.abs(weighted_g)
-             + p * ((1.0 + t_i) * scale_lr)
-             + p * ((1.0 - alpha) * (1.0 + t_g) * (1.5 * np.abs(ln_sq) + 1.0)))
-    # Each side has its own scale, which its check overwrites.
-    scales = [scale] + [scale.copy() for _ in sides[1:]]
-    return [("", lower if side == "lower" else -lower, side_scale,
-             partial(_mp_power_margin, p, alpha, side))
-            for side, side_scale in zip(sides, scales)]
+
+    whole = None
+
+    def scale(lo: int, hi: int) -> np.ndarray:
+        # Formed whole on the first read, as on a small grid a read of part
+        # of it costs about as much, and shared by the two sides that
+        # verify_two_thirds_power checks.  An error e in a log argument moves its expm1 term by
+        # exp(arg) e = (1 + t) e, a slope <= 1, taken before the factor p;
+        # the expm1 terms add their own ulps.  At p near the top of the
+        # double range, 1 + t is 0 wherever p |arg| is large, so the scale
+        # stays finite.
+        nonlocal whole
+        if whole is None:
+            whole = (np.abs(t_i) + np.abs(weighted_g)
+                     + p * ((1.0 + t_i) * scale_lr)
+                     + p * ((1.0 - alpha) * (1.0 + t_g) * (1.5 * np.abs(ln_sq) + 1.0)))
+        return whole[lo:hi]
+
+    return [("", lower if side == "lower" else -lower, scale,
+             partial(_mp_power_margin, p, alpha, side)) for side in sides]
 
 
 def verify_convex_power_bound(

@@ -139,7 +139,7 @@ class TestLogRatio:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=4 * EPS)
         np.testing.assert_array_equal(
             got, log_ratio_q_over_i(FamilyParams.from_t(0.5, 1.0), xs))
-        assert np.all(np.isfinite(_log_ratio_with_scale(params, _Pieces(xs))[1]))
+        assert np.all(np.isfinite(_log_ratio_with_scale(params, _Pieces(xs))[1](0, xs.size)))
         kernel = derivative_kernel(params, xs)
         np.testing.assert_allclose(
             kernel, [float(kernel_u(0.0, s, x)) for x in xs], rtol=1e-12)
@@ -152,6 +152,7 @@ class TestLogRatio:
         params = FamilyParams.from_t(0.01, s)
         xs = np.array([1e-6, 1e-3, 5e-3])
         vals, scale = _log_ratio_with_scale(params, _Pieces(xs))
+        scale = scale(0, xs.size)
         want = np.array([float(family_log_ratio_and_quotient_t(0.01, s, x)[0]) for x in xs])
         np.testing.assert_allclose(vals, want, rtol=1e-14, atol=0.0)
         np.testing.assert_array_equal(log_ratio_q_over_i(params, xs), vals)
@@ -189,6 +190,7 @@ class TestLogRatio:
                              1.0 - np.geomspace(0.5, 1e-9, 500)])
         with np.errstate(over="raise"):
             vals, scale = _log_ratio_with_scale(FamilyParams.from_t(0.01, s), _Pieces(xs))
+            scale = scale(0, xs.size)
         assert np.all(np.isfinite(vals)) and np.all(np.isfinite(scale))
         assert scale.max() == sys.float_info.max
         for x, val, bound in zip(xs[-5:], vals[-5:], scale[-5:]):
@@ -209,7 +211,7 @@ class TestLogRatio:
             with np.errstate(over="ignore"):
                 _m2(params, pieces.x_direct, pieces.one_minus_sq, out=m2)
                 old = 4.0 * (2.0 + np.abs(m2))
-                scale = _log_ratio_with_scale(params, pieces)[1]
+                scale = _log_ratio_with_scale(params, pieces)[1](0, xs.size)
             finite = np.isfinite(old)
             assert scale[finite].tobytes() == old[finite].tobytes(), (t, s)
             assert np.all(scale[~finite] == sys.float_info.max), (t, s)

@@ -155,6 +155,7 @@ class TestFloorCalibration:
 
     def _assert_within_gate(self, vals, scale, oracle):
         want = np.array([float(oracle(x)) for x in self.XS])
+        scale = scale(0, self.XS.size)
         assert np.all(np.abs(vals - want) <= _NOISE_C * _EPS * scale / 4)
 
     @pytest.mark.parametrize("u, s", [(0.0, 1.0), (0.3, 2.0), (0.9, 5.0),
@@ -375,7 +376,7 @@ class TestRecheckOrder:
             asked.append((label, x))
             return 1.0 if len(asked) <= rejected else -1.0
 
-        sides = [(label, np.array(vals), np.ones(xs.size), partial(recheck, label))
+        sides = [(label, np.array(vals), lambda lo, hi: np.ones(hi - lo), partial(recheck, label))
                  for label, vals in zip("ab", values)]
         report, rechecks = verify._run_grid_check(xs, sides, {})
         flat = values[0] + values[1]
@@ -409,33 +410,39 @@ class TestFloorSkip:
     """Noise floors are formed only where some margin is negative: no
     margin >= 0 lies below its floor, as every scale is >= 0."""
 
-    def _sides(self, margins, writeable):
-        asked = []
+    def _sides(self, margins):
+        asked, reads = [], []
 
         def recheck(x):
             asked.append(x)
             return -1.0
 
         scale = np.ones(len(margins))
-        scale.flags.writeable = writeable
-        return [("", np.array(margins), scale, recheck)], asked
+        scale.flags.writeable = False
+
+        def read(lo, hi):
+            reads.append((lo, hi))
+            return scale[lo:hi]
+
+        return [("", np.array(margins), read, recheck)], asked, reads
 
     @pytest.mark.parametrize("margins", [[0.5, 0.0, 2.0, 1e-300], [-0.0, 3.0], [0.0, 0.0]])
     def test_nonnegative_margins_leave_a_read_only_scale_unread(self, margins):
         xs = np.linspace(0.1, 0.9, len(margins))
-        sides, asked = self._sides(margins, writeable=False)
+        sides, asked, reads = self._sides(margins)
         report, rechecks = verify._run_grid_check(xs, sides, {})
         assert report.verdict == "holds_on_grid" and report.witness is None
         assert report.worst_margin == min(margins)
         assert rechecks == 0 and asked == []
+        assert reads == []
 
     def test_a_margin_below_its_floor_is_still_flagged_and_rechecked(self):
         # The margin at index 3 lies below its floor 64 eps; the one at
         # index 1 is negative but inside its floor, and is not rechecked.
         xs = np.linspace(0.1, 0.9, 5)
-        sides, asked = self._sides([1.0, -_NOISE_C * _EPS / 2.0, 2.0, -1e-3, 0.5],
-                                   writeable=True)
+        sides, asked, reads = self._sides([1.0, -_NOISE_C * _EPS / 2.0, 2.0, -1e-3, 0.5])
         report, rechecks = verify._run_grid_check(xs, sides, {})
+        assert reads == [(3, 4)]  # the least margin's floor alone, as its recheck confirms
         assert rechecks == 1 and asked == [float(xs[3])]
         assert report.verdict == "violated"
         assert (report.witness.x, report.witness.margin) == (float(xs[3]), -1e-3)
@@ -444,17 +451,37 @@ class TestFloorSkip:
     @pytest.mark.parametrize("s", [1.0, 2.0, 5.0, 50.0])
     def test_report_at_p_forms_no_floor(self, s, monkeypatch):
         # No margin at the closed-form p is negative on the default grid,
-        # so the report check there never writes its scale.
+        # so the report check there reads no scale entry; the one at q reads
+        # its scale at its negative margins only: they are one run from the
+        # first point.
         family_side = verify._family_side
+        reads = []
 
-        def read_only(*args):
-            side = family_side(*args)
-            side[2].flags.writeable = False
-            return side
+        def counting(*args):
+            label, margins, scale, recheck = family_side(*args)
 
-        monkeypatch.setattr(verify, "_family_side", read_only)
-        report = verify_family_inequality(sharp_thresholds(s).p, s, "lower")
+            def at(lo, hi):
+                reads.append((margins, lo, hi))
+                return scale(lo, hi)
+
+            return label, margins, at, recheck
+
+        monkeypatch.setattr(verify, "_family_side", counting)
+        ts = sharp_thresholds(s)
+        report = verify_family_inequality(ts.p, s, "lower")
         assert report.verdict == "holds_on_grid" and report.worst_margin >= 0.0
+        assert reads == []
+        report = verify_family_inequality(ts.q, s, "upper")
+        assert report.verdict == "holds_on_grid"
+        negative_at_q = {1.0: 926, 2.0: 1003, 5.0: 0, 50.0: 0}[s]
+        if negative_at_q:
+            # The least margin's entry, inside its floor, then the run.
+            (margins, i, j), (_, lo, hi) = reads
+            assert j == i + 1 and margins[i] == margins.min() < 0.0
+            assert (lo, hi) == (0, negative_at_q)
+            assert np.count_nonzero(margins < 0.0) == negative_at_q
+        else:
+            assert reads == []
 
 
 class TestEnclosureRecheck:
