@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
 import os
 import re
@@ -172,10 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid_from_args(args: argparse.Namespace) -> GridSpec:
-    if args.grid is not None:
-        count = args.grid
-    else:
-        count = int(os.environ.get(GRID_ENV_VAR, "10000"))
+    count = args.grid
+    if count is None:
+        env = os.environ.get(GRID_ENV_VAR) or "10000"  # an empty value means unset
+        try:
+            count = int(env)
+        except ValueError:
+            raise ValueError(f"{GRID_ENV_VAR} must be an integer, got {env!r}") from None
     if count > _MAX_GRID:
         raise ValueError(f"grid of {count} points is above the limit of "
                          f"{_MAX_GRID}")
@@ -198,6 +200,8 @@ def _render(fmt: str, payload: dict, human, table=None) -> str:
     of ``human``, or the csv when ``human`` is None.
     """
     if fmt == "structured":
+        import json  # only here: the other formats do without it
+
         return json.dumps({**payload, "tool_version": __version__},
                           indent=2, sort_keys=True, allow_nan=False)
     if table is not None and (fmt == "csv" or human is None):

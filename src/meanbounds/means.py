@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .thresholds import FamilyParams
 
@@ -60,25 +60,32 @@ def _h(v, d, ln_d, log1p):
     return 1.0 - ((1.0 + v) * log1p(v) - d * ln_d) / (2.0 * v)
 
 
-@dataclass(frozen=True)
-class PositivePair:
-    """Unordered pair of strictly positive reals, the arguments of a mean.
-
-    Equal entries are allowed; comparison routines that need distinct
-    arguments enforce that themselves.
-    """
-
+class _PairFields(NamedTuple):
     a: float
     b: float
 
-    def __post_init__(self):
-        a, b = float(self.a), float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"pair entries must be finite, got ({self.a}, {self.b})")
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError(f"pair entries must be > 0, got ({self.a}, {self.b})")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+
+class PositivePair(_PairFields):
+    """Unordered pair of strictly positive reals, the arguments of a mean.
+
+    Equal entries are allowed; comparison routines that need distinct
+    arguments enforce that themselves.  A named tuple of two floats,
+    validated on construction, :meth:`_replace` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float):
+        fa, fb = float(a), float(b)
+        if not (math.isfinite(fa) and math.isfinite(fb)):
+            raise ValueError(f"pair entries must be finite, got ({a}, {b})")
+        if fa <= 0.0 or fb <= 0.0:
+            raise ValueError(f"pair entries must be > 0, got ({a}, {b})")
+        return super().__new__(cls, fa, fb)
+
+    @classmethod
+    def _make(cls, iterable) -> "PositivePair":
+        return cls(*iterable)
 
 
 def arithmetic_mean(pair: PositivePair) -> float:

@@ -19,7 +19,7 @@ kernel's libm assumption; no verdict reads it yet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "EVAL_LIMIT",
@@ -48,34 +48,43 @@ def _checked_s(s: float) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameters ``(t, s)`` with the derived ``u = (1-2t)^2``.
-
-    ``one_minus_u`` is carried separately so that ``1 - u*x**2`` can be
-    formed without cancellation as ``(1-x)(1+x) + one_minus_u * x**2``.
-    Construct via :meth:`from_t` or :meth:`from_u`.
-    """
-
+class _FamilyFields(NamedTuple):
     t: float
     s: float
     u: float
     one_minus_u: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 0.5:  # NaN fails too
-            raise ValueError(f"t must lie in [0, 1/2], got {self.t}")
-        _checked_s(self.s)
-        if not 0.0 <= self.u <= 1.0 or not 0.0 <= self.one_minus_u <= 1.0:
-            raise ValueError(f"u must lie in [0, 1], got {self.u}")
-        if abs(self.u + self.one_minus_u - 1.0) > 1e-12:
+
+class FamilyParams(_FamilyFields):
+    """Parameters ``(t, s)`` with the derived ``u = (1-2t)^2``.
+
+    ``one_minus_u`` is carried separately so that ``1 - u*x**2`` can be
+    formed without cancellation as ``(1-x)(1+x) + one_minus_u * x**2``.
+    Construct via :meth:`from_t` or :meth:`from_u`.  A named tuple of its
+    fields, validated on construction, :meth:`_replace` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t: float, s: float, u: float, one_minus_u: float):
+        if not 0.0 <= t <= 0.5:  # NaN fails too
+            raise ValueError(f"t must lie in [0, 1/2], got {t}")
+        _checked_s(s)
+        if not 0.0 <= u <= 1.0 or not 0.0 <= one_minus_u <= 1.0:
+            raise ValueError(f"u must lie in [0, 1], got {u}")
+        if abs(u + one_minus_u - 1.0) > 1e-12:
             raise ValueError("inconsistent u and one_minus_u")
+        return super().__new__(cls, t, s, u, one_minus_u)
+
+    @classmethod
+    def _make(cls, iterable) -> "FamilyParams":
+        return cls(*iterable)
 
     @classmethod
     def from_t(cls, t: float, s: float) -> "FamilyParams":
         t = float(t)
         s = float(s)
-        # An out-of-range t fails the range check of __post_init__.
+        # An out-of-range t fails the range check of __new__.
         one_minus_2t = 1.0 - 2.0 * t
         return cls(t=t, s=s, u=one_minus_2t * one_minus_2t,
                    one_minus_u=4.0 * t * (1.0 - t))
@@ -89,8 +98,7 @@ class FamilyParams:
         return cls(t=0.5 * (1.0 - math.sqrt(u)), s=s, u=u, one_minus_u=1.0 - u)
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+class ThresholdSet(NamedTuple):
     """Sharp cutoffs for one value of ``s``.
 
     ``p`` ends the interval of t-values whose mean stays below the
@@ -105,8 +113,7 @@ class ThresholdSet:
     q: float
 
 
-@dataclass(frozen=True)
-class ExponentialBoundConstants:
+class ExponentialBoundConstants(NamedTuple):
     """Sharp coefficients of ``exp(c * v^2)`` bounds on A/I: 1/6 and 1 - ln 2."""
 
     lower: float

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,30 +99,40 @@ TWO_THIRDS_FORWARD_THRESHOLD = math.log(1.5) / (1.0 - math.log(2.0))
 TWO_THIRDS_REVERSE_THRESHOLD = 1.2
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sample layout on the open gap interval.
-
-    ``endpoint_refined`` accumulates points geometrically toward both
-    ``x_min`` and ``x_max``; ``uniform`` is a plain linspace.
-    """
-
+class _GridFields(NamedTuple):
     count: int = 10_000
     spacing: str = "endpoint_refined"
     x_min: float = 1e-9
     x_max: float = 1.0 - 1e-9
 
-    def __post_init__(self):
-        if self.spacing not in ("uniform", "endpoint_refined"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if not (math.isfinite(self.count) and self.count == int(self.count) >= 2):
-            raise ValueError(f"count must be an integer >= 2, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
-        if not 0.0 < self.x_min < self.x_max < 1.0:
+
+class GridSpec(_GridFields):
+    """Sample layout on the open gap interval.
+
+    ``endpoint_refined`` accumulates points geometrically toward both
+    ``x_min`` and ``x_max``; ``uniform`` is a plain linspace.  A named
+    tuple of its fields, validated on construction, :meth:`_replace`
+    included; an integral float ``count`` is stored as an int.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        count, spacing, x_min, x_max = super().__new__(cls, *args, **kwargs)
+        if spacing not in ("uniform", "endpoint_refined"):
+            raise ValueError(f"unknown spacing {spacing!r}")
+        if not (math.isfinite(count) and count == int(count) >= 2):
+            raise ValueError(f"count must be an integer >= 2, got {count}")
+        if not 0.0 < x_min < x_max < 1.0:
             raise ValueError(f"need 0 < x_min < x_max < 1, got "
-                             f"[{self.x_min}, {self.x_max}]")
-        if self.x_max > EVAL_LIMIT:
+                             f"[{x_min}, {x_max}]")
+        if x_max > EVAL_LIMIT:
             raise ValueError(f"x_max must not exceed {EVAL_LIMIT!r}")
+        return super().__new__(cls, int(count), spacing, x_min, x_max)
+
+    @classmethod
+    def _make(cls, iterable) -> "GridSpec":
+        return cls(*iterable)
 
 
 def grid_points(spec: GridSpec) -> np.ndarray:
@@ -152,8 +162,7 @@ def grid_points(spec: GridSpec) -> np.ndarray:
     return xs
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A grid point with a confirmed reversed inequality.
 
     ``pair`` is the normalized argument pair ``(1 + x, 1 - x)`` realizing
@@ -167,8 +176,17 @@ class Witness:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+def _plain(value):
+    """``value`` with every record and dict in it copied into a fresh dict,
+    so that a caller may change the result and leave the report as it is."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+class VerificationReport(NamedTuple):
     verdict: str  # "holds_on_grid" | "violated"
     worst_margin: float
     witness: Witness | None
@@ -176,19 +194,17 @@ class VerificationReport:
     parameters: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _plain(self)
 
 
-@dataclass(frozen=True)
-class FalsificationResult:
+class FalsificationResult(NamedTuple):
     found: bool
     witness: Witness | None
     attempts: int
     note: str
 
 
-@dataclass(frozen=True)
-class TwoThirdsPowerReport:
+class TwoThirdsPowerReport(NamedTuple):
     """Both directions of the fixed-(2/3, 1/3) power comparison.
 
     ``classification`` is "forward_holds", "reverse_holds", or "neither",
@@ -204,7 +220,7 @@ class TwoThirdsPowerReport:
     reverse_threshold: float = TWO_THIRDS_REVERSE_THRESHOLD
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _plain(self)
 
 
 def _check_side(side: str) -> None:
@@ -471,7 +487,7 @@ def _grid(spec: GridSpec) -> _Grid:
     """The :class:`_Grid` of ``spec``, kept for the last spec asked only:
     the steps of a bisection and the checks of a sweep row share one grid,
     and memory holds at most one, even at the CLI's largest."""
-    return _Grid(grid_points(spec), asdict(spec))
+    return _Grid(grid_points(spec), spec._asdict())
 
 
 def _family_side(params: FamilyParams, side: str, pieces: _Pieces, recheck):

@@ -207,6 +207,33 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["samples"] == 500
 
+    def test_empty_grid_env_var_means_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEANBOUNDS_GRID", "")
+        code, out, _ = run(capsys, "verify", "--s", "2", "--t", "0.24",
+                           "--side", "lower", "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["samples"] == 10_000
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--s", "2", "--t", "0.2", "--side", "lower"),
+        ("sweep", "--s", "1:2:1"),
+    ])
+    @pytest.mark.parametrize("value", ["1e4", "10.0", "abc", " "])
+    def test_malformed_grid_env_var_is_named(self, capsys, monkeypatch, command, value):
+        monkeypatch.setenv("MEANBOUNDS_GRID", value)
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert err == (f"meanbounds {command[0]}: error: MEANBOUNDS_GRID must be "
+                       f"an integer, got {value!r}\n")
+
+    def test_grid_flag_ignores_the_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEANBOUNDS_GRID", "1e4")
+        code, out, _ = run(capsys, "verify", "--s", "2", "--t", "0.24",
+                           "--side", "lower", "--grid", "500", "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["samples"] == 500
+
     def test_uniform_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "--s", "2", "--t", "0.24",
                            "--side", "lower", "--grid", "500", "--uniform",

@@ -4,6 +4,7 @@ Every test runs a fresh interpreter on ``src/``, because the interpreter
 running the suite has long since imported the whole package.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -233,3 +234,42 @@ else:
 """
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("thresholds", "2"),
+    ("eval", "1", "2"),
+    ("verify", "--s", "2", "--t", "0.24", "--side", "lower"),
+    ("falsify", "--s", "2", "--t", "0.25", "--side", "lower"),
+    ("sweep", "--s", "1:2:1"),
+    ("certify", "--s", "2"),
+])
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_no_command_loads_dataclasses(argv, fmt):
+    # The package's records are named tuples.
+    proc, names = imported_packages("-m", "meanbounds", *argv, "--format", fmt)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stdout
+    assert "dataclasses" not in names
+
+
+@pytest.mark.parametrize("argv", [("thresholds", "2"), ("eval", "1", "2")])
+def test_human_output_loads_neither_inspect_nor_json(argv):
+    # dataclasses would import inspect; only structured output needs json.
+    proc, names = imported_packages("-m", "meanbounds", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert not names & {"dataclasses", "inspect", "json"}
+
+
+def test_package_source_imports_no_dataclasses():
+    imported = []
+    for path in sorted((ROOT / "src" / "meanbounds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            imported += [(path.name, m) for m in modules if m.split(".")[0] == "dataclasses"]
+    assert imported == []

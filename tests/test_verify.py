@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 import sys
 from functools import partial
@@ -8,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import meanbounds
 from meanbounds import (
     FamilyParams,
     GridSpec,
@@ -30,7 +32,7 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
-from meanbounds import family, verify
+from meanbounds import family, means, verify
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import TAYLOR_X0
 from meanbounds.thresholds import EVAL_LIMIT
@@ -1543,3 +1545,168 @@ class TestCertificateNodeType:
         assert all(type(n) is CertificateNode for n in nodes)
         assert nodes == reference
         assert [tuple(n) for n in nodes] == [tuple(n) for n in reference]
+
+
+_GRID_64_ENTRY = {"count": 64, "spacing": "endpoint_refined", "x_min": 1e-09,
+                  "x_max": 0.999999999}
+_FAR_WITNESS = {"x": 0.999999999, "pair": (1.999999999, 9.999999717180685e-10)}
+
+# to_dict() of verify_family_inequality(0.25, 2.0, "lower", GridSpec(count=64))
+# and of verify_two_thirds_power(1.3, GridSpec(count=64)), as dataclasses.asdict
+# gave them when the records were frozen dataclasses.
+_VIOLATED_DICT = {
+    "verdict": "violated",
+    "worst_margin": -0.019170737446734254,
+    "witness": {**_FAR_WITNESS, "margin": -0.019170737446734254,
+                "margin_recheck": -0.019170737446734167, "label": ""},
+    "samples": 64,
+    "parameters": {"check": "family", "t": 0.25, "s": 2.0, "side": "lower",
+                   "grid": _GRID_64_ENTRY},
+}
+_TWO_THIRDS_DICT = {
+    "p": 1.3,
+    "forward": {
+        "verdict": "violated",
+        "worst_margin": -0.004384592307720536,
+        "witness": {**_FAR_WITNESS, "margin": -0.004384592307720536,
+                    "margin_recheck": -0.004384592307720526, "label": ""},
+        "samples": 64,
+        "parameters": {"check": "two_thirds_power", "p_exp": 1.3,
+                       "direction": "forward", "grid": _GRID_64_ENTRY},
+    },
+    "reverse": {
+        "verdict": "violated",
+        "worst_margin": -0.004059316624141662,
+        "witness": {"x": 0.9591117284466527,
+                    "pair": (1.9591117284466528, 0.04088827155334729),
+                    "margin": -0.004059316624141662,
+                    "margin_recheck": -0.004059316624141746, "label": ""},
+        "samples": 64,
+        "parameters": {"check": "two_thirds_power", "p_exp": 1.3,
+                       "direction": "reverse", "grid": _GRID_64_ENTRY},
+    },
+    "classification": "neither",
+    "forward_threshold": 1.3213667348667595,
+    "reverse_threshold": 1.2,
+}
+
+
+def _scribble(d: dict) -> None:
+    """Replace every value of ``d`` and of the dicts nested in it."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            _scribble(value)
+        else:
+            d[key] = None
+
+
+def _check_to_dict(report, recorded):
+    # Fresh nested dicts with the recorded values and types: a change to
+    # them does not reach the report.
+    d = report.to_dict()
+    assert repr(d) == repr(recorded)
+    _scribble(d)
+    assert repr(report.to_dict()) == repr(recorded)
+
+
+def _check_grid_spec(spec):
+    assert type(GridSpec(count=10.0).count) is int
+    assert GridSpec(count=64.0) == spec and hash(GridSpec(count=64.0)) == hash(spec)
+    verify._grid.cache_clear()
+    first = verify._grid(GridSpec(count=64))
+    assert verify._grid(GridSpec(count=64.0)) is first
+    assert verify._grid.cache_info().hits == 1
+
+
+def _check_pair(pair):
+    assert (type(pair.a), type(pair.b)) == (float, float)
+    assert pair == (1.0, 2.0)
+
+
+# Each record: its fields in order, its defaults, an instance, the calls it
+# refuses with their ValueError messages, and checks of its own.
+_RECORDS = {
+    "FamilyParams": (
+        ("t", "s", "u", "one_minus_u"), {},
+        lambda: FamilyParams.from_t(0.2, 2.0),
+        [(lambda: FamilyParams(0.6, 2.0, 0.04, 0.96), "t must lie in [0, 1/2], got 0.6"),
+         (lambda: FamilyParams(math.nan, 2.0, 0.04, 0.96), "t must lie in [0, 1/2], got nan"),
+         (lambda: FamilyParams(0.2, 0.5, 0.36, 0.64), "s must be >= 1, got 0.5"),
+         (lambda: FamilyParams(0.2, math.inf, 0.36, 0.64), "s must be finite, got inf"),
+         (lambda: FamilyParams(0.2, 2.0, 1.5, 0.64), "u must lie in [0, 1], got 1.5"),
+         (lambda: FamilyParams(0.2, 2.0, 0.36, 0.6), "inconsistent u and one_minus_u"),
+         (lambda: FamilyParams.from_t(-0.1, 2.0), "t must lie in [0, 1/2], got -0.1"),
+         (lambda: FamilyParams.from_u(2, 2.0), "u must lie in [0, 1], got 2.0"),
+         (lambda: FamilyParams.from_t(0.2, 2.0)._replace(t=0.6),
+          "t must lie in [0, 1/2], got 0.6")],
+        None),
+    "ThresholdSet": (("s", "p", "q"), {}, lambda: sharp_thresholds(2.0), [], None),
+    "ExponentialBoundConstants": (("lower", "upper"), {}, exponential_bound_constants, [], None),
+    "PositivePair": (
+        ("a", "b"), {},
+        lambda: means.PositivePair(1, 2),
+        [(lambda: means.PositivePair(0, 1), "pair entries must be > 0, got (0, 1)"),
+         (lambda: means.PositivePair(-1, 2), "pair entries must be > 0, got (-1, 2)"),
+         (lambda: means.PositivePair(1, math.inf), "pair entries must be finite, got (1, inf)"),
+         (lambda: means.PositivePair(1, 2)._replace(b=0), "pair entries must be > 0, got (1.0, 0)")],
+        _check_pair),
+    "GridSpec": (
+        ("count", "spacing", "x_min", "x_max"),
+        {"count": 10_000, "spacing": "endpoint_refined", "x_min": 1e-9, "x_max": 1.0 - 1e-9},
+        lambda: GridSpec(count=64),
+        [(lambda: GridSpec(count=1), "count must be an integer >= 2, got 1"),
+         (lambda: GridSpec(count=2.5), "count must be an integer >= 2, got 2.5"),
+         (lambda: GridSpec(count=math.inf), "count must be an integer >= 2, got inf"),
+         (lambda: GridSpec(spacing="random"), "unknown spacing 'random'"),
+         (lambda: GridSpec(x_min=0.0), "need 0 < x_min < x_max < 1, got [0.0, 0.999999999]"),
+         (lambda: GridSpec(x_min=0.9, x_max=0.1), "need 0 < x_min < x_max < 1, got [0.9, 0.1]"),
+         (lambda: GridSpec(x_max=1.0 - 1e-13), "x_max must not exceed 0.999999999999"),
+         (lambda: GridSpec()._replace(count=1), "count must be an integer >= 2, got 1")],
+        _check_grid_spec),
+    "Witness": (
+        ("x", "pair", "margin", "margin_recheck", "label"), {"label": ""},
+        lambda: falsify(0.25, 2.0, "lower").witness, [], None),
+    "VerificationReport": (
+        ("verdict", "worst_margin", "witness", "samples", "parameters"), {},
+        lambda: verify_family_inequality(0.25, 2.0, "lower", GridSpec(count=64)), [],
+        lambda report: _check_to_dict(report, _VIOLATED_DICT)),
+    "FalsificationResult": (
+        ("found", "witness", "attempts", "note"), {},
+        lambda: falsify(0.25, 2.0, "lower"), [], None),
+    "TwoThirdsPowerReport": (
+        ("p", "forward", "reverse", "classification", "forward_threshold",
+         "reverse_threshold"),
+        {"forward_threshold": verify.TWO_THIRDS_FORWARD_THRESHOLD,
+         "reverse_threshold": verify.TWO_THIRDS_REVERSE_THRESHOLD},
+        lambda: verify_two_thirds_power(1.3, GridSpec(count=64)), [],
+        lambda report: _check_to_dict(report, _TWO_THIRDS_DICT)),
+}
+
+
+class TestRecordContract:
+    """The package's records are named tuples that keep the contract they
+    had as frozen dataclasses: fields, order and defaults, immutability,
+    validation and coercion on construction, ``GridSpec`` as a cache key,
+    and ``to_dict()`` as fresh nested dicts."""
+
+    @pytest.mark.parametrize("name", list(_RECORDS))
+    def test_record_keeps_its_contract(self, name):
+        fields, defaults, make, refused, check = _RECORDS[name]
+        cls = getattr(meanbounds, name)
+        assert cls._fields == fields
+        assert cls._field_defaults == defaults
+        record = make()
+        assert type(record) is cls
+        assert tuple(record) == tuple(getattr(record, field) for field in fields)
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], getattr(record, fields[0]))
+        with pytest.raises(AttributeError):
+            record.extra = None
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is cls and repr(copy) == repr(record)
+        for call, message in refused:
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == message
+        if check is not None:
+            check(record)
