@@ -44,18 +44,16 @@ _EXPORTS = {
     ), "thresholds"),
     **dict.fromkeys((
         "GridSpec",
-        "Witness",
         "VerificationReport",
-        "FalsificationResult",
         "TwoThirdsPowerReport",
         "grid_points",
         "verify_family_inequality",
-        "falsify",
         "empirical_threshold",
         "verify_exponential_bounds",
         "verify_convex_power_bound",
         "verify_two_thirds_power",
     ), "verify"),
+    **dict.fromkeys(("Witness", "FalsificationResult", "falsify"), "witness"),
     **dict.fromkeys((
         "CertificateNode",
         "certify_sign",
@@ -64,7 +62,7 @@ _EXPORTS = {
     ), "intervals"),
 }
 _SUBMODULES = frozenset(("cli", "family", "intervals", "means", "thresholds",
-                         "verify"))
+                         "verify", "witness"))
 
 __all__ = ["__version__", *_EXPORTS]
 

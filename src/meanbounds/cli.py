@@ -30,12 +30,14 @@ from .thresholds import exponential_bound_constants, sharp_thresholds
 
 # Names bound as module globals on first use, by module __getattr__ or by
 # _load in the commands that call them: ``thresholds`` then loads neither
-# numpy nor mpmath.  Being globals, they stay patchable from outside.
+# numpy nor mpmath, and ``falsify`` no numpy.  Being globals, they stay
+# patchable from outside.
 _LAZY = {
     "means": ("PositivePair", "arithmetic_mean", "gap", "geometric_mean",
               "harmonic_mean", "identric_mean", "q_mean"),
     "verify": ("GridSpec", "certificate_succeeded", "certify_sign",
-               "empirical_threshold", "falsify", "verify_family_inequality"),
+               "empirical_threshold", "verify_family_inequality"),
+    "witness": ("falsify",),
 }
 
 
@@ -281,7 +283,7 @@ def _cmd_verify(args):
 
 
 def _cmd_falsify(args):
-    _load("verify")
+    _load("witness")
     result = falsify(args.t, args.s, args.side)
     payload = {"found": result.found, "attempts": result.attempts,
                "note": result.note}
@@ -335,6 +337,7 @@ def _cmd_certify(args):
     if p + 1e-3 > 0.5:
         raise ValueError(f"s = {_fmt(s)} is too large: p + 1e-3 lies above 1/2")
     _load("verify")
+    _load("witness")
     # The grid holds at the cutoffs, a witness exists 1e-3 outside them and
     # the sign is proved 0.01 inside p: one row per check.
     rows = []

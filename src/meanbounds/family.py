@@ -18,10 +18,11 @@ decides the sharp cutoffs is carried out exactly in
 The log-ratio is the one evaluation core of the package: ``ln(I/A)`` is its
 ``u = 0`` case, ``-h``, so :mod:`meanbounds.means` evaluates arrays of it
 here, and :mod:`meanbounds.intervals` encloses the same two pieces.  ``h``
-(``means._h``), the ``u = 0`` series coefficients and ``SERIES_CROSSOVER``
-are defined in :mod:`meanbounds.means`, which needs no numpy for a single
-pair.  The kernel is built from the same ``d = 1 - x``, ``log1p`` terms and
-series coefficients, on the same domain, up to ``EVAL_LIMIT``.
+(``means._h``), the series coefficients (``means._series_coefficients``)
+and ``SERIES_CROSSOVER`` are defined in :mod:`meanbounds.means`, which
+needs no numpy for a single pair or point.  The kernel is built from the
+same ``d = 1 - x``, ``log1p`` terms and series coefficients, on the same
+domain, up to ``EVAL_LIMIT``.
 ``FamilyParams`` and ``EVAL_LIMIT`` come from :mod:`meanbounds.thresholds`,
 which owns the domain of ``(t, s)``, and stay importable from here.
 
@@ -37,7 +38,7 @@ import math
 
 import numpy as np
 
-from .means import _H_SERIES, SERIES_CROSSOVER, _h
+from .means import SERIES_CROSSOVER, _h, _series_coefficients
 from .thresholds import EVAL_LIMIT, FamilyParams
 
 __all__ = [
@@ -85,23 +86,6 @@ def _split(x: np.ndarray) -> tuple[slice, slice]:
     direct points of the non-decreasing gaps ``x``."""
     k = int(x.searchsorted(SERIES_CROSSOVER))
     return slice(0, k), slice(k, None)
-
-
-def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, float]:
-    """``c_k = 1/(2k(2k+1)) - s u^k / (2k)``, k = 1..4: the log-ratio is
-    ``sum c_k x^(2k)``, so the kernel ``x^2 f'`` is ``sum 2k c_k x^(2k+1)``.
-    Interval twin, to at most ``TAYLOR_K`` terms: ``intervals._taylor_terms``."""
-    u, s = params.u, params.s
-    if u == 0.0:  # the s-free values, where 3 s u would be inf * 0 for s near the top
-        return _H_SERIES
-    h1, h2, h3, h4 = _H_SERIES
-    three_su = 3.0 * s * u
-    # 3 s overflows for s > 6e307, while s u <= s stays finite.
-    c1 = h1 - s * u / 2.0 if math.isinf(three_su) else (1.0 - three_su) / 6.0
-    return (c1,
-            h2 - s * u * u / 4.0,
-            h3 - s * u ** 3 / 6.0,
-            h4 - s * u ** 4 / 8.0)
 
 
 def _log_ratio_series(params: FamilyParams, w: np.ndarray,
@@ -183,7 +167,8 @@ def _log_ratio_with_scale(params: FamilyParams, pieces: _Pieces):
     (``w / 3`` at ``u = 0``, where ``3su`` would be ``inf * 0`` for s near
     the top of the double range, and ``w (su + 1/3)`` where ``3su``
     overflows).  The values take one buffer; ``m2`` keeps its own on the
-    direct points, which the scale reads.
+    direct points, which the scale reads.  Scalar twin, in :mod:`math`:
+    :func:`meanbounds.witness._log_ratio_and_scale`.
     """
     vals = np.empty(len(pieces))
     # Views of the two slices: each part is written in place.

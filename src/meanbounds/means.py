@@ -7,11 +7,12 @@ so the numerically delicate work is concentrated in ``ln(I/A) = -h(v)``,
 with a series path near the removable singularity at ``v = 0`` and the
 bounded form ``-h(v)`` elsewhere.  This module defines both, :func:`_h` and
 the series coefficients ``_H_SERIES`` below ``SERIES_CROSSOVER``, once for
-the package: :func:`identric_mean` evaluates them on one pair in
-:mod:`math`, so it loads neither numpy nor mpmath, and
-:func:`log_identric_over_arithmetic` evaluates them on arrays as the
-``u = 0`` case of the family log-ratio in :mod:`meanbounds.family`, which
-it imports on first call.
+the package, with the family's coefficients (:func:`_series_coefficients`):
+:func:`identric_mean` evaluates them on one pair in :mod:`math`, so it
+loads neither numpy nor mpmath, as :mod:`meanbounds.witness` does on one
+gap, and :func:`log_identric_over_arithmetic` evaluates them on arrays as
+the ``u = 0`` case of the family log-ratio in :mod:`meanbounds.family`,
+which it imports on first call.
 """
 
 from __future__ import annotations
@@ -58,6 +59,23 @@ def _h(v, d, ln_d, log1p):
     ``intervals._x_pieces``.
     """
     return 1.0 - ((1.0 + v) * log1p(v) - d * ln_d) / (2.0 * v)
+
+
+def _series_coefficients(params: FamilyParams) -> tuple[float, float, float, float]:
+    """``c_k = 1/(2k(2k+1)) - s u^k / (2k)``, k = 1..4: the log-ratio is
+    ``sum c_k x^(2k)``, so the kernel ``x^2 f'`` is ``sum 2k c_k x^(2k+1)``.
+    Interval twin, to at most ``TAYLOR_K`` terms: ``intervals._taylor_terms``."""
+    u, s = params.u, params.s
+    if u == 0.0:  # the s-free values, where 3 s u would be inf * 0 for s near the top
+        return _H_SERIES
+    h1, h2, h3, h4 = _H_SERIES
+    three_su = 3.0 * s * u
+    # 3 s overflows for s > 6e307, while s u <= s stays finite.
+    c1 = h1 - s * u / 2.0 if math.isinf(three_su) else (1.0 - three_su) / 6.0
+    return (c1,
+            h2 - s * u * u / 4.0,
+            h3 - s * u ** 3 / 6.0,
+            h4 - s * u ** 4 / 8.0)
 
 
 class _PairFields(NamedTuple):

@@ -1,4 +1,4 @@
-"""Grid verification, counterexample search, and empirical thresholds.
+"""Grid verification and empirical thresholds.
 
 Every check here evaluates a margin function on a grid of gap values and
 reports the signed worst slack.  Three conventions keep the verdicts
@@ -24,8 +24,10 @@ honest at machine precision:
   :func:`empirical_threshold` reads only the verdict (:func:`_grid_verdict`),
   so it first bounds the margin at the candidate by the interval enclosure
   of the certificates, and calls mpmath only when that enclosure straddles
-  0.  A candidate that fails its recheck is a rounding artifact and is
-  dropped.
+  0.  :func:`falsify` confirms a witness the same way, by its enclosure's
+  sign, so every witness it returns is proved; mpmath decides on a straddle
+  and gives the printed value.  A candidate that fails its recheck is a
+  rounding artifact and is dropped.
 * A bisection step evaluates no margin outside a rounding band around the
   grid's cutoffs: the sign of ``u - F_s(x)``, ``u = (1 - 2t)^2`` and
   ``F_s(x) = -expm1(-2h/s) / x^2``, is that of the exact margin at ``x``,
@@ -36,6 +38,9 @@ honest at machine precision:
 Sign certificates are proved by :func:`meanbounds.intervals.certify_sign`,
 beside the interval kernel; its names, and ``FamilyParams``, ``EVAL_LIMIT``
 and ``sharp_thresholds`` from :mod:`meanbounds.thresholds`, stay importable.
+So do ``falsify``, its records and the mpmath rechecks, which live in the
+numpy-free :mod:`meanbounds.witness`; the checks here look the rechecks up
+in this module.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .family import (
-    _H_SERIES,
     SERIES_CROSSOVER,
     _Pieces,
     _exp_bound_margin_with_scale,
@@ -63,7 +67,20 @@ from .intervals import (
     certificate_succeeded,
     certify_sign,
 )
-from .thresholds import EVAL_LIMIT, FamilyParams, _checked_s, membership, sharp_thresholds
+from .means import _H_SERIES
+from .thresholds import EVAL_LIMIT, FamilyParams, _checked_s, sharp_thresholds
+from .witness import (
+    _EPS,
+    _MAX_RECHECKS,
+    _NOISE_C,
+    FalsificationResult,
+    Witness,
+    _check_side,
+    _mp_exp_margin,
+    _mp_family_margin,
+    _mp_power_margin,
+    falsify,
+)
 
 __all__ = [
     "GridSpec",
@@ -82,18 +99,12 @@ __all__ = [
     "TWO_THIRDS_REVERSE_THRESHOLD",
 ]
 
-_EPS = float(np.finfo(float).eps)
-_NOISE_C = 64.0  # multiplier on the rounding-error scale for noise floors
-_RECHECK_DPS = 40  # roughly twice the 16 significant digits of binary64
-_MAX_RECHECKS = 32
 # Twice the relative error of the bisection's (s/2) F_s and (s/2) u: h's
 # 8 eps is at most 48 eps / SERIES_CROSSOVER^2 relative (h >= x^2 / 6), and
 # (s/2) F_s moves by at most as much relative as h; other roundings,
 # expm1's _LIBM_ULPS ulps included, add under 16 eps.
 _BAND = 2.0 * (48.0 / SERIES_CROSSOVER ** 2 + 16.0) * _EPS
 _BAND_POINTS = 250  # a bisection's failing cutoffs read about this many points
-
-_SIDES = ("lower", "upper")
 
 TWO_THIRDS_FORWARD_THRESHOLD = math.log(1.5) / (1.0 - math.log(2.0))
 TWO_THIRDS_REVERSE_THRESHOLD = 1.2
@@ -162,20 +173,6 @@ def grid_points(spec: GridSpec) -> np.ndarray:
     return xs
 
 
-class Witness(NamedTuple):
-    """A grid point with a confirmed reversed inequality.
-
-    ``pair`` is the normalized argument pair ``(1 + x, 1 - x)`` realizing
-    the gap; ``margin_recheck`` is the extended-precision margin value.
-    """
-
-    x: float
-    pair: tuple[float, float]
-    margin: float
-    margin_recheck: float
-    label: str = ""
-
-
 def _plain(value):
     """``value`` with every record and dict in it copied into a fresh dict,
     so that a caller may change the result and leave the report as it is."""
@@ -197,13 +194,6 @@ class VerificationReport(NamedTuple):
         return _plain(self)
 
 
-class FalsificationResult(NamedTuple):
-    found: bool
-    witness: Witness | None
-    attempts: int
-    note: str
-
-
 class TwoThirdsPowerReport(NamedTuple):
     """Both directions of the fixed-(2/3, 1/3) power comparison.
 
@@ -221,123 +211,6 @@ class TwoThirdsPowerReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return _plain(self)
-
-
-def _check_side(side: str) -> None:
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-
-
-# ----------------------------------------------------------------------
-# Extended-precision margin rechecks (mpmath, ~2x working precision).
-# mpmath is imported here, on the first recheck, so that a check which
-# finds no candidate violation never loads it.  What depends on the gap
-# alone, X = x, 1 - X^2 and h = ln(A/I), is computed once per process and
-# number of digits (_mp_gap_pieces, at most 1,024 entries: witnesses
-# gather at a few gaps near x = 0 and x = 1), by the same operations, so a
-# recheck's value does not depend on what was rechecked before it.
-#
-# A margin's terms are O(1), or O(s) and O(p), while the margin can be
-# O(x^2) or O(p): 40 digits resolve it only down to about 1e-40 times its
-# largest term.  A value below 10**(_RESOLVED_DIGITS - dps) times that
-# term is computed again with twice the digits, up to _RECHECK_MAX_DPS,
-# which resolves any double margin against terms up to the largest double.
-# A value that 40 digits resolve is kept as it is.
-# ----------------------------------------------------------------------
-
-_RESOLVED_DIGITS = 10
-_RECHECK_MAX_DPS = 1280
-
-
-@lru_cache(maxsize=1024)
-def _mp_gap_pieces(x: float, dps: int):
-    """``(X, 1 - X^2, h, log_scale)`` at the gap ``x`` with ``dps`` digits:
-    ``h = 1 - atanh(X)/X - ln(1 - X^2)/2 = ln(A/I)`` and ``log_scale`` the
-    base-10 log of its largest term (``X^2`` and ``1 - X^2`` are exact)."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        big_x = mp.mpf(x)
-        one_minus_sq = 1 - big_x * big_x
-        atanh_over_x = mp.atanh(big_x) / big_x
-        log_sq = mp.log(one_minus_sq)
-        h = 1 - atanh_over_x - log_sq / 2
-    log_scale = math.log10(max(float(atanh_over_x), -float(log_sq)))
-    return big_x, one_minus_sq, h, log_scale
-
-
-def _resolved_margin(margin, x: float) -> float:
-    """The float of ``margin(x, dps)``, a ``(value, log_scale)`` pair, at
-    ``_RECHECK_DPS`` digits, or at twice the digits while the value is not
-    resolved, up to ``_RECHECK_MAX_DPS``."""
-    dps = _RECHECK_DPS
-    while True:
-        value, log_scale = margin(x, dps)
-        if (dps >= _RECHECK_MAX_DPS or value != 0.0
-                and math.log10(abs(value)) > log_scale + _RESOLVED_DIGITS - dps):
-            return value
-        dps *= 2
-
-
-def _log10(value: float) -> float:
-    """``log10(value)`` for ``value >= 0``, -inf at 0."""
-    return math.log10(value) if value > 0.0 else -math.inf
-
-
-def _family_margin_at(t: float, s: float, side: str, x: float, dps: int):
-    import mpmath as mp
-
-    big_x, _, h, log_scale = _mp_gap_pieces(x, dps)
-    with mp.workdps(dps):
-        val = h
-        if t != 0.5:  # u = (1 - 2t)^2 vanishes only at t = 1/2
-            u = (1 - 2 * mp.mpf(t)) ** 2
-            arg = 1 - u * big_x * big_x
-            val += mp.mpf(s) / 2 * mp.log(arg)
-            # m2's log carries the rounding of arg = 1 - u X^2 over arg:
-            # (s/2)(|ln arg| + 1/arg) <= s / arg.
-            log_scale = max(log_scale, math.log10(s) - math.log10(float(arg)))
-        return float(-val if side == "lower" else val), log_scale
-
-
-def _mp_family_margin(t: float, s: float, side: str, x: float) -> float:
-    return _resolved_margin(partial(_family_margin_at, t, s, side), x)
-
-
-# ln(A/I) is the family log-ratio at t = 1/2 (u = 0), where Q(t, s) = A.
-def _exp_margin_at(coef: float, side: str, x: float, dps: int):
-    import mpmath as mp
-
-    big_x, _, h, log_scale = _mp_gap_pieces(x, dps)
-    with mp.workdps(dps):
-        g = h - mp.mpf(coef) * big_x ** 2
-        return (float(g if side == "lower" else -g),
-                max(log_scale, math.log10(coef) + 2.0 * math.log10(x)))
-
-
-def _mp_exp_margin(coef: float, side: str, x: float) -> float:
-    return _resolved_margin(partial(_exp_margin_at, coef, side), x)
-
-
-def _power_margin_at(p: float, alpha: float, side: str, x: float, dps: int):
-    import mpmath as mp
-
-    _, one_minus_sq, h, log_scale = _mp_gap_pieces(x, dps)
-    with mp.workdps(dps):
-        big_p, big_alpha = mp.mpf(p), mp.mpf(alpha)
-        i_pow = mp.e ** (-big_p * h)
-        g_pow = one_minus_sq ** (big_p / 2)
-        lower = i_pow - big_alpha - (1 - big_alpha) * g_pow
-        # Both powers are exp(p * a log): the error of h, and of the log in
-        # the power, comes back times p, so they count (1 + p) 10**log_scale.
-        growth = math.log10(1.0 + p) + log_scale
-        i_f, g_f = float(i_pow), (1.0 - alpha) * float(g_pow)
-        return (float(lower if side == "lower" else -lower),
-                max(_log10(i_f) + growth, _log10(alpha), _log10(g_f) + growth))
-
-
-def _mp_power_margin(p: float, alpha: float, side: str, x: float) -> float:
-    return _resolved_margin(partial(_power_margin_at, p, alpha, side), x)
 
 
 # ----------------------------------------------------------------------
@@ -518,48 +391,6 @@ def verify_family_inequality(
     margin_side = _family_side(FamilyParams.from_t(t, s), side, g.pieces,
                                partial(_mp_family_margin, t, s, side))
     return _run_grid_check(g.xs, [margin_side], parameters)[0]
-
-
-_FALSIFY_LOWER_LADDER = tuple(1.0 - 10.0 ** (-k) for k in range(3, 13))
-_FALSIFY_UPPER_LADDER = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 2e-2, 5e-2)
-
-
-@lru_cache(maxsize=None)
-def _ladder(side: str) -> _Grid:
-    """The :class:`_Grid` of ``side``'s search ladder, built once per
-    process."""
-    return _Grid(np.array(_FALSIFY_LOWER_LADDER if side == "lower"
-                          else _FALSIFY_UPPER_LADDER), {})
-
-
-def falsify(t: float, s: float, side: str) -> FalsificationResult:
-    """Search for a concrete gap where the inequality at ``(t, s)`` reverses.
-
-    Lower-side failures are hunted near ``x = 1`` and upper-side failures
-    near ``x = 0``, where they must appear; every returned witness is
-    confirmed at extended precision.  When none is found, ``membership``
-    decides the side exactly for these doubles: ValueError if it holds
-    (nothing to falsify), else a not-found result, as the side fails by
-    less than the noise floor at every ladder point.
-    """
-    _check_side(side)
-    t, s = float(t), float(s)
-    ladder = _ladder(side)
-    margin_side = _family_side(FamilyParams.from_t(t, s), side, ladder.pieces,
-                               partial(_mp_family_margin, t, s, side))
-    report, rechecks = _run_grid_check(ladder.xs, [margin_side], {})
-    if report.witness is not None:
-        return FalsificationResult(found=True, witness=report.witness,
-                                   attempts=rechecks, note="")
-    if membership(t, s) == f"{side}_bound_holds":
-        raise ValueError(f"the {side} side holds at t = {t}, s = {s}; "
-                         "nothing to falsify")
-    return FalsificationResult(
-        found=False, witness=None, attempts=ladder.xs.size,
-        note="no grid point on the search ladder crossed its noise floor "
-             "and survived the extended-precision recheck; the margin is "
-             "below the double-precision resolution at these parameters",
-    )
 
 
 def _failing_bound(pieces: _Pieces) -> tuple[np.ndarray, np.ndarray]:

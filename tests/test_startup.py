@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SUBMODULES = ("cli", "family", "intervals", "means", "thresholds", "verify")
+SUBMODULES = ("cli", "family", "intervals", "means", "thresholds", "verify", "witness")
 # The names perfbench's tracer wraps in ``meanbounds.cli``.
 CLI_HOOK_NAMES = ("verify_family_inequality", "falsify", "empirical_threshold",
                   "sharp_thresholds")
@@ -137,6 +137,41 @@ def test_holding_verify_and_sweep_load_no_mpmath(argv):
     assert proc.returncode == 0, proc.stderr
     assert "numpy" in names
     assert "mpmath" not in names
+
+
+@pytest.mark.parametrize("argv, code, start", [
+    (("falsify", "--s", "1", "--t", "0.2", "--side", "upper"), 0, "witness: x = "),
+    (("falsify", "--s", "2", "--t", "0.26", "--side", "lower", "--format", "structured"), 0, "{"),
+    (("falsify", "--s", "2", "--t", "0.24297805655104301", "--side", "lower"), 2, ""),
+    (("falsify", "--s", "1", "--t", "0.16137820985148149", "--side", "lower"), 1,
+     "not found after 10 attempts: "),
+])
+def test_falsify_loads_no_numpy(argv, code, start):
+    # A found witness (human and structured), a holding side and a search
+    # that finds none: the ladder is evaluated in math and decided by the
+    # interval enclosure.
+    proc, names = imported_packages("-m", "meanbounds", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith(start)
+    assert "numpy" not in names
+    assert "meanbounds" in names
+
+
+def test_library_falsify_loads_no_numpy():
+    # meanbounds.verify binds the same objects, for perfbench's tracer.
+    script = """
+import sys
+from meanbounds import FalsificationResult, Witness, falsify
+
+result = falsify(0.2, 1.0, "upper")
+assert result.found and type(result) is FalsificationResult and type(result.witness) is Witness
+assert "numpy" not in sys.modules
+import meanbounds.verify as verify
+for name in ("falsify", "FalsificationResult", "Witness"):
+    assert getattr(verify, name) is globals()[name], name
+"""
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_certify_rejects_bad_s_before_loading_numpy():

@@ -32,7 +32,7 @@ from meanbounds import (
     verify_two_thirds_power,
 )
 
-from meanbounds import family, means, verify
+from meanbounds import family, means, verify, witness
 from meanbounds.family import _Pieces, _log_ratio_with_scale, _lr_with_error_scale
 from meanbounds.intervals import TAYLOR_X0
 from meanbounds.thresholds import EVAL_LIMIT
@@ -213,17 +213,16 @@ class TestFalsify:
         assert result.witness is None
         assert "precision" in result.note or "resolution" in result.note
 
-    def test_ladders_are_built_once(self, monkeypatch):
-        first = [verify._ladder(side) for side in ("lower", "upper")]
+    def test_builds_no_pieces_or_grid(self, monkeypatch):
+        # The ladder's margins are evaluated point by point in math.
+        def refused(*args):
+            raise AssertionError("falsify built array pieces or a grid")
 
-        def rebuilt(xs):
-            raise AssertionError("a ladder's pieces were built again")
-
-        monkeypatch.setattr(verify, "_Pieces", rebuilt)
+        for module, name in ((family, "_Pieces"), (verify, "_Pieces"),
+                             (verify, "grid_points"), (verify, "_grid")):
+            monkeypatch.setattr(module, name, refused)
         assert falsify(0.3, 2.0, "lower").found and falsify(0.2, 2.0, "upper").found
-        for side, ladder in zip(("lower", "upper"), first):
-            assert verify._ladder(side).pieces is ladder.pieces
-            assert not ladder.xs.flags.writeable
+        assert not falsify(sharp_thresholds(1.0).p, 1.0, "lower").found
 
     def test_attempts_count_rechecks_when_found(self):
         ts = sharp_thresholds(1.0)
@@ -347,7 +346,7 @@ def _report_digest_reprs():
 
 # sha256 of the _report_digest_reprs reports, one repr a line; any change to
 # a verdict, a margin, a witness or a recheck value changes it.
-_REPORT_DIGEST = "f653f4f6418d02aac71e0b512d145eacf7b6ca2d5c69402adcd8b3d8043b6927"
+_REPORT_DIGEST = "461e7d8412e9e019962209134a561238e677104124940fb1410d9b0789a404b5"
 
 
 class TestReportDigest:
@@ -788,7 +787,6 @@ class TestIncreasingGaps:
             monkeypatch.setattr(module, "_Pieces", recording(pieces))
         monkeypatch.setattr(family, "_split", recording(split))
         verify._grid.cache_clear()
-        verify._ladder.cache_clear()
         s, grid = 2.0, GridSpec(count=512)
         ts = sharp_thresholds(s)
         # A sweep row.
@@ -796,8 +794,6 @@ class TestIncreasingGaps:
         empirical_threshold(s, "upper", grid)
         verify_family_inequality(ts.p, s, "lower", grid)
         verify_family_inequality(ts.q, s, "upper", grid)
-        assert falsify(ts.p + 1e-2, s, "lower").found
-        assert falsify(ts.q - 1e-2, s, "upper").found
         verify_exponential_bounds(0.17, 0.3, grid)
         verify_convex_power_bound(2.0, 0.5, "lower", grid)
         verify_two_thirds_power(1.25, grid)
@@ -807,7 +803,7 @@ class TestIncreasingGaps:
         derivative_kernel(params, shuffled)
         exp_bound_margin(0.2, shuffled)
         log_identric_over_arithmetic(shuffled)
-        assert len(seen) > 10
+        assert len(seen) > 8
         for x in seen:
             assert np.all(x[1:] >= x[:-1])
 
@@ -953,7 +949,7 @@ def _uncached_power_margin(p, alpha, side, x):
 
 
 _RECHECK_POINTS = (grid_points(GridSpec(count=512)).tolist()
-                   + list(verify._FALSIFY_LOWER_LADDER) + list(verify._FALSIFY_UPPER_LADDER))
+                   + list(witness._FALSIFY_LOWER_LADDER) + list(witness._FALSIFY_UPPER_LADDER))
 
 
 def _recheck_cases():
@@ -976,7 +972,7 @@ class TestRecheckCache:
     @pytest.mark.parametrize("caller_dps", [None, 15, 100])
     def test_equals_the_uncached_formulas_on_miss_and_hit(self, caller_dps):
         saved = mp.mp.dps
-        verify._mp_gap_pieces.cache_clear()
+        witness._mp_gap_pieces.cache_clear()
         try:
             if caller_dps is not None:
                 mp.mp.dps = caller_dps
@@ -991,7 +987,7 @@ class TestRecheckCache:
     def test_gap_pieces_equal_the_uncached_formula(self):
         # To the last of the 40 digits, which a float rounds away.
         for x in _RECHECK_POINTS:
-            big_x, one_minus_sq, h, _ = verify._mp_gap_pieces(x, 40)
+            big_x, one_minus_sq, h, _ = witness._mp_gap_pieces(x, 40)
             with mp.workdps(40):
                 assert (big_x, one_minus_sq, h) == (mp.mpf(x), 1 - mp.mpf(x) ** 2,
                                                     _uncached_log_ratio(0.5, 1.0, x))
@@ -1003,7 +999,7 @@ class TestRecheckCache:
                 gaps.append(args[-1])
                 return recheck(*args)
             monkeypatch.setattr(verify, name, recording)
-        verify._mp_gap_pieces.cache_clear()
+        witness._mp_gap_pieces.cache_clear()
         rng = random.Random(11)
         grid = GridSpec(count=512)
         for _ in range(7):
@@ -1012,7 +1008,7 @@ class TestRecheckCache:
             verify_convex_power_bound(1.0, alpha, rng.choice(("lower", "upper")), grid)
             verify_two_thirds_power(rng.uniform(1.0, 1.5), grid)
         assert len(gaps) > len(set(gaps)) > 1
-        assert verify._mp_gap_pieces.cache_info().misses == len(set(gaps))
+        assert witness._mp_gap_pieces.cache_info().misses == len(set(gaps))
 
     def test_holding_checks_load_no_mpmath(self):
         proc = python("-c", """
@@ -1075,9 +1071,9 @@ class TestRecheckResolution:
             asked.append(dps)
             return 0.0, 0.0
 
-        assert verify._resolved_margin(unresolved, 0.5) == 0.0
+        assert witness._resolved_margin(unresolved, 0.5) == 0.0
         assert asked == [40, 80, 160, 320, 640, 1280]
-        assert asked[-1] == verify._RECHECK_MAX_DPS
+        assert asked[-1] == witness._RECHECK_MAX_DPS
 
     def test_cap_resolves_a_double_margin_against_the_largest_terms(self):
         # The smallest double against the largest terms: the family's
@@ -1085,7 +1081,7 @@ class TestRecheckResolution:
         smallest = math.log10(5e-324)
         largest = (math.log10(sys.float_info.max)
                    - math.log10((1.0 - EVAL_LIMIT) * (1.0 + EVAL_LIMIT)))
-        assert smallest > largest + verify._RESOLVED_DIGITS - verify._RECHECK_MAX_DPS
+        assert smallest > largest + witness._RESOLVED_DIGITS - witness._RECHECK_MAX_DPS
 
 
 class TestGridPointsValidity:
